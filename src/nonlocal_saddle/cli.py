@@ -188,7 +188,6 @@ def cmd_solve(pipe: Pipeline) -> int:
         "iterations": report.iterations,
         "converged": report.converged,
         "uniqueness": uniqueness.to_dict() if uniqueness else None,
-        "geometry": None,
         "seed": pipe.opts.seed,
         "tol": pipe.opts.tol,
         "max_iter": pipe.opts.max_iter,

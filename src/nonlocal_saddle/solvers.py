@@ -38,7 +38,6 @@ class SolverOptions:
     starts: int = 1
     seed: int = 42
     line_search_contraction: float = 0.5
-    trust_radius: float | None = None
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class SolveReport:
     iterations: int
     converged: bool
     uniqueness: UniquenessVerdict | None = None
-    geometry: "GeometryProbe | None" = None
     seed: int = 42
     tol: float = 1.0e-9
 
@@ -83,8 +81,12 @@ def _element_data(op: AssembledOperator):
 
 
 def _interp_elements(op: AssembledOperator, u: np.ndarray, xi: np.ndarray):
-    full = np.concatenate(([0.0], u, [0.0]))
-    return full[:-1, None] * (1.0 - xi[None, :]) + full[1:, None] * xi[None, :]
+    """u_h at the Gauss points, shape (n_elem, q) + u.shape[1:]; the columns
+    of a 2-D u are interpolated side by side."""
+    full = np.zeros((u.shape[0] + 2,) + u.shape[1:])
+    full[1:-1] = u
+    xi = xi.reshape((1, -1) + (1,) * (u.ndim - 1))
+    return full[:-1, None] * (1.0 - xi) + full[1:, None] * xi
 
 
 def _check_dim(op: AssembledOperator, u) -> np.ndarray:
@@ -430,26 +432,62 @@ class GeometryProbe:
                 "separated": self.separated, "seed": self.seed}
 
 
+#: directions evaluated per batch by the geometry probe; a larger batch
+#: is no faster and raises the probe's peak memory
+PROBE_CHUNK = 16
+
+
 def _sphere_samples(rng, dim: int, n_random: int) -> np.ndarray:
-    """Unit directions: deterministic +-axes followed by random ones."""
-    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
+    """Random unit directions in R^dim, shape (n_random, dim).
+
+    Every scan also samples the 2*dim deterministic +-axes ahead of these;
+    they are known in closed form and never built as a matrix.
+    """
     if n_random > 0:
         raw = rng.standard_normal((n_random, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        return np.concatenate([axes, raw])
-    return axes
+        return raw
+    return np.empty((0, dim))
 
 
-def _evaluate_modes(op, spec, spectrum, mode_idx, direction, z_radius):
-    """Scale an eigen-coefficient direction to the given Z radius."""
-    lam = spectrum.eigenvalues[mode_idx]
-    z_sq = float(np.sum(lam * direction ** 2))
-    scale = z_radius / math.sqrt(z_sq)
-    coeffs = scale * direction
-    u = spectrum.eigenvectors[:, mode_idx] @ coeffs
-    l2_sq = float(np.sum(coeffs ** 2))  # eigenvectors are L2-orthonormal
-    j = eval_J(op, spec, u)
-    return j, l2_sq, z_radius ** 2
+def _sample_energies(op: AssembledOperator, spec: NonlinearitySpec,
+                     spectrum: Spectrum, modes: slice, dirs: np.ndarray,
+                     z_norms: np.ndarray):
+    """Energies of the probe samples spanned by the eigenmodes `modes`.
+
+    The directions are the +axes, the -axes, then the rows of `dirs`, all
+    scaled to unit Z-norm.  Returns J at every (z-norm, direction) pair,
+    shape (len(z_norms), n_dirs), and the squared L2-norm of every unit
+    direction.  Eigenvectors are M-orthonormal and A-orthogonal, so a
+    sample of Z-norm z has quadratic energy exactly z^2/2 and squared
+    L2-norm z^2 |c|^2 in eigen-coordinates c; only the integral of F needs
+    nodal values, taken PROBE_CHUNK directions at a time.
+    """
+    lam = spectrum.eigenvalues[modes]
+    vecs = spectrum.eigenvectors[:, modes]
+    inv_sqrt = 1.0 / np.sqrt(lam)
+    unit = dirs / np.sqrt(dirs ** 2 @ lam)[:, None]
+    dim, n_dirs = lam.size, 2 * lam.size + len(dirs)
+    l2_sq = np.concatenate([1.0 / lam, 1.0 / lam, np.sum(unit ** 2, axis=1)])
+
+    xg, wg, xi = _element_data(op)
+    x, w = xg[:, :, None], wg.ravel()
+    half_z_sq = 0.5 * z_norms ** 2
+    energies = np.empty((z_norms.size, n_dirs))
+    for g0, g1 in ((0, dim), (dim, 2 * dim), (2 * dim, n_dirs)):
+        for i0 in range(g0, g1, PROBE_CHUNK):
+            i1 = min(i0 + PROBE_CHUNK, g1)
+            cols = slice(i0 - g0, i1 - g0)
+            if g0 == 2 * dim:
+                nodal = vecs @ unit[cols].T
+            else:  # an axis sample is a column of the eigenvector block
+                sign = 1.0 if g0 == 0 else -1.0
+                nodal = vecs[:, cols] * (sign * inv_sqrt[cols])
+            uh = _interp_elements(op, nodal, xi)
+            for iz, z in enumerate(z_norms):
+                f_int = w @ eval_F(spec, x, z * uh).reshape(w.size, -1)
+                energies[iz, i0:i1] = half_z_sq[iz] - f_int
+    return energies, l2_sq
 
 
 def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
@@ -464,32 +502,44 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
     minimum ratio recorded.  Energy ratios are reported both per unit
     squared Z-norm (the sign statements of the saddle geometry) and per
     unit squared L2-norm, whose extremes approach (lambda_j - slope)/2
-    exactly.  k = 0 probes the whole space, the coercive geometry.
+    exactly.  k = 0 probes the whole space, the coercive geometry, and
+    stores its samples in `tail`.
+
+    Every scan evaluates all 2*dim +-axes of its eigenmode subspace, so
+    `n_samples` is a floor: it only adds seeded random directions beyond
+    2*dim.  The quadratic part of J is taken exactly in eigen-coordinates
+    (z^2/2 on the Z-sphere of radius z), and samples are evaluated in
+    batches, so a scan costs O(N^2) per Z-norm.  The first extreme sample
+    in (Z-norm, direction) order wins.  For a purely quadratic F the ratio
+    of an axis sample is the same at every Z-norm, so which norm supplies
+    `extreme_j` and `floor_estimate` is decided by rounding.
     """
     radii = tuple(sorted(float(r) for r in radii))
+    if not radii or not all(math.isfinite(r) and r > 0.0 for r in radii):
+        raise InvalidParameterError(
+            f"radii must be finite and positive, got {radii}")
+    if n_samples < 0:
+        raise InvalidParameterError(
+            f"n_samples must be >= 0, got {n_samples}")
     rng = np.random.default_rng(seed)
     m = spectrum.size
 
-    def scan(mode_idx, z_norms, reduce_max):
-        dim = len(mode_idx)
+    def scan(modes, z_norms, reduce_max):
+        dim = modes.stop - modes.start
         dirs = _sphere_samples(rng, dim, max(n_samples - 2 * dim, 0))
-        best = None
-        for z in z_norms:
-            for d in dirs:
-                j, l2_sq, z_sq = _evaluate_modes(op, spec, spectrum,
-                                                 mode_idx, d, z)
-                cand = (j / l2_sq, j / z_sq, j)
-                if best is None:
-                    best = cand
-                elif reduce_max and cand[0] > best[0]:
-                    best = cand
-                elif not reduce_max and cand[0] < best[0]:
-                    best = cand
-        return best
+        z_norms = np.asarray(z_norms, dtype=float)
+        energies, l2_sq = _sample_energies(op, spec, spectrum, modes, dirs,
+                                           z_norms)
+        z_sq = z_norms[:, None] ** 2
+        ratios = energies / (z_sq * l2_sq)
+        best = np.argmax(ratios) if reduce_max else np.argmin(ratios)
+        iz, idir = np.unravel_index(best, ratios.shape)
+        j = float(energies[iz, idir])
+        return float(ratios[iz, idir]), j / float(z_sq[iz, 0]), j
 
     if k == 0:
         samples = []
-        all_modes = np.arange(m)
+        all_modes = slice(0, m)
         for t_rad in radii:
             lo, ratio_z, j = scan(all_modes, [t_rad], reduce_max=False)
             samples.append(RadiusSample(t_rad, lo, ratio_z, j))
@@ -501,8 +551,8 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
 
     if not 1 <= k < m:
         raise InvalidParameterError(f"k must lie in [0, {m - 1}], got {k}")
-    head_idx = np.arange(k)
-    tail_idx = np.arange(k, m)
+    head_idx = slice(0, k)
+    tail_idx = slice(k, m)
 
     head_samples = []
     for t_rad in radii:

@@ -169,7 +169,9 @@ def test_criterion_7_saddle_geometry(capsys):
         coercive = ns.geometry_probe(op, sp,
                                      nl.affine(0.0, nl.constant_profile(1.0)),
                                      0)
-        assert all(s.extreme_ratio_l2 > 0.0 for s in coercive.head)
+        # coercive samples live in `tail`, one per radius
+        assert [s.radius for s in coercive.tail] == [10.0, 100.0, 1000.0]
+        assert all(s.extreme_ratio_l2 > 0.0 for s in coercive.tail)
 
 
 def test_criterion_8_morse_index(capsys):

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
 from nonlocal_saddle.assembly import norm_Z
-from nonlocal_saddle.errors import ResonanceError, UnsupportedCaseError
-from nonlocal_saddle.solvers import (eval_J, eval_gradient,
+from nonlocal_saddle.errors import (InvalidParameterError, ResonanceError,
+                                    UnsupportedCaseError)
+from nonlocal_saddle.solvers import (_sphere_samples, eval_J, eval_gradient,
                                      linear_nonresonant_solve, load_vector,
                                      residual_weakform)
 
@@ -203,9 +206,102 @@ def test_geometry_probe_z_ratio_normalization(op128, spectrum128):
 def test_geometry_probe_coercive_positive(op128, spectrum128):
     spec = nl.affine(0.0, nl.constant_profile(1.0))
     probe = ns.geometry_probe(op128, spectrum128, spec, 0)
-    assert probe.mode == "coercive"
-    for sample in probe.head:
+    assert probe.mode == "coercive" and probe.head == ()
+    # coercive samples live in `tail`, one per radius
+    assert [s.radius for s in probe.tail] == [10.0, 100.0, 1000.0]
+    for sample in probe.tail:
         assert sample.extreme_ratio_l2 > 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"radii": (0.0, 10.0)},
+    {"radii": (-1.0, 10.0)},
+    {"radii": (math.nan,)},
+    {"radii": (10.0, math.inf)},
+    {"radii": ()},
+    {"n_samples": -3},
+])
+def test_geometry_probe_rejects_bad_input(op128, spectrum128, kwargs):
+    spec = nl.affine(20.0, nl.constant_profile(0.0))
+    with pytest.raises(InvalidParameterError):
+        ns.geometry_probe(op128, spectrum128, spec, 2, **kwargs)
+
+
+def _oracle_probe(op, sp, spec, k, n_samples, seed,
+                  radii=(10.0, 100.0, 1000.0)):
+    """The probe as a per-sample loop: one eval_J on the nodal vector of
+    every sample, with the directions of the same seeded sequence."""
+    rng = np.random.default_rng(seed)
+    lam, vecs = sp.eigenvalues, sp.eigenvectors
+
+    def scan(idx, z_norms, reduce_max):
+        dim = len(idx)
+        dirs = np.concatenate([np.eye(dim), -np.eye(dim), _sphere_samples(
+            rng, dim, max(n_samples - 2 * dim, 0))])
+        best = None
+        for z in z_norms:
+            for d in dirs:
+                coeffs = z / np.sqrt(np.sum(lam[idx] * d ** 2)) * d
+                j = eval_J(op, spec, vecs[:, idx] @ coeffs)
+                cand = (j / np.sum(coeffs ** 2), j / z ** 2, j)
+                if best is None or (cand[0] > best[0] if reduce_max
+                                    else cand[0] < best[0]):
+                    best = cand
+        return best
+
+    m = sp.size
+    if k == 0:
+        tail = [scan(np.arange(m), [t], False) for t in radii]
+        return [], tail, all(t[0] > 0.0 for t in tail)
+    head = [scan(np.arange(k), [t], True) for t in radii]
+    tail = [scan(np.arange(k, m), np.geomspace(t / 10.0, t, 4), False)
+            for t in radii]
+    small = scan(np.arange(k, m), np.geomspace(0.1, radii[0] / 10.0, 4),
+                 False)
+    floor = min([small[2]] + [t[2] for t in tail])
+    return head, tail, head[-1][2] < floor
+
+
+@pytest.fixture(scope="module")
+def small_ops():
+    kern = ns.make_fractional_kernel(0.5)
+    out = {}
+    for n in (16, 64):
+        op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n), kern,
+                         skip_audit=True)
+        out[n] = (op, ns.solve_eigenproblem(op))
+    return out
+
+
+@pytest.mark.parametrize("n, n_samples", [(16, 64), (64, 64), (64, 200)])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("family", ["affine", "saturating",
+                                    "bounded_perturbation"])
+def test_geometry_probe_matches_per_sample_oracle(small_ops, n, n_samples, k,
+                                                  family):
+    """the batched probe reproduces the per-sample loop; N = 16 and
+    n_samples = 200 at N = 64 run random directions in every scan."""
+    op, sp = small_ops[n]
+    lam = sp.eigenvalues
+    m = lam[0] / 2.0 if k == 0 else (lam[k - 1] + lam[k]) / 2.0
+    # an odd part in g makes +e_j and -e_j differ for every mode
+    g = (nl.constant_profile(0.0) if family == "affine"
+         else nl.polynomial_profile((1.0, 2.0)))
+    spec = {"affine": lambda: nl.affine(m, g),
+            "saturating": lambda: nl.saturating(m, 0.5, g),
+            "bounded_perturbation":
+                lambda: nl.bounded_perturbation(m, 0.3, g)}[family]()
+    probe = ns.geometry_probe(op, sp, spec, k, n_samples=n_samples, seed=7)
+    head, tail, separated = _oracle_probe(op, sp, spec, k, n_samples, 7)
+    for got, want in ((probe.head, head), (probe.tail, tail)):
+        assert len(got) == len(want)
+        for sample, (ratio_l2, ratio_z, _) in zip(got, want):
+            assert sample.extreme_ratio_l2 == pytest.approx(ratio_l2,
+                                                            rel=1e-10)
+            assert sample.extreme_ratio_z == pytest.approx(ratio_z, rel=1e-10)
+    assert probe.separated == separated
+    again = ns.geometry_probe(op, sp, spec, k, n_samples=n_samples, seed=7)
+    assert again.to_dict() == probe.to_dict()
 
 
 def test_z_norm_of_eigenvector(op128, spectrum128):
