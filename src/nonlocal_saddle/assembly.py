@@ -190,21 +190,22 @@ def _singular_moments(xi0: float, xi1: float, twos: float) -> np.ndarray:
 
 def _tail_block_fractional(xi0: float, xi1: float, h: float,
                            twos: float) -> np.ndarray:
-    """2x2 of int phi_p phi_q xi^(-2s) dxi on [xi0, xi1], ordered (far, near).
+    """2x2 of int phi_p phi_q xi^(-2s) dxi on [xi0, xi1], xi the distance
+    to the boundary.
 
-    "far" is the hat decreasing toward the singular boundary (value 1 at
-    xi1), "near" the hat vanishing at xi0.  Products expanded in monomials
-    of the distance xi to the boundary.
+    Index 0 is the hat (xi1 - xi)/h, equal to 1 at xi0, the end nearer
+    the boundary; index 1 is the hat (xi - xi0)/h, equal to 1 at xi1.
+    Products expanded in monomials of xi.
     """
     moments = _singular_moments(xi0, xi1, twos)
     # (xi1 - xi)^2, (xi1 - xi)(xi - xi0), (xi - xi0)^2 in powers of xi
-    c_ff = np.array([xi1 * xi1, -2.0 * xi1, 1.0])
-    c_fn = np.array([-xi0 * xi1, xi0 + xi1, -1.0])
-    c_nn = np.array([xi0 * xi0, -2.0 * xi0, 1.0])
-    ff = float(np.dot(c_ff, moments)) / (h * h)
-    fn = float(np.dot(c_fn, moments)) / (h * h)
-    nn = float(np.dot(c_nn, moments)) / (h * h)
-    return np.array([[ff, fn], [fn, nn]])
+    c_00 = np.array([xi1 * xi1, -2.0 * xi1, 1.0])
+    c_01 = np.array([-xi0 * xi1, xi0 + xi1, -1.0])
+    c_11 = np.array([xi0 * xi0, -2.0 * xi0, 1.0])
+    b00 = float(np.dot(c_00, moments)) / (h * h)
+    b01 = float(np.dot(c_01, moments)) / (h * h)
+    b11 = float(np.dot(c_11, moments)) / (h * h)
+    return np.array([[b00, b01], [b01, b11]])
 
 
 def _assemble_tail_fractional(mesh: Mesh, kernel: Kernel) -> np.ndarray:
@@ -214,27 +215,16 @@ def _assemble_tail_fractional(mesh: Mesh, kernel: Kernel) -> np.ndarray:
     scale = 1.0 / twos  # kappa_side(x) = dist^(-2s) / (2s)
     t_full = np.zeros((n + 1, n + 1))
     for e in range(n):
+        # left boundary, xi = x - a on [xi0, xi1]: phi_e = (xi1 - xi)/h
+        # is block index 0 and phi_{e+1} = (xi - xi0)/h index 1
         xi0, xi1 = e * h, (e + 1) * h
-        # left boundary part: distance variable xi = x - a; node e is the
-        # "far" hat (decreasing in xi is node e? phi_e = (xi1 - xi)/h, i.e.
-        # value 1 at xi0) -- reorder: block rows are (hat with value 1 at
-        # xi1, hat vanishing at xi0) = (node e+1, node e)? phi_{e+1} =
-        # (xi - xi0)/h vanishes at xi0 ("near" the boundary side only for
-        # e = 0).  Map block (far, near) -> nodes (e+1-, ...) explicitly:
-        blk = _tail_block_fractional(xi0, xi1, h, twos)
-        # blk is ordered by coefficient pattern: index 0 ~ (xi1 - xi)/h =
-        # phi_e, index 1 ~ (xi - xi0)/h = phi_{e+1}
-        left = np.array([[blk[0, 0], blk[0, 1]], [blk[1, 0], blk[1, 1]]])
-        # right boundary part: eta = b - x in [eta0, eta1]; phi_e =
-        # (eta - eta0)/h, phi_{e+1} = (eta1 - eta)/h, so roles flip.
+        left = _tail_block_fractional(xi0, xi1, h, twos)
+        # right boundary, eta = b - x on [eta0, eta1]: phi_e = (eta -
+        # eta0)/h is index 1 and phi_{e+1} = (eta1 - eta)/h index 0, so
+        # the block is flipped into node order (e, e+1)
         eta0, eta1 = (n - e - 1) * h, (n - e) * h
-        rblk = _tail_block_fractional(eta0, eta1, h, twos)
-        right = np.array([[rblk[1, 1], rblk[1, 0]], [rblk[0, 1], rblk[0, 0]]])
-        loc = 2.0 * scale * (left + right)
-        idx = (e, e + 1)
-        for p in range(2):
-            for q in range(2):
-                t_full[idx[p], idx[q]] += loc[p, q]
+        right = _tail_block_fractional(eta0, eta1, h, twos)[::-1, ::-1]
+        t_full[e:e + 2, e:e + 2] += 2.0 * scale * (left + right)
     return t_full
 
 

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from .assembly import assemble
 from .config import RunConfig, parse_config
 from .errors import ConfigError, NonlocalSaddleError
 from .kernels import audit_kernel, make_fractional_kernel
+from .meshing import build_uniform_mesh
 from .solvers import (SolverOptions, geometry_probe, solve_case_a,
                       solve_case_b, uniqueness_probe)
 from .spectral import solve_eigenproblem
@@ -78,27 +80,36 @@ def build_nonlinearity(cfg: RunConfig) -> nl.NonlinearitySpec:
 
 
 class Pipeline:
-    """Shared setup for all subcommands, built lazily from the config."""
+    """Shared setup for all subcommands, built lazily from the config: the
+    assembly, eigensolve and classification run on first use."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         kernel = make_fractional_kernel(cfg.kernel["s"])
         self.kernel = dataclasses.replace(kernel, theta=cfg.kernel["theta"])
         self.audit = audit_kernel(self.kernel)
-        from .meshing import build_uniform_mesh
         self.mesh = build_uniform_mesh(cfg.domain["a"], cfg.domain["b"],
                                        cfg.mesh["n_elements"])
-        self.op = assemble(self.mesh, self.kernel,
-                           quad_order=cfg.quadrature["order"],
-                           assembly_tol=cfg.quadrature["assembly_tol"],
-                           audit=self.audit)
-        self.spectrum = solve_eigenproblem(self.op)
         self.spec = build_nonlinearity(cfg)
-        self.classification = nl.classify(self.spec, self.spectrum)
         self.opts = SolverOptions(tol=cfg.solver["tol"],
                                   max_iter=cfg.solver["max_iter"],
                                   starts=cfg.solver["starts"],
                                   seed=cfg.solver["seed"])
+
+    @cached_property
+    def op(self):
+        return assemble(self.mesh, self.kernel,
+                        quad_order=self.cfg.quadrature["order"],
+                        assembly_tol=self.cfg.quadrature["assembly_tol"],
+                        audit=self.audit)
+
+    @cached_property
+    def spectrum(self):
+        return solve_eigenproblem(self.op)
+
+    @cached_property
+    def classification(self):
+        return nl.classify(self.spec, self.spectrum)
 
     @property
     def out_dir(self) -> Path:
@@ -157,15 +168,26 @@ def cmd_verify(pipe: Pipeline) -> int:
     return EXIT_OK if verdict["supported"] else EXIT_REFUSED
 
 
+def _refuse(pipe: Pipeline, action: str, reason: str) -> int:
+    """Hypothesis-gate refusal; the verdict is still written."""
+    _write_text(pipe.out_dir / "verdict.json",
+                _json_dumps(_verdict_dict(pipe)))
+    sys.stderr.write(f"refusing to {action}: {reason}\n")
+    return EXIT_REFUSED
+
+
 def cmd_solve(pipe: Pipeline) -> int:
     cls = pipe.classification
     mode = pipe.cfg.solver["mode"]
-    if cls.case is nl.Case.UNSUPPORTED and mode == "auto":
-        verdict = _verdict_dict(pipe)
-        _write_text(pipe.out_dir / "verdict.json", _json_dumps(verdict))
-        sys.stderr.write(f"refusing to solve: {cls.reason}\n")
-        return EXIT_REFUSED
-    if mode == "case_a" or (mode == "auto" and cls.case is nl.Case.COERCIVE):
+    if cls.case is nl.Case.UNSUPPORTED:
+        return _refuse(pipe, "solve", cls.reason)
+    wanted = {"case_a": nl.Case.COERCIVE, "case_b": nl.Case.GAP}.get(
+        mode, cls.case)
+    if cls.case is not wanted:
+        return _refuse(pipe, "solve", f"solver.mode {mode} needs a "
+                       f"{wanted.value} problem, but this one is classified "
+                       f"{cls.case.value}")
+    if cls.case is nl.Case.COERCIVE:
         report = solve_case_a(pipe.op, pipe.spec, pipe.opts,
                               classification=cls)
     else:
@@ -186,7 +208,6 @@ def cmd_solve(pipe: Pipeline) -> int:
         "j_value": report.j_value,
         "residual_inf": report.residual_inf,
         "iterations": report.iterations,
-        "converged": report.converged,
         "uniqueness": uniqueness.to_dict() if uniqueness else None,
         "seed": pipe.opts.seed,
         "tol": pipe.opts.tol,
@@ -200,10 +221,7 @@ def cmd_solve(pipe: Pipeline) -> int:
 def cmd_probe_geometry(pipe: Pipeline) -> int:
     cls = pipe.classification
     if cls.case is nl.Case.UNSUPPORTED:
-        verdict = _verdict_dict(pipe)
-        _write_text(pipe.out_dir / "verdict.json", _json_dumps(verdict))
-        sys.stderr.write(f"refusing to probe: {cls.reason}\n")
-        return EXIT_REFUSED
+        return _refuse(pipe, "probe", cls.reason)
     k = 0 if cls.case is nl.Case.COERCIVE else cls.k
     probe = geometry_probe(pipe.op, pipe.spectrum, pipe.spec, k,
                            seed=pipe.opts.seed)

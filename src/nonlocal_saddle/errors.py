@@ -77,7 +77,10 @@ class UnsupportedCaseError(NonlocalSaddleError):
 
     def __init__(self, classification):
         self.classification = classification
-        super().__init__(f"hypothesis gate refused: {classification.reason}")
+        reason = classification.reason or (
+            f"problem is classified {classification.case.value}, "
+            f"which this solver does not handle")
+        super().__init__(f"hypothesis gate refused: {reason}")
 
 
 class NonConvergenceError(NonlocalSaddleError):

@@ -1,24 +1,25 @@
 """Energy functional, weak-form residuals, and the two existence-case solvers.
 
 The energy is J(u) = 1/2 u'Au - int F(x, u_h) dx; a zero gradient
-A u - b(u) = 0 is exactly the discrete weak form.  The coercive case is
-solved by damped Newton minimization; the gap case by Newton on the
-gradient, which is nonresonant (hence undamped-safe) whenever all slopes
-of f stay strictly inside the spectral gap.  The geometry probe samples
-the saddle structure that underpins the gap-case existence argument, and
-the uniqueness probe multi-starts the solver to test the slope-gap
-uniqueness prediction.
+A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
+find that zero with one Newton driver and differ only in how a step is
+made safe: Armijo backtracking on J in the coercive case, a Z-norm cap in
+the gap case (off while the slope-gap condition certifies every Newton
+system nonresonant).  The geometry probe samples the saddle structure
+that underpins the gap-case existence argument, and the uniqueness probe
+multi-starts the gap driver to test the slope-gap uniqueness prediction.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .assembly import AssembledOperator, norm_Z
+from .assembly import AssembledOperator, _check_dim, norm_Z
 from .errors import (InvalidParameterError, NonConvergenceError,
                      NonResonanceContradictionError, ResonanceError,
                      UnsupportedCaseError)
@@ -30,6 +31,9 @@ from .spectral import Spectrum
 #: pivot ratio below which a Newton/linear system counts as singular
 SINGULAR_PIVOT_RATIO = 1.0e-12
 
+#: factor by which the Armijo line search shortens a rejected step
+LINE_SEARCH_CONTRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -37,7 +41,6 @@ class SolverOptions:
     max_iter: int = 200
     starts: int = 1
     seed: int = 42
-    line_search_contraction: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,6 @@ class SolveReport:
     j_value: float
     residual_inf: float
     iterations: int
-    converged: bool
-    uniqueness: UniquenessVerdict | None = None
     seed: int = 42
     tol: float = 1.0e-9
 
@@ -89,14 +90,6 @@ def _interp_elements(op: AssembledOperator, u: np.ndarray, xi: np.ndarray):
     return full[:-1, None] * (1.0 - xi) + full[1:, None] * xi
 
 
-def _check_dim(op: AssembledOperator, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (op.size,):
-        raise InvalidParameterError(
-            f"coefficient vector has shape {u.shape}, expected ({op.size},)")
-    return u
-
-
 def eval_J(op: AssembledOperator, spec: NonlinearitySpec, u) -> float:
     u = _check_dim(op, u)
     xg, wg, xi = _element_data(op)
@@ -110,19 +103,29 @@ def load_vector(op: AssembledOperator, spec: NonlinearitySpec,
     """b(u)_i = int f(x, u_h(x)) phi_i(x) dx over interior hats."""
     u = _check_dim(op, u)
     xg, wg, xi = _element_data(op)
-    fvals = wg * eval_f(spec, xg, _interp_elements(op, u, xi))
+    return _p1_load(op, wg * eval_f(spec, xg, _interp_elements(op, u, xi)),
+                    xi)
+
+
+def _p1_load(op: AssembledOperator, wvals, xi) -> np.ndarray:
+    """Interior hat loads of weighted Gauss-point values wvals (n_elem, q)."""
     full = np.zeros(op.mesh.n_elements + 1)
-    np.add.at(full, np.arange(op.mesh.n_elements),
-              np.sum(fvals * (1.0 - xi[None, :]), axis=1))
-    np.add.at(full, np.arange(1, op.mesh.n_elements + 1),
-              np.sum(fvals * xi[None, :], axis=1))
+    full[:-1] += np.sum(wvals * (1.0 - xi[None, :]), axis=1)
+    full[1:] += np.sum(wvals * xi[None, :], axis=1)
     return full[1:-1]
+
+
+def _gradient(op: AssembledOperator, spec: NonlinearitySpec, u):
+    """The gradient A u - b(u) of J and the residual of the weak form, its
+    sup-norm relative to 1 + |A u|_inf."""
+    au = op.stiffness @ u
+    grad = au - load_vector(op, spec, u)
+    return grad, float(np.abs(grad).max() / (1.0 + np.abs(au).max()))
 
 
 def eval_gradient(op: AssembledOperator, spec: NonlinearitySpec,
                   u) -> np.ndarray:
-    u = _check_dim(op, u)
-    return op.stiffness @ u - load_vector(op, spec, u)
+    return _gradient(op, spec, _check_dim(op, u))[0]
 
 
 def _weighted_mass_from_values(op: AssembledOperator,
@@ -151,10 +154,7 @@ def jacobian_mass(op: AssembledOperator, spec: NonlinearitySpec,
 
 def residual_weakform(op: AssembledOperator, spec: NonlinearitySpec,
                       u) -> float:
-    u = _check_dim(op, u)
-    au = op.stiffness @ u
-    grad = au - load_vector(op, spec, u)
-    return float(np.abs(grad).max() / (1.0 + np.abs(au).max()))
+    return _gradient(op, spec, _check_dim(op, u))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +202,7 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
             f"slope profile range [{lo:.6g}, {hi:.6g}] straddles an eigenvalue")
 
     weighted = _weighted_mass_from_values(op, m_vals, xi)
-    g_vals = _profile_values(op, g, xg)
-    rhs_full = np.zeros(op.mesh.n_elements + 1)
-    gq = wg * g_vals
-    np.add.at(rhs_full, np.arange(op.mesh.n_elements),
-              np.sum(gq * (1.0 - xi[None, :]), axis=1))
-    np.add.at(rhs_full, np.arange(1, op.mesh.n_elements + 1),
-              np.sum(gq * xi[None, :], axis=1))
-    rhs = rhs_full[1:-1]
+    rhs = _p1_load(op, wg * _profile_values(op, g, xg), xi)
 
     system = op.stiffness - weighted
     lu, piv = scipy.linalg.lu_factor(system)
@@ -244,86 +237,99 @@ def _newton_step(system: np.ndarray, grad: np.ndarray,
     return scipy.linalg.lu_solve((lu, piv), -grad)
 
 
-def _run_newton_rootfind(op, spec, u0, tol, max_iter, f2_certified,
-                         trust_radius=None):
-    """Newton on the gradient; returns (u, residual, iterations, trace)."""
-    u = np.asarray(u0, dtype=float).copy()
+def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
+    """Newton on A u - b(u) from u0; returns u and the residual of every
+    iterate.  globalize(u, step, grad, res) turns the Newton step at u into
+    the next iterate, or returns None when it finds no acceptable one."""
+    u = np.array(u0, dtype=float)
     trace = []
-    bad_streak = 0
-    prev_res = math.inf
-    damped = trust_radius is not None
     for it in range(max_iter + 1):
-        au = op.stiffness @ u
-        grad = au - load_vector(op, spec, u)
-        res = float(np.abs(grad).max() / (1.0 + np.abs(au).max()))
+        grad, res = _gradient(op, spec, u)
         trace.append(res)
         if res <= tol:
-            return u, res, it, trace
+            return u, trace
         if it == max_iter:
             break
         step = _newton_step(op.stiffness - jacobian_mass(op, spec, u),
                             grad, f2_certified)
-        if damped:
-            step_norm = norm_Z(op, step)
-            if step_norm > trust_radius:
-                step = step * (trust_radius / step_norm)
-        u = u + step
-        # safeguard: persistent residual growth flips on step damping
-        if res > prev_res:
-            bad_streak += 1
-            if bad_streak >= 3 and not damped:
-                damped = True
-                trust_radius = norm_Z(op, u) + 1.0
-        else:
-            bad_streak = 0
-        prev_res = res
+        u = globalize(u, step, grad, res)
+        if u is None:
+            raise NonConvergenceError(
+                f"line search stalled at iteration {it} "
+                f"(residual {res:.3e})", trace=trace)
     raise NonConvergenceError(
         f"Newton did not reach tol={tol} in {max_iter} iterations "
         f"(last residual {trace[-1]:.3e})", trace=trace)
 
 
-def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
-                 opts: SolverOptions = SolverOptions(),
-                 classification: CaseClassification | None = None) -> SolveReport:
-    """Direct minimization of J by damped Newton with line search."""
-    if classification is not None and classification.case is not Case.COERCIVE:
-        raise UnsupportedCaseError(classification)
-    u = np.zeros(op.size)
-    j_val = eval_J(op, spec, u)
-    trace = []
-    contraction = opts.line_search_contraction
-    for it in range(opts.max_iter + 1):
-        au = op.stiffness @ u
-        grad = au - load_vector(op, spec, u)
-        res = float(np.abs(grad).max() / (1.0 + np.abs(au).max()))
-        trace.append(res)
-        if res <= opts.tol:
-            return SolveReport(solution=u, case=classification, j_value=j_val,
-                               residual_inf=res, iterations=it,
-                               converged=True, seed=opts.seed, tol=opts.tol)
-        if it == opts.max_iter:
-            break
-        hessian = op.stiffness - jacobian_mass(op, spec, u)
-        step = _newton_step(hessian, grad, f2_certified=False)
+def _armijo(op, spec, u0):
+    """Backtrack along the Newton step (steepest descent if it does not
+    descend) until J drops by 1e-4 of the predicted decrease, up to a few
+    roundings of J, below which no decrease can be seen."""
+    j_val = eval_J(op, spec, u0)
+
+    def globalize(u, step, grad, res):
+        nonlocal j_val
         slope = float(grad @ step)
-        if slope >= 0.0:  # not a descent direction: steepest descent fallback
+        if slope >= 0.0:
             step = -grad
             slope = -float(grad @ grad)
+        slack = 4.0 * np.finfo(float).eps * abs(j_val)
         t = 1.0
         for _ in range(60):
             trial = u + t * step
             j_trial = eval_J(op, spec, trial)
-            if j_trial <= j_val + 1.0e-4 * t * slope:
-                break
-            t *= contraction
+            if j_trial <= j_val + 1.0e-4 * t * slope + slack:
+                j_val = j_trial
+                return trial
+            t *= LINE_SEARCH_CONTRACTION
+        return None
+
+    return globalize
+
+
+def _z_capped(op, radius=None):
+    """Cap the step's Z-norm at `radius`.  Without one, steps are full until
+    the residual grows three times in a row; the cap is then |u|_Z + 1."""
+    prev_res = math.inf
+    bad_streak = 0
+
+    def globalize(u, step, grad, res):
+        nonlocal radius, prev_res, bad_streak
+        if radius is not None:
+            step_norm = norm_Z(op, step)
+            if step_norm > radius:
+                step = step * (radius / step_norm)
+        u = u + step
+        if res > prev_res:
+            bad_streak += 1
+            if bad_streak >= 3 and radius is None:
+                radius = norm_Z(op, u) + 1.0
         else:
-            raise NonConvergenceError(
-                "line search stalled while minimizing the energy", trace=trace)
-        u = u + t * step
-        j_val = eval_J(op, spec, u)
-    raise NonConvergenceError(
-        f"minimization did not reach tol={opts.tol} in {opts.max_iter} "
-        f"iterations (last residual {trace[-1]:.3e})", trace=trace)
+            bad_streak = 0
+        prev_res = res
+        return u
+
+    return globalize
+
+
+def _report(op, spec, u, trace, classification, opts) -> SolveReport:
+    return SolveReport(solution=u, case=classification,
+                       j_value=eval_J(op, spec, u), residual_inf=trace[-1],
+                       iterations=len(trace) - 1, seed=opts.seed,
+                       tol=opts.tol)
+
+
+def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
+                 opts: SolverOptions = SolverOptions(),
+                 classification: CaseClassification | None = None) -> SolveReport:
+    """Direct minimization of J by Newton with an Armijo line search."""
+    if classification is not None and classification.case is not Case.COERCIVE:
+        raise UnsupportedCaseError(classification)
+    u0 = np.zeros(op.size)
+    u, trace = _newton(op, spec, u0, opts.tol, opts.max_iter,
+                       _armijo(op, spec, u0))
+    return _report(op, spec, u, trace, classification, opts)
 
 
 def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
@@ -334,8 +340,8 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
     """Newton on the gradient in the spectral-gap case.
 
     When the slope-gap condition holds, every Newton system is certified
-    nonresonant and the iteration runs undamped; otherwise the step norm
-    is capped by a trust region.
+    nonresonant and the iteration runs undamped; otherwise the step's
+    Z-norm is capped at |u0|_Z + 1.
     """
     if classification is None:
         classification = classify(spec, spectrum)
@@ -345,14 +351,10 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
     f2 = check_f2_gap(spec, spectrum, k) if spec.slope_range else None
     f2_ok = bool(f2 and f2.passed)
     start = np.zeros(op.size) if u0 is None else np.asarray(u0, dtype=float)
-    trust = None if f2_ok else norm_Z(op, start) + 1.0
-    u, res, its, _ = _run_newton_rootfind(
-        op, spec, start, opts.tol, opts.max_iter, f2_certified=f2_ok,
-        trust_radius=trust)
-    return SolveReport(solution=u, case=classification,
-                       j_value=eval_J(op, spec, u), residual_inf=res,
-                       iterations=its, converged=True, seed=opts.seed,
-                       tol=opts.tol)
+    radius = None if f2_ok else norm_Z(op, start) + 1.0
+    u, trace = _newton(op, spec, start, opts.tol, opts.max_iter,
+                       _z_capped(op, radius), f2_certified=f2_ok)
+    return _report(op, spec, u, trace, classification, opts)
 
 
 def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
@@ -365,21 +367,19 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     counterexamples can be probed; singular Newton systems fall back to
     minimum-norm steps.
     """
-    f2 = None
-    if spec.slope_range is not None:
-        f2 = check_f2_gap(spec, spectrum, k)
+    f2_passed = (check_f2_gap(spec, spectrum, k).passed
+                 if spec.slope_range is not None else None)
     rng = np.random.default_rng(opts.seed)
     solutions = []
     for _ in range(n_starts):
         coeffs = rng.uniform(-10.0, 10.0, size=spectrum.size)
         u0 = spectrum.eigenvectors @ coeffs
         try:
-            u, res, _, _ = _run_newton_rootfind(
-                op, spec, u0, opts.tol, opts.max_iter, f2_certified=False)
+            u, _ = _newton(op, spec, u0, opts.tol, opts.max_iter,
+                           _z_capped(op))
         except NonConvergenceError:
             return UniquenessVerdict(kind="Inconclusive", n_starts=n_starts,
-                                     seed=opts.seed,
-                                     f2_passed=f2.passed if f2 else None)
+                                     seed=opts.seed, f2_passed=f2_passed)
         solutions.append(u)
     max_dist = 0.0
     for i in range(len(solutions)):
@@ -392,8 +392,7 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     kind = "Unique" if max_dist <= 1.0e-8 else "MultipleFound"
     return UniquenessVerdict(kind=kind, max_pairwise_z=max_dist,
                              representatives=tuple(rep), n_starts=n_starts,
-                             seed=opts.seed,
-                             f2_passed=f2.passed if f2 else None)
+                             seed=opts.seed, f2_passed=f2_passed)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +517,9 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
     if not radii or not all(math.isfinite(r) and r > 0.0 for r in radii):
         raise InvalidParameterError(
             f"radii must be finite and positive, got {radii}")
-    if n_samples < 0:
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 0:
         raise InvalidParameterError(
-            f"n_samples must be >= 0, got {n_samples}")
+            f"n_samples must be an integer >= 0, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     m = spectrum.size
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .assembly import AssembledOperator
+from .assembly import AssembledOperator, _check_dim
 from .errors import (AssemblyCorruptionError, EigenClusterError,
                      InvalidParameterError)
 
@@ -28,7 +28,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)  # columns e_j
-    count_requested: int
     op: AssembledOperator = field(repr=False)
 
     @property
@@ -60,14 +59,8 @@ def _fix_signs(vectors: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_eigenproblem(op: AssembledOperator, count: int | None = None) -> Spectrum:
+def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
     """Dense symmetric-definite eigendecomposition of (A, M)."""
-    m = op.size
-    if count is None:
-        count = m
-    if not 1 <= count <= m:
-        raise InvalidParameterError(
-            f"count must lie in [1, {m}], got {count}")
     try:
         scipy.linalg.cholesky(op.mass)
     except scipy.linalg.LinAlgError as exc:
@@ -75,15 +68,11 @@ def solve_eigenproblem(op: AssembledOperator, count: int | None = None) -> Spect
     vals, vecs = scipy.linalg.eigh(op.stiffness, op.mass)
     # eigh returns M-orthonormal columns; enforce the sign convention
     vecs = _fix_signs(vecs, op.mass)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs,
-                    count_requested=int(count), op=op)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, op=op)
 
 
 def rayleigh_quotient(op: AssembledOperator, u) -> float:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (op.size,):
-        raise InvalidParameterError(
-            f"coefficient vector has shape {u.shape}, expected ({op.size},)")
+    u = _check_dim(op, u)
     denom = float(u @ op.mass @ u)
     if denom <= 0.0:
         raise InvalidParameterError("Rayleigh quotient of the zero vector")

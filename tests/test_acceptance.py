@@ -12,7 +12,8 @@ import pytest
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
 from nonlocal_saddle.solvers import (eval_J, eval_gradient,
-                                     linear_nonresonant_solve, load_vector)
+                                     linear_nonresonant_solve, load_vector,
+                                     residual_weakform)
 from nonlocal_saddle.spectral import rayleigh_quotient
 
 
@@ -120,7 +121,7 @@ def test_criterion_5_nonlinear_gap_solve(capsys):
         assert cls.case is nl.Case.GAP and cls.k == 2
         rep = ns.solve_case_b(op, sp, spec, ns.SolverOptions(),
                               classification=cls)
-        assert rep.converged
+        assert residual_weakform(op, spec, rep.solution) <= 1e-9
         assert rep.residual_inf <= 1e-9
         assert rep.iterations <= 25
         # gradient vs central differences at the solution

@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nonlocal_saddle import cli
+from nonlocal_saddle.config import parse_config
+
 GAP_CONFIG = {
     "kernel": {"s": 0.5},
     "mesh": {"n_elements": 32},
@@ -19,6 +22,13 @@ RESONANT_CONFIG = {
     "mesh": {"n_elements": 32},
     "nonlinearity": {"family": "affine", "m": 17.41962821964618,
                      "g": {"type": "constant", "value": 0.0}},
+}
+
+COERCIVE_CONFIG = {
+    "kernel": {"s": 0.5},
+    "mesh": {"n_elements": 32},
+    "nonlinearity": {"family": "saturating", "m": 0.0, "delta": 0.5,
+                     "g": {"type": "constant", "value": 1.0}},
 }
 
 
@@ -58,8 +68,8 @@ def test_solve_artifacts(gap_config, tmp_path):
     assert float(first[0]) == -1.0 and float(first[1]) == 0.0
     report = json.loads((out / "report.json").read_text())
     assert report["case"]["case"] == "gap" and report["case"]["k"] == 2
-    assert report["converged"] is True
-    assert report["residual_inf"] <= 1e-9
+    assert report["tol"] == 1e-9
+    assert report["residual_inf"] <= report["tol"]
     assert report["uniqueness"]["kind"] == "Unique"
     assert report["seed"] == 42
 
@@ -84,6 +94,33 @@ def test_refusal_exit_code_writes_verdict(tmp_path):
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["supported"] is False
     assert "straddles" in verdict["classification"]["reason"]
+
+
+@pytest.mark.parametrize("config, mode, classified", [
+    (GAP_CONFIG, "case_a", "gap"),
+    (COERCIVE_CONFIG, "case_b", "coercive"),
+])
+def test_forced_mode_on_other_case_is_refused(tmp_path, config, mode,
+                                              classified):
+    raw = dict(config, solver={"mode": mode})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "art"
+    r = run_cli("solve", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 1
+    assert f"classified {classified}" in r.stderr
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["classification"]["case"] == classified
+    assert not (out / "report.json").exists()
+
+
+def test_pipeline_builds_stages_on_demand():
+    pipe = cli.Pipeline(parse_config(json.dumps(GAP_CONFIG)))
+    assert pipe.op.size == 31
+    assert "spectrum" not in vars(pipe)
+    assert "classification" not in vars(pipe)
+    assert pipe.classification.k == 2
+    assert "spectrum" in vars(pipe)
 
 
 def test_invalid_config_exit_code(tmp_path):

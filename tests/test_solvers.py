@@ -6,7 +6,9 @@ import pytest
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
 from nonlocal_saddle.assembly import norm_Z
-from nonlocal_saddle.errors import (InvalidParameterError, ResonanceError,
+from nonlocal_saddle import solvers
+from nonlocal_saddle.errors import (InvalidParameterError,
+                                    NonConvergenceError, ResonanceError,
                                     UnsupportedCaseError)
 from nonlocal_saddle.solvers import (_sphere_samples, eval_J, eval_gradient,
                                      linear_nonresonant_solve, load_vector,
@@ -81,7 +83,7 @@ def test_linear_solve_refuses_resonance(op128, spectrum128):
 def test_case_a_matches_direct_solve(op128):
     spec = nl.affine(0.0, nl.constant_profile(1.0))
     rep = ns.solve_case_a(op128, spec, OPTS)
-    assert rep.converged
+    assert residual_weakform(op128, spec, rep.solution) <= OPTS.tol
     g_load = load_vector(op128, spec, np.zeros(op128.size))
     direct = np.linalg.solve(op128.stiffness, g_load)
     np.testing.assert_allclose(rep.solution, direct, atol=1e-10)
@@ -105,9 +107,64 @@ def test_case_a_minimizes(op128, rng):
         assert eval_J(op128, spec, rep.solution + 0.1 * d) > j0
 
 
+def test_case_a_converges_past_rounding_level_energy(op128, spectrum128):
+    """near the minimizer the Armijo decrease falls below the rounding of
+    J (a few hundred here); the line search must not stall there."""
+    lam1 = float(spectrum128.eigenvalues[0])
+    spec = nl.saturating(0.0, 0.9 * lam1, nl.constant_profile(50.0))
+    rep = ns.solve_case_a(op128, spec, OPTS)
+    assert abs(rep.j_value) > 100.0
+    assert residual_weakform(op128, spec, rep.solution) <= OPTS.tol
+    assert rep.iterations <= 10
+
+
+def test_solvers_raise_with_trace_when_out_of_iterations(op128, spectrum128,
+                                                         gap_spec):
+    """one Newton step is not enough for either case; the error carries the
+    residuals of the start and of the one iterate."""
+    opts = ns.SolverOptions(max_iter=1)
+    coercive = nl.saturating(0.0, 0.5, nl.constant_profile(1.0))
+    for solve in (lambda: ns.solve_case_a(op128, coercive, opts),
+                  lambda: ns.solve_case_b(op128, spectrum128, gap_spec,
+                                          opts)):
+        with pytest.raises(NonConvergenceError) as err:
+            solve()
+        assert len(err.value.trace) == 2
+        assert err.value.trace[-1] > opts.tol
+
+
+def test_uniqueness_probe_damping_switch(monkeypatch):
+    """without the slope-gap certificate the probe runs full Newton steps
+    until the residual has grown three times in a row, then caps them; at
+    N = 32 this start set needs the cap and still finds one solution."""
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),
+                     ns.make_fractional_kernel(0.5), skip_audit=True)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    spec = nl.saturating(lam[1] + 0.2, 0.6 * (lam[2] - lam[1]),
+                         nl.constant_profile(5.0))
+    capped = []
+    z_capped = solvers._z_capped
+
+    def spy(op, radius=None):
+        globalize = z_capped(op, radius)
+
+        def wrapped(u, step, grad, res):
+            new = globalize(u, step, grad, res)
+            capped.append(not np.array_equal(new, u + step))
+            return new
+        return wrapped
+
+    monkeypatch.setattr(solvers, "_z_capped", spy)
+    verdict = ns.uniqueness_probe(op, sp, spec, 2, n_starts=8,
+                                  opts=ns.SolverOptions(seed=42))
+    assert verdict.kind == "Unique"
+    assert any(capped)
+
+
 def test_case_b_converges_and_is_critical(op128, spectrum128, gap_spec):
     rep = ns.solve_case_b(op128, spectrum128, gap_spec, OPTS)
-    assert rep.converged
+    assert residual_weakform(op128, gap_spec, rep.solution) <= OPTS.tol
     assert rep.residual_inf <= 1e-9
     assert rep.iterations <= 25
     grad = eval_gradient(op128, gap_spec, rep.solution)
@@ -220,6 +277,7 @@ def test_geometry_probe_coercive_positive(op128, spectrum128):
     {"radii": (10.0, math.inf)},
     {"radii": ()},
     {"n_samples": -3},
+    {"n_samples": 70.5},
 ])
 def test_geometry_probe_rejects_bad_input(op128, spectrum128, kwargs):
     spec = nl.affine(20.0, nl.constant_profile(0.0))
