@@ -7,6 +7,7 @@ with a JSON-pointer-style path before any computation starts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -38,6 +39,8 @@ class RunConfig:
 def _require_number(value, path, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     if integer and not float(value).is_integer():
         raise ConfigError(path, f"expected an integer, got {value!r}")
     return int(value) if integer else float(value)

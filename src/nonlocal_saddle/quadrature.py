@@ -1,5 +1,6 @@
 """Gauss-Legendre rules and graded panel quadrature for weakly singular integrands."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -22,32 +23,27 @@ def gauss_points(a: float, b: float, order: int):
     return a + (b - a) * x, (b - a) * w
 
 
-def integrate_gauss(f, a: float, b: float, order: int) -> float:
-    x, w = gauss_points(a, b, order)
-    return float(np.dot(w, f(x)))
-
-
-def graded_panels(upper: float, levels: int = 30, ratio: float = 0.15):
-    """Geometric subdivision of (0, upper], refined toward 0.
-
-    Returns panel endpoints descending from `upper`; the leftover interval
-    (0, upper * ratio**levels] is dropped, which is negligible for integrands
-    vanishing algebraically at 0.
-    """
-    edges = upper * ratio ** np.arange(levels + 1)
-    return edges
-
-
 def integrate_graded_zero(f, upper: float, order: int,
-                          levels: int = 30, ratio: float = 0.15) -> float:
+                          levels: int = 80, ratio: float = 0.5) -> float:
     """Integrate f over (0, upper] with geometric grading toward the origin.
 
     Intended for integrands with an integrable algebraic singularity (or a
-    fractional-power zero) at 0; the geometric panels give near-exponential
-    convergence regardless of the exponent.
+    fractional-power zero) at 0.  Each panel [upper ratio^(l+1), upper
+    ratio^l], l < levels, sees the origin at the same relative distance, so
+    one Gauss rule per panel converges at the same rate for any exponent; at
+    ratio 1/2 the order-8 rule is good to 1e-12 relative or better on
+    t^alpha, alpha > -1.  The leftover (0, eps], eps = upper ratio^levels,
+    is closed with the power law f ~ t^alpha fitted at eps and 2 eps; a
+    divergent fit (alpha <= -1) is left open.
     """
-    edges = graded_panels(upper, levels=levels, ratio=ratio)
-    total = 0.0
-    for lo, hi in zip(edges[1:], edges[:-1]):
-        total += integrate_gauss(f, lo, hi, order)
+    edges = upper * ratio ** np.arange(levels + 1)
+    lo, width = edges[1:, None], (edges[:-1] - edges[1:])[:, None]
+    x, w = gauss_rule(order)
+    total = float(np.sum(width * w * f(lo + width * x)))
+    eps = edges[-1]
+    f_eps, f_2eps = f(np.array([eps, 2.0 * eps]))
+    if f_eps > 0.0 and f_2eps > 0.0:
+        alpha = math.log2(f_2eps / f_eps)
+        if alpha > -1.0:
+            total += eps * f_eps / (alpha + 1.0)
     return total

@@ -16,6 +16,22 @@ def op_by_s():
 
 
 @pytest.fixture(scope="session")
+def fractional_op(op_by_s):
+    """fractional_op(s, n): the operator on (-1, 1) with n elements, built
+    once per session."""
+    cache = {(s, 128): op for s, op in op_by_s.items()}
+
+    def build(s, n):
+        if (s, n) not in cache:
+            cache[(s, n)] = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
+                                        ns.make_fractional_kernel(s),
+                                        skip_audit=True)
+        return cache[(s, n)]
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def op128(op_by_s):
     return op_by_s[0.5]
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
 import nonlocal_saddle as ns
 from nonlocal_saddle.assembly import mass_matrix, norm_L2, norm_X, norm_Z
@@ -36,6 +38,38 @@ ORACLE_N4_TOL = {0.4: 1e-7, 0.5: 1e-7, 0.75: 1e-5}
 # computed with quad on (0, 2e4) plus an averaged sin^4 tail.  Frozen.
 FOURIER_DIAG = {0.4: 4.9033877539, 0.5: 5.5451774440, 0.75: 11.7820746894}
 
+# High-precision oracle for the Toeplitz symbol a_d = A[i][i + d] on (-1, 1)
+# with N elements (h = 2/N).  For K = |z|^(-1-2s) the symbol has the closed
+# form a_d = -(2/h^2) * delta^4 F(d h), with delta^4 the centred fourth
+# difference of step h and
+#     F(t) = |t|^(3-2s) / ((3-2s)(2-2s)(1-2s)(-2s))   (F = -t^2 log|t| / 2
+# at s = 1/2), evaluated with mpmath at mp.dps = 40.  It agrees to 1e-22
+# with mpmath.quad of 2 int_0^inf K(r) [2C(dh) - C(r-dh) - C(r+dh)] dr,
+# C(t) = h B(t/h) the hat autocorrelation.  Frozen; keys (s, N) -> {d: a_d}.
+ORACLE_SYMBOL = {
+    (0.25, 128): {0: 0.8836555997292694, 1: -0.01038926129323337,
+                  2: -0.11005428680674705, 3: -0.0519930538014412,
+                  10: -0.007955697971493597, 126: -0.00017676703976767145},
+    (0.25, 1024): {0: 0.31241943340101597, 1: -0.003673158555982118,
+                   2: -0.03891006624985001, 3: -0.01838232045879804,
+                   10: -0.0028127639923575917, 1022: -2.705321794964165e-06},
+    (0.5, 128): {0: 5.545177444479562, 1: -1.2028442909461377,
+                 2: -0.7338002806950116, 3: -0.2521826017016919,
+                 10: -0.02020305793746886, 126: -0.0001259842522184677},
+    (0.5, 1024): {0: 5.545177444479562, 1: -1.2028442909461377,
+                  2: -0.7338002806950116, 3: -0.2521826017016919,
+                  10: -0.02020305793746886, 1022: -1.914822931537341e-06},
+    (0.75, 128): {0: 66.64947912555007, 1: -25.100627163644344,
+                  2: -5.289331417617438, 3: -1.2386396374465245,
+                  10: -0.05134831182911671, 126: -8.979114631542796e-05},
+    (0.75, 1024): {0: 188.51319460891082, 1: -70.99529471779269,
+                   2: -14.96048845336138, 3: -3.5034019483395364,
+                   10: -0.14523495798739935, 1022: -1.355309064710735e-06},
+}
+
+#: (s, N) grid of the structural identities
+STRUCTURE_GRID = [(s, n) for s in (0.25, 0.5, 0.75) for n in (128, 1024)]
+
 
 @pytest.mark.parametrize("s", sorted(ORACLE_N4))
 def test_stiffness_matches_bruteforce_oracle(s):
@@ -52,26 +86,58 @@ def test_diagonal_matches_fourier_oracle(s):
     assert op.stiffness[1, 1] == pytest.approx(FOURIER_DIAG[s], rel=3e-9)
 
 
-def test_diagonal_is_translation_invariant(op128):
+@pytest.mark.parametrize("s,n", sorted(ORACLE_SYMBOL))
+def test_symbol_matches_high_precision_oracle(s, n, fractional_op):
+    """Every entry of each frozen diagonal is right to 1e-11 max|A|, and
+    quad_error_estimate bounds the actual error."""
+    op = fractional_op(s, n)
+    scale = np.abs(op.stiffness).max()
+    error = max(np.abs(np.diag(op.stiffness, d) - a_d).max()
+                for d, a_d in ORACLE_SYMBOL[(s, n)].items())
+    assert error <= 1e-11 * scale
+    assert error <= max(op.quad_error_estimate, 1e-12 * scale)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_constants_have_zero_energy_on_the_line(s, fractional_op):
+    """Hats sum to 1, so sum_{d in Z} a_d = a(phi_i, 1) = 0 on the line.  The
+    far field a_d ~ -2 h^(1-2s) d^(-1-2s), d >= N - 1, sums to a Hurwitz
+    zeta, which the first column must make up."""
+    n = 1024
+    op = fractional_op(s, n)
+    col = op.stiffness[:, 0]
+    h = op.mesh.h
+    far = 4.0 * h ** (1.0 - 2.0 * s) * zeta(1.0 + 2.0 * s, n - 1)
+    assert abs(col[0] + 2.0 * col[1:].sum() - far) <= 1e-8 * col[0]
+
+
+def test_diagonal_is_translation_invariant(fractional_op):
     # full-plane form of identical translated hats: all diagonal entries equal
-    d = np.diag(op128.stiffness)
-    np.testing.assert_allclose(d, d[0], rtol=1e-11)
+    for s, n in STRUCTURE_GRID:
+        d = np.diag(fractional_op(s, n).stiffness)
+        np.testing.assert_allclose(d, d[0], rtol=1e-11)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_domain_scaling_law(s):
     """Dilating the domain by c rescales every entry by c^(1-2s)."""
     kern = ns.make_fractional_kernel(s)
-    a1 = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 16), kern,
-                     skip_audit=True).stiffness
-    a2 = ns.assemble(ns.build_uniform_mesh(-2.0, 2.0, 16), kern,
-                     skip_audit=True).stiffness
-    np.testing.assert_allclose(a2, 2.0 ** (1.0 - 2.0 * s) * a1, rtol=1e-11)
+    for n in (16, 1024):
+        a1 = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n), kern,
+                         skip_audit=True).stiffness
+        a2 = ns.assemble(ns.build_uniform_mesh(-2.0, 2.0, n), kern,
+                         skip_audit=True).stiffness
+        np.testing.assert_allclose(a2, 2.0 ** (1.0 - 2.0 * s) * a1,
+                                   rtol=1e-11)
 
 
-def test_symmetry_is_exact(op128):
-    assert np.array_equal(op128.stiffness, op128.stiffness.T)
-    assert np.array_equal(op128.mass, op128.mass.T)
+def test_symmetry_is_exact(fractional_op):
+    for s, n in STRUCTURE_GRID + [(s, 4) for s in (0.25, 0.5, 0.75)]:
+        op = fractional_op(s, n)
+        assert np.array_equal(op.stiffness, op.stiffness.T)
+        assert np.array_equal(op.stiffness,
+                              scipy.linalg.toeplitz(op.stiffness[:, 0]))
+        assert np.array_equal(op.mass, op.mass.T)
 
 
 def test_stiffness_is_positive_definite(op_by_s):
@@ -101,6 +167,14 @@ def test_quadrature_error_estimate_and_tolerance_gate():
     assert 0.0 <= op.quad_error_estimate < 1e-10
     with pytest.raises(AssemblyAccuracyError):
         ns.assemble(mesh, kern, assembly_tol=1e-30, skip_audit=True)
+    for bad in ({"assembly_tol": float("nan")},
+                {"assembly_tol": float("inf")},
+                {"assembly_tol": 0.0},
+                {"quad_order": 8.5},
+                {"quad_order": 8.0},
+                {"quad_order": 2}):
+        with pytest.raises(InvalidParameterError):
+            ns.assemble(mesh, kern, skip_audit=True, **bad)
 
 
 def test_custom_kernel_path_agrees_with_closed_forms():

@@ -35,6 +35,10 @@ def test_partial_override():
     ({"solver": {"starts": 0}}, "/solver/starts"),
     ({"nonlinearity": {"family": "exotic"}}, "/nonlinearity/family"),
     ({"nonlinearity": {"g": {"type": "nope"}}}, "/nonlinearity/g/type"),
+    ({"quadrature": {"assembly_tol": float("nan")}}, "/quadrature/assembly_tol"),
+    ({"quadrature": {"assembly_tol": float("inf")}}, "/quadrature/assembly_tol"),
+    ({"solver": {"tol": float("nan")}}, "/solver/tol"),
+    ({"kernel": {"s": float("nan")}}, "/kernel/s"),
 ])
 def test_invalid_values_report_pointer_path(raw, path):
     with pytest.raises(ConfigError) as exc:

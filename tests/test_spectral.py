@@ -18,10 +18,13 @@ def test_eigenvalues_ascending_and_positive(spectrum_by_s):
         assert np.all(np.diff(lam) > 0.0)
 
 
-def test_eigenvectors_m_orthonormal(spectrum128, op128):
-    E = spectrum128.eigenvectors
-    gram = E.T @ op128.mass @ E
-    np.testing.assert_allclose(gram, np.eye(E.shape[1]), atol=1e-10)
+def test_eigenvectors_m_orthonormal(spectrum128, op128, fractional_op):
+    op1024 = fractional_op(0.5, 1024)
+    for op, spec in ((op128, spectrum128),
+                     (op1024, ns.solve_eigenproblem(op1024))):
+        E = spec.eigenvectors
+        gram = E.T @ op.mass @ E
+        np.testing.assert_allclose(gram, np.eye(E.shape[1]), atol=1e-10)
 
 
 def test_eigenpairs_satisfy_generalized_problem(spectrum128, op128):
