@@ -13,7 +13,7 @@ from .kernels import (Kernel, KernelAudit, audit_kernel,
                       fractional_k1_closed_form, make_custom_kernel,
                       make_fractional_kernel)
 from .meshing import Mesh, build_uniform_mesh, interpolate
-from .nonlinearity import (Case, CaseClassification, Family, GrowthReport,
+from .nonlinearity import (Case, CaseClassification, GrowthReport,
                            NonlinearitySpec, SlopeGapReport, SourceProfile,
                            affine, audit_growth, bounded_perturbation,
                            check_f2_gap, classify, classify_slopes,

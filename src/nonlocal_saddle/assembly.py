@@ -39,7 +39,7 @@ from scipy.linalg import toeplitz
 
 from .errors import (AssemblyAccuracyError, AuditFailedError,
                      InvalidParameterError, SingularEvaluationError)
-from .kernels import (DEFAULT_RADIUS_CAP, Kernel, KernelAudit, KernelFamily,
+from .kernels import (RADIUS_CAP, Kernel, KernelAudit, KernelFamily,
                       audit_kernel, far_field_tail)
 from .meshing import Mesh
 from .quadrature import gauss_rule, integrate_graded_zero
@@ -67,21 +67,20 @@ class AssembledOperator:
 # tail weight kappa(x) = integral of K(x - y) over the complement of (a, b)
 # ---------------------------------------------------------------------------
 
-def _kernel_upper_integral(kernel: Kernel, lower: float,
-                           radius_cap: float = DEFAULT_RADIUS_CAP) -> float:
+def _kernel_upper_integral(kernel: Kernel, lower: float) -> float:
     """Integral of K over (lower, inf) with power-law tail extrapolation."""
     if kernel.family is KernelFamily.FRACTIONAL:
         return lower ** (-2.0 * kernel.s) / (2.0 * kernel.s)
     # decade-by-decade: QUADPACK cannot resolve (lower, 1e8) in one call
     body = 0.0
     lo = lower
-    while lo < radius_cap:
-        hi = min(lo * 10.0, radius_cap)
+    while lo < RADIUS_CAP:
+        hi = min(lo * 10.0, RADIUS_CAP)
         part, _ = quad(lambda t: kernel(t), lo, hi,
                        epsabs=1.0e-12, epsrel=1.0e-12, limit=200)
         body += part
         lo = hi
-    return body + far_field_tail(kernel, radius_cap)
+    return body + far_field_tail(kernel, RADIUS_CAP)
 
 
 def tail_weight(mesh: Mesh, kernel: Kernel, x: float) -> float:

@@ -3,7 +3,9 @@
 A kernel K maps nonzero offsets to positive weights.  Two structural
 assumptions make the variational framework work: integrability of
 min{|x|^2, 1} * K(x) over the whole line, and a fractional lower bound
-K(x) >= theta * |x|^(-(n+2s)).  Both are checked numerically here.
+K(x) >= theta * |x|^(-(1+2s)).  Both are checked numerically here.  The
+mesh, the assembly and the closed forms are one-dimensional, so kernels
+are too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,16 @@ from scipy.integrate import quad
 from .errors import AuditInconclusiveError, InvalidParameterError
 
 #: Radius beyond which the far-field integral is extrapolated as a power law.
-DEFAULT_RADIUS_CAP = 1.0e8
+RADIUS_CAP = 1.0e8
+
+#: Absolute and relative tolerance of the K1 quadratures.
+AUDIT_QUAD_TOL = 1.0e-10
+
+#: Number of log-spaced radii in [1e-6, 1e6] at which K2 is sampled.
+K2_SAMPLE_COUNT = 64
+
+#: Slack allowed below 1 in the worst K2 ratio.
+K2_TOL = 1.0e-9
 
 #: Cap above which the K1 integral is reported as divergent.
 K1_INTEGRAL_CAP = 1.0e12
@@ -34,7 +45,7 @@ class KernelFamily(enum.Enum):
 class Kernel:
     """An even, positive interaction kernel with declared (s, theta).
 
-    For the fractional family, evaluate(z) = |z|^(-(n+2s)) exactly and
+    For the fractional family, evaluate(z) = |z|^(-(1+2s)) exactly and
     theta = 1 is the equality case of the lower-bound assumption.  Custom
     kernels declare s and theta themselves; the audit checks consistency
     rather than inferring them.
@@ -43,47 +54,41 @@ class Kernel:
     family: KernelFamily
     s: float
     theta: float
-    dim: int
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     @property
     def singularity_power(self) -> float:
-        """Exponent n + 2s of the reference singularity."""
-        return self.dim + 2.0 * self.s
+        """Exponent 1 + 2s of the reference singularity."""
+        return 1.0 + 2.0 * self.s
 
     def __call__(self, z):
         return self.evaluate(np.asarray(z, dtype=float))
 
 
-def make_fractional_kernel(s: float, n: int = 1) -> Kernel:
-    """The kernel |z|^(-(n+2s)) of the fractional Laplacian of order s."""
+def make_fractional_kernel(s: float) -> Kernel:
+    """The kernel |z|^(-(1+2s)) of the fractional Laplacian of order s."""
     if not 0.0 < s < 1.0:
         raise InvalidParameterError(f"fractional order s must lie in (0,1), got {s}")
-    if n < 1:
-        raise InvalidParameterError(f"dimension must be a positive integer, got {n}")
-    power = n + 2.0 * s
+    power = 1.0 + 2.0 * s
 
     def evaluate(z):
         return np.abs(z) ** (-power)
 
-    return Kernel(family=KernelFamily.FRACTIONAL, s=s, theta=1.0, dim=n,
+    return Kernel(family=KernelFamily.FRACTIONAL, s=s, theta=1.0,
                   evaluate=evaluate)
 
 
-def make_custom_kernel(evaluate: Callable, s: float, theta: float,
-                       n: int = 1) -> Kernel:
+def make_custom_kernel(evaluate: Callable, s: float, theta: float) -> Kernel:
     """Wrap user-supplied kernel code with its declared (s, theta)."""
     if not 0.0 < s < 1.0:
         raise InvalidParameterError(f"fractional order s must lie in (0,1), got {s}")
     if theta <= 0.0:
         raise InvalidParameterError(f"theta must be positive, got {theta}")
-    if n < 1:
-        raise InvalidParameterError(f"dimension must be a positive integer, got {n}")
 
     def vectorized(z):
         return np.asarray(evaluate(np.asarray(z, dtype=float)), dtype=float)
 
-    return Kernel(family=KernelFamily.CUSTOM, s=s, theta=theta, dim=n,
+    return Kernel(family=KernelFamily.CUSTOM, s=s, theta=theta,
                   evaluate=vectorized)
 
 
@@ -130,30 +135,23 @@ def _quad_checked(f, lo, hi, tol):
     return value
 
 
-def audit_kernel(kernel: Kernel, quad_tol: float = 1.0e-10,
-                 sample_count: int = 64,
-                 radius_cap: float = DEFAULT_RADIUS_CAP,
-                 k2_tol: float = 1.0e-9) -> KernelAudit:
+def audit_kernel(kernel: Kernel) -> KernelAudit:
     """Check integrability of m*K (K1) and the fractional lower bound (K2).
 
     The K1 integral (with weight m(x) = min{|x|^2, 1}) is split at |x| = 1:
     the inner part carries the weight |x|^2 against the singularity, the
-    outer part is integrated up to `radius_cap` and closed with a power-law
+    outer part is integrated up to RADIUS_CAP and closed with a power-law
     tail extrapolation.  K2 is sampled at log-spaced radii in [1e-6, 1e6];
-    the worst ratio K(x) |x|^(n+2s) / theta is reported so margins are
+    the worst ratio K(x) |x|^(1+2s) / theta is reported so margins are
     visible.
     """
-    if quad_tol <= 0.0:
-        raise InvalidParameterError("quad_tol must be positive")
-    if sample_count < 16:
-        raise InvalidParameterError("sample_count must be at least 16")
 
     def inner(x):
         return x * x * kernel(x)
 
-    inner_val = _quad_checked(inner, 0.0, 1.0, quad_tol)
+    inner_val = _quad_checked(inner, 0.0, 1.0, AUDIT_QUAD_TOL)
 
-    tail = far_field_tail(kernel, radius_cap)
+    tail = far_field_tail(kernel, RADIUS_CAP)
     if math.isinf(tail):
         k1_integral = math.inf
     else:
@@ -161,27 +159,26 @@ def audit_kernel(kernel: Kernel, quad_tol: float = 1.0e-10,
         # magnitude in one call
         outer_val = 0.0
         lo = 1.0
-        while lo < radius_cap:
-            hi = min(lo * 10.0, radius_cap)
-            outer_val += _quad_checked(lambda x: kernel(x), lo, hi, quad_tol)
+        while lo < RADIUS_CAP:
+            hi = min(lo * 10.0, RADIUS_CAP)
+            outer_val += _quad_checked(lambda x: kernel(x), lo, hi,
+                                       AUDIT_QUAD_TOL)
             lo = hi
         k1_integral = 2.0 * (inner_val + outer_val + tail)
     k1_holds = math.isfinite(k1_integral) and k1_integral < K1_INTEGRAL_CAP
 
-    radii = np.logspace(-6.0, 6.0, sample_count)
+    radii = np.logspace(-6.0, 6.0, K2_SAMPLE_COUNT)
     values = kernel(radii)
     if np.any(values <= 0.0):
         raise AuditInconclusiveError("kernel non-positive at a sampled radius")
     ratios = values * radii ** kernel.singularity_power / kernel.theta
     k2_worst = float(np.min(ratios))
-    k2_holds = k2_worst >= 1.0 - k2_tol
+    k2_holds = k2_worst >= 1.0 - K2_TOL
 
     return KernelAudit(k1_integral=k1_integral, k1_holds=k1_holds,
                        k2_holds=k2_holds, k2_worst_ratio=k2_worst)
 
 
-def fractional_k1_closed_form(s: float, n: int = 1) -> float:
-    """Closed form of the K1 integral for |z|^(-(n+2s)) in one dimension."""
-    if n != 1:
-        raise InvalidParameterError("closed form implemented for n = 1 only")
+def fractional_k1_closed_form(s: float) -> float:
+    """Closed form of the K1 integral for |z|^(-(1+2s))."""
     return 2.0 / (2.0 - 2.0 * s) + 2.0 / (2.0 * s)

@@ -1,10 +1,12 @@
 """Right-hand sides f(x, t) with linear growth, their primitives and audits.
 
-Built-in families are asymptotically linear with slope m: affine
-f = m*t + g(x), saturating f = m*t + delta*arctan(t) + g(x), and a bounded
-oscillatory perturbation f = m*t + c*sin(t) + g(x).  Each declares its
-growth data (a(x), b), its asymptotic slopes, and (when derivable) the
-range of difference quotients used by the uniqueness condition.
+A `NonlinearitySpec` holds what the existence theorem uses: f, f_t and the
+primitive F (from 0 in t) as callables, the growth data |f| <= a(x) + b|t|,
+the slope bounds alpha_lower/alpha_upper and, when known, the range of
+difference quotients for the uniqueness condition.  Each constructor states
+its family's formulas once: affine m*t + g(x), saturating m*t +
+delta*arctan(t) + g(x), bounded_perturbation m*t + c*sin(t) + g(x), and
+`custom`, which wraps user code.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidParameterError, NumericError, UnauditableError
-from .quadrature import gauss_points
+from .quadrature import gauss_rule
 from .spectral import Spectrum
 
 #: margin used for strict spectral-gap comparisons
@@ -27,69 +29,49 @@ GAP_MARGIN = 1.0e-9
 #: widening applied to the degenerate affine slope range in gap checks
 AFFINE_SLOPE_EPS = 1.0e-12
 
-
-class Family(enum.Enum):
-    AFFINE = "affine"
-    SATURATING = "saturating"
-    BOUNDED_PERTURBATION = "bounded_perturbation"
-    CUSTOM = "custom"
+#: points per sign of t in the log grid of the growth audit
+GROWTH_T_POINTS = 81
 
 
 @dataclass(frozen=True)
 class SourceProfile:
     """Source-term profile g(x): constant, polynomial, or nodal samples."""
 
-    kind: str
-    value: float = 0.0
-    coeffs: tuple = ()
-    sample_x: tuple = ()
-    sample_values: tuple = ()
+    evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.value)
-        if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
-        if self.kind == "nodal":
-            return np.interp(x, np.asarray(self.sample_x),
-                             np.asarray(self.sample_values))
-        raise InvalidParameterError(f"unknown profile kind {self.kind!r}")
+        return self.evaluate(np.asarray(x, dtype=float))
 
 
 def constant_profile(value: float) -> SourceProfile:
-    return SourceProfile(kind="constant", value=float(value))
+    value = float(value)
+    return SourceProfile(lambda x: np.full_like(x, value))
 
 
 def polynomial_profile(coeffs) -> SourceProfile:
-    return SourceProfile(kind="polynomial", coeffs=tuple(float(c) for c in coeffs))
+    coeffs = np.array([float(c) for c in coeffs])
+    return SourceProfile(lambda x: np.polynomial.polynomial.polyval(x, coeffs))
 
 
 def nodal_profile(x, values) -> SourceProfile:
-    x = tuple(float(v) for v in x)
-    values = tuple(float(v) for v in values)
+    x = np.array([float(v) for v in x])
+    values = np.array([float(v) for v in values])
     if len(x) != len(values):
         raise InvalidParameterError("nodal profile needs matching x/value lists")
-    return SourceProfile(kind="nodal", sample_x=x, sample_values=values)
+    return SourceProfile(lambda xx: np.interp(xx, x, values))
 
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    family: Family
-    g: SourceProfile
-    m: float = 0.0
-    delta: float = 0.0
-    c: float = 0.0
+    f: Callable = field(repr=False)
+    f_t: Callable = field(repr=False)
+    F: Callable = field(repr=False)
     # growth data |f| <= a(x) + b|t|
-    a_profile: Callable = field(default=None, repr=False)
-    b: float = 0.0
-    alpha_lower: Callable = field(default=None, repr=False)
-    alpha_upper: Callable = field(default=None, repr=False)
+    a_profile: Callable = field(repr=False)
+    b: float
+    alpha_lower: Callable = field(repr=False)
+    alpha_upper: Callable = field(repr=False)
     slope_range: tuple | None = None
-    # custom family hooks
-    f: Callable = field(default=None, repr=False)
-    f_t: Callable = field(default=None, repr=False)
-    F: Callable = field(default=None, repr=False)
 
 
 def _const(v: float) -> Callable:
@@ -99,44 +81,72 @@ def _const(v: float) -> Callable:
 
 
 def affine(m: float, g: SourceProfile) -> NonlinearitySpec:
+    m = float(m)
     return NonlinearitySpec(
-        family=Family.AFFINE, g=g, m=float(m),
+        f=lambda x, t: m * t + g(x),
+        f_t=lambda x, t: np.full(np.broadcast(x, t).shape, m),
+        F=lambda x, t: m * t * t / 2.0 + g(x) * t,
         a_profile=lambda x: np.abs(g(x)), b=abs(m),
-        alpha_lower=_const(m), alpha_upper=_const(m),
-        slope_range=(float(m), float(m)))
+        alpha_lower=_const(m), alpha_upper=_const(m), slope_range=(m, m))
 
 
 def saturating(m: float, delta: float, g: SourceProfile) -> NonlinearitySpec:
     if delta < 0.0:
         raise InvalidParameterError(f"delta must be nonnegative, got {delta}")
+    m, delta = float(m), float(delta)
     return NonlinearitySpec(
-        family=Family.SATURATING, g=g, m=float(m), delta=float(delta),
+        f=lambda x, t: m * t + delta * np.arctan(t) + g(x),
+        f_t=lambda x, t: m + delta / (1.0 + t * t),
+        F=lambda x, t: (m * t * t / 2.0
+                        + delta * (t * np.arctan(t) - np.log1p(t * t) / 2.0)
+                        + g(x) * t),
         a_profile=lambda x: np.abs(g(x)) + delta * math.pi / 2.0, b=abs(m),
         alpha_lower=_const(m), alpha_upper=_const(m),
-        slope_range=(float(m), float(m + delta)))
+        slope_range=(m, m + delta))
 
 
 def bounded_perturbation(m: float, c: float, g: SourceProfile) -> NonlinearitySpec:
+    m, c = float(m), float(c)
     return NonlinearitySpec(
-        family=Family.BOUNDED_PERTURBATION, g=g, m=float(m), c=float(c),
+        f=lambda x, t: m * t + c * np.sin(t) + g(x),
+        f_t=lambda x, t: m + c * np.cos(t),
+        F=lambda x, t: m * t * t / 2.0 + c * (1.0 - np.cos(t)) + g(x) * t,
         a_profile=lambda x: np.abs(g(x)) + abs(c), b=abs(m),
         alpha_lower=_const(m), alpha_upper=_const(m),
-        slope_range=(float(m - abs(c)), float(m + abs(c))))
+        slope_range=(m - abs(c), m + abs(c)))
 
 
 def custom(f: Callable, a_profile: Callable, b: float,
            alpha_lower: Callable, alpha_upper: Callable,
            slope_range: tuple | None = None, f_t: Callable = None,
-           F: Callable = None,
-           g: SourceProfile | None = None) -> NonlinearitySpec:
+           F: Callable = None) -> NonlinearitySpec:
+    """Wrap user code for f; a missing f_t is a central difference of f and
+    a missing F the adaptive quadrature of f from 0 to t."""
     if b < 0.0:
         raise InvalidParameterError(f"growth slope b must be >= 0, got {b}")
-    return NonlinearitySpec(
-        family=Family.CUSTOM, g=g or constant_profile(0.0),
+
+    def central_difference(x, t):
+        eps = 1.0e-6 * np.maximum(1.0, np.abs(t))
+        return (eval_f(spec, x, t + eps) - eval_f(spec, x, t - eps)) / (2.0 * eps)
+
+    def primitive(x, t):
+        x, t = np.broadcast_arrays(x, t)
+        out = np.empty(t.shape)
+        for i in np.ndindex(t.shape):
+            val, _ = quad(lambda tau: float(eval_f(spec, x[i], tau)),
+                          0.0, t[i], epsabs=1.0e-12, epsrel=1.0e-12)
+            if not math.isfinite(val):
+                raise NumericError(
+                    f"primitive quadrature failed at (x={x[i]}, t={t[i]})")
+            out[i] = val
+        return out
+
+    spec = NonlinearitySpec(
+        f=f, f_t=f_t or central_difference, F=F or primitive,
         a_profile=a_profile, b=float(b),
         alpha_lower=alpha_lower, alpha_upper=alpha_upper,
-        slope_range=tuple(slope_range) if slope_range else None,
-        f=f, f_t=f_t, F=F)
+        slope_range=tuple(slope_range) if slope_range else None)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -144,57 +154,20 @@ def custom(f: Callable, a_profile: Callable, b: float,
 # ---------------------------------------------------------------------------
 
 def eval_f(spec: NonlinearitySpec, x, t):
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if spec.family is Family.AFFINE:
-        return spec.m * t + spec.g(x)
-    if spec.family is Family.SATURATING:
-        return spec.m * t + spec.delta * np.arctan(t) + spec.g(x)
-    if spec.family is Family.BOUNDED_PERTURBATION:
-        return spec.m * t + spec.c * np.sin(t) + spec.g(x)
-    return np.asarray(spec.f(x, t), dtype=float)
+    return np.asarray(spec.f(np.asarray(x, dtype=float),
+                             np.asarray(t, dtype=float)), dtype=float)
 
 
 def eval_f_t(spec: NonlinearitySpec, x, t):
-    """Partial derivative of f in t (central difference for custom specs)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if spec.family is Family.AFFINE:
-        return np.full(np.broadcast(x, t).shape, spec.m)
-    if spec.family is Family.SATURATING:
-        return spec.m + spec.delta / (1.0 + t * t)
-    if spec.family is Family.BOUNDED_PERTURBATION:
-        return spec.m + spec.c * np.cos(t)
-    if spec.f_t is not None:
-        return np.asarray(spec.f_t(x, t), dtype=float)
-    eps = 1.0e-6 * np.maximum(1.0, np.abs(t))
-    return (eval_f(spec, x, t + eps) - eval_f(spec, x, t - eps)) / (2.0 * eps)
+    """Partial derivative of f in t."""
+    return np.asarray(spec.f_t(np.asarray(x, dtype=float),
+                               np.asarray(t, dtype=float)), dtype=float)
 
 
 def eval_F(spec: NonlinearitySpec, x, t):
     """Primitive of f from 0 in the t variable."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if spec.family is Family.AFFINE:
-        return spec.m * t * t / 2.0 + spec.g(x) * t
-    if spec.family is Family.SATURATING:
-        return (spec.m * t * t / 2.0
-                + spec.delta * (t * np.arctan(t) - np.log1p(t * t) / 2.0)
-                + spec.g(x) * t)
-    if spec.family is Family.BOUNDED_PERTURBATION:
-        return spec.m * t * t / 2.0 + spec.c * (1.0 - np.cos(t)) + spec.g(x) * t
-    if spec.F is not None:
-        return np.asarray(spec.F(x, t), dtype=float)
-    flat_x = np.broadcast_to(x, np.broadcast(x, t).shape).ravel()
-    flat_t = np.broadcast_to(t, np.broadcast(x, t).shape).ravel()
-    out = np.empty(flat_t.shape)
-    for i, (xi, ti) in enumerate(zip(flat_x, flat_t)):
-        val, err = quad(lambda tau: float(eval_f(spec, xi, tau)), 0.0, ti,
-                        epsabs=1.0e-12, epsrel=1.0e-12)
-        if not math.isfinite(val):
-            raise NumericError(f"primitive quadrature failed at (x={xi}, t={ti})")
-        out[i] = val
-    return out.reshape(np.broadcast(x, t).shape)
+    return np.asarray(spec.F(np.asarray(x, dtype=float),
+                             np.asarray(t, dtype=float)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +183,13 @@ class GrowthReport:
 
 
 def audit_growth(spec: NonlinearitySpec, x_points,
-                 t_max: float = 1.0e6, n_t: int = 81) -> GrowthReport:
+                 t_max: float = 1.0e6) -> GrowthReport:
     """Sampled check of |f(x,t)| <= a(x) + b|t| over a log grid in t."""
     if t_max < 1.0e4:
         raise InvalidParameterError(f"t_max must be at least 1e4, got {t_max}")
     x = np.asarray(x_points, dtype=float)
-    t_pos = np.concatenate(([0.0], np.logspace(-3.0, math.log10(t_max), n_t)))
+    t_pos = np.concatenate(([0.0], np.logspace(-3.0, math.log10(t_max),
+                                               GROWTH_T_POINTS)))
     t = np.concatenate((-t_pos[::-1], t_pos))
     xx = x[:, None]
     tt = t[None, :]
@@ -248,12 +222,9 @@ class CaseClassification:
 def _alpha_bounds(spec: NonlinearitySpec, mesh) -> tuple[float, float]:
     """inf of the lower slope / sup of the upper slope over nodes and
     element Gauss points (the checkable version of an a.e. condition)."""
-    pts = [mesh.interior_nodes]
-    for e in range(mesh.n_elements):
-        lo, hi = mesh.element(e)
-        xg, _ = gauss_points(lo, hi, 4)
-        pts.append(xg)
-    x = np.concatenate(pts)
+    xi, _ = gauss_rule(4)
+    xg = mesh.nodes[:-1, None] + np.diff(mesh.nodes)[:, None] * xi
+    x = np.concatenate((mesh.interior_nodes, xg.ravel()))
     return (float(np.min(spec.alpha_lower(x))),
             float(np.max(spec.alpha_upper(x))))
 

@@ -194,7 +194,12 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
     m_vals = _profile_values(op, m_profile, xg)
     vals = spectrum.eigenvalues
     lo, hi = float(m_vals.min()), float(m_vals.max())
-    if np.min(np.abs(vals[:, None, None] - m_vals[None, :, :])) <= 1.0e-9:
+    # the eigenvalue nearest a weight value is one of the two bracketing it
+    flat = m_vals.ravel()
+    pos = np.searchsorted(vals, flat)
+    nearest = np.minimum(np.abs(vals[np.maximum(pos - 1, 0)] - flat),
+                         np.abs(vals[np.minimum(pos, vals.size - 1)] - flat))
+    if np.min(nearest) <= 1.0e-9:
         raise ResonanceError(
             "slope profile touches an eigenvalue within 1e-9")
     if np.searchsorted(vals, lo) != np.searchsorted(vals, hi):

@@ -44,18 +44,16 @@ class Spectrum:
 
 def _fix_signs(vectors: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """Canonical representatives: nonnegative M-weighted mean, ties broken
-    by the first nonzero coefficient."""
+    by the first coefficient above 1e-12 in magnitude (a column with none
+    keeps its sign)."""
     means = np.ones(mass.shape[0]) @ mass @ vectors
-    out = vectors.copy()
-    for j in range(vectors.shape[1]):
-        mj = means[j]
-        if abs(mj) > 1.0e-12 * np.abs(vectors[:, j]).max():
-            if mj < 0.0:
-                out[:, j] = -out[:, j]
-        else:
-            nz = np.flatnonzero(np.abs(out[:, j]) > 1.0e-12)
-            if nz.size and out[nz[0], j] < 0.0:
-                out[:, j] = -out[:, j]
+    largest = np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
+    nonzero = np.abs(vectors) > 1.0e-12
+    first = vectors[np.argmax(nonzero, axis=0), np.arange(vectors.shape[1])]
+    flip = np.where(np.abs(means) > 1.0e-12 * largest, means < 0.0,
+                    nonzero.any(axis=0) & (first < 0.0))
+    out = vectors.copy()  # C order: the layout decides how products round
+    out *= np.where(flip, -1.0, 1.0)
     return out
 
 

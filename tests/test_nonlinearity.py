@@ -38,10 +38,20 @@ def test_bounded_perturbation_eval():
         2.0 * t * t + 0.5 * (1.0 - math.cos(t)) + t)
 
 
+def _custom_saturating(m, delta, g):
+    """the saturating f as a custom spec, so f_t and F are the fallbacks"""
+    return nl.custom(f=lambda x, t: m * t + delta * np.arctan(t) + g(x),
+                     a_profile=lambda x: np.abs(g(x)) + delta * math.pi / 2.0,
+                     b=abs(m),
+                     alpha_lower=lambda x: np.full_like(x, m),
+                     alpha_upper=lambda x: np.full_like(x, m))
+
+
 @pytest.mark.parametrize("builder,args", [
     (nl.affine, (5.0,)),
     (nl.saturating, (5.0, 0.3)),
     (nl.bounded_perturbation, (5.0, 0.4)),
+    (_custom_saturating, (5.0, 0.3)),
 ])
 def test_primitive_is_antiderivative(builder, args):
     """central difference of F reproduces f."""
@@ -53,6 +63,21 @@ def test_primitive_is_antiderivative(builder, args):
                   - nl.eval_F(spec, x, t - eps)) / (2.0 * eps)
             assert fd == pytest.approx(nl.eval_f(spec, x, t),
                                        rel=1e-8, abs=1e-7)
+
+
+def test_custom_fallbacks_match_closed_forms():
+    """central-difference f_t and quadrature F of a custom spec against the
+    saturating family's closed forms."""
+    g = nl.polynomial_profile([1.0, -0.5])
+    closed = nl.saturating(5.0, 0.3, g)
+    fallback = _custom_saturating(5.0, 0.3, g)
+    x = np.array([-0.9, -0.2, 0.0, 0.5, 1.0])[:, None]
+    t = np.array([-1e3, -7.5, -1.0, 0.0, 0.02, 1.3, 40.0])[None, :]
+    f_t = np.broadcast_to(nl.eval_f_t(closed, x, t), (x.size, t.size))
+    np.testing.assert_allclose(nl.eval_f_t(fallback, x, t), f_t, rtol=1e-6)
+    F = nl.eval_F(closed, x, t)
+    assert np.all(np.abs(nl.eval_F(fallback, x, t) - F)
+                  <= 1e-12 * np.maximum(1.0, np.abs(F)))
 
 
 def test_growth_audit_passes_for_families():

@@ -75,9 +75,11 @@ def test_linear_solve_matches_direct_inverse(op128, spectrum128, rng):
 
 def test_linear_solve_refuses_resonance(op128, spectrum128):
     lam2 = float(spectrum128.eigenvalues[1])
-    with pytest.raises(ResonanceError):
-        linear_nonresonant_solve(op128, spectrum128, lam2,
-                                 nl.constant_profile(1.0))
+    for profile, message in ((lam2, "touches"), (lam2 + 5e-10, "touches"),
+                             (lambda x: lam2 + x, "straddles")):
+        with pytest.raises(ResonanceError, match=message):
+            linear_nonresonant_solve(op128, spectrum128, profile,
+                                     nl.constant_profile(1.0))
 
 
 def test_case_a_matches_direct_solve(op128):

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonlocal_saddle as ns
 from nonlocal_saddle.errors import (AssemblyCorruptionError,
                                     EigenClusterError, InvalidParameterError)
-from nonlocal_saddle.spectral import project, rayleigh_quotient
+from nonlocal_saddle.spectral import _fix_signs, project, rayleigh_quotient
 
 
 def test_eigenvalues_ascending_and_positive(spectrum_by_s):
@@ -42,6 +43,42 @@ def test_sign_convention_deterministic(op128):
     means = op128.mass.sum(axis=0) @ sp1.eigenvectors
     significant = np.abs(means) > 1e-12
     assert np.all(means[significant] >= 0.0)
+
+
+def _fix_signs_loop(vectors, mass):
+    """per-column reference for the sign convention"""
+    means = np.ones(mass.shape[0]) @ mass @ vectors
+    out = vectors.copy()
+    for j in range(vectors.shape[1]):
+        if abs(means[j]) > 1.0e-12 * np.abs(vectors[:, j]).max():
+            if means[j] < 0.0:
+                out[:, j] = -out[:, j]
+        else:
+            nz = np.flatnonzero(np.abs(out[:, j]) > 1.0e-12)
+            if nz.size and out[nz[0], j] < 0.0:
+                out[:, j] = -out[:, j]
+    return out
+
+
+def test_sign_convention_tie_break(op128):
+    """a column with no significant mean has its first entry above 1e-12
+    positive; a column with no entry above 1e-12 is left as it is.  On the
+    raw eigenvectors (the odd modes have zero mean) the result equals the
+    per-column loop bit for bit."""
+    _, raw = scipy.linalg.eigh(op128.stiffness, op128.mass)
+    assert np.array_equal(_fix_signs(raw, op128.mass),
+                          _fix_signs_loop(raw, op128.mass))
+    # the last column's mean, 8e-13, is a tie against its largest entry -1
+    vectors = np.array([[1e-13, -0.5, 0.0, -1e-13, 2.0, -1.0],
+                        [-0.25, 0.0, 0.0, 0.0, -1.0, 0.25],
+                        [0.75, 0.5, 0.0, 1e-13, -3.0, 0.25],
+                        [-0.5, 0.0, 0.0, 0.0, 0.0, 0.5 + 8e-13]])
+    fixed = _fix_signs(vectors, np.eye(4))
+    np.testing.assert_array_equal(
+        fixed, [[-1e-13, 0.5, 0.0, -1e-13, -2.0, 1.0],
+                [0.25, 0.0, 0.0, 0.0, 1.0, -0.25],
+                [-0.75, -0.5, 0.0, 1e-13, 3.0, -0.25],
+                [0.5, 0.0, 0.0, 0.0, 0.0, -0.5 - 8e-13]])
 
 
 def test_rayleigh_quotient_of_eigenvector(spectrum128, op128):
