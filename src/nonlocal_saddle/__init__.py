@@ -25,7 +25,7 @@ from .solvers import (GeometryProbe, SolveReport, SolverOptions,
                       geometry_probe, linear_nonresonant_solve, load_vector,
                       morse_index, residual_weakform, solve_case_a,
                       solve_case_b, uniqueness_probe)
-from .spectral import (Spectrum, critical_exponent, poincare_lower_bound,
-                       project, rayleigh_quotient, solve_eigenproblem)
+from .spectral import (Spectrum, poincare_lower_bound, project,
+                       rayleigh_quotient, solve_eigenproblem)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,11 +21,14 @@ a hat and B the centred cubic B-spline.  The r-integral has three pieces:
   of h and K is smooth; two Gauss panels per h, one kernel call for all d.
 * beyond (d + 2)h: the bracket is the constant 2C(dh), nonzero for d < 2,
   times int_{(d+2)h}^inf K, which is closed-form for the fractional family
-  and adaptive quadrature with a power-law far field for custom kernels.
+  and, for custom kernels, Gauss panels [r, 2r] up to RADIUS_CAP with a
+  power-law far field beyond.
 
 quad_error_estimate is max_d |a_d(q) - a_d(q + 6)|, the symbol at Gauss
-order q against order q + 6 (the panels and the graded moments both change
-with the order), and assembly_tol gates it.
+order q against order q + 6 (the panels, the graded moments and the far
+field all change with the order), and assembly_tol gates it.  The tail
+weight kappa(x) = int_{x-a}^inf K + int_{b-x}^inf K takes the same upper
+integrals at order q.
 """
 from __future__ import annotations
 
@@ -34,15 +37,14 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from .errors import (AssemblyAccuracyError, AuditFailedError,
                      InvalidParameterError, SingularEvaluationError)
-from .kernels import (RADIUS_CAP, Kernel, KernelAudit, KernelFamily,
-                      audit_kernel, far_field_tail)
+from .kernels import (Kernel, KernelAudit, audit_kernel, radial_moment,
+                      upper_integral)
 from .meshing import Mesh
-from .quadrature import gauss_rule, integrate_graded_zero
+from .quadrature import GAUSS_ORDER, estimate, gauss_rule
 
 
 @dataclass(frozen=True)
@@ -67,29 +69,13 @@ class AssembledOperator:
 # tail weight kappa(x) = integral of K(x - y) over the complement of (a, b)
 # ---------------------------------------------------------------------------
 
-def _kernel_upper_integral(kernel: Kernel, lower: float) -> float:
-    """Integral of K over (lower, inf) with power-law tail extrapolation."""
-    if kernel.family is KernelFamily.FRACTIONAL:
-        return lower ** (-2.0 * kernel.s) / (2.0 * kernel.s)
-    # decade-by-decade: QUADPACK cannot resolve (lower, 1e8) in one call
-    body = 0.0
-    lo = lower
-    while lo < RADIUS_CAP:
-        hi = min(lo * 10.0, RADIUS_CAP)
-        part, _ = quad(lambda t: kernel(t), lo, hi,
-                       epsabs=1.0e-12, epsrel=1.0e-12, limit=200)
-        body += part
-        lo = hi
-    return body + far_field_tail(kernel, RADIUS_CAP)
-
-
 def tail_weight(mesh: Mesh, kernel: Kernel, x: float) -> float:
-    """kappa(x) for x strictly inside the domain."""
+    """kappa(x) for x strictly inside the domain, at order GAUSS_ORDER."""
     if not mesh.a < x < mesh.b:
         raise SingularEvaluationError(
             f"tail weight is singular on or outside the boundary, x={x}")
-    return (_kernel_upper_integral(kernel, x - mesh.a)
-            + _kernel_upper_integral(kernel, mesh.b - x))
+    return float(upper_integral(kernel, x - mesh.a, GAUSS_ORDER)
+                 + upper_integral(kernel, mesh.b - x, GAUSS_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +93,6 @@ def _hat_autocorrelation(x: np.ndarray) -> np.ndarray:
     x = np.abs(x)
     return np.where(x <= 1.0, 2.0 / 3.0 - x * x + 0.5 * x ** 3,
                     np.clip(2.0 - x, 0.0, None) ** 3 / 6.0)
-
-
-def _radial_moment(kernel: Kernel, h: float, power: int, order: int) -> float:
-    """int_0^h t^power K(t) dt."""
-    if kernel.family is KernelFamily.FRACTIONAL:
-        p = power - 2.0 * kernel.s
-        return h ** p / p
-    return integrate_graded_zero(lambda t: t ** power * kernel(t), h, order)
 
 
 def _symbol(kernel: Kernel, h: float, size: int, order: int) -> np.ndarray:
@@ -141,12 +119,13 @@ def _symbol(kernel: Kernel, h: float, size: int, order: int) -> np.ndarray:
             - _hat_autocorrelation(rho[row] + dd))
     a = np.einsum("dj,djg,djg->d", used, kw[row], beta)
 
-    moments = [_radial_moment(kernel, h, c, order) / h ** c for c in (2, 3)]
+    moments = [radial_moment(kernel, h, c, order) / h ** c
+               for c in (2, 3)]
     for j, coeffs in enumerate(_NEAR_BRACKET[:size]):
         a[j] += np.dot(coeffs, moments)
     for j in range(min(size, 2)):
         a[j] += (2.0 * _hat_autocorrelation(j)
-                 * _kernel_upper_integral(kernel, (j + 2) * h))
+                 * upper_integral(kernel, (j + 2) * h, order))
     return 2.0 * h * a
 
 
@@ -169,7 +148,7 @@ def mass_matrix(mesh: Mesh) -> np.ndarray:
 # driver
 # ---------------------------------------------------------------------------
 
-def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = 8,
+def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
              assembly_tol: float = 1.0e-8,
              audit: KernelAudit | None = None,
              skip_audit: bool = False) -> AssembledOperator:
@@ -192,14 +171,15 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = 8,
 
     h = mesh.h
     size = mesh.interior_count
-    symbol = _symbol(kernel, h, size, quad_order)
-    error = np.abs(symbol - _symbol(kernel, h, size, quad_order + 6))
+    symbol, error = estimate(lambda q: _symbol(kernel, h, size, q), quad_order)
     worst = float(error.max())
     if not worst <= assembly_tol:  # a NaN estimate fails the gate too
         raise AssemblyAccuracyError((0, int(np.argmax(error))), worst,
                                     assembly_tol)
 
-    kappa = np.array([tail_weight(mesh, kernel, x) for x in mesh.interior_nodes])
+    # interior node i lies i h from a and (N - i) h from b
+    from_a = upper_integral(kernel, h * np.arange(1, size + 1), quad_order)
+    kappa = from_a + from_a[::-1]
     return AssembledOperator(mesh=mesh, kernel=kernel,
                              stiffness=toeplitz(symbol), mass=mass_matrix(mesh), tail=kappa,
                              quad_order=quad_order, assembly_tol=assembly_tol,
@@ -226,8 +206,3 @@ def norm_Z(op: AssembledOperator, u) -> float:
 def norm_L2(op: AssembledOperator, u) -> float:
     u = _check_dim(op, u)
     return math.sqrt(max(float(u @ op.mass @ u), 0.0))
-
-
-def norm_X(op: AssembledOperator, u) -> float:
-    u = _check_dim(op, u)
-    return math.sqrt(max(float(u @ op.mass @ u) + float(u @ op.stiffness @ u), 0.0))

@@ -3,9 +3,9 @@
 A kernel K maps nonzero offsets to positive weights.  Two structural
 assumptions make the variational framework work: integrability of
 min{|x|^2, 1} * K(x) over the whole line, and a fractional lower bound
-K(x) >= theta * |x|^(-(1+2s)).  Both are checked numerically here.  The
-mesh, the assembly and the closed forms are one-dimensional, so kernels
-are too.
+K(x) >= theta * |x|^(-(1+2s)).  Both are checked numerically here, with
+the radial integrals of K that the assembly uses too.  The mesh, the
+assembly and the closed forms are one-dimensional, so kernels are too.
 """
 
 from __future__ import annotations
@@ -16,14 +16,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AuditInconclusiveError, InvalidParameterError
+from .quadrature import (ESTIMATE_STEP, GAUSS_ORDER, estimate,
+                         integrate_graded_zero, panel_sum)
 
 #: Radius beyond which the far-field integral is extrapolated as a power law.
 RADIUS_CAP = 1.0e8
 
-#: Absolute and relative tolerance of the K1 quadratures.
+#: Largest gap between the K1 integral at Gauss orders q and q + 6, relative
+#: to max(1, K1), that the audit accepts.
 AUDIT_QUAD_TOL = 1.0e-10
 
 #: Number of log-spaced radii in [1e-6, 1e6] at which K2 is sampled.
@@ -106,65 +108,60 @@ class KernelAudit:
         return self.k1_holds and self.k2_holds
 
 
-def far_field_exponent(kernel: Kernel, radius: float) -> float:
-    """Local power-law decay exponent p with K ~ C r^-p near `radius`."""
-    k1 = float(kernel(np.array([radius]))[0])
-    k2 = float(kernel(np.array([2.0 * radius]))[0])
+def far_field_tail(kernel: Kernel, radius: float) -> float:
+    """Integral of K over (radius, inf) for the power law K ~ C r^-p fitted
+    at radius and 2 radius; +inf when p does not decay fast enough."""
+    k1, k2 = (float(v) for v in kernel(np.array([radius, 2.0 * radius])))
     if k2 <= 0.0 or k1 <= 0.0:
         raise AuditInconclusiveError("kernel non-positive at far-field samples")
-    return math.log(k1 / k2) / math.log(2.0)
+    p = math.log(k1 / k2) / math.log(2.0)
+    return math.inf if p <= 1.0 + 1.0e-6 else k1 * radius / (p - 1.0)
 
 
-def far_field_tail(kernel: Kernel, radius: float) -> float:
-    """Integral of K over (radius, inf) assuming power-law decay at `radius`.
+def radial_moment(kernel: Kernel, r: float, power: int, order: int) -> float:
+    """int_0^r t^power K(t) dt, from graded Gauss panels toward 0."""
+    if kernel.family is KernelFamily.FRACTIONAL:
+        p = power - 2.0 * kernel.s
+        return r ** p / p
+    return integrate_graded_zero(lambda t: t ** power * kernel(t), r, order)
 
-    Returns +inf when the fitted exponent does not decay fast enough.
+
+def upper_integral(kernel: Kernel, lower, order: int):
+    """int_lower^inf K for lower > 0, a float or an array of them.
+
+    Custom kernels take Gauss panels [r, 2r] from `lower` up to RADIUS_CAP
+    (the last one cut there) and the power-law far field beyond it; +inf
+    when the far field does not decay.
     """
-    p = far_field_exponent(kernel, radius)
-    if p <= 1.0 + 1.0e-6:
-        return math.inf
-    return float(kernel(np.array([radius]))[0]) * radius / (p - 1.0)
-
-
-def _quad_checked(f, lo, hi, tol):
-    value, err, info, *rest = quad(f, lo, hi, epsabs=tol, epsrel=tol,
-                                   limit=200, full_output=True)
-    if rest:  # a warning message was produced
-        raise AuditInconclusiveError(
-            f"quadrature did not converge on [{lo}, {hi}]: {rest[0]}")
-    return value
+    if kernel.family is KernelFamily.FRACTIONAL:
+        return lower ** (-2.0 * kernel.s) / (2.0 * kernel.s)
+    levels = math.ceil(math.log2(RADIUS_CAP / np.min(lower)))
+    edges = np.minimum(np.multiply.outer(2.0 ** np.arange(levels + 1), lower),
+                       RADIUS_CAP)
+    return panel_sum(kernel, edges, order) + far_field_tail(kernel, RADIUS_CAP)
 
 
 def audit_kernel(kernel: Kernel) -> KernelAudit:
     """Check integrability of m*K (K1) and the fractional lower bound (K2).
 
-    The K1 integral (with weight m(x) = min{|x|^2, 1}) is split at |x| = 1:
-    the inner part carries the weight |x|^2 against the singularity, the
-    outer part is integrated up to RADIUS_CAP and closed with a power-law
-    tail extrapolation.  K2 is sampled at log-spaced radii in [1e-6, 1e6];
-    the worst ratio K(x) |x|^(1+2s) / theta is reported so margins are
-    visible.
+    K1, with weight m(x) = min{|x|^2, 1}, is 2 (int_0^1 t^2 K + int_1^inf K):
+    closed forms for the fractional family, Gauss panels otherwise, where a
+    gap between orders q and q + 6 above AUDIT_QUAD_TOL * max(1, K1) raises
+    AuditInconclusiveError.  K2 is sampled at log-spaced radii in
+    [1e-6, 1e6]; the worst ratio K(x) |x|^(1+2s) / theta is reported so
+    margins are visible.
     """
 
-    def inner(x):
-        return x * x * kernel(x)
+    def k1(order):
+        return 2.0 * float(radial_moment(kernel, 1.0, 2, order)
+                           + upper_integral(kernel, 1.0, order))
 
-    inner_val = _quad_checked(inner, 0.0, 1.0, AUDIT_QUAD_TOL)
-
-    tail = far_field_tail(kernel, RADIUS_CAP)
-    if math.isinf(tail):
-        k1_integral = math.inf
-    else:
-        # decade-by-decade so quad is not asked to resolve eight orders of
-        # magnitude in one call
-        outer_val = 0.0
-        lo = 1.0
-        while lo < RADIUS_CAP:
-            hi = min(lo * 10.0, RADIUS_CAP)
-            outer_val += _quad_checked(lambda x: kernel(x), lo, hi,
-                                       AUDIT_QUAD_TOL)
-            lo = hi
-        k1_integral = 2.0 * (inner_val + outer_val + tail)
+    k1_integral, gap = estimate(k1, GAUSS_ORDER)
+    if math.isfinite(k1_integral) and not (
+            gap <= AUDIT_QUAD_TOL * max(1.0, abs(k1_integral))):
+        raise AuditInconclusiveError(
+            f"K1 integral {k1_integral!r} unresolved: orders {GAUSS_ORDER} "
+            f"and {GAUSS_ORDER + ESTIMATE_STEP} differ by {gap:.3e}")
     k1_holds = math.isfinite(k1_integral) and k1_integral < K1_INTEGRAL_CAP
 
     radii = np.logspace(-6.0, 6.0, K2_SAMPLE_COUNT)

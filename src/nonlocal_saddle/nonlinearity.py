@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParameterError, NumericError, UnauditableError
-from .quadrature import gauss_rule
+from .quadrature import ESTIMATE_STEP, estimate, gauss_rule, panel_sum
 from .spectral import Spectrum
 
 #: margin used for strict spectral-gap comparisons
@@ -31,6 +30,14 @@ AFFINE_SLOPE_EPS = 1.0e-12
 
 #: points per sign of t in the log grid of the growth audit
 GROWTH_T_POINTS = 81
+
+#: The F fallback: PRIMITIVE_ORDER-point Gauss rules on [0, t 2^-40] and
+#: [t 2^-(l+1), t 2^-l], l < 40; it refuses F where orders q and q + 6
+#: differ by more than PRIMITIVE_TOL * max(1, |F|).  Order 16 resolves
+#: c sin(t) on the panel [t/2, t] up to |t| of about 40.
+PRIMITIVE_ORDER = 16
+PRIMITIVE_TOL = 1.0e-12
+_PRIMITIVE_EDGES = np.concatenate(([0.0], 2.0 ** np.arange(-40.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,8 @@ def custom(f: Callable, a_profile: Callable, b: float,
            slope_range: tuple | None = None, f_t: Callable = None,
            F: Callable = None) -> NonlinearitySpec:
     """Wrap user code for f; a missing f_t is a central difference of f and
-    a missing F the adaptive quadrature of f from 0 to t."""
+    a missing F the Gauss panel rule for f from 0 to t (NumericError where
+    it does not resolve f)."""
     if b < 0.0:
         raise InvalidParameterError(f"growth slope b must be >= 0, got {b}")
 
@@ -131,15 +139,18 @@ def custom(f: Callable, a_profile: Callable, b: float,
 
     def primitive(x, t):
         x, t = np.broadcast_arrays(x, t)
-        out = np.empty(t.shape)
-        for i in np.ndindex(t.shape):
-            val, _ = quad(lambda tau: float(eval_f(spec, x[i], tau)),
-                          0.0, t[i], epsabs=1.0e-12, epsrel=1.0e-12)
-            if not math.isfinite(val):
-                raise NumericError(
-                    f"primitive quadrature failed at (x={x[i]}, t={t[i]})")
-            out[i] = val
-        return out
+        edges = np.multiply.outer(_PRIMITIVE_EDGES, t)
+        value, gap = estimate(lambda q: panel_sum(
+            lambda tau: eval_f(spec, x[..., None], tau), edges, q),
+            PRIMITIVE_ORDER)
+        bad = ~(gap <= PRIMITIVE_TOL * np.maximum(1.0, np.abs(value)))
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise NumericError(
+                f"primitive quadrature unresolved at (x={x[i]}, t={t[i]}): "
+                f"orders {PRIMITIVE_ORDER} and {PRIMITIVE_ORDER + ESTIMATE_STEP} "
+                f"differ by {gap[i]:.3e}")
+        return value
 
     spec = NonlinearitySpec(
         f=f, f_t=f_t or central_difference, F=F or primitive,

@@ -1,4 +1,5 @@
-"""Gauss-Legendre rules and graded panel quadrature for weakly singular integrands."""
+"""Gauss-Legendre rules on geometric panels, the package's one quadrature;
+the error estimate of a rule at order q is its difference from order q + 6."""
 
 import math
 from functools import lru_cache
@@ -6,6 +7,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameterError
+
+#: Default Gauss order, and the step to the order that estimates its error.
+GAUSS_ORDER = 8
+ESTIMATE_STEP = 6
 
 #: Panels of the graded rule toward the origin, and their width ratio.
 GRADED_LEVELS = 80
@@ -21,6 +26,28 @@ def gauss_rule(order: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def panel_sum(f, edges, order: int):
+    """Sum over l of the `order`-point Gauss rules on [edges[l], edges[l+1]].
+
+    edges has shape (L + 1,) + S and the result shape S; f is called once
+    per l on nodes of shape S + (order,), so memory does not grow with L.
+    Backward panels give signed integrals, zero-width panels add nothing.
+    """
+    x, w = gauss_rule(order)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        width = np.asarray(hi - lo)[..., None]
+        total = total + np.sum(width * w * f(np.asarray(lo)[..., None]
+                                             + width * x), axis=-1)
+    return total
+
+
+def estimate(rule, order: int):
+    """rule(order) and its error estimate |rule(order) - rule(order + 6)|."""
+    value = rule(order)
+    return value, np.abs(value - rule(order + ESTIMATE_STEP))
+
+
 def integrate_graded_zero(f, upper: float, order: int) -> float:
     """Integrate f over (0, upper] with geometric grading toward the origin.
 
@@ -33,11 +60,9 @@ def integrate_graded_zero(f, upper: float, order: int) -> float:
     eps = upper r^GRADED_LEVELS, is closed with the power law f ~ t^alpha
     fitted at eps and 2 eps; a divergent fit (alpha <= -1) is left open.
     """
-    edges = upper * GRADED_RATIO ** np.arange(GRADED_LEVELS + 1)
-    lo, width = edges[1:, None], (edges[:-1] - edges[1:])[:, None]
-    x, w = gauss_rule(order)
-    total = float(np.sum(width * w * f(lo + width * x)))
-    eps = edges[-1]
+    edges = upper * GRADED_RATIO ** np.arange(GRADED_LEVELS, -1, -1.0)
+    total = float(panel_sum(f, edges, order))
+    eps = edges[0]
     f_eps, f_2eps = f(np.array([eps, 2.0 * eps]))
     if f_eps > 0.0 and f_2eps > 0.0:
         alpha = math.log2(f_2eps / f_eps)

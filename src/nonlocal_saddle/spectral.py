@@ -8,7 +8,6 @@ Z-orthogonal complement the tail space on which the energy grows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,13 +122,3 @@ def poincare_lower_bound(omega: tuple[float, float], s: float, theta: float,
         raise InvalidParameterError("ball leaves no room outside the domain")
     return theta * leftover / (2.0 * R) ** (1.0 + 2.0 * s)
 
-
-def critical_exponent(n: int, s: float) -> float:
-    """Fractional critical Sobolev exponent: 2n/(n-2s), infinite for n <= 2s."""
-    if n < 1:
-        raise InvalidParameterError(f"dimension must be positive, got {n}")
-    if not 0.0 < s < 1.0:
-        raise InvalidParameterError(f"s must lie in (0,1), got {s}")
-    if n <= 2.0 * s:
-        return math.inf
-    return 2.0 * n / (n - 2.0 * s)

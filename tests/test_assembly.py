@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 import nonlocal_saddle as ns
-from nonlocal_saddle.assembly import mass_matrix, norm_L2, norm_X, norm_Z
+from nonlocal_saddle.assembly import mass_matrix, norm_L2, norm_Z
 from nonlocal_saddle.errors import (AssemblyAccuracyError,
                                     InvalidParameterError,
                                     SingularEvaluationError)
@@ -209,15 +209,33 @@ def test_dominating_kernel_dominates_quadratic_form(rng):
         assert u @ dom.stiffness @ u >= u @ frac.stiffness @ u - 1e-10
 
 
+def _custom_fractional(s):
+    """|z|^(-1-2s) as a custom kernel, so every integral takes the Gauss
+    panel path instead of the closed forms"""
+    return ns.make_custom_kernel(lambda z: np.abs(z) ** (-1.0 - 2.0 * s),
+                                 s=s, theta=1.0)
+
+
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_tail_weight_closed_form(s):
     mesh = ns.build_uniform_mesh(-1.0, 1.0, 8)
-    kern = ns.make_fractional_kernel(s)
-    for x in (-0.7, 0.0, 0.3):
-        expected = ((x + 1.0) ** (-2.0 * s)
-                    + (1.0 - x) ** (-2.0 * s)) / (2.0 * s)
-        assert ns.tail_weight(mesh, kern, x) == pytest.approx(expected,
-                                                              rel=1e-12)
+    for kern, rel in ((ns.make_fractional_kernel(s), 1e-12),
+                      (_custom_fractional(s), 1e-10)):
+        for x in (-0.7, 0.0, 0.3):
+            expected = ((x + 1.0) ** (-2.0 * s)
+                        + (1.0 - x) ** (-2.0 * s)) / (2.0 * s)
+            assert ns.tail_weight(mesh, kern, x) == pytest.approx(expected,
+                                                                  rel=rel)
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+def test_assembled_tail_matches_tail_weight(n):
+    """the vectorised kappa of `assemble` is tail_weight at every node"""
+    mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
+    for kern in (ns.make_fractional_kernel(0.4), _custom_fractional(0.4)):
+        op = ns.assemble(mesh, kern, skip_audit=True)
+        expected = [ns.tail_weight(mesh, kern, x) for x in mesh.interior_nodes]
+        np.testing.assert_allclose(op.tail, expected, rtol=1e-13)
 
 
 def test_tail_weight_outside_domain_raises():
@@ -233,8 +251,6 @@ def test_norms(op128, rng):
         np.sqrt(u @ op128.stiffness @ u), rel=1e-13)
     assert norm_L2(op128, u) == pytest.approx(
         np.sqrt(u @ op128.mass @ u), rel=1e-13)
-    assert norm_X(op128, u) == pytest.approx(
-        np.sqrt(norm_Z(op128, u) ** 2 + norm_L2(op128, u) ** 2), rel=1e-13)
     with pytest.raises(InvalidParameterError):
         norm_Z(op128, np.ones(3))
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonlocal_saddle as ns
-from nonlocal_saddle.errors import AuditFailedError, InvalidParameterError
+from nonlocal_saddle.errors import (AuditFailedError, AuditInconclusiveError,
+                                    InvalidParameterError)
 
 
 def test_fractional_kernel_values():
@@ -32,11 +33,16 @@ def test_k1_closed_form():
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_audit_fractional_matches_closed_form(s):
-    audit = ns.audit_kernel(ns.make_fractional_kernel(s))
-    assert audit.passed
-    assert audit.k1_integral == pytest.approx(
-        ns.fractional_k1_closed_form(s), rel=1e-8)
-    assert audit.k2_worst_ratio == pytest.approx(1.0, abs=1e-12)
+    # the fractional family takes closed forms; the same kernel as a custom
+    # one takes the Gauss panels
+    custom = ns.make_custom_kernel(
+        lambda z: np.abs(z) ** (-1.0 - 2.0 * s), s=s, theta=1.0)
+    for kern, rel in ((ns.make_fractional_kernel(s), 1e-8), (custom, 1e-10)):
+        audit = ns.audit_kernel(kern)
+        assert audit.passed
+        assert audit.k1_integral == pytest.approx(
+            ns.fractional_k1_closed_form(s), rel=rel)
+        assert audit.k2_worst_ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_audit_rejects_integrable_but_unbounded_below_kernel():
@@ -55,6 +61,16 @@ def test_audit_flags_fat_tail_as_k1_failure():
     audit = ns.audit_kernel(k)
     assert math.isinf(audit.k1_integral)
     assert not audit.k1_holds
+
+
+def test_audit_refuses_unresolved_k1():
+    # sin(z^2) oscillates ever faster on the panels [r, 2r]: orders q and
+    # q + 6 disagree, so the audit reports no K1 value at all
+    k = ns.make_custom_kernel(
+        lambda z: np.abs(z) ** -2.0 * (2.0 + np.sin(np.asarray(z) ** 2)),
+        s=0.5, theta=1.0)
+    with pytest.raises(AuditInconclusiveError, match="unresolved"):
+        ns.audit_kernel(k)
 
 
 def test_assemble_refuses_failed_audit():

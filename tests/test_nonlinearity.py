@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
-from nonlocal_saddle.errors import InvalidParameterError, UnauditableError
+from nonlocal_saddle.errors import (InvalidParameterError, NumericError,
+                                    UnauditableError)
 
 
 def test_affine_eval():
@@ -47,6 +48,14 @@ def _custom_saturating(m, delta, g):
                      alpha_upper=lambda x: np.full_like(x, m))
 
 
+def _custom_bounded_perturbation(m, c, g):
+    """the bounded_perturbation f as a custom spec"""
+    return nl.custom(f=lambda x, t: m * t + c * np.sin(t) + g(x),
+                     a_profile=lambda x: np.abs(g(x)) + abs(c), b=abs(m),
+                     alpha_lower=lambda x: np.full_like(x, m),
+                     alpha_upper=lambda x: np.full_like(x, m))
+
+
 @pytest.mark.parametrize("builder,args", [
     (nl.affine, (5.0,)),
     (nl.saturating, (5.0, 0.3)),
@@ -67,17 +76,45 @@ def test_primitive_is_antiderivative(builder, args):
 
 def test_custom_fallbacks_match_closed_forms():
     """central-difference f_t and quadrature F of a custom spec against the
-    saturating family's closed forms."""
+    saturating and bounded_perturbation families' closed forms."""
     g = nl.polynomial_profile([1.0, -0.5])
-    closed = nl.saturating(5.0, 0.3, g)
-    fallback = _custom_saturating(5.0, 0.3, g)
     x = np.array([-0.9, -0.2, 0.0, 0.5, 1.0])[:, None]
-    t = np.array([-1e3, -7.5, -1.0, 0.0, 0.02, 1.3, 40.0])[None, :]
-    f_t = np.broadcast_to(nl.eval_f_t(closed, x, t), (x.size, t.size))
-    np.testing.assert_allclose(nl.eval_f_t(fallback, x, t), f_t, rtol=1e-6)
-    F = nl.eval_F(closed, x, t)
-    assert np.all(np.abs(nl.eval_F(fallback, x, t) - F)
-                  <= 1e-12 * np.maximum(1.0, np.abs(F)))
+    t_grid = np.array([-1e3, -7.5, -1.0, 0.0, 0.02, 1.3, 40.0])
+    for closed, fallback, t in (
+            (nl.saturating(5.0, 0.3, g), _custom_saturating(5.0, 0.3, g),
+             t_grid),
+            (nl.bounded_perturbation(0.0, 0.4, g),
+             _custom_bounded_perturbation(0.0, 0.4, g),
+             np.concatenate((t_grid[1:], [-40.0, -23.0, 17.7, 31.0])))):
+        t = t[None, :]
+        f_t = np.broadcast_to(nl.eval_f_t(closed, x, t), (x.size, t.size))
+        np.testing.assert_allclose(nl.eval_f_t(fallback, x, t), f_t,
+                                   rtol=1e-6)
+        F = nl.eval_F(closed, x, t)
+        assert np.all(np.abs(nl.eval_F(fallback, x, t) - F)
+                      <= 1e-12 * np.maximum(1.0, np.abs(F)))
+
+
+def test_custom_primitive_refuses_unresolved_f():
+    """c sin(t) oscillates too fast for the panel [t/2, t] at t = 1e3: the
+    fallback F raises rather than return a wrong value, alone or in a
+    batch, and whatever it does return is within its tolerance."""
+    c = 0.4
+    spec = nl.custom(f=lambda x, t: c * np.sin(t),
+                     a_profile=lambda x: np.full_like(x, c), b=0.0,
+                     alpha_lower=lambda x: np.full_like(x, -c),
+                     alpha_upper=lambda x: np.full_like(x, c))
+    for t in (1e3, [0.5, 1e3, 2.0]):
+        with pytest.raises(NumericError, match="unresolved"):
+            nl.eval_F(spec, 0.3, t)
+    for t in np.linspace(-200.0, 200.0, 801):
+        exact = c * (1.0 - math.cos(t))
+        try:
+            value = float(nl.eval_F(spec, 0.3, t))
+        except NumericError:
+            assert abs(t) > 40.0
+            continue
+        assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
 def test_growth_audit_passes_for_families():

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -157,14 +156,6 @@ def test_lambda1_above_poincare_floor(spectrum_by_s):
     for s, sp in spectrum_by_s.items():
         floor = ns.poincare_lower_bound((-1.0, 1.0), s, 1.0, 2.0)
         assert sp.eigenvalues[0] >= floor
-
-
-def test_critical_exponent():
-    assert math.isinf(ns.critical_exponent(1, 0.5))  # n <= 2s
-    assert ns.critical_exponent(1, 0.25) == pytest.approx(4.0)  # 2/(1-0.5)
-    assert ns.critical_exponent(3, 0.5) == pytest.approx(3.0)  # 6/(3-1)
-    with pytest.raises(InvalidParameterError):
-        ns.critical_exponent(0, 0.5)
 
 
 def test_eigenvalues_decrease_under_refinement(ops_refinement):
