@@ -93,7 +93,6 @@ class Pipeline:
         self.spec = build_nonlinearity(cfg)
         self.opts = SolverOptions(tol=cfg.solver["tol"],
                                   max_iter=cfg.solver["max_iter"],
-                                  starts=cfg.solver["starts"],
                                   seed=cfg.solver["seed"])
 
     @cached_property
@@ -194,10 +193,10 @@ def cmd_solve(pipe: Pipeline) -> int:
         report = solve_case_b(pipe.op, pipe.spectrum, pipe.spec, pipe.opts,
                               classification=cls)
     uniqueness = None
-    if pipe.opts.starts > 1 and cls.case is nl.Case.GAP:
+    starts = pipe.cfg.solver["starts"]
+    if starts > 1 and cls.case is nl.Case.GAP:
         uniqueness = uniqueness_probe(pipe.op, pipe.spectrum, pipe.spec,
-                                      cls.k, n_starts=pipe.opts.starts,
-                                      opts=pipe.opts)
+                                      cls.k, n_starts=starts, opts=pipe.opts)
 
     full = np.concatenate(([0.0], report.solution, [0.0]))
     sol_rows = [[float(x), float(u)] for x, u in zip(pipe.mesh.nodes, full)]

@@ -153,6 +153,12 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("/nonlinearity/family",
                           f"expected affine|saturating|bounded_perturbation, "
                           f"got {family!r}")
+    # a parameter the family does not read would be silently dropped
+    for key, owner in (("delta", "saturating"), ("c", "bounded_perturbation")):
+        if family != owner and key in (raw.get("nonlinearity") or {}):
+            raise ConfigError(f"/nonlinearity/{key}",
+                              f"only the {owner} family reads {key}, "
+                              f"but the family is {family!r}")
     m = _require_number(nl["m"], "/nonlinearity/m")
     delta = _require_number(nl["delta"], "/nonlinearity/delta")
     c = _require_number(nl["c"], "/nonlinearity/c")

@@ -2,12 +2,12 @@
 
 The energy is J(u) = 1/2 u'Au - int F(x, u_h) dx; a zero gradient
 A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
-find that zero with one Newton driver and differ only in how a step is
-made safe: Armijo backtracking on J in the coercive case, a Z-norm cap in
-the gap case (off while the slope-gap condition certifies every Newton
-system nonresonant).  The geometry probe samples the saddle structure
-that underpins the gap-case existence argument, and the uniqueness probe
-multi-starts the gap driver to test the slope-gap uniqueness prediction.
+find that zero with one Newton driver on the Hessian A - D(u) and differ
+only in how a step is made safe: Armijo backtracking on J in the coercive
+case, a Z-norm cap after three residual increases in the gap case.  The
+geometry probe samples the saddle structure that underpins the gap-case
+existence argument, and the uniqueness probe multi-starts the gap driver
+to test the slope-gap uniqueness prediction.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ LINE_SEARCH_CONTRACTION = 0.5
 class SolverOptions:
     tol: float = 1.0e-9
     max_iter: int = 200
-    starts: int = 1
     seed: int = 42
 
 
@@ -61,12 +60,9 @@ class UniquenessVerdict:
 @dataclass(frozen=True)
 class SolveReport:
     solution: np.ndarray = field(repr=False)
-    case: CaseClassification | None
     j_value: float
     residual_inf: float
     iterations: int
-    seed: int = 42
-    tol: float = 1.0e-9
 
 
 # ---------------------------------------------------------------------------
@@ -128,28 +124,25 @@ def eval_gradient(op: AssembledOperator, spec: NonlinearitySpec,
     return _gradient(op, spec, _check_dim(op, u))[0]
 
 
-def _weighted_mass_from_values(op: AssembledOperator,
-                               wvals: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Mass matrix weighted by per-Gauss-point values wvals (n_elem, q)."""
-    _, wg, _ = _element_data(op)
-    phi = np.stack([1.0 - xi, xi])  # (2, q)
-    n = op.mesh.n_elements
-    full = np.zeros((n + 1, n + 1))
-    loc = np.einsum("pg,qg,eg->epq", phi, phi, wg * wvals)
-    e = np.arange(n)
-    for p in range(2):
-        for q in range(2):
-            full[e + p, e + q] += loc[:, p, q]
-    return full[1:-1, 1:-1]
-
-
-def jacobian_mass(op: AssembledOperator, spec: NonlinearitySpec,
-                  u) -> np.ndarray:
-    """D(u)_ij = int f_t(x, u_h) phi_i phi_j dx (mass weighted by the slope)."""
-    u = _check_dim(op, u)
+def _slopes(op: AssembledOperator, spec: NonlinearitySpec, u) -> np.ndarray:
+    """f_t(x, u_h) at the Gauss points, shape (n_elem, q)."""
     xg, _, xi = _element_data(op)
-    wvals = eval_f_t(spec, xg, _interp_elements(op, u, xi))
-    return _weighted_mass_from_values(op, wvals, xi)
+    return eval_f_t(spec, xg, _interp_elements(op, u, xi))
+
+
+def _system(op: AssembledOperator, slopes: np.ndarray) -> np.ndarray:
+    """A - W, W_ij = int m phi_i phi_j dx for slope values m at the Gauss
+    points (n_elem, q).  W is tridiagonal, so its bands are subtracted from
+    a copy of A.  With m = _slopes(op, spec, u) this is the Hessian of J."""
+    _, wg, xi = _element_data(op)
+    phi = np.stack([1.0 - xi, xi])  # (2, q)
+    loc = np.einsum("pg,qg,eg->epq", phi, phi, wg * slopes)
+    system = op.stiffness.copy()
+    i = np.arange(op.size)
+    system[i, i] -= loc[1:, 0, 0] + loc[:-1, 1, 1]
+    system[i[:-1], i[1:]] -= loc[1:-1, 0, 1]
+    system[i[1:], i[:-1]] -= loc[1:-1, 1, 0]
+    return system
 
 
 def residual_weakform(op: AssembledOperator, spec: NonlinearitySpec,
@@ -161,10 +154,17 @@ def residual_weakform(op: AssembledOperator, spec: NonlinearitySpec,
 # linear nonresonant solve
 # ---------------------------------------------------------------------------
 
+def _lu(system: np.ndarray):
+    """LU factors of system and the ratio of its smallest to its largest
+    pivot magnitude, singular below SINGULAR_PIVOT_RATIO."""
+    lu, piv = scipy.linalg.lu_factor(system)
+    diag = np.abs(np.diag(lu))
+    return (lu, piv), float(diag.min()) / max(float(diag.max()), 1.0e-300)
+
+
 @dataclass(frozen=True)
 class LinearSolve:
     solution: np.ndarray = field(repr=False)
-    pivot_min: float
     pivot_ratio: float
     residual_inf: float
 
@@ -206,22 +206,16 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
         raise ResonanceError(
             f"slope profile range [{lo:.6g}, {hi:.6g}] straddles an eigenvalue")
 
-    weighted = _weighted_mass_from_values(op, m_vals, xi)
     rhs = _p1_load(op, wg * _profile_values(op, g, xg), xi)
-
-    system = op.stiffness - weighted
-    lu, piv = scipy.linalg.lu_factor(system)
-    diag = np.abs(np.diag(lu))
-    pivot_min = float(diag.min())
-    pivot_ratio = pivot_min / float(diag.max())
+    system = _system(op, m_vals)
+    factors, pivot_ratio = _lu(system)
     if pivot_ratio < SINGULAR_PIVOT_RATIO:
         raise NonResonanceContradictionError(
             f"certified-nonresonant system is numerically singular "
             f"(pivot ratio {pivot_ratio:.3e}); assembly or spectrum bug")
-    u = scipy.linalg.lu_solve((lu, piv), rhs)
+    u = scipy.linalg.lu_solve(factors, rhs)
     res = float(np.abs(system @ u - rhs).max())
-    return LinearSolve(solution=u, pivot_min=pivot_min,
-                       pivot_ratio=pivot_ratio, residual_inf=res)
+    return LinearSolve(solution=u, pivot_ratio=pivot_ratio, residual_inf=res)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +224,15 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
 
 def _newton_step(system: np.ndarray, grad: np.ndarray,
                  f2_certified: bool) -> np.ndarray:
-    lu, piv = scipy.linalg.lu_factor(system)
-    diag = np.abs(np.diag(lu))
-    if diag.min() < SINGULAR_PIVOT_RATIO * max(diag.max(), 1.0e-300):
+    factors, pivot_ratio = _lu(system)
+    if pivot_ratio < SINGULAR_PIVOT_RATIO:
         if f2_certified:
             raise NonResonanceContradictionError(
                 "Newton system singular although the slope gap was verified")
         # minimum-norm least-squares step keeps resonant probes meaningful
         step, *_ = np.linalg.lstsq(system, -grad, rcond=None)
         return step
-    return scipy.linalg.lu_solve((lu, piv), -grad)
+    return scipy.linalg.lu_solve(factors, -grad)
 
 
 def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
@@ -255,8 +248,8 @@ def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
             return u, trace
         if it == max_iter:
             break
-        step = _newton_step(op.stiffness - jacobian_mass(op, spec, u),
-                            grad, f2_certified)
+        step = _newton_step(_system(op, _slopes(op, spec, u)), grad,
+                            f2_certified)
         u = globalize(u, step, grad, res)
         if u is None:
             raise NonConvergenceError(
@@ -293,9 +286,11 @@ def _armijo(op, spec, u0):
     return globalize
 
 
-def _z_capped(op, radius=None):
-    """Cap the step's Z-norm at `radius`.  Without one, steps are full until
-    the residual grows three times in a row; the cap is then |u|_Z + 1."""
+def _z_capped(op):
+    """Full steps until the residual has grown three times in a row; from
+    then on the step's Z-norm is capped at |u|_Z + 1, u the iterate at the
+    switch."""
+    radius = None
     prev_res = math.inf
     bad_streak = 0
 
@@ -318,11 +313,9 @@ def _z_capped(op, radius=None):
     return globalize
 
 
-def _report(op, spec, u, trace, classification, opts) -> SolveReport:
-    return SolveReport(solution=u, case=classification,
-                       j_value=eval_J(op, spec, u), residual_inf=trace[-1],
-                       iterations=len(trace) - 1, seed=opts.seed,
-                       tol=opts.tol)
+def _report(op, spec, u, trace) -> SolveReport:
+    return SolveReport(solution=u, j_value=eval_J(op, spec, u),
+                       residual_inf=trace[-1], iterations=len(trace) - 1)
 
 
 def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
@@ -334,7 +327,7 @@ def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
     u0 = np.zeros(op.size)
     u, trace = _newton(op, spec, u0, opts.tol, opts.max_iter,
                        _armijo(op, spec, u0))
-    return _report(op, spec, u, trace, classification, opts)
+    return _report(op, spec, u, trace)
 
 
 def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
@@ -344,9 +337,10 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
                  u0: np.ndarray | None = None) -> SolveReport:
     """Newton on the gradient in the spectral-gap case.
 
-    When the slope-gap condition holds, every Newton system is certified
-    nonresonant and the iteration runs undamped; otherwise the step's
-    Z-norm is capped at |u0|_Z + 1.
+    Steps are full until the residual has grown three times in a row, then
+    Z-norm capped (`_z_capped`).  When the slope-gap condition holds, every
+    Newton system is certified nonresonant, so a singular one raises
+    NonResonanceContradictionError instead of taking a least-squares step.
     """
     if classification is None:
         classification = classify(spec, spectrum)
@@ -356,10 +350,9 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
     f2 = check_f2_gap(spec, spectrum, k) if spec.slope_range else None
     f2_ok = bool(f2 and f2.passed)
     start = np.zeros(op.size) if u0 is None else np.asarray(u0, dtype=float)
-    radius = None if f2_ok else norm_Z(op, start) + 1.0
     u, trace = _newton(op, spec, start, opts.tol, opts.max_iter,
-                       _z_capped(op, radius), f2_certified=f2_ok)
-    return _report(op, spec, u, trace, classification, opts)
+                       _z_capped(op), f2_certified=f2_ok)
+    return _report(op, spec, u, trace)
 
 
 def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
@@ -584,6 +577,6 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
 
 def morse_index(op: AssembledOperator, spec: NonlinearitySpec, u) -> int:
     """Number of negative eigenvalues of the Hessian A - D(u)."""
-    hessian = op.stiffness - jacobian_mass(op, spec, u)
+    hessian = _system(op, _slopes(op, spec, _check_dim(op, u)))
     vals = scipy.linalg.eigvalsh(hessian)
     return int(np.sum(vals < 0.0))

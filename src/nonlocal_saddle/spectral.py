@@ -57,12 +57,12 @@ def _fix_signs(vectors: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 
 def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
-    """Dense symmetric-definite eigendecomposition of (A, M)."""
+    """Dense symmetric-definite eigendecomposition of (A, M); eigh's own
+    Cholesky of M rejects a mass matrix that is not SPD."""
     try:
-        scipy.linalg.cholesky(op.mass)
+        vals, vecs = scipy.linalg.eigh(op.stiffness, op.mass)
     except scipy.linalg.LinAlgError as exc:
-        raise AssemblyCorruptionError("mass matrix is not SPD") from exc
-    vals, vecs = scipy.linalg.eigh(op.stiffness, op.mass)
+        raise AssemblyCorruptionError(str(exc)) from exc
     # eigh returns M-orthonormal columns; enforce the sign convention
     vecs = _fix_signs(vecs, op.mass)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, op=op)

@@ -39,6 +39,13 @@ def test_partial_override():
     ({"quadrature": {"assembly_tol": float("inf")}}, "/quadrature/assembly_tol"),
     ({"solver": {"tol": float("nan")}}, "/solver/tol"),
     ({"kernel": {"s": float("nan")}}, "/kernel/s"),
+    ({"nonlinearity": {"family": "affine", "m": 1, "delta": 5, "c": 3}},
+     "/nonlinearity/delta"),
+    ({"nonlinearity": {"family": "affine", "c": 3}}, "/nonlinearity/c"),
+    ({"nonlinearity": {"family": "bounded_perturbation", "delta": -5}},
+     "/nonlinearity/delta"),
+    ({"nonlinearity": {"family": "saturating", "c": 0.0}},
+     "/nonlinearity/c"),
 ])
 def test_invalid_values_report_pointer_path(raw, path):
     with pytest.raises(ConfigError) as exc:

@@ -136,9 +136,9 @@ def test_solvers_raise_with_trace_when_out_of_iterations(op128, spectrum128,
 
 
 def test_uniqueness_probe_damping_switch(monkeypatch):
-    """without the slope-gap certificate the probe runs full Newton steps
-    until the residual has grown three times in a row, then caps them; at
-    N = 32 this start set needs the cap and still finds one solution."""
+    """gap-case Newton runs full steps until the residual has grown three
+    times in a row, then caps them; at N = 32 this start set needs the cap
+    and still finds one solution."""
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),
                      ns.make_fractional_kernel(0.5), skip_audit=True)
     sp = ns.solve_eigenproblem(op)
@@ -148,8 +148,8 @@ def test_uniqueness_probe_damping_switch(monkeypatch):
     capped = []
     z_capped = solvers._z_capped
 
-    def spy(op, radius=None):
-        globalize = z_capped(op, radius)
+    def spy(op):
+        globalize = z_capped(op)
 
         def wrapped(u, step, grad, res):
             new = globalize(u, step, grad, res)
@@ -164,6 +164,44 @@ def test_uniqueness_probe_damping_switch(monkeypatch):
     assert any(capped)
 
 
+@pytest.mark.parametrize("family", ["saturating", "bounded_perturbation"])
+def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
+                                                family):
+    """the system the Newton driver factors at u equals central differences
+    of the gradient at u, column by column."""
+    op = fractional_op(0.5, 64)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    gap = lam[2] - lam[1]
+    g = nl.polynomial_profile([1.0, 2.0])
+    spec = (nl.saturating(lam[1] + 0.1 * gap, 0.5 * gap, g)
+            if family == "saturating"
+            else nl.bounded_perturbation(lam[1] + 0.5 * gap, 0.3 * gap, g))
+    x = op.mesh.interior_nodes
+    u = 2.0 * np.cos(3.0 * x) + x
+    systems = []
+    newton_step = solvers._newton_step
+
+    def spy(system, grad, f2_certified):
+        systems.append(system.copy())
+        return newton_step(system, grad, f2_certified)
+
+    monkeypatch.setattr(solvers, "_newton_step", spy)
+    with pytest.raises(NonConvergenceError):
+        ns.solve_case_b(op, sp, spec, ns.SolverOptions(max_iter=1), u0=u)
+    eps = 1e-5
+    fd = np.empty((op.size, op.size))
+    for j in range(op.size):
+        e = np.zeros(op.size)
+        e[j] = eps
+        fd[:, j] = (eval_gradient(op, spec, u + e)
+                    - eval_gradient(op, spec, u - e)) / (2.0 * eps)
+    # compare the f_t-weighted mass parts; A itself is linear
+    weight, weight_fd = op.stiffness - systems[0], op.stiffness - fd
+    np.testing.assert_allclose(weight_fd, weight,
+                               atol=1e-8 * np.abs(weight).max())
+
+
 def test_case_b_converges_and_is_critical(op128, spectrum128, gap_spec):
     rep = ns.solve_case_b(op128, spectrum128, gap_spec, OPTS)
     assert residual_weakform(op128, gap_spec, rep.solution) <= OPTS.tol
@@ -171,6 +209,29 @@ def test_case_b_converges_and_is_critical(op128, spectrum128, gap_spec):
     assert rep.iterations <= 25
     grad = eval_gradient(op128, gap_spec, rep.solution)
     assert np.max(np.abs(grad)) < 1e-8
+
+
+def test_case_b_converges_without_slope_gap_certificate(op128,
+                                                       spectrum128):
+    """slope ranges that reach past lambda_3 (no slope-gap certificate)
+    still converge with the gap policy: f2-failing points of the grid
+    saturating(lambda_2 + a gap, b gap, g = 5)."""
+    lam = spectrum128.eigenvalues
+    gap = lam[2] - lam[1]
+    uncertified = 0
+    for a in (0.02, 0.1, 0.3, 0.5):
+        for b in (0.8, 1.0, 1.2, 1.5):
+            spec = nl.saturating(lam[1] + a * gap, b * gap,
+                                 nl.constant_profile(5.0))
+            cls = nl.classify(spec, spectrum128)
+            assert cls.case is nl.Case.GAP and cls.k == 2
+            if nl.check_f2_gap(spec, spectrum128, 2).passed:
+                continue
+            uncertified += 1
+            rep = ns.solve_case_b(op128, spectrum128, spec, OPTS,
+                                  classification=cls)
+            assert residual_weakform(op128, spec, rep.solution) <= OPTS.tol
+    assert uncertified == 14
 
 
 def test_case_b_saddle_signature(op128, spectrum128, gap_spec):
