@@ -24,11 +24,12 @@ a hat and B the centred cubic B-spline.  The r-integral has three pieces:
   and, for custom kernels, Gauss panels [r, 2r] up to RADIUS_CAP with a
   power-law far field beyond.
 
-quad_error_estimate is max_d |a_d(q) - a_d(q + 6)|, the symbol at Gauss
-order q against order q + 6 (the panels, the graded moments and the far
-field all change with the order), and assembly_tol gates it.  The tail
-weight kappa(x) = int_{x-a}^inf K + int_{b-x}^inf K takes the same upper
-integrals at order q.
+The tail weight kappa(x) = int_{x-a}^inf K + int_{b-x}^inf K takes the
+same upper integrals; it is reported as `tail`, and the symbol never reads
+it.  quad_error_estimate is the largest gap between Gauss orders q and q + 6
+over everything assemble returns: the symbol a_d (the panels, the graded
+moments and the far field all change with the order) and kappa at every
+node (zero for the fractional closed form).  assembly_tol gates it.
 """
 from __future__ import annotations
 
@@ -171,15 +172,21 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
 
     h = mesh.h
     size = mesh.interior_count
-    symbol, error = estimate(lambda q: _symbol(kernel, h, size, q), quad_order)
+
+    def kappa_at(order):
+        # interior node i lies i h from a and (N - i) h from b
+        from_a = upper_integral(kernel, h * np.arange(1, size + 1), order)
+        return from_a + from_a[::-1]
+
+    symbol, symbol_error = estimate(lambda q: _symbol(kernel, h, size, q),
+                                    quad_order)
+    kappa, kappa_error = estimate(kappa_at, quad_order)
+    error = np.concatenate((symbol_error, kappa_error))
     worst = float(error.max())
     if not worst <= assembly_tol:  # a NaN estimate fails the gate too
-        raise AssemblyAccuracyError((0, int(np.argmax(error))), worst,
-                                    assembly_tol)
-
-    # interior node i lies i h from a and (N - i) h from b
-    from_a = upper_integral(kernel, h * np.arange(1, size + 1), quad_order)
-    kappa = from_a + from_a[::-1]
+        i = int(np.argmax(error))
+        raise AssemblyAccuracyError((0, i) if i < size else ("kappa", i - size),
+                                    worst, assembly_tol)
     return AssembledOperator(mesh=mesh, kernel=kernel,
                              stiffness=toeplitz(symbol), mass=mass_matrix(mesh), tail=kappa,
                              quad_order=quad_order, assembly_tol=assembly_tol,

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nonlinearity as nl
 from .assembly import assemble
-from .config import RunConfig, parse_config
+from .config import RunConfig, _require_seed, parse_config
 from .errors import ConfigError, NonlocalSaddleError
 from .kernels import audit_kernel, make_fractional_kernel
 from .meshing import build_uniform_mesh
@@ -239,6 +239,17 @@ def cmd_export_matrices(pipe: Pipeline) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonlocal-saddle",
@@ -252,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         if name == "spectrum":
-            p.add_argument("--count", type=int, default=10,
+            p.add_argument("--count", type=_positive_int, default=10,
                            help="number of eigenvalues to print")
             p.add_argument("--vectors", action="store_true",
                            help="include nodal eigenvector values as columns")
@@ -263,6 +274,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        if args.seed is not None:
+            cfg = dataclasses.replace(
+                cfg, solver={**cfg.solver, "seed": _require_seed(args.seed)})
     except OSError as exc:
         sys.stderr.write(f"cannot read config: {exc}\n")
         return EXIT_IO
@@ -272,10 +286,6 @@ def main(argv=None) -> int:
 
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output={"dir": args.out})
-    if args.seed is not None:
-        solver = dict(cfg.solver)
-        solver["seed"] = int(args.seed)
-        cfg = dataclasses.replace(cfg, solver=solver)
 
     try:
         pipe = Pipeline(cfg)

@@ -46,6 +46,14 @@ def _require_number(value, path, integer=False):
     return int(value) if integer else float(value)
 
 
+def _require_seed(value) -> int:
+    """solver.seed, from the config or the --seed override."""
+    seed = _require_number(value, "/solver/seed", integer=True)
+    if seed < 0:
+        raise ConfigError("/solver/seed", f"must be >= 0, got {seed}")
+    return seed
+
+
 def _require_keys(section: dict, allowed, path):
     if not isinstance(section, dict):
         raise ConfigError(path, f"expected an object, got {section!r}")
@@ -182,9 +190,8 @@ def validate_config(raw: dict) -> RunConfig:
     starts = _require_number(solver["starts"], "/solver/starts", integer=True)
     if starts < 1:
         raise ConfigError("/solver/starts", f"must be >= 1, got {starts}")
-    seed = _require_number(solver["seed"], "/solver/seed", integer=True)
     solver = {"mode": solver["mode"], "tol": tol, "max_iter": max_iter,
-              "starts": starts, "seed": seed}
+              "starts": starts, "seed": _require_seed(solver["seed"])}
 
     output = _merged(raw.get("output"), DEFAULTS["output"], "/output")
     if not isinstance(output["dir"], str):

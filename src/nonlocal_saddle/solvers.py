@@ -365,6 +365,9 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     counterexamples can be probed; singular Newton systems fall back to
     minimum-norm steps.
     """
+    if not isinstance(n_starts, numbers.Integral) or n_starts < 1:
+        raise InvalidParameterError(
+            f"n_starts must be an integer >= 1, got {n_starts!r}")
     f2_passed = (check_f2_gap(spec, spectrum, k).passed
                  if spec.slope_range is not None else None)
     rng = np.random.default_rng(opts.seed)
@@ -379,17 +382,17 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
             return UniquenessVerdict(kind="Inconclusive", n_starts=n_starts,
                                      seed=opts.seed, f2_passed=f2_passed)
         solutions.append(u)
-    max_dist = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            max_dist = max(max_dist, norm_Z(op, solutions[i] - solutions[j]))
-    rep = [solutions[0]]
-    for u in solutions[1:]:
-        if min(norm_Z(op, u - v) for v in rep) > 1.0e-8:
-            rep.append(u)
+    dist = np.array([[norm_Z(op, u - v) for v in solutions]
+                     for u in solutions])
+    rep = [0]
+    for j in range(1, len(solutions)):
+        if dist[j, rep].min() > 1.0e-8:
+            rep.append(j)
+    max_dist = float(dist.max())
     kind = "Unique" if max_dist <= 1.0e-8 else "MultipleFound"
     return UniquenessVerdict(kind=kind, max_pairwise_z=max_dist,
-                             representatives=tuple(rep), n_starts=n_starts,
+                             representatives=tuple(solutions[i] for i in rep),
+                             n_starts=n_starts,
                              seed=opts.seed, f2_passed=f2_passed)
 
 
@@ -447,44 +450,59 @@ def _sphere_samples(rng, dim: int, n_random: int) -> np.ndarray:
     return np.empty((0, dim))
 
 
-def _sample_energies(op: AssembledOperator, spec: NonlinearitySpec,
-                     spectrum: Spectrum, modes: slice, dirs: np.ndarray,
-                     z_norms: np.ndarray):
-    """Energies of the probe samples spanned by the eigenmodes `modes`.
+def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
+          rng, modes: slice, groups, n_samples: int, reduce_max: bool):
+    """Extreme energy ratios over the eigenmodes `modes`, one per group of
+    Z-norms: (J / |u|_L2^2, J / |u|_Z^2, J) of the first extreme sample in
+    (Z-norm, direction) order.
 
-    The directions are the +axes, the -axes, then the rows of `dirs`, all
-    scaled to unit Z-norm.  Returns J at every (z-norm, direction) pair,
-    shape (len(z_norms), n_dirs), and the squared L2-norm of every unit
-    direction.  Eigenvectors are M-orthonormal and A-orthogonal, so a
-    sample of Z-norm z has quadratic energy exactly z^2/2 and squared
-    L2-norm z^2 |c|^2 in eigen-coordinates c; only the integral of F needs
-    nodal values, taken PROBE_CHUNK directions at a time.
+    A group samples the +axes, the -axes, then its own seeded random
+    directions, all of unit Z-norm.  Eigenvectors are M-orthonormal and
+    A-orthogonal, so a sample of Z-norm z has quadratic energy exactly
+    z^2/2 and squared L2-norm z^2 |c|^2 in eigen-coordinates c; only the
+    integral of F needs nodal values, PROBE_CHUNK directions at a time.
     """
     lam = spectrum.eigenvalues[modes]
     vecs = spectrum.eigenvectors[:, modes]
-    inv_sqrt = 1.0 / np.sqrt(lam)
-    unit = dirs / np.sqrt(dirs ** 2 @ lam)[:, None]
-    dim, n_dirs = lam.size, 2 * lam.size + len(dirs)
-    l2_sq = np.concatenate([1.0 / lam, 1.0 / lam, np.sum(unit ** 2, axis=1)])
-
     xg, wg, xi = _element_data(op)
     x, w = xg[:, :, None], wg.ravel()
-    half_z_sq = 0.5 * z_norms ** 2
-    energies = np.empty((z_norms.size, n_dirs))
-    for g0, g1 in ((0, dim), (dim, 2 * dim), (2 * dim, n_dirs)):
-        for i0 in range(g0, g1, PROBE_CHUNK):
-            i1 = min(i0 + PROBE_CHUNK, g1)
-            cols = slice(i0 - g0, i1 - g0)
-            if g0 == 2 * dim:
-                nodal = vecs @ unit[cols].T
-            else:  # an axis sample is a column of the eigenvector block
-                sign = 1.0 if g0 == 0 else -1.0
-                nodal = vecs[:, cols] * (sign * inv_sqrt[cols])
-            uh = _interp_elements(op, nodal, xi)
+
+    def energies(nodal, n_dirs, z_norms):
+        """J at z_norms along n_dirs directions, shape (z_norms.size,
+        n_dirs); nodal(i0, i1) gives directions i0..i1-1 as columns."""
+        half_z_sq = 0.5 * z_norms ** 2
+        out = np.empty((z_norms.size, n_dirs))
+        for i0 in range(0, n_dirs, PROBE_CHUNK):
+            i1 = min(i0 + PROBE_CHUNK, n_dirs)
+            uh = _interp_elements(op, nodal(i0, i1), xi)
             for iz, z in enumerate(z_norms):
                 f_int = w @ eval_F(spec, x, z * uh).reshape(w.size, -1)
-                energies[iz, i0:i1] = half_z_sq[iz] - f_int
-    return energies, l2_sq
+                out[iz, i0:i1] = half_z_sq[iz] - f_int
+        return out
+
+    # the axes once for every group; the -e_j sample at z is e_j at -z
+    norms = np.unique(np.concatenate(groups))
+    axes = vecs * (1.0 / np.sqrt(lam))
+    on_axes = energies(lambda i0, i1: axes[:, i0:i1], lam.size,
+                       np.concatenate([norms, -norms]))
+    out = []
+    for z_norms in groups:
+        dirs = _sphere_samples(rng, lam.size, max(n_samples - 2 * lam.size, 0))
+        unit = dirs / np.sqrt(dirs ** 2 @ lam)[:, None]
+        rows = np.searchsorted(norms, z_norms)
+        sampled = np.hstack([
+            on_axes[rows], on_axes[norms.size + rows],
+            energies(lambda i0, i1: vecs @ unit[i0:i1].T, len(unit),
+                     z_norms)])
+        l2_sq = np.concatenate([1.0 / lam, 1.0 / lam,
+                                np.sum(unit ** 2, axis=1)])
+        z_sq = z_norms[:, None] ** 2
+        ratios = sampled / (z_sq * l2_sq)
+        best = np.argmax(ratios) if reduce_max else np.argmin(ratios)
+        iz, idir = np.unravel_index(best, ratios.shape)
+        j = float(sampled[iz, idir])
+        out.append((float(ratios[iz, idir]), j / float(z_sq[iz, 0]), j))
+    return out
 
 
 def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
@@ -502,14 +520,14 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
     exactly.  k = 0 probes the whole space, the coercive geometry, and
     stores its samples in `tail`.
 
-    Every scan evaluates all 2*dim +-axes of its eigenmode subspace, so
+    Each eigenmode subspace is scanned once for all its Z-norms (`_scan`):
+    its axes are interpolated once, the -axis sample at z being the +axis
+    sample at -z.  Every group of Z-norms samples all 2*dim +-axes, so
     `n_samples` is a floor: it only adds seeded random directions beyond
-    2*dim.  The quadratic part of J is taken exactly in eigen-coordinates
-    (z^2/2 on the Z-sphere of radius z), and samples are evaluated in
-    batches, so a scan costs O(N^2) per Z-norm.  The first extreme sample
-    in (Z-norm, direction) order wins.  For a purely quadratic F the ratio
-    of an axis sample is the same at every Z-norm, so which norm supplies
-    `extreme_j` and `floor_estimate` is decided by rounding.
+    2*dim, per group.  A scan costs O(N^2) per Z-norm.  The first extreme
+    sample in (Z-norm, direction) order wins.  For a purely quadratic F the
+    ratio of an axis sample is the same at every Z-norm, so which norm
+    supplies `extreme_j` and `floor_estimate` is decided by rounding.
     """
     radii = tuple(sorted(float(r) for r in radii))
     if not radii or not all(math.isfinite(r) and r > 0.0 for r in radii):
@@ -520,26 +538,15 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
             f"n_samples must be an integer >= 0, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     m = spectrum.size
+    spheres = [np.array([t_rad]) for t_rad in radii]
 
-    def scan(modes, z_norms, reduce_max):
-        dim = modes.stop - modes.start
-        dirs = _sphere_samples(rng, dim, max(n_samples - 2 * dim, 0))
-        z_norms = np.asarray(z_norms, dtype=float)
-        energies, l2_sq = _sample_energies(op, spec, spectrum, modes, dirs,
-                                           z_norms)
-        z_sq = z_norms[:, None] ** 2
-        ratios = energies / (z_sq * l2_sq)
-        best = np.argmax(ratios) if reduce_max else np.argmin(ratios)
-        iz, idir = np.unravel_index(best, ratios.shape)
-        j = float(energies[iz, idir])
-        return float(ratios[iz, idir]), j / float(z_sq[iz, 0]), j
+    def scan(modes, groups, reduce_max):
+        return _scan(op, spec, spectrum, rng, modes, groups, n_samples,
+                     reduce_max)
 
     if k == 0:
-        samples = []
-        all_modes = slice(0, m)
-        for t_rad in radii:
-            lo, ratio_z, j = scan(all_modes, [t_rad], reduce_max=False)
-            samples.append(RadiusSample(t_rad, lo, ratio_z, j))
+        samples = [RadiusSample(t_rad, *found) for t_rad, found
+                   in zip(radii, scan(slice(0, m), spheres, False))]
         separated = all(s.extreme_ratio_l2 > 0.0 for s in samples)
         return GeometryProbe(mode="coercive", k=0, head=(),
                              tail=tuple(samples),
@@ -548,31 +555,18 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
 
     if not 1 <= k < m:
         raise InvalidParameterError(f"k must lie in [0, {m - 1}], got {k}")
-    head_idx = slice(0, k)
-    tail_idx = slice(k, m)
-
-    head_samples = []
-    for t_rad in radii:
-        hi, ratio_z, j = scan(head_idx, [t_rad], reduce_max=True)
-        head_samples.append(RadiusSample(t_rad, hi, ratio_z, j))
-
-    tail_samples = []
-    floor = math.inf
-    for t_rad in radii:
-        z_norms = np.geomspace(t_rad / 10.0, t_rad, 4)
-        lo, ratio_z, j = scan(tail_idx, z_norms, reduce_max=False)
-        tail_samples.append(RadiusSample(t_rad, lo, ratio_z, j))
-        floor = min(floor, j)
-    # floor of J over the tail space at small norms (the lower barrier)
-    small = np.geomspace(0.1, radii[0] / 10.0, 4)
-    lo_small = scan(tail_idx, small, reduce_max=False)
-    floor = min(floor, lo_small[2])
-
-    head_max_j = head_samples[-1].extreme_j
-    separated = head_max_j < min(floor, min(t.extreme_j for t in tail_samples))
-    return GeometryProbe(mode="gap", k=k, head=tuple(head_samples),
-                         tail=tuple(tail_samples), floor_estimate=floor,
-                         separated=separated, seed=seed)
+    head = [RadiusSample(t_rad, *found) for t_rad, found
+            in zip(radii, scan(slice(0, k), spheres, True))]
+    # the tail shells, then small norms for the floor of J over the tail
+    # space (the lower barrier)
+    shells = [np.geomspace(t_rad / 10.0, t_rad, 4) for t_rad in radii]
+    found = scan(slice(k, m), shells + [np.geomspace(0.1, radii[0] / 10.0, 4)],
+                 False)
+    tail = [RadiusSample(t_rad, *f) for t_rad, f in zip(radii, found)]
+    floor = min(j for _, _, j in found)
+    return GeometryProbe(mode="gap", k=k, head=tuple(head), tail=tuple(tail),
+                         floor_estimate=floor,
+                         separated=head[-1].extreme_j < floor, seed=seed)
 
 
 def morse_index(op: AssembledOperator, spec: NonlinearitySpec, u) -> int:

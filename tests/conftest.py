@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nonlocal_saddle as ns
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict:
+    """The environment for a child Python process, with the package's
+    `src` directory ahead of any inherited PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

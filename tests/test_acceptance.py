@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
@@ -202,7 +203,7 @@ def test_criterion_9_cli_determinism(capsys, tmp_path):
                 r = subprocess.run(
                     [sys.executable, "-m", "nonlocal_saddle", cmd,
                      "--config", str(cfg), "--out", str(out)],
-                    capture_output=True)
+                    capture_output=True, env=child_env())
                 assert r.returncode == 0, r.stderr.decode()
             outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir())

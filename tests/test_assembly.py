@@ -10,6 +10,7 @@ from nonlocal_saddle.assembly import mass_matrix, norm_L2, norm_Z
 from nonlocal_saddle.errors import (AssemblyAccuracyError,
                                     InvalidParameterError,
                                     SingularEvaluationError)
+from nonlocal_saddle.quadrature import ESTIMATE_STEP, GAUSS_ORDER
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: N = 4 on (-1, 1), entries computed independently with
@@ -230,12 +231,16 @@ def test_tail_weight_closed_form(s):
 
 @pytest.mark.parametrize("n", [16, 1024])
 def test_assembled_tail_matches_tail_weight(n):
-    """the vectorised kappa of `assemble` is tail_weight at every node"""
+    """the vectorised kappa of `assemble` is tail_weight at every node, and
+    quad_error_estimate covers its gap between orders q and q + 6"""
     mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
     for kern in (ns.make_fractional_kernel(0.4), _custom_fractional(0.4)):
         op = ns.assemble(mesh, kern, skip_audit=True)
         expected = [ns.tail_weight(mesh, kern, x) for x in mesh.interior_nodes]
         np.testing.assert_allclose(op.tail, expected, rtol=1e-13)
+        higher = ns.assemble(mesh, kern, quad_order=GAUSS_ORDER + ESTIMATE_STEP,
+                             skip_audit=True)
+        assert np.abs(op.tail - higher.tail).max() <= op.quad_error_estimate
 
 
 def test_tail_weight_outside_domain_raises():

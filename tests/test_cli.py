@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from nonlocal_saddle import cli
 from nonlocal_saddle.config import parse_config
@@ -34,7 +35,7 @@ COERCIVE_CONFIG = {
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "nonlocal_saddle", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
 
 
 @pytest.fixture()
@@ -129,6 +130,23 @@ def test_invalid_config_exit_code(tmp_path):
     r = run_cli("verify", "--config", str(cfg))
     assert r.returncode == 2
     assert "/kernel/s" in r.stderr
+
+
+def test_negative_seed_override_exit_code(gap_config):
+    r = run_cli("probe-geometry", "--config", str(gap_config),
+                "--seed", "-4")
+    assert r.returncode == 2
+    assert "/solver/seed" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_spectrum_count_below_one_is_refused(gap_config, tmp_path):
+    out = tmp_path / "art"
+    r = run_cli("spectrum", "--config", str(gap_config), "--out", str(out),
+                "--count", "-3")
+    assert r.returncode == 2
+    assert "--count" in r.stderr
+    assert not (out / "spectrum.csv").exists()
 
 
 def test_unwritable_output_exit_code(gap_config):

@@ -46,6 +46,7 @@ def test_partial_override():
      "/nonlinearity/delta"),
     ({"nonlinearity": {"family": "saturating", "c": 0.0}},
      "/nonlinearity/c"),
+    ({"solver": {"seed": -1}}, "/solver/seed"),
 ])
 def test_invalid_values_report_pointer_path(raw, path):
     with pytest.raises(ConfigError) as exc:

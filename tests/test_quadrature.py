@@ -1,10 +1,9 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from nonlocal_saddle.quadrature import estimate, integrate_graded_zero, panel_sum
 
@@ -13,13 +12,10 @@ def test_package_import_leaves_out_scipy_integrate():
     """Every integral uses the package's own Gauss panels.  A fresh
     interpreter is needed: the test modules themselves import scipy.special,
     which loads scipy.integrate."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, nonlocal_saddle; "
             "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
 

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -16,6 +17,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 ])
 def test_script_runs(script, args, expect):
     r = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr
     assert expect in r.stdout

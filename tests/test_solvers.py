@@ -283,6 +283,14 @@ def test_uniqueness_probe_resonant_multiple(op128, spectrum128):
         assert residual_weakform(op128, spec, np.asarray(u)) < 1e-8
 
 
+@pytest.mark.parametrize("n_starts", [0, 2.5])
+def test_uniqueness_probe_rejects_bad_start_count(op128, spectrum128,
+                                                  gap_spec, n_starts):
+    with pytest.raises(InvalidParameterError):
+        ns.uniqueness_probe(op128, spectrum128, gap_spec, 2,
+                            n_starts=n_starts, opts=OPTS)
+
+
 def test_uniqueness_probe_is_seeded(op128, spectrum128, gap_spec):
     v1 = ns.uniqueness_probe(op128, spectrum128, gap_spec, 2, n_starts=4,
                              opts=ns.SolverOptions(seed=7))
@@ -394,14 +402,18 @@ def small_ops():
     return out
 
 
-@pytest.mark.parametrize("n, n_samples", [(16, 64), (64, 64), (64, 200)])
+@pytest.mark.parametrize("n, n_samples, radii", [
+    (16, 64, (10.0, 100.0, 1000.0)), (64, 64, (10.0, 100.0, 1000.0)),
+    (64, 200, (10.0, 100.0, 1000.0)), (16, 64, (50.0, 5.0))],
+    ids=["16-64", "64-64", "64-200", "16-64-radii50-5"])
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("family", ["affine", "saturating",
                                     "bounded_perturbation"])
-def test_geometry_probe_matches_per_sample_oracle(small_ops, n, n_samples, k,
-                                                  family):
+def test_geometry_probe_matches_per_sample_oracle(small_ops, n, n_samples,
+                                                  radii, k, family):
     """the batched probe reproduces the per-sample loop; N = 16 and
-    n_samples = 200 at N = 64 run random directions in every scan."""
+    n_samples = 200 at N = 64 run random directions in every scan, and the
+    unsorted pair of radii checks which rows belong to which radius."""
     op, sp = small_ops[n]
     lam = sp.eigenvalues
     m = lam[0] / 2.0 if k == 0 else (lam[k - 1] + lam[k]) / 2.0
@@ -412,16 +424,20 @@ def test_geometry_probe_matches_per_sample_oracle(small_ops, n, n_samples, k,
             "saturating": lambda: nl.saturating(m, 0.5, g),
             "bounded_perturbation":
                 lambda: nl.bounded_perturbation(m, 0.3, g)}[family]()
-    probe = ns.geometry_probe(op, sp, spec, k, n_samples=n_samples, seed=7)
-    head, tail, separated = _oracle_probe(op, sp, spec, k, n_samples, 7)
+    probe = ns.geometry_probe(op, sp, spec, k, radii=radii,
+                              n_samples=n_samples, seed=7)
+    head, tail, separated = _oracle_probe(op, sp, spec, k, n_samples, 7,
+                                          sorted(radii))
     for got, want in ((probe.head, head), (probe.tail, tail)):
         assert len(got) == len(want)
         for sample, (ratio_l2, ratio_z, _) in zip(got, want):
             assert sample.extreme_ratio_l2 == pytest.approx(ratio_l2,
                                                             rel=1e-10)
             assert sample.extreme_ratio_z == pytest.approx(ratio_z, rel=1e-10)
+    assert [s.radius for s in probe.tail] == sorted(radii)
     assert probe.separated == separated
-    again = ns.geometry_probe(op, sp, spec, k, n_samples=n_samples, seed=7)
+    again = ns.geometry_probe(op, sp, spec, k, radii=radii,
+                              n_samples=n_samples, seed=7)
     assert again.to_dict() == probe.to_dict()
 
 
