@@ -29,7 +29,8 @@ same upper integrals; it is reported as `tail`, and the symbol never reads
 it.  quad_error_estimate is the largest gap between Gauss orders q and q + 6
 over everything assemble returns: the symbol a_d (the panels, the graded
 moments and the far field all change with the order) and kappa at every
-node (zero for the fractional closed form).  assembly_tol gates it.
+node relative to max(1, |kappa|), since kappa grows like h^(-2s) at the
+ends (zero for the fractional closed form).  assembly_tol gates it.
 """
 from __future__ import annotations
 
@@ -58,7 +59,6 @@ class AssembledOperator:
     mass: np.ndarray = field(repr=False)
     tail: np.ndarray = field(repr=False)  # kappa at interior nodes
     quad_order: int
-    assembly_tol: float
     quad_error_estimate: float
 
     @property
@@ -181,7 +181,8 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
     symbol, symbol_error = estimate(lambda q: _symbol(kernel, h, size, q),
                                     quad_order)
     kappa, kappa_error = estimate(kappa_at, quad_order)
-    error = np.concatenate((symbol_error, kappa_error))
+    error = np.concatenate((symbol_error,
+                            kappa_error / np.maximum(1.0, np.abs(kappa))))
     worst = float(error.max())
     if not worst <= assembly_tol:  # a NaN estimate fails the gate too
         i = int(np.argmax(error))
@@ -189,8 +190,7 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
                                     worst, assembly_tol)
     return AssembledOperator(mesh=mesh, kernel=kernel,
                              stiffness=toeplitz(symbol), mass=mass_matrix(mesh), tail=kappa,
-                             quad_order=quad_order, assembly_tol=assembly_tol,
-                             quad_error_estimate=worst)
+                             quad_order=quad_order, quad_error_estimate=worst)
 
 
 # ---------------------------------------------------------------------------

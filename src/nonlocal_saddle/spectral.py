@@ -117,8 +117,6 @@ def poincare_lower_bound(omega: tuple[float, float], s: float, theta: float,
     if R <= max(abs(a), abs(b)):
         raise InvalidParameterError(
             f"R={R} does not leave positive measure outside ({a}, {b})")
-    leftover = 2.0 * R - (b - a)
-    if leftover <= 0.0:
-        raise InvalidParameterError("ball leaves no room outside the domain")
-    return theta * leftover / (2.0 * R) ** (1.0 + 2.0 * s)
+    # R > max(|a|, |b|) gives b - a < 2R: the ball leaves room outside
+    return theta * (2.0 * R - (b - a)) / (2.0 * R) ** (1.0 + 2.0 * s)
 

@@ -232,7 +232,8 @@ def test_tail_weight_closed_form(s):
 @pytest.mark.parametrize("n", [16, 1024])
 def test_assembled_tail_matches_tail_weight(n):
     """the vectorised kappa of `assemble` is tail_weight at every node, and
-    quad_error_estimate covers its gap between orders q and q + 6"""
+    quad_error_estimate covers its gap between orders q and q + 6 relative
+    to max(1, |kappa|)"""
     mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
     for kern in (ns.make_fractional_kernel(0.4), _custom_fractional(0.4)):
         op = ns.assemble(mesh, kern, skip_audit=True)
@@ -240,7 +241,18 @@ def test_assembled_tail_matches_tail_weight(n):
         np.testing.assert_allclose(op.tail, expected, rtol=1e-13)
         higher = ns.assemble(mesh, kern, quad_order=GAUSS_ORDER + ESTIMATE_STEP,
                              skip_audit=True)
-        assert np.abs(op.tail - higher.tail).max() <= op.quad_error_estimate
+        gap = np.abs(op.tail - higher.tail) / np.maximum(1.0, np.abs(op.tail))
+        assert gap.max() <= op.quad_error_estimate
+
+
+def test_kappa_gated_relative_to_its_size():
+    """kappa grows like h^(-2s) at the ends; at N = 1024 its absolute
+    order gap (1.6e-9 where kappa is about 184) exceeds a 1e-9 tolerance
+    that its relative gap and the symbol meet"""
+    mesh = ns.build_uniform_mesh(-1.0, 1.0, 1024)
+    op = ns.assemble(mesh, _custom_fractional(0.4), assembly_tol=1e-9,
+                     skip_audit=True)
+    assert op.quad_error_estimate <= 1e-9
 
 
 def test_tail_weight_outside_domain_raises():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
-from nonlocal_saddle.errors import (InvalidParameterError, NumericError,
-                                    UnauditableError)
+from nonlocal_saddle.errors import NumericError, UnauditableError
 
 
 def test_affine_eval():
@@ -139,12 +138,6 @@ def test_growth_audit_fails_superlinear_custom():
     assert abs(report.worst_t) == pytest.approx(1e6)
 
 
-def test_growth_audit_rejects_small_t_max():
-    spec = nl.affine(1.0, nl.constant_profile(0.0))
-    with pytest.raises(InvalidParameterError):
-        nl.audit_growth(spec, np.array([0.0]), t_max=100.0)
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -221,8 +214,7 @@ def test_f2_gap_affine_degenerate_range(spectrum128):
     spec = nl.affine(20.0, nl.constant_profile(0.0))
     rep = nl.check_f2_gap(spec, spectrum128, 2)
     assert rep.passed
-    lo, hi = rep.slope_range
-    assert lo < 20.0 < hi  # widened for the strict check
+    assert rep.slope_range == (20.0, 20.0)
 
 
 def test_f2_gap_fails_outside(spectrum128):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from nonlocal_saddle import nonlinearity as nl
 from nonlocal_saddle.assembly import norm_Z
 from nonlocal_saddle import solvers
 from nonlocal_saddle.errors import (InvalidParameterError,
-                                    NonConvergenceError, ResonanceError,
+                                    NonConvergenceError,
+                                    NonResonanceContradictionError,
+                                    ResonanceError,
                                     UnsupportedCaseError)
 from nonlocal_saddle.solvers import (_sphere_samples, eval_J, eval_gradient,
                                      linear_nonresonant_solve, load_vector,
@@ -56,6 +59,9 @@ def test_linear_nonresonant_solve_1x1():
     res = linear_nonresonant_solve(op, sp, m, nl.constant_profile(1.0))
     assert res.solution[0] == pytest.approx(
         h / (a11 - m * 2.0 * h / 3.0), rel=1e-12)
+    with pytest.raises(InvalidParameterError):  # a profile is not an array
+        linear_nonresonant_solve(op, sp, np.array([m]),
+                                 nl.constant_profile(1.0))
 
 
 def test_linear_solve_matches_direct_inverse(op128, spectrum128, rng):
@@ -80,6 +86,46 @@ def test_linear_solve_refuses_resonance(op128, spectrum128):
         with pytest.raises(ResonanceError, match=message):
             linear_nonresonant_solve(op128, spectrum128, profile,
                                      nl.constant_profile(1.0))
+
+
+def test_resonance_refusals_agree_at_the_margin(spectrum128):
+    """the linear solve, classify and the slope-gap check place a weight
+    next to an eigenvalue the same way, also at exactly GAP_MARGIN from it"""
+    lam, margin = spectrum128.eigenvalues, nl.GAP_MARGIN
+    op = spectrum128.op
+    for k in range(1, 6):
+        edges = (lam[k - 1] - margin, lam[k - 1] + margin)
+        weights = [*edges, *(np.nextafter(e, d) for e in edges
+                             for d in (-np.inf, np.inf)),
+                   lam[k - 1] - 2 * margin, lam[k - 1] + 2 * margin,
+                   lam[k - 1] + margin + 5e-13]
+        for w in weights:
+            cls = nl.classify_slopes(w, w, lam)
+            try:
+                linear_nonresonant_solve(op, spectrum128, w,
+                                         nl.constant_profile(1.0))
+                refused = False
+            except ResonanceError:
+                refused = True
+            assert refused == (cls.case is nl.Case.UNSUPPORTED), (k, w)
+            spec = nl.affine(w, nl.constant_profile(1.0))
+            for j in (k - 1, k) if k > 1 else (k,):
+                passed = nl.check_f2_gap(spec, spectrum128, j).passed
+                assert passed == (cls.case is nl.Case.GAP and cls.k == j), \
+                    (k, w, j)
+
+
+def test_certified_singular_system_raises():
+    """eigenvalues shifted by 1 certify the true lambda_2 as nonresonant;
+    the singular system A - lambda_2 M is then a contradiction, not a
+    least-squares step"""
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),
+                     ns.make_fractional_kernel(0.5), skip_audit=True)
+    sp = ns.solve_eigenproblem(op)
+    shifted = dataclasses.replace(sp, eigenvalues=sp.eigenvalues + 1.0)
+    with pytest.raises(NonResonanceContradictionError):
+        linear_nonresonant_solve(op, shifted, float(sp.eigenvalues[1]),
+                                 nl.constant_profile(1.0))
 
 
 def test_case_a_matches_direct_solve(op128):
