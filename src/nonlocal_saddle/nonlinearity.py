@@ -127,6 +127,9 @@ def custom(f: Callable, a_profile: Callable, b: float,
     it does not resolve f)."""
     if b < 0.0:
         raise InvalidParameterError(f"growth slope b must be >= 0, got {b}")
+    if slope_range and not slope_range[0] <= slope_range[1]:
+        raise InvalidParameterError(
+            f"slope_range must have lo <= hi, got {tuple(slope_range)}")
 
     def central_difference(x, t):
         eps = 1.0e-6 * np.maximum(1.0, np.abs(t))
@@ -256,6 +259,10 @@ def classify_slopes(alpha_inf: float, alpha_sup: float,
     `_gap_index` 0 is coercive, 1 .. N-1 the gap case; a range near an
     eigenvalue or above the spectrum is unsupported."""
     bounds = {"alpha_inf": alpha_inf, "alpha_sup": alpha_sup}
+    if math.isnan(alpha_inf) or math.isnan(alpha_sup):
+        return CaseClassification(Case.UNSUPPORTED,
+                                  reason="slope bound is not a number",
+                                  **bounds)
     if alpha_sup < alpha_inf:
         return CaseClassification(Case.UNSUPPORTED,
                                   reason="upper slope below lower slope",

@@ -4,7 +4,8 @@ The energy is J(u) = 1/2 u'Au - int F(x, u_h) dx; a zero gradient
 A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
 find that zero with one Newton driver on the Hessian A - D(u) and differ
 only in how a step is made safe: Armijo backtracking on J in the coercive
-case, a Z-norm cap after three residual increases in the gap case.  The
+case, a Z-norm cap after three residual increases in a row or STALL_STEPS
+steps without a new residual minimum in the gap case.  The
 geometry probe samples the saddle structure that underpins the gap-case
 existence argument, and the uniqueness probe multi-starts the gap driver
 to test the slope-gap uniqueness prediction.
@@ -34,6 +35,10 @@ SINGULAR_PIVOT_RATIO = 1.0e-12
 
 #: factor by which the Armijo line search shortens a rejected step
 LINE_SEARCH_CONTRACTION = 0.5
+
+#: steps without a new residual minimum after which the gap-case Newton
+#: caps its steps, as after three increases in a row
+STALL_STEPS = 10
 
 #: Z-distance above which the uniqueness probe counts two solutions as
 #: distinct; a known defect: an absolute cut reports MultipleFound for
@@ -136,14 +141,20 @@ def _slopes(op: AssembledOperator, spec: NonlinearitySpec, u) -> np.ndarray:
     return eval_f_t(spec, xg, _interp_elements(u, xi))
 
 
-def _system(op: AssembledOperator, slopes: np.ndarray) -> np.ndarray:
+def _system(op: AssembledOperator, slopes: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """A - W, W_ij = int m phi_i phi_j dx for slope values m at the Gauss
     points (n_elem, q).  W is tridiagonal, so its bands are subtracted from
-    a copy of A.  With m = _slopes(op, spec, u) this is the Hessian of J."""
+    a copy of A, made in `out` when it is given.  With
+    m = _slopes(op, spec, u) this is the Hessian of J."""
     _, wg, xi = _element_data(op)
     phi = np.stack([1.0 - xi, xi])  # (2, q)
     loc = np.einsum("pg,qg,eg->epq", phi, phi, wg * slopes)
-    system = op.stiffness.copy()
+    if out is None:
+        system = op.stiffness.copy()
+    else:
+        system = out
+        np.copyto(system, op.stiffness)
     i = np.arange(op.size)
     system[i, i] -= loc[1:, 0, 0] + loc[:-1, 1, 1]
     system[i[:-1], i[1:]] -= loc[1:-1, 0, 1]
@@ -194,7 +205,7 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
                                  f"straddles an eigenvalue")
         raise ResonanceError("slope profile touches an eigenvalue within 1e-9")
     rhs = _p1_load(op, wg * _profile_values(g, xg), xi)
-    return LinearSolve(solution=_newton_step(_system(op, m_vals), -rhs,
+    return LinearSolve(solution=_newton_step(op, m_vals, -rhs,
                                              f2_certified=True))
 
 
@@ -202,11 +213,17 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
 # Newton iterations
 # ---------------------------------------------------------------------------
 
-def _newton_step(system: np.ndarray, grad: np.ndarray,
-                 f2_certified: bool) -> np.ndarray:
-    """The step system^-1 (-grad) by LU; below SINGULAR_PIVOT_RATIO a
-    certified system raises, any other takes the least-squares step."""
-    factors = scipy.linalg.lu_factor(system)
+def _newton_step(op: AssembledOperator, slopes: np.ndarray,
+                 grad: np.ndarray, f2_certified: bool,
+                 work: np.ndarray | None = None) -> np.ndarray:
+    """The step (A - W)^-1 (-grad) for the slope values `slopes` (see
+    `_system`) by LU, factored in place in the F-ordered n x n `work` (a new
+    one when None); below SINGULAR_PIVOT_RATIO a certified system raises,
+    any other takes the least-squares step on a rebuilt system."""
+    if work is None:
+        work = np.empty((op.size, op.size), order="F")
+    factors = scipy.linalg.lu_factor(_system(op, slopes, work),
+                                     overwrite_a=True)
     pivots = np.abs(np.diag(factors[0]))
     pivot_ratio = float(pivots.min()) / max(float(pivots.max()), 1.0e-300)
     if pivot_ratio < SINGULAR_PIVOT_RATIO:
@@ -214,7 +231,7 @@ def _newton_step(system: np.ndarray, grad: np.ndarray,
             raise NonResonanceContradictionError(
                 "Newton system singular although the slope gap was verified")
         # minimum-norm least-squares step keeps resonant probes meaningful
-        step, *_ = np.linalg.lstsq(system, -grad, rcond=None)
+        step, *_ = np.linalg.lstsq(_system(op, slopes), -grad, rcond=None)
         return step
     return scipy.linalg.lu_solve(factors, -grad)
 
@@ -225,6 +242,9 @@ def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
     the next iterate, or returns None when it finds no acceptable one."""
     u = np.array(u0, dtype=float)
     trace = []
+    # one work array per run: at N = 512 the page faults of two fresh n x n
+    # arrays per step made a probe up to 30% slower, with the same iterates
+    work = np.empty((op.size, op.size), order="F")
     for it in range(max_iter + 1):
         grad, res = _gradient(op, spec, u)
         trace.append(res)
@@ -232,8 +252,8 @@ def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
             return u, trace
         if it == max_iter:
             break
-        step = _newton_step(_system(op, _slopes(op, spec, u)), grad,
-                            f2_certified)
+        step = _newton_step(op, _slopes(op, spec, u), grad, f2_certified,
+                            work)
         u = globalize(u, step, grad, res)
         if u is None:
             raise NonConvergenceError(
@@ -271,27 +291,27 @@ def _armijo(op, spec, u0):
 
 
 def _z_capped(op):
-    """Full steps until the residual has grown three times in a row; from
-    then on the step's Z-norm is capped at |u|_Z + 1, u the iterate at the
-    switch."""
+    """Full steps until the residual has grown three times in a row or has
+    gone STALL_STEPS steps without a new minimum (a Newton 2-cycle rises
+    only on every other step); from then on the step's Z-norm is capped at
+    |u|_Z + 1, u the iterate at the switch."""
     radius = None
-    prev_res = math.inf
-    bad_streak = 0
+    prev_res = best_res = math.inf
+    bad_streak = stall = 0
 
     def globalize(u, step, grad, res):
-        nonlocal radius, prev_res, bad_streak
+        nonlocal radius, prev_res, best_res, bad_streak, stall
         if radius is not None:
             step_norm = norm_Z(op, step)
             if step_norm > radius:
                 step = step * (radius / step_norm)
         u = u + step
-        if res > prev_res:
-            bad_streak += 1
-            if bad_streak >= 3 and radius is None:
-                radius = norm_Z(op, u) + 1.0
-        else:
-            bad_streak = 0
+        bad_streak = bad_streak + 1 if res > prev_res else 0
+        stall = 0 if res < best_res else stall + 1
+        if radius is None and (bad_streak >= 3 or stall >= STALL_STEPS):
+            radius = norm_Z(op, u) + 1.0
         prev_res = res
+        best_res = min(best_res, res)
         return u
 
     return globalize
@@ -321,8 +341,9 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
                  u0: np.ndarray | None = None) -> SolveReport:
     """Newton on the gradient in the spectral-gap case.
 
-    Steps are full until the residual has grown three times in a row, then
-    Z-norm capped (`_z_capped`).  When the slope-gap condition holds, every
+    Steps are full until the residual has grown three times in a row or
+    gone STALL_STEPS steps without a new minimum, then Z-norm capped
+    (`_z_capped`).  When the slope-gap condition holds, every
     Newton system is certified nonresonant, so a singular one raises
     NonResonanceContradictionError instead of taking a least-squares step.
     """

@@ -4,10 +4,20 @@ Eigenvectors are normalized in the discrete L2 inner product and are
 orthogonal in the stiffness (Z) inner product; the span of the first k of
 them is the head space on which the energy eventually turns negative, its
 Z-orthogonal complement the tail space on which the energy grows.
+
+A (symmetric Toeplitz) and M (tridiagonal Toeplitz) commute with the
+reversal J, so the pencil splits exactly into an even and an odd block of
+half the order (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With
+n = N - 1, p = n // 2 and X11, X12 the top-left and top-right p x p blocks,
+the halves are X11 + X12 J and X11 - X12 J; for odd n the even half also
+takes the middle row and column, off the diagonal scaled by sqrt(2).  Each
+half is one dense `eigh`, and every eigenvector is exactly even or exactly
+odd.  A pencil that is not exactly centrosymmetric is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,16 +66,61 @@ def _fix_signs(vectors: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
-    """Dense symmetric-definite eigendecomposition of (A, M); eigh's own
-    Cholesky of M rejects a mass matrix that is not SPD."""
+def _half_pencil(x: np.ndarray, sign: float) -> np.ndarray:
+    """X11 + sign X12 J; for odd n and sign +1 bordered by the middle column
+    times sqrt(2) and the middle entry."""
+    n = x.shape[0]
+    p = n // 2
+    border = int(sign > 0.0 and n % 2 == 1)
+    out = np.empty((p + border, p + border))
+    combine = np.add if sign > 0.0 else np.subtract
+    combine(x[:p, :p], x[:p, ::-1][:, :p], out=out[:p, :p])
+    if border:
+        out[:p, p] = out[p, :p] = math.sqrt(2.0) * x[:p, p]
+        out[p, p] = x[p, p]
+    return out
+
+
+def _eigh_half(op: AssembledOperator, sign: float):
     try:
-        vals, vecs = scipy.linalg.eigh(op.stiffness, op.mass)
+        return scipy.linalg.eigh(_half_pencil(op.stiffness, sign),
+                                 _half_pencil(op.mass, sign),
+                                 overwrite_a=True, overwrite_b=True)
     except scipy.linalg.LinAlgError as exc:
         raise AssemblyCorruptionError(str(exc)) from exc
-    # eigh returns M-orthonormal columns; enforce the sign convention
+
+
+def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
+    """Dense symmetric-definite eigendecomposition of (A, M) by the exact
+    reflection split: one `eigh` per half pencil, eigenvalues merged by a
+    stable sort.  eigh's own Cholesky of each half of M rejects a mass
+    matrix that is not SPD."""
+    for name in ("stiffness", "mass"):
+        x = getattr(op, name)
+        if not np.array_equal(x, x[::-1, ::-1]):
+            raise AssemblyCorruptionError(
+                f"{name} matrix is not centrosymmetric")
+    n = op.size
+    p = n // 2
+    even_vals, even = _eigh_half(op, 1.0)
+    odd_vals, odd = _eigh_half(op, -1.0)
+    vals = np.concatenate((even_vals, odd_vals))
+    order = np.argsort(vals, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # v = [y / sqrt2; y_mid; +-J y / sqrt2] (y_mid = 0 in the odd half) is
+    # M-orthonormal because y is in its half pencil
+    vecs = np.empty((n, n))
+    for half, cols, sign in ((even, rank[:even_vals.size], 1.0),
+                             (odd, rank[even_vals.size:], -1.0)):
+        top = half[:p] / math.sqrt(2.0)
+        vecs[:p, cols] = top
+        vecs[n - p:, cols] = sign * top[::-1]
+        if n % 2:
+            vecs[p, cols] = half[p] if sign > 0.0 else 0.0
+    del even, odd, half, top
     vecs = _fix_signs(vecs, op.mass)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, op=op)
+    return Spectrum(eigenvalues=vals[order], eigenvectors=vecs, op=op)
 
 
 def rayleigh_quotient(op: AssembledOperator, u) -> float:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
-from nonlocal_saddle.errors import NumericError, UnauditableError
+from nonlocal_saddle.errors import (InvalidParameterError, NumericError,
+                                    UnauditableError)
 
 
 def test_affine_eval():
@@ -171,6 +172,41 @@ def test_classify_slopes_is_sound(lo, width):
         # straddles some eigenvalue or exceeds the computed spectrum
         assert (any(lo - 1e-9 <= lam <= hi + 1e-9 for lam in LAM)
                 or hi >= LAM[-1] - 1e-9)
+
+
+def test_classify_slopes_refuses_nan_bounds():
+    """a NaN slope bound is unsupported, never coercive or gap"""
+    for lo, hi in ((math.nan, 1.0), (1.0, math.nan), (20.0, math.nan),
+                   (math.nan, math.nan)):
+        c = nl.classify_slopes(lo, hi, LAM)
+        assert c.case is nl.Case.UNSUPPORTED and c.k is None
+        assert c.reason == "slope bound is not a number"
+
+
+def test_classify_nan_lower_slope_on_part_of_omega(spectrum128):
+    def lower(x):
+        x = np.asarray(x, float)
+        return np.where(x > 0.5, math.nan, 0.0)
+
+    spec = nl.custom(f=lambda x, t: 0.0 * t,
+                     a_profile=lambda x: np.zeros_like(np.asarray(x, float)),
+                     b=1.0, alpha_lower=lower,
+                     alpha_upper=lambda x: np.ones_like(np.asarray(x, float)))
+    c = nl.classify(spec, spectrum128)
+    assert c.case is nl.Case.UNSUPPORTED
+    assert c.reason == "slope bound is not a number"
+    assert math.isnan(c.alpha_inf) and c.alpha_sup == 1.0
+
+
+def test_custom_refuses_reversed_slope_range(spectrum128):
+    lam = spectrum128.eigenvalues
+    with pytest.raises(InvalidParameterError, match="lo <= hi"):
+        nl.custom(f=lambda x, t: 20.0 * t,
+                  a_profile=lambda x: np.zeros_like(np.asarray(x, float)),
+                  b=lam[2] + 1.0,
+                  alpha_lower=lambda x: np.full_like(np.asarray(x, float), 20.0),
+                  alpha_upper=lambda x: np.full_like(np.asarray(x, float), 20.0),
+                  slope_range=(lam[2] + 1.0, lam[0] + 1.0))
 
 
 def test_classify_against_spectrum(spectrum128):

@@ -183,8 +183,8 @@ def test_solvers_raise_with_trace_when_out_of_iterations(op128, spectrum128,
 
 def test_uniqueness_probe_damping_switch(monkeypatch):
     """gap-case Newton runs full steps until the residual has grown three
-    times in a row, then caps them; at N = 32 this start set needs the cap
-    and still finds one solution."""
+    times in a row or stalled, then caps them; at N = 32 this start set
+    needs the cap and still finds one solution."""
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),
                      ns.make_fractional_kernel(0.5), skip_audit=True)
     sp = ns.solve_eigenproblem(op)
@@ -210,6 +210,52 @@ def test_uniqueness_probe_damping_switch(monkeypatch):
     assert any(capped)
 
 
+def _capped_steps(op, residuals):
+    """which steps of `_z_capped` were shortened for a residual sequence;
+    the steps grow so that any cap taken earlier bites"""
+    globalize = solvers._z_capped(op)
+    u = np.zeros(op.size)
+    base = np.ones(op.size)
+    capped = []
+    for it, res in enumerate(residuals):
+        step = (it + 1.0) * base
+        capped.append(not np.array_equal(globalize(u, step, None, res),
+                                         u + step))
+    return capped
+
+
+def test_z_capped_switches_after_a_stall(fractional_op):
+    """a 2-cycle's residual rises only on every other step, so the three
+    rises in a row never come; STALL_STEPS steps without a new minimum
+    switch the cap on instead.  A new minimum every STALL_STEPS steps
+    keeps the steps full."""
+    op = fractional_op(0.5, 16)
+    n = solvers.STALL_STEPS
+    cycle = [1.0 if it % 2 == 0 else 2.0 for it in range(n + 4)]
+    assert _capped_steps(op, cycle) == [False] * (n + 1) + [True] * 3
+    descending = [0.5 ** (it // n) * (1.0 if it % n == 0 else 2.0)
+                  for it in range(4 * n)]
+    assert not any(_capped_steps(op, descending))
+    assert _capped_steps(op, [1.0, 2.0, 3.0, 4.0, 5.0]) == [False] * 4 + [True]
+
+
+@pytest.mark.parametrize("n,k", [(32, 1), (32, 2), (32, 3),
+                                 (128, 1), (128, 3)])
+def test_uniqueness_probe_escapes_two_cycles(fractional_op, n, k):
+    """saturating(lambda_k + 0.2, 0.6 gap, g = 5) is certified unique by
+    the slope gap; with only the three-rise switch a start caught in a
+    Newton 2-cycle made the probe Inconclusive for k = 1 and 3."""
+    op = fractional_op(0.5, n)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    spec = nl.saturating(lam[k - 1] + 0.2, 0.6 * (lam[k] - lam[k - 1]),
+                         nl.constant_profile(5.0))
+    verdict = ns.uniqueness_probe(op, sp, spec, k, n_starts=8,
+                                  opts=ns.SolverOptions(seed=42))
+    assert verdict.f2_passed
+    assert verdict.kind == "Unique"
+
+
 @pytest.mark.parametrize("family", ["saturating", "bounded_perturbation"])
 def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
                                                 family):
@@ -228,9 +274,9 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
     systems = []
     newton_step = solvers._newton_step
 
-    def spy(system, grad, f2_certified):
-        systems.append(system.copy())
-        return newton_step(system, grad, f2_certified)
+    def spy(op, slopes, grad, f2_certified, work=None):
+        systems.append(solvers._system(op, slopes))
+        return newton_step(op, slopes, grad, f2_certified, work)
 
     monkeypatch.setattr(solvers, "_newton_step", spy)
     with pytest.raises(NonConvergenceError):

@@ -27,6 +27,52 @@ def test_eigenvectors_m_orthonormal(spectrum128, op128, fractional_op):
         np.testing.assert_allclose(gram, np.eye(E.shape[1]), atol=1e-10)
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n", [128, 1024])
+def test_reflection_split_matches_direct_eigh(fractional_op, s, n):
+    """the even/odd split gives the eigenvalues of one dense eigh of (A, M)
+    to 1e-11, M-orthonormal vectors, and every vector exactly even or
+    exactly odd, the parity alternating from an even first mode."""
+    op = fractional_op(s, n)
+    sp = ns.solve_eigenproblem(op)
+    direct = scipy.linalg.eigh(op.stiffness, op.mass, eigvals_only=True)
+    np.testing.assert_allclose(sp.eigenvalues, direct, rtol=1e-11, atol=0.0)
+    E = sp.eigenvectors
+    gram = E.T @ op.mass @ E
+    np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    assert np.abs(gram).max() <= 1e-13
+    _assert_alternating_parity(E)
+
+
+def _assert_alternating_parity(E):
+    for j in range(E.shape[1]):
+        sign = 1.0 if j % 2 == 0 else -1.0
+        assert np.array_equal(E[::-1, j], sign * E[:, j]), j
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reflection_split_smallest_meshes(n):
+    """N = 2 leaves the odd half empty, N = 3 gives two 1 x 1 halves."""
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
+                     ns.make_fractional_kernel(0.5), skip_audit=True)
+    sp = ns.solve_eigenproblem(op)
+    direct = scipy.linalg.eigh(op.stiffness, op.mass, eigvals_only=True)
+    assert sp.size == n - 1
+    np.testing.assert_allclose(sp.eigenvalues, direct, rtol=1e-14, atol=0.0)
+    gram = sp.eigenvectors.T @ op.mass @ sp.eigenvectors
+    np.testing.assert_allclose(gram, np.eye(n - 1), rtol=0.0, atol=1e-15)
+    _assert_alternating_parity(sp.eigenvectors)
+
+
+@pytest.mark.parametrize("matrix", ["stiffness", "mass"])
+def test_non_centrosymmetric_pencil_is_rejected(op128, matrix):
+    import dataclasses
+    bad = getattr(op128, matrix).copy()
+    bad[3, 4] = bad[4, 3] = bad[3, 4] * (1.0 + 1e-12)
+    with pytest.raises(AssemblyCorruptionError, match="centrosymmetric"):
+        ns.solve_eigenproblem(dataclasses.replace(op128, **{matrix: bad}))
+
+
 def test_eigenpairs_satisfy_generalized_problem(spectrum128, op128):
     E = spectrum128.eigenvectors
     lam = spectrum128.eigenvalues
