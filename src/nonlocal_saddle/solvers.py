@@ -4,8 +4,8 @@ The energy is J(u) = 1/2 u'Au - int F(x, u_h) dx; a zero gradient
 A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
 find that zero with one Newton driver on the Hessian A - D(u) and differ
 only in how a step is made safe: Armijo backtracking on J in the coercive
-case, a Z-norm cap after three residual increases in a row or STALL_STEPS
-steps without a new residual minimum in the gap case.  The
+case, a Z-norm cap after STALL_STEPS steps without a new residual minimum
+in the gap case.  The
 geometry probe samples the saddle structure that underpins the gap-case
 existence argument, and the uniqueness probe multi-starts the gap driver
 to test the slope-gap uniqueness prediction.
@@ -37,7 +37,7 @@ SINGULAR_PIVOT_RATIO = 1.0e-12
 LINE_SEARCH_CONTRACTION = 0.5
 
 #: steps without a new residual minimum after which the gap-case Newton
-#: caps its steps, as after three increases in a row
+#: caps its steps
 STALL_STEPS = 10
 
 #: Z-distance above which the uniqueness probe counts two solutions as
@@ -205,8 +205,8 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
                                  f"straddles an eigenvalue")
         raise ResonanceError("slope profile touches an eigenvalue within 1e-9")
     rhs = _p1_load(op, wg * _profile_values(g, xg), xi)
-    return LinearSolve(solution=_newton_step(op, m_vals, -rhs,
-                                             f2_certified=True))
+    work = np.empty((op.size, op.size), order="F")
+    return LinearSolve(solution=_newton_step(op, m_vals, -rhs, True, work))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +215,11 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
 
 def _newton_step(op: AssembledOperator, slopes: np.ndarray,
                  grad: np.ndarray, f2_certified: bool,
-                 work: np.ndarray | None = None) -> np.ndarray:
+                 work: np.ndarray) -> np.ndarray:
     """The step (A - W)^-1 (-grad) for the slope values `slopes` (see
-    `_system`) by LU, factored in place in the F-ordered n x n `work` (a new
-    one when None); below SINGULAR_PIVOT_RATIO a certified system raises,
-    any other takes the least-squares step on a rebuilt system."""
-    if work is None:
-        work = np.empty((op.size, op.size), order="F")
+    `_system`) by LU, factored in place in the F-ordered n x n `work`;
+    below SINGULAR_PIVOT_RATIO a certified system raises, any other takes
+    the least-squares step on a rebuilt system."""
     factors = scipy.linalg.lu_factor(_system(op, slopes, work),
                                      overwrite_a=True)
     pivots = np.abs(np.diag(factors[0]))
@@ -242,8 +240,11 @@ def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
     the next iterate, or returns None when it finds no acceptable one."""
     u = np.array(u0, dtype=float)
     trace = []
-    # one work array per run: at N = 512 the page faults of two fresh n x n
-    # arrays per step made a probe up to 30% slower, with the same iterates
+    # one work array per run.  Two fresh n x n arrays per step are fresh
+    # mmaps with page faults unless an earlier large free has raised glibc's
+    # dynamic mmap threshold; that made sweep cases up to 30% slower with the
+    # same iterates (one 2-core x86_64 machine).  The gain depends on the
+    # allocator and on what ran before.
     work = np.empty((op.size, op.size), order="F")
     for it in range(max_iter + 1):
         grad, res = _gradient(op, spec, u)
@@ -291,26 +292,24 @@ def _armijo(op, spec, u0):
 
 
 def _z_capped(op):
-    """Full steps until the residual has grown three times in a row or has
-    gone STALL_STEPS steps without a new minimum (a Newton 2-cycle rises
-    only on every other step); from then on the step's Z-norm is capped at
+    """Full steps until the residual has gone STALL_STEPS steps without a
+    new minimum, whether it diverges or cycles (a Newton 2-cycle rises only
+    on every other step); from then on the step's Z-norm is capped at
     |u|_Z + 1, u the iterate at the switch."""
     radius = None
-    prev_res = best_res = math.inf
-    bad_streak = stall = 0
+    best_res = math.inf
+    stall = 0
 
     def globalize(u, step, grad, res):
-        nonlocal radius, prev_res, best_res, bad_streak, stall
+        nonlocal radius, best_res, stall
         if radius is not None:
             step_norm = norm_Z(op, step)
             if step_norm > radius:
                 step = step * (radius / step_norm)
         u = u + step
-        bad_streak = bad_streak + 1 if res > prev_res else 0
         stall = 0 if res < best_res else stall + 1
-        if radius is None and (bad_streak >= 3 or stall >= STALL_STEPS):
+        if radius is None and stall >= STALL_STEPS:
             radius = norm_Z(op, u) + 1.0
-        prev_res = res
         best_res = min(best_res, res)
         return u
 
@@ -341,8 +340,8 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
                  u0: np.ndarray | None = None) -> SolveReport:
     """Newton on the gradient in the spectral-gap case.
 
-    Steps are full until the residual has grown three times in a row or
-    gone STALL_STEPS steps without a new minimum, then Z-norm capped
+    Steps are full until the residual has gone STALL_STEPS steps without
+    a new minimum, then Z-norm capped
     (`_z_capped`).  When the slope-gap condition holds, every
     Newton system is certified nonresonant, so a singular one raises
     NonResonanceContradictionError instead of taking a least-squares step.

@@ -12,7 +12,8 @@ n = N - 1, p = n // 2 and X11, X12 the top-left and top-right p x p blocks,
 the halves are X11 + X12 J and X11 - X12 J; for odd n the even half also
 takes the middle row and column, off the diagonal scaled by sqrt(2).  Each
 half is one dense `eigh`, and every eigenvector is exactly even or exactly
-odd.  A pencil that is not exactly centrosymmetric is refused.
+odd.  A pencil that is not finite or not exactly centrosymmetric is
+refused.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
     matrix that is not SPD."""
     for name in ("stiffness", "mass"):
         x = getattr(op, name)
+        if not np.all(np.isfinite(x)):
+            raise AssemblyCorruptionError(f"{name} matrix is not finite")
         if not np.array_equal(x, x[::-1, ::-1]):
             raise AssemblyCorruptionError(
                 f"{name} matrix is not centrosymmetric")

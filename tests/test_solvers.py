@@ -182,9 +182,9 @@ def test_solvers_raise_with_trace_when_out_of_iterations(op128, spectrum128,
 
 
 def test_uniqueness_probe_damping_switch(monkeypatch):
-    """gap-case Newton runs full steps until the residual has grown three
-    times in a row or stalled, then caps them; at N = 32 this start set
-    needs the cap and still finds one solution."""
+    """gap-case Newton runs full steps until the residual has stalled,
+    then caps them; at N = 32 this start set needs the cap and still finds
+    one solution."""
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),
                      ns.make_fractional_kernel(0.5), skip_audit=True)
     sp = ns.solve_eigenproblem(op)
@@ -225,10 +225,10 @@ def _capped_steps(op, residuals):
 
 
 def test_z_capped_switches_after_a_stall(fractional_op):
-    """a 2-cycle's residual rises only on every other step, so the three
-    rises in a row never come; STALL_STEPS steps without a new minimum
-    switch the cap on instead.  A new minimum every STALL_STEPS steps
-    keeps the steps full."""
+    """STALL_STEPS steps without a new minimum switch the cap on, for a
+    2-cycle, whose residual rises only on every other step, as for a
+    diverging run.  A new minimum every STALL_STEPS steps keeps the steps
+    full."""
     op = fractional_op(0.5, 16)
     n = solvers.STALL_STEPS
     cycle = [1.0 if it % 2 == 0 else 2.0 for it in range(n + 4)]
@@ -236,15 +236,17 @@ def test_z_capped_switches_after_a_stall(fractional_op):
     descending = [0.5 ** (it // n) * (1.0 if it % n == 0 else 2.0)
                   for it in range(4 * n)]
     assert not any(_capped_steps(op, descending))
-    assert _capped_steps(op, [1.0, 2.0, 3.0, 4.0, 5.0]) == [False] * 4 + [True]
+    rising = [1.0 + it for it in range(n + 4)]
+    assert _capped_steps(op, rising) == [False] * (n + 1) + [True] * 3
 
 
 @pytest.mark.parametrize("n,k", [(32, 1), (32, 2), (32, 3),
                                  (128, 1), (128, 3)])
 def test_uniqueness_probe_escapes_two_cycles(fractional_op, n, k):
     """saturating(lambda_k + 0.2, 0.6 gap, g = 5) is certified unique by
-    the slope gap; with only the three-rise switch a start caught in a
-    Newton 2-cycle made the probe Inconclusive for k = 1 and 3."""
+    the slope gap; when only three rises in a row switched the cap on, a
+    start caught in a Newton 2-cycle made the probe Inconclusive for k = 1
+    and 3."""
     op = fractional_op(0.5, n)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
@@ -259,8 +261,9 @@ def test_uniqueness_probe_escapes_two_cycles(fractional_op, n, k):
 @pytest.mark.parametrize("family", ["saturating", "bounded_perturbation"])
 def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
                                                 family):
-    """the system the Newton driver factors at u equals central differences
-    of the gradient at u, column by column."""
+    """the system the Newton driver factors at u, as built in its work
+    array, equals central differences of the gradient at u, column by
+    column."""
     op = fractional_op(0.5, 64)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
@@ -272,13 +275,17 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
     x = op.mesh.interior_nodes
     u = 2.0 * np.cos(3.0 * x) + x
     systems = []
-    newton_step = solvers._newton_step
+    system = solvers._system
 
-    def spy(op, slopes, grad, f2_certified, work=None):
-        systems.append(solvers._system(op, slopes))
-        return newton_step(op, slopes, grad, f2_certified, work)
+    def spy(op, slopes, out=None):
+        # the driver's system is built in its work array and then factored
+        # in place, so copy it before the LU overwrites it
+        result = system(op, slopes, out)
+        if out is not None:
+            systems.append(result.copy())
+        return result
 
-    monkeypatch.setattr(solvers, "_newton_step", spy)
+    monkeypatch.setattr(solvers, "_system", spy)
     with pytest.raises(NonConvergenceError):
         ns.solve_case_b(op, sp, spec, ns.SolverOptions(max_iter=1), u0=u)
     eps = 1e-5

@@ -73,6 +73,17 @@ def test_non_centrosymmetric_pencil_is_rejected(op128, matrix):
         ns.solve_eigenproblem(dataclasses.replace(op128, **{matrix: bad}))
 
 
+@pytest.mark.parametrize("matrix", ["stiffness", "mass"])
+def test_non_finite_pencil_is_rejected_as_such(op128, matrix):
+    """np.array_equal is False for any NaN, so a non-finite matrix is
+    named as such before the centrosymmetry test"""
+    import dataclasses
+    bad = getattr(op128, matrix).copy()
+    bad[3, 4] = bad[4, 3] = np.nan
+    with pytest.raises(AssemblyCorruptionError, match="not finite"):
+        ns.solve_eigenproblem(dataclasses.replace(op128, **{matrix: bad}))
+
+
 def test_eigenpairs_satisfy_generalized_problem(spectrum128, op128):
     E = spectrum128.eigenvectors
     lam = spectrum128.eigenvalues
