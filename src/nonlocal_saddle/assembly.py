@@ -39,7 +39,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AssemblyAccuracyError, AuditFailedError,
                      InvalidParameterError, SingularEvaluationError)
@@ -188,8 +188,13 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
         i = int(np.argmax(error))
         raise AssemblyAccuracyError((0, i) if i < size else ("kappa", i - size),
                                     worst, assembly_tol)
+    # symmetric Toeplitz: row i of the reversed windows of
+    # [a_{N-2} .. a_1, a_0, a_1 .. a_{N-2}] starts at a_i
+    windows = sliding_window_view(np.concatenate((symbol[::-1], symbol[1:])),
+                                  size)
     return AssembledOperator(mesh=mesh, kernel=kernel,
-                             stiffness=toeplitz(symbol), mass=mass_matrix(mesh), tail=kappa,
+                             stiffness=windows[::-1].copy(),
+                             mass=mass_matrix(mesh), tail=kappa,
                              quad_order=quad_order, quad_error_estimate=worst)
 
 

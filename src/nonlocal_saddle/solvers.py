@@ -574,5 +574,5 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
 def morse_index(op: AssembledOperator, spec: NonlinearitySpec, u) -> int:
     """Number of negative eigenvalues of the Hessian A - D(u)."""
     hessian = _system(op, _slopes(op, spec, _check_dim(op, u)))
-    vals = scipy.linalg.eigvalsh(hessian)
+    vals = np.linalg.eigvalsh(hessian)
     return int(np.sum(vals < 0.0))

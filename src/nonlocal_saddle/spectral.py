@@ -10,19 +10,28 @@ reversal J, so the pencil splits exactly into an even and an odd block of
 half the order (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With
 n = N - 1, p = n // 2 and X11, X12 the top-left and top-right p x p blocks,
 the halves are X11 + X12 J and X11 - X12 J; for odd n the even half also
-takes the middle row and column, off the diagonal scaled by sqrt(2).  Each
-half is one dense `eigh`, and every eigenvector is exactly even or exactly
-odd.  A pencil that is not finite or not exactly centrosymmetric is
-refused.
+takes the middle row and column, off the diagonal scaled by sqrt(2).  The
+reflection changes only entries on or next to the diagonal, so each half
+of M is tridiagonal and factors as L L^T with L bidiagonal, in O(p); two
+bidiagonal sweeps then reduce the half pencil to the standard symmetric
+matrix C = L^-1 A L^-T, in O(p^2).  One `numpy.linalg.eigh(C)` per half
+gives the eigenvalues and, mapped back by e = L^-T y, the M-orthonormal half
+eigenvectors; the (N - 1) x (N - 1) eigenvector matrix is scattered from
+them on first access to `Spectrum.eigenvectors` and cached, so a caller that
+reads only eigenvalues never builds it.  Every eigenvector is exactly even
+or exactly odd.  A pencil that is not finite or not exactly centrosymmetric,
+a mass matrix that is not tridiagonal, and a mass matrix that is not SPD (a
+bidiagonal Cholesky pivot that is not positive and finite) are refused by
+`solve_eigenproblem` itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import AssembledOperator, _check_dim
 from .errors import (AssemblyCorruptionError, EigenClusterError,
@@ -34,15 +43,41 @@ CLUSTER_GAP = 1.0e-8
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All eigenpairs of the assembled pencil, ascending, L2-normalized."""
+    """All eigenpairs of the assembled pencil, ascending, L2-normalized.
+
+    The eigenvector matrix is built from the half eigenvectors on first
+    access and cached."""
 
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)  # columns e_j
     op: AssembledOperator = field(repr=False)
+    #: M-orthonormal eigenvectors of the even and of the odd half pencil
+    halves: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    #: position in `eigenvalues` of each half eigenpair, even half first
+    rank: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.eigenvalues.size
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Columns e_j.  v = [y / sqrt2; y_mid; +-J y / sqrt2] (y_mid = 0 in
+        the odd half) is M-orthonormal because y is M-orthonormal in its
+        half pencil."""
+        n = self.size
+        p = n // 2
+        even, odd = self.halves
+        # C order: the layout decides how products with the vectors round
+        vecs = np.empty((n, n))
+        for half, cols, sign in ((even, self.rank[:even.shape[1]], 1.0),
+                                 (odd, self.rank[even.shape[1]:], -1.0)):
+            top = half[:p] / math.sqrt(2.0)
+            vecs[:p, cols] = top
+            vecs[n - p:, cols] = sign * top[::-1]
+            if n % 2:
+                vecs[p, cols] = half[p] if sign > 0.0 else 0.0
+        del top
+        return _fix_signs(vecs, self.op.mass)
 
     def gap(self, k: int) -> tuple[float, float]:
         """The open interval (lambda_k, lambda_{k+1}), 1-based k."""
@@ -53,18 +88,20 @@ class Spectrum:
 
 
 def _fix_signs(vectors: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Canonical representatives: nonnegative M-weighted mean, ties broken
-    by the first coefficient above 1e-12 in magnitude (a column with none
-    keeps its sign)."""
+    """Flip columns of `vectors` in place to the canonical representatives
+    and return it: nonnegative M-weighted mean, ties broken by the first
+    coefficient above 1e-12 in magnitude (a column with none keeps its
+    sign)."""
     means = np.ones(mass.shape[0]) @ mass @ vectors
     largest = np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
-    nonzero = np.abs(vectors) > 1.0e-12
+    # |v| > 1e-12 without an n x n float temporary
+    nonzero = vectors > 1.0e-12
+    nonzero |= vectors < -1.0e-12
     first = vectors[np.argmax(nonzero, axis=0), np.arange(vectors.shape[1])]
     flip = np.where(np.abs(means) > 1.0e-12 * largest, means < 0.0,
                     nonzero.any(axis=0) & (first < 0.0))
-    out = vectors.copy()  # C order: the layout decides how products round
-    out *= np.where(flip, -1.0, 1.0)
-    return out
+    vectors *= np.where(flip, -1.0, 1.0)
+    return vectors
 
 
 def _half_pencil(x: np.ndarray, sign: float) -> np.ndarray:
@@ -82,20 +119,62 @@ def _half_pencil(x: np.ndarray, sign: float) -> np.ndarray:
     return out
 
 
-def _eigh_half(op: AssembledOperator, sign: float):
-    try:
-        return scipy.linalg.eigh(_half_pencil(op.stiffness, sign),
-                                 _half_pencil(op.mass, sign),
-                                 overwrite_a=True, overwrite_b=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise AssemblyCorruptionError(str(exc)) from exc
+def _bidiagonal_cholesky(mass_half: np.ndarray, name: str):
+    """Diagonal and subdiagonal of L, as lists, with L L^T the tridiagonal
+    mass half; a pivot that is not positive and finite means M is not
+    SPD."""
+    diag = mass_half.diagonal().tolist()
+    sub = mass_half.diagonal(-1).tolist()
+    for i, pivot in enumerate(diag):
+        if i:
+            sub[i - 1] /= diag[i - 1]
+            pivot -= sub[i - 1] * sub[i - 1]
+        if not 0.0 < pivot < math.inf:
+            raise AssemblyCorruptionError(
+                f"mass matrix is not positive definite: pivot {i + 1} of "
+                f"the {name} half is {pivot!r}")
+        diag[i] = math.sqrt(pivot)
+    return diag, sub
+
+
+def _forward(x: np.ndarray, diag: list, sub: list) -> None:
+    """x <- L^-1 x in place, row by row."""
+    rows = list(x)
+    rows[0] /= diag[0]
+    for prev, row, s, d in zip(rows, rows[1:], sub, diag[1:]):
+        row -= s * prev
+        row /= d
+
+
+def _backward(x: np.ndarray, diag: list, sub: list) -> None:
+    """x <- L^-T x in place, row by row from the last."""
+    rows = list(x)[::-1]
+    rows[0] /= diag[-1]
+    for prev, row, s, d in zip(rows, rows[1:], sub[::-1], diag[-2::-1]):
+        row -= s * prev
+        row /= d
+
+
+def _solve_half(op: AssembledOperator, sign: float, name: str):
+    """Eigenvalues and M-orthonormal eigenvectors of one half pencil."""
+    diag, sub = _bidiagonal_cholesky(_half_pencil(op.mass, sign), name)
+    reduced = _half_pencil(op.stiffness, sign)
+    if not diag:
+        return np.empty(0), reduced
+    _forward(reduced, diag, sub)
+    reduced = reduced.T.copy()  # (L^-1 A)^T = A L^-T, A symmetric
+    _forward(reduced, diag, sub)
+    vals, vecs = np.linalg.eigh(reduced)
+    _backward(vecs, diag, sub)
+    return vals, vecs
 
 
 def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
     """Dense symmetric-definite eigendecomposition of (A, M) by the exact
-    reflection split: one `eigh` per half pencil, eigenvalues merged by a
-    stable sort.  eigh's own Cholesky of each half of M rejects a mass
-    matrix that is not SPD."""
+    reflection split: each half pencil reduced by the bidiagonal Cholesky
+    of its mass half to one standard `eigh`, the eigenvalues merged by a
+    stable sort.  The eigenvector matrix is built on first access to
+    `Spectrum.eigenvectors`."""
     for name in ("stiffness", "mass"):
         x = getattr(op, name)
         if not np.all(np.isfinite(x)):
@@ -103,27 +182,18 @@ def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
         if not np.array_equal(x, x[::-1, ::-1]):
             raise AssemblyCorruptionError(
                 f"{name} matrix is not centrosymmetric")
-    n = op.size
-    p = n // 2
-    even_vals, even = _eigh_half(op, 1.0)
-    odd_vals, odd = _eigh_half(op, -1.0)
+    mass = op.mass
+    if np.count_nonzero(mass) > sum(np.count_nonzero(mass.diagonal(d))
+                                    for d in (-1, 0, 1)):
+        raise AssemblyCorruptionError("mass matrix is not tridiagonal")
+    even_vals, even = _solve_half(op, 1.0, "even")
+    odd_vals, odd = _solve_half(op, -1.0, "odd")
     vals = np.concatenate((even_vals, odd_vals))
     order = np.argsort(vals, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    # v = [y / sqrt2; y_mid; +-J y / sqrt2] (y_mid = 0 in the odd half) is
-    # M-orthonormal because y is in its half pencil
-    vecs = np.empty((n, n))
-    for half, cols, sign in ((even, rank[:even_vals.size], 1.0),
-                             (odd, rank[even_vals.size:], -1.0)):
-        top = half[:p] / math.sqrt(2.0)
-        vecs[:p, cols] = top
-        vecs[n - p:, cols] = sign * top[::-1]
-        if n % 2:
-            vecs[p, cols] = half[p] if sign > 0.0 else 0.0
-    del even, odd, half, top
-    vecs = _fix_signs(vecs, op.mass)
-    return Spectrum(eigenvalues=vals[order], eigenvectors=vecs, op=op)
+    rank = np.empty(op.size, dtype=np.intp)
+    rank[order] = np.arange(op.size)
+    return Spectrum(eigenvalues=vals[order], op=op, halves=(even, odd),
+                    rank=rank)
 
 
 def rayleigh_quotient(op: AssembledOperator, u) -> float:

@@ -2,6 +2,7 @@
 tolerance and runtime limit, printing one pass/fail line apiece."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -87,6 +88,27 @@ def test_criterion_3_eigenvalue_convergence(capsys):
         order = [32, 64, 128, 512]
         for coarse, fine in zip(order[:-1], order[1:]):
             assert np.all(lams[fine] <= lams[coarse] + 1e-12)
+
+
+def test_criterion_3_closed_form_eigenvalues(capsys):
+    """The form of K = |z|^(-1-2s) is 2 / C_{1,s} times that of the
+    fractional Laplacian, C_{1,s} = s 4^s Gamma(1/2 + s) / (sqrt(pi)
+    Gamma(1 - s)), so lambda = 2 mu / C_{1,s} with mu its eigenvalues on
+    (-1, 1) (Kwasnicki, J. Funct. Anal. 262, 2012): mu_1 = 1.1577739 at
+    s = 1/2, which the conforming lambda_1^h bounds from above, and
+    mu_10 ~ (10 pi/2 - (1 - s) pi/4)^(2s)."""
+    with Criterion(capsys, 3, "closed-form eigenvalues at N = 2048", 60.0):
+        for s in (0.25, 0.5, 0.75):
+            c1s = (s * 4.0 ** s * math.gamma(0.5 + s)
+                   / (math.sqrt(math.pi) * math.gamma(1.0 - s)))
+            _, sp = _setup(s=s, n=2048)
+            lam = sp.eigenvalues
+            if s == 0.5:
+                lam1 = 2.0 * 1.1577739 / c1s
+                assert lam1 <= lam[0] <= lam1 * (1.0 + 2e-4)
+            mu10 = (10.0 * math.pi / 2.0
+                    - (1.0 - s) * math.pi / 4.0) ** (2.0 * s)
+            assert lam[9] == pytest.approx(2.0 * mu10 / c1s, rel=2e-4)
 
 
 def test_criterion_4_affine_oracle_equivalence(capsys):

@@ -122,7 +122,7 @@ def test_sign_convention_tie_break(op128):
     raw eigenvectors (the odd modes have zero mean) the result equals the
     per-column loop bit for bit."""
     _, raw = scipy.linalg.eigh(op128.stiffness, op128.mass)
-    assert np.array_equal(_fix_signs(raw, op128.mass),
+    assert np.array_equal(_fix_signs(raw.copy(), op128.mass),
                           _fix_signs_loop(raw, op128.mass))
     # the last column's mean, 8e-13, is a tie against its largest entry -1
     vectors = np.array([[1e-13, -0.5, 0.0, -1e-13, 2.0, -1.0],
@@ -198,6 +198,49 @@ def test_non_spd_mass_is_rejected(op128):
     bad = dataclasses.replace(op128, mass=-op128.mass)
     with pytest.raises(AssemblyCorruptionError):
         ns.solve_eigenproblem(bad)
+
+
+def test_non_tridiagonal_mass_is_rejected(op128):
+    """the reduction reads only the three bands of M"""
+    import dataclasses
+    bad = op128.mass.copy()
+    bad[0, 2] = bad[2, 0] = bad[-1, -3] = bad[-3, -1] = 1e-3 * bad[0, 1]
+    with pytest.raises(AssemblyCorruptionError, match="tridiagonal"):
+        ns.solve_eigenproblem(dataclasses.replace(op128, mass=bad))
+
+
+@pytest.mark.parametrize("n", [2, 3, 128])
+def test_eigenvectors_built_on_first_access(monkeypatch, n):
+    """solving makes one eigh per non-empty half (N = 2 leaves the odd half
+    empty) and builds no eigenvector matrix; the first access builds it
+    once, a second returns the same array, and every Spectrum of one
+    operator gets the same bits.  A non-SPD mass is refused by the solve,
+    before any vector is read."""
+    import dataclasses
+
+    from nonlocal_saddle import spectral
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
+                     ns.make_fractional_kernel(0.5), skip_audit=True)
+    calls = {"eigh": 0, "_fix_signs": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(spectral, "_fix_signs",
+                        counted("_fix_signs", spectral._fix_signs))
+    sp = ns.solve_eigenproblem(op)
+    halves = 1 if n == 2 else 2
+    assert calls == {"eigh": halves, "_fix_signs": 0}
+    first = sp.eigenvectors
+    assert sp.eigenvectors is first
+    assert calls == {"eigh": halves, "_fix_signs": 1}
+    assert np.array_equal(ns.solve_eigenproblem(op).eigenvectors, first)
+    with pytest.raises(AssemblyCorruptionError, match="positive definite"):
+        ns.solve_eigenproblem(dataclasses.replace(op, mass=-op.mass))
 
 
 @pytest.mark.parametrize("s,floor", [(0.25, 2.0 / 4.0 ** 1.5),
