@@ -1,14 +1,13 @@
 """Numerical solver and hypothesis verifier for -L_K u = f(x, u) with
 zero exterior condition on an interval, via a P1 Galerkin discretization."""
 
-from .assembly import AssembledOperator, assemble, tail_weight
+from .assembly import AssembledOperator, assemble
 from .errors import (AssemblyAccuracyError, AssemblyCorruptionError,
                      AuditFailedError, AuditInconclusiveError, ConfigError,
                      EigenClusterError, InvalidParameterError,
                      NonConvergenceError, NonlocalSaddleError,
                      NonResonanceContradictionError, NumericError,
-                     ResonanceError, SingularEvaluationError,
-                     UnauditableError, UnsupportedCaseError)
+                     ResonanceError, UnauditableError, UnsupportedCaseError)
 from .kernels import (Kernel, KernelAudit, audit_kernel,
                       fractional_k1_closed_form, make_custom_kernel,
                       make_fractional_kernel)

@@ -42,11 +42,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AssemblyAccuracyError, AuditFailedError,
-                     InvalidParameterError, SingularEvaluationError)
+                     InvalidParameterError)
 from .kernels import (Kernel, KernelAudit, audit_kernel, radial_moment,
                       upper_integral)
 from .meshing import Mesh
 from .quadrature import GAUSS_ORDER, estimate, gauss_rule
+
+#: default bound on quad_error_estimate
+ASSEMBLY_TOL = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,6 @@ class AssembledOperator:
     @property
     def size(self) -> int:
         return self.mesh.interior_count
-
-
-# ---------------------------------------------------------------------------
-# tail weight kappa(x) = integral of K(x - y) over the complement of (a, b)
-# ---------------------------------------------------------------------------
-
-def tail_weight(mesh: Mesh, kernel: Kernel, x: float) -> float:
-    """kappa(x) for x strictly inside the domain, at order GAUSS_ORDER."""
-    if not mesh.a < x < mesh.b:
-        raise SingularEvaluationError(
-            f"tail weight is singular on or outside the boundary, x={x}")
-    return float(upper_integral(kernel, x - mesh.a, GAUSS_ORDER)
-                 + upper_integral(kernel, mesh.b - x, GAUSS_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +140,7 @@ def mass_matrix(mesh: Mesh) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
-             assembly_tol: float = 1.0e-8,
+             assembly_tol: float = ASSEMBLY_TOL,
              audit: KernelAudit | None = None,
              skip_audit: bool = False) -> AssembledOperator:
     """Assemble stiffness, mass and tail weights for (mesh, kernel)."""

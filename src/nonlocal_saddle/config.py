@@ -10,17 +10,20 @@ import json
 import math
 from dataclasses import dataclass
 
+from .assembly import ASSEMBLY_TOL
 from .errors import ConfigError
+from .quadrature import GAUSS_ORDER
+from .solvers import SolverOptions
 
 DEFAULTS = {
     "domain": {"a": -1.0, "b": 1.0},
     "kernel": {"family": "fractional", "s": 0.5, "theta": 1.0},
     "mesh": {"n_elements": 128},
-    "quadrature": {"order": 8, "assembly_tol": 1.0e-8},
+    "quadrature": {"order": GAUSS_ORDER, "assembly_tol": ASSEMBLY_TOL},
     "nonlinearity": {"family": "affine", "m": 0.0, "delta": 0.0, "c": 0.0,
                      "g": {"type": "constant", "value": 1.0}},
-    "solver": {"mode": "auto", "tol": 1.0e-9, "max_iter": 200, "starts": 1,
-               "seed": 42},
+    "solver": {"mode": "auto", "starts": 1, "tol": SolverOptions.tol,
+               "max_iter": SolverOptions.max_iter, "seed": SolverOptions.seed},
     "output": {"dir": "."},
 }
 

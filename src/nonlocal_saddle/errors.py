@@ -28,10 +28,6 @@ class AuditFailedError(NonlocalSaddleError):
     """A kernel failed its structural audit and assembly was not overridden."""
 
 
-class SingularEvaluationError(NonlocalSaddleError, ValueError):
-    """Evaluation requested at or beyond a singular point."""
-
-
 class AssemblyAccuracyError(NonlocalSaddleError):
     """Estimated quadrature error exceeds the assembly tolerance."""
 
@@ -50,7 +46,7 @@ class AssemblyCorruptionError(NonlocalSaddleError):
 
 
 class NumericError(NonlocalSaddleError):
-    """Generic numerical failure (quadrature or eigensolver non-convergence)."""
+    """Numerical failure: unresolved quadrature or a failed LAPACK call."""
 
 
 class ResonanceError(NonlocalSaddleError, ValueError):

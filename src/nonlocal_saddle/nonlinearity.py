@@ -162,21 +162,23 @@ def custom(f: Callable, a_profile: Callable, b: float,
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _as_float(fn: Callable, x, t) -> np.ndarray:
+    return np.asarray(fn(np.asarray(x, dtype=float),
+                         np.asarray(t, dtype=float)), dtype=float)
+
+
 def eval_f(spec: NonlinearitySpec, x, t):
-    return np.asarray(spec.f(np.asarray(x, dtype=float),
-                             np.asarray(t, dtype=float)), dtype=float)
+    return _as_float(spec.f, x, t)
 
 
 def eval_f_t(spec: NonlinearitySpec, x, t):
     """Partial derivative of f in t."""
-    return np.asarray(spec.f_t(np.asarray(x, dtype=float),
-                               np.asarray(t, dtype=float)), dtype=float)
+    return _as_float(spec.f_t, x, t)
 
 
 def eval_F(spec: NonlinearitySpec, x, t):
     """Primitive of f from 0 in the t variable."""
-    return np.asarray(spec.F(np.asarray(x, dtype=float),
-                             np.asarray(t, dtype=float)), dtype=float)
+    return _as_float(spec.F, x, t)
 
 
 # ---------------------------------------------------------------------------

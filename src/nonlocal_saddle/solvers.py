@@ -5,10 +5,9 @@ A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
 find that zero with one Newton driver on the Hessian A - D(u) and differ
 only in how a step is made safe: Armijo backtracking on J in the coercive
 case, a Z-norm cap after STALL_STEPS steps without a new residual minimum
-in the gap case.  The
-geometry probe samples the saddle structure that underpins the gap-case
-existence argument, and the uniqueness probe multi-starts the gap driver
-to test the slope-gap uniqueness prediction.
+in the gap case.  The geometry probe samples the saddle structure that
+underpins the gap-case existence argument, and the uniqueness probe
+multi-starts the gap driver to test the slope-gap uniqueness prediction.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ import scipy.linalg
 
 from .assembly import AssembledOperator, _check_dim, norm_Z
 from .errors import (InvalidParameterError, NonConvergenceError,
-                     NonResonanceContradictionError, ResonanceError,
-                     UnsupportedCaseError)
+                     NonResonanceContradictionError, NumericError,
+                     ResonanceError, UnsupportedCaseError)
 from .nonlinearity import (Case, CaseClassification, NonlinearitySpec,
                            _gap_index, check_f2_gap, classify, eval_F, eval_f,
                            eval_f_t)
@@ -219,19 +218,21 @@ def _newton_step(op: AssembledOperator, slopes: np.ndarray,
     """The step (A - W)^-1 (-grad) for the slope values `slopes` (see
     `_system`) by LU, factored in place in the F-ordered n x n `work`;
     below SINGULAR_PIVOT_RATIO a certified system raises, any other takes
-    the least-squares step on a rebuilt system."""
-    factors = scipy.linalg.lu_factor(_system(op, slopes, work),
-                                     overwrite_a=True)
-    pivots = np.abs(np.diag(factors[0]))
-    pivot_ratio = float(pivots.min()) / max(float(pivots.max()), 1.0e-300)
-    if pivot_ratio < SINGULAR_PIVOT_RATIO:
-        if f2_certified:
-            raise NonResonanceContradictionError(
-                "Newton system singular although the slope gap was verified")
-        # minimum-norm least-squares step keeps resonant probes meaningful
-        step, *_ = np.linalg.lstsq(_system(op, slopes), -grad, rcond=None)
-        return step
-    return scipy.linalg.lu_solve(factors, -grad)
+    the least-squares step; a failed LAPACK call raises NumericError."""
+    system = _system(op, slopes, work)
+    try:  # scipy refuses a non-finite system with a bare ValueError
+        factors = scipy.linalg.lu_factor(system, overwrite_a=True)
+        pivots = np.abs(np.diag(factors[0]))
+        pivot_ratio = float(pivots.min()) / max(float(pivots.max()), 1.0e-300)
+        if not pivot_ratio < SINGULAR_PIVOT_RATIO:
+            return scipy.linalg.lu_solve(factors, -grad)
+        if not f2_certified:
+            # minimum-norm least-squares step keeps resonant probes meaningful
+            return np.linalg.lstsq(_system(op, slopes), -grad, rcond=None)[0]
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise NumericError(f"Newton step failed: {exc}") from exc
+    raise NonResonanceContradictionError(
+        "Newton system singular although the slope gap was verified")
 
 
 def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
@@ -333,6 +334,13 @@ def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
     return _report(op, spec, u, trace)
 
 
+def _f2_passed(spec: NonlinearitySpec, spectrum: Spectrum, k: int):
+    """`check_f2_gap`'s verdict for gap k, None without a slope range; a
+    passed one certifies every gap-case Newton system."""
+    return (None if spec.slope_range is None
+            else check_f2_gap(spec, spectrum, k).passed)
+
+
 def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
                  spec: NonlinearitySpec,
                  opts: SolverOptions = SolverOptions(),
@@ -341,18 +349,15 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
     """Newton on the gradient in the spectral-gap case.
 
     Steps are full until the residual has gone STALL_STEPS steps without
-    a new minimum, then Z-norm capped
-    (`_z_capped`).  When the slope-gap condition holds, every
-    Newton system is certified nonresonant, so a singular one raises
+    a new minimum, then Z-norm capped (`_z_capped`).  Under a passed
+    slope-gap check (`_f2_passed`) a singular Newton system raises
     NonResonanceContradictionError instead of taking a least-squares step.
     """
     if classification is None:
         classification = classify(spec, spectrum)
     if classification.case is not Case.GAP:
         raise UnsupportedCaseError(classification)
-    k = classification.k
-    f2 = check_f2_gap(spec, spectrum, k) if spec.slope_range else None
-    f2_ok = bool(f2 and f2.passed)
+    f2_ok = bool(_f2_passed(spec, spectrum, classification.k))
     start = np.zeros(op.size) if u0 is None else np.asarray(u0, dtype=float)
     u, trace = _newton(op, spec, start, opts.tol, opts.max_iter,
                        _z_capped(op), f2_certified=f2_ok)
@@ -366,14 +371,13 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
 
     Initial iterates have eigenbasis components uniform in [-10, 10].  The
     classification gate is deliberately bypassed so resonant
-    counterexamples can be probed; singular Newton systems fall back to
-    minimum-norm steps.
+    counterexamples can be probed; a singular Newton system takes the
+    minimum-norm step unless `_f2_passed` certifies it, as in solve_case_b.
     """
     if not isinstance(n_starts, numbers.Integral) or n_starts < 1:
         raise InvalidParameterError(
             f"n_starts must be an integer >= 1, got {n_starts!r}")
-    f2_passed = (check_f2_gap(spec, spectrum, k).passed
-                 if spec.slope_range is not None else None)
+    f2_passed = _f2_passed(spec, spectrum, k)
     rng = np.random.default_rng(opts.seed)
     solutions = []
     for _ in range(n_starts):
@@ -381,7 +385,7 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
         u0 = spectrum.eigenvectors @ coeffs
         try:
             u, _ = _newton(op, spec, u0, opts.tol, opts.max_iter,
-                           _z_capped(op))
+                           _z_capped(op), f2_certified=bool(f2_passed))
         except NonConvergenceError:
             return UniquenessVerdict(kind="Inconclusive", n_starts=n_starts,
                                      seed=opts.seed, f2_passed=f2_passed)
@@ -510,7 +514,7 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
 def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
                    spec: NonlinearitySpec, k: int,
                    radii=(10.0, 100.0, 1000.0), n_samples: int = 64,
-                   seed: int = 42) -> GeometryProbe:
+                   seed: int = SolverOptions.seed) -> GeometryProbe:
     """Sample the energy landscape split by the head/tail decomposition.
 
     For k >= 1: on each Z-sphere of radius T in the head space the maximum
@@ -574,5 +578,7 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
 def morse_index(op: AssembledOperator, spec: NonlinearitySpec, u) -> int:
     """Number of negative eigenvalues of the Hessian A - D(u)."""
     hessian = _system(op, _slopes(op, spec, _check_dim(op, u)))
-    vals = np.linalg.eigvalsh(hessian)
-    return int(np.sum(vals < 0.0))
+    try:
+        return int(np.sum(np.linalg.eigvalsh(hessian) < 0.0))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hessian eigenvalues: {exc}") from exc

@@ -35,7 +35,7 @@ import numpy as np
 
 from .assembly import AssembledOperator, _check_dim
 from .errors import (AssemblyCorruptionError, EigenClusterError,
-                     InvalidParameterError)
+                     InvalidParameterError, NumericError)
 
 #: relative gap below which neighbouring eigenvalues count as one cluster
 CLUSTER_GAP = 1.0e-8
@@ -164,7 +164,10 @@ def _solve_half(op: AssembledOperator, sign: float, name: str):
     _forward(reduced, diag, sub)
     reduced = reduced.T.copy()  # (L^-1 A)^T = A L^-T, A symmetric
     _forward(reduced, diag, sub)
-    vals, vecs = np.linalg.eigh(reduced)
+    try:
+        vals, vecs = np.linalg.eigh(reduced)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolve of the {name} half: {exc}") from exc
     _backward(vecs, diag, sub)
     return vals, vecs
 

@@ -7,9 +7,7 @@ from scipy.special import zeta
 
 import nonlocal_saddle as ns
 from nonlocal_saddle.assembly import mass_matrix, norm_L2, norm_Z
-from nonlocal_saddle.errors import (AssemblyAccuracyError,
-                                    InvalidParameterError,
-                                    SingularEvaluationError)
+from nonlocal_saddle.errors import AssemblyAccuracyError, InvalidParameterError
 from nonlocal_saddle.quadrature import ESTIMATE_STEP, GAUSS_ORDER
 
 # ---------------------------------------------------------------------------
@@ -217,28 +215,32 @@ def _custom_fractional(s):
                                  s=s, theta=1.0)
 
 
+def _kappa_closed_form(x, s):
+    """kappa(x) on (-1, 1) for |z|^(-1-2s): the two upper integrals
+    ((x + 1)^(-2s) + (1 - x)^(-2s)) / (2s)"""
+    return ((x + 1.0) ** (-2.0 * s) + (1.0 - x) ** (-2.0 * s)) / (2.0 * s)
+
+
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-def test_tail_weight_closed_form(s):
-    mesh = ns.build_uniform_mesh(-1.0, 1.0, 8)
-    for kern, rel in ((ns.make_fractional_kernel(s), 1e-12),
-                      (_custom_fractional(s), 1e-10)):
-        for x in (-0.7, 0.0, 0.3):
-            expected = ((x + 1.0) ** (-2.0 * s)
-                        + (1.0 - x) ** (-2.0 * s)) / (2.0 * s)
-            assert ns.tail_weight(mesh, kern, x) == pytest.approx(expected,
-                                                                  rel=rel)
+def test_tail_weight_closed_form(fractional_op, s):
+    """kappa of `assemble` (`op.tail`) at every interior node, for the
+    fractional closed forms and for the Gauss panels of a custom kernel"""
+    for n in (8, 1024):
+        mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
+        expected = _kappa_closed_form(mesh.interior_nodes, s)
+        for op, rel in ((fractional_op(s, n), 1e-12),
+                        (ns.assemble(mesh, _custom_fractional(s),
+                                     skip_audit=True), 1e-10)):
+            np.testing.assert_allclose(op.tail, expected, rtol=rel, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [16, 1024])
-def test_assembled_tail_matches_tail_weight(n):
-    """the vectorised kappa of `assemble` is tail_weight at every node, and
-    quad_error_estimate covers its gap between orders q and q + 6 relative
-    to max(1, |kappa|)"""
+def test_tail_order_gap_within_estimate(n):
+    """quad_error_estimate covers kappa's gap between orders q and q + 6
+    relative to max(1, |kappa|)"""
     mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
     for kern in (ns.make_fractional_kernel(0.4), _custom_fractional(0.4)):
         op = ns.assemble(mesh, kern, skip_audit=True)
-        expected = [ns.tail_weight(mesh, kern, x) for x in mesh.interior_nodes]
-        np.testing.assert_allclose(op.tail, expected, rtol=1e-13)
         higher = ns.assemble(mesh, kern, quad_order=GAUSS_ORDER + ESTIMATE_STEP,
                              skip_audit=True)
         gap = np.abs(op.tail - higher.tail) / np.maximum(1.0, np.abs(op.tail))
@@ -253,13 +255,6 @@ def test_kappa_gated_relative_to_its_size():
     op = ns.assemble(mesh, _custom_fractional(0.4), assembly_tol=1e-9,
                      skip_audit=True)
     assert op.quad_error_estimate <= 1e-9
-
-
-def test_tail_weight_outside_domain_raises():
-    mesh = ns.build_uniform_mesh(-1.0, 1.0, 8)
-    kern = ns.make_fractional_kernel(0.5)
-    with pytest.raises(SingularEvaluationError):
-        ns.tail_weight(mesh, kern, 1.5)
 
 
 def test_norms(op128, rng):
@@ -291,5 +286,5 @@ def test_constant_interpolant_action_dominated_by_tail(n, s):
     x_min = x_mid - mesh.h if x_mid > 0 else x_mid + mesh.h
     if abs(x_min) > abs(x_mid):
         x_min = x_mid
-    kap_min = ns.tail_weight(mesh, op.kernel, x_min)
+    kap_min = _kappa_closed_form(x_min, s)
     assert out[mid] >= 2.0 * kap_min * mesh.h * (1.0 - 1e-12)

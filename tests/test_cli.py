@@ -58,6 +58,20 @@ def test_spectrum_subcommand(gap_config, tmp_path):
     assert (out / "spectrum.csv").read_text().splitlines()[0] == "j,lambda"
 
 
+def test_lapack_failure_exits_as_numeric_failure(gap_config, tmp_path,
+                                                 monkeypatch, capsys):
+    """a LAPACK error in the eigensolve is a NumericError: exit 2 with an
+    error line, not a traceback and exit 1, the refusal code"""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = cli.main(["spectrum", "--config", str(gap_config),
+                     "--out", str(tmp_path / "art")])
+    assert code == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_solve_artifacts(gap_config, tmp_path):
     out = tmp_path / "art"
     r = run_cli("solve", "--config", str(gap_config), "--out", str(out))

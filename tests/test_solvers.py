@@ -11,6 +11,7 @@ from nonlocal_saddle import solvers
 from nonlocal_saddle.errors import (InvalidParameterError,
                                     NonConvergenceError,
                                     NonResonanceContradictionError,
+                                    NumericError,
                                     ResonanceError,
                                     UnsupportedCaseError)
 from nonlocal_saddle.solvers import (_sphere_samples, eval_J, eval_gradient,
@@ -136,6 +137,33 @@ def test_case_a_matches_direct_solve(op128):
     direct = np.linalg.solve(op128.stiffness, g_load)
     np.testing.assert_allclose(rep.solution, direct, atol=1e-10)
     assert rep.residual_inf <= 1e-9
+
+
+def test_case_a_falls_back_to_steepest_descent(op128, spectrum128,
+                                               monkeypatch):
+    """saturating(0, 1.5 lambda_1, g = 1) is coercive by its asymptotic
+    slopes, but f_t = 1.5 lambda_1 at t = 0 makes the Hessian indefinite
+    near 0, so Newton steps there need not descend; Armijo then searches
+    along -grad and still reaches the minimizer."""
+    lam1 = float(spectrum128.eigenvalues[0])
+    spec = nl.saturating(0.0, 1.5 * lam1, nl.constant_profile(1.0))
+    assert nl.classify(spec, spectrum128).case is nl.Case.COERCIVE
+    ascent = []
+    armijo = solvers._armijo
+
+    def spy(op, spec, u0):
+        globalize = armijo(op, spec, u0)
+
+        def wrapped(u, step, grad, res):
+            ascent.append(float(grad @ step) >= 0.0)
+            return globalize(u, step, grad, res)
+        return wrapped
+
+    monkeypatch.setattr(solvers, "_armijo", spy)
+    rep = ns.solve_case_a(op128, spec, OPTS)
+    assert rep.residual_inf <= OPTS.tol
+    assert ns.morse_index(op128, spec, rep.solution) == 0
+    assert any(ascent)
 
 
 def test_case_a_refuses_gap_problem(op128, spectrum128, gap_spec):
@@ -380,6 +408,34 @@ def test_uniqueness_probe_resonant_multiple(op128, spectrum128):
     # every representative is a genuine critical point (on ker(A - lam2 M))
     for u in verdict.representatives:
         assert residual_weakform(op128, spec, np.asarray(u)) < 1e-8
+
+
+def test_uniqueness_probe_inconclusive_when_a_start_fails(op128,
+                                                         spectrum128,
+                                                         gap_spec):
+    verdict = ns.uniqueness_probe(op128, spectrum128, gap_spec, 2,
+                                  n_starts=2,
+                                  opts=ns.SolverOptions(max_iter=1))
+    assert verdict.kind == "Inconclusive"
+    assert verdict.f2_passed
+    assert math.isnan(verdict.max_pairwise_z)
+
+
+@pytest.mark.parametrize("slope_range", [None, (20.0, 20.0)],
+                         ids=["uncertified", "certified"])
+def test_case_b_non_finite_system_raises_numeric_error(op128, spectrum128,
+                                                       slope_range):
+    """a NaN f_t makes the Newton system non-finite; scipy's bare
+    ValueError for it comes out as NumericError, certified or not"""
+    spec = nl.custom(lambda x, t: 20.0 * t + 1.0, lambda x: np.ones_like(x),
+                     20.0, nl.constant_profile(20.0),
+                     nl.constant_profile(20.0), slope_range=slope_range,
+                     f_t=lambda x, t: np.full(np.broadcast(x, t).shape,
+                                              np.nan),
+                     F=lambda x, t: 10.0 * t * t + t)
+    with pytest.raises(NumericError) as err:
+        ns.solve_case_b(op128, spectrum128, spec, OPTS)
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("n_starts", [0, 2.5])
