@@ -57,7 +57,6 @@ class AssembledOperator:
     """Dense stiffness/mass matrices over the interior hat basis."""
 
     mesh: Mesh
-    kernel: Kernel
     stiffness: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
     tail: np.ndarray = field(repr=False)  # kappa at interior nodes
@@ -141,8 +140,7 @@ def mass_matrix(mesh: Mesh) -> np.ndarray:
 
 def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
              assembly_tol: float = ASSEMBLY_TOL,
-             audit: KernelAudit | None = None,
-             skip_audit: bool = False) -> AssembledOperator:
+             audit: KernelAudit | None = None) -> AssembledOperator:
     """Assemble stiffness, mass and tail weights for (mesh, kernel)."""
     if (isinstance(quad_order, bool)
             or not isinstance(quad_order, numbers.Integral) or quad_order < 3):
@@ -151,14 +149,12 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
     if not (assembly_tol > 0.0 and math.isfinite(assembly_tol)):
         raise InvalidParameterError(
             f"assembly_tol must be positive and finite, got {assembly_tol!r}")
-    if not skip_audit:
-        if audit is None:
-            audit = audit_kernel(kernel)
-        if not audit.passed:
-            raise AuditFailedError(
-                "kernel failed its structural audit; pass skip_audit=True "
-                f"to override (k1_holds={audit.k1_holds}, "
-                f"k2_holds={audit.k2_holds})")
+    if audit is None:
+        audit = audit_kernel(kernel)
+    if not audit.passed:
+        raise AuditFailedError(
+            f"kernel failed its structural audit (k1_holds={audit.k1_holds}, "
+            f"k2_holds={audit.k2_holds})")
 
     h = mesh.h
     size = mesh.interior_count
@@ -182,8 +178,7 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
     # [a_{N-2} .. a_1, a_0, a_1 .. a_{N-2}] starts at a_i
     windows = sliding_window_view(np.concatenate((symbol[::-1], symbol[1:])),
                                   size)
-    return AssembledOperator(mesh=mesh, kernel=kernel,
-                             stiffness=windows[::-1].copy(),
+    return AssembledOperator(mesh=mesh, stiffness=windows[::-1].copy(),
                              mass=mass_matrix(mesh), tail=kappa,
                              quad_order=quad_order, quad_error_estimate=worst)
 

@@ -85,8 +85,7 @@ class Pipeline:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        kernel = make_fractional_kernel(cfg.kernel["s"])
-        self.kernel = dataclasses.replace(kernel, theta=cfg.kernel["theta"])
+        self.kernel = make_fractional_kernel(cfg.kernel["s"])
         self.audit = audit_kernel(self.kernel)
         self.mesh = build_uniform_mesh(cfg.domain["a"], cfg.domain["b"],
                                        cfg.mesh["n_elements"])
@@ -177,15 +176,8 @@ def _refuse(pipe: Pipeline, action: str, reason: str) -> int:
 
 def cmd_solve(pipe: Pipeline) -> int:
     cls = pipe.classification
-    mode = pipe.cfg.solver["mode"]
     if cls.case is nl.Case.UNSUPPORTED:
         return _refuse(pipe, "solve", cls.reason)
-    wanted = {"case_a": nl.Case.COERCIVE, "case_b": nl.Case.GAP}.get(
-        mode, cls.case)
-    if cls.case is not wanted:
-        return _refuse(pipe, "solve", f"solver.mode {mode} needs a "
-                       f"{wanted.value} problem, but this one is classified "
-                       f"{cls.case.value}")
     if cls.case is nl.Case.COERCIVE:
         report = solve_case_a(pipe.op, pipe.spec, pipe.opts,
                               classification=cls)

@@ -17,12 +17,12 @@ from .solvers import SolverOptions
 
 DEFAULTS = {
     "domain": {"a": -1.0, "b": 1.0},
-    "kernel": {"family": "fractional", "s": 0.5, "theta": 1.0},
+    "kernel": {"s": 0.5},
     "mesh": {"n_elements": 128},
     "quadrature": {"order": GAUSS_ORDER, "assembly_tol": ASSEMBLY_TOL},
     "nonlinearity": {"family": "affine", "m": 0.0, "delta": 0.0, "c": 0.0,
                      "g": {"type": "constant", "value": 1.0}},
-    "solver": {"mode": "auto", "starts": 1, "tol": SolverOptions.tol,
+    "solver": {"starts": 1, "tol": SolverOptions.tol,
                "max_iter": SolverOptions.max_iter, "seed": SolverOptions.seed},
     "output": {"dir": "."},
 }
@@ -119,24 +119,10 @@ def validate_config(raw: dict) -> RunConfig:
     domain = {"a": a, "b": b}
 
     kernel = _merged(raw.get("kernel"), DEFAULTS["kernel"], "/kernel")
-    if kernel["family"] != "fractional":
-        raise ConfigError("/kernel/family",
-                          f"only 'fractional' is configurable, "
-                          f"got {kernel['family']!r} (custom kernels are "
-                          f"constructed in code)")
     s = _require_number(kernel["s"], "/kernel/s")
     if not 0.0 < s < 1.0:
         raise ConfigError("/kernel/s", f"must lie in (0, 1), got {s}")
-    theta = _require_number(kernel["theta"], "/kernel/theta")
-    if theta <= 0.0:
-        raise ConfigError("/kernel/theta", f"must be positive, got {theta}")
-    if theta > 1.0:
-        # the fractional kernel itself cannot dominate theta/|z|^(1+2s)
-        # with theta > 1, so the lower-bound audit would always fail
-        raise ConfigError("/kernel/theta",
-                          f"must be at most 1 for the fractional family, "
-                          f"got {theta}")
-    kernel = {"family": "fractional", "s": s, "theta": theta}
+    kernel = {"s": s}
 
     mesh = _merged(raw.get("mesh"), DEFAULTS["mesh"], "/mesh")
     n_el = _require_number(mesh["n_elements"], "/mesh/n_elements", integer=True)
@@ -180,9 +166,6 @@ def validate_config(raw: dict) -> RunConfig:
     nl = {"family": family, "m": m, "delta": delta, "c": c, "g": g}
 
     solver = _merged(raw.get("solver"), DEFAULTS["solver"], "/solver")
-    if solver["mode"] not in ("auto", "case_a", "case_b"):
-        raise ConfigError("/solver/mode",
-                          f"expected auto|case_a|case_b, got {solver['mode']!r}")
     tol = _require_number(solver["tol"], "/solver/tol")
     if tol <= 0.0:
         raise ConfigError("/solver/tol", f"must be positive, got {tol}")
@@ -193,7 +176,7 @@ def validate_config(raw: dict) -> RunConfig:
     starts = _require_number(solver["starts"], "/solver/starts", integer=True)
     if starts < 1:
         raise ConfigError("/solver/starts", f"must be >= 1, got {starts}")
-    solver = {"mode": solver["mode"], "tol": tol, "max_iter": max_iter,
+    solver = {"tol": tol, "max_iter": max_iter,
               "starts": starts, "seed": _require_seed(solver["seed"])}
 
     output = _merged(raw.get("output"), DEFAULTS["output"], "/output")

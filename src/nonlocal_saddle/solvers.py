@@ -51,10 +51,24 @@ class SolverOptions:
     max_iter: int = 200
     seed: int = 42
 
+    def __post_init__(self):
+        # the rules validate_config applies under /solver
+        tol = self.tol
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not (math.isfinite(tol) and tol > 0.0)):
+            raise InvalidParameterError(
+                f"tol must be positive and finite, got {tol!r}")
+        for name, low in (("max_iter", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < low):
+                raise InvalidParameterError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class UniquenessVerdict:
-    kind: str  # "Unique" | "MultipleFound" | "Inconclusive" | "NotChecked"
+    kind: str  # "Unique" | "MultipleFound" | "Inconclusive"
     max_pairwise_z: float = math.nan
     representatives: tuple = ()
     n_starts: int = 0
@@ -170,11 +184,6 @@ def residual_weakform(op: AssembledOperator, spec: NonlinearitySpec,
 # linear nonresonant solve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearSolve:
-    solution: np.ndarray = field(repr=False)
-
-
 def _profile_values(profile, xg: np.ndarray) -> np.ndarray:
     """A scalar or callable profile at the Gauss points xg."""
     if np.isscalar(profile):
@@ -186,7 +195,7 @@ def _profile_values(profile, xg: np.ndarray) -> np.ndarray:
 
 
 def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
-                             m_profile, g) -> LinearSolve:
+                             m_profile, g) -> np.ndarray:
     """Solve (A - M_w) u = M g with the slope weight certified nonresonant.
 
     `_gap_index` must place the weight's range between two eigenvalues, as
@@ -205,7 +214,7 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
         raise ResonanceError("slope profile touches an eigenvalue within 1e-9")
     rhs = _p1_load(op, wg * _profile_values(g, xg), xi)
     work = np.empty((op.size, op.size), order="F")
-    return LinearSolve(solution=_newton_step(op, m_vals, -rhs, True, work))
+    return _newton_step(op, m_vals, -rhs, True, work)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def project(spectrum: Spectrum, u, part: str, k: int) -> np.ndarray:
 
     part is "head" or "tail"; head + tail = u exactly by construction.
     """
-    u = np.asarray(u, dtype=float)
+    u = _check_dim(spectrum.op, u)
     m = spectrum.size
     if not 1 <= k < m:
         raise InvalidParameterError(f"k must lie in [1, {m - 1}], got {k}")

@@ -22,8 +22,7 @@ def op_by_s():
     out = {}
     for s in (0.25, 0.5, 0.75):
         mesh = ns.build_uniform_mesh(-1.0, 1.0, 128)
-        out[s] = ns.assemble(mesh, ns.make_fractional_kernel(s),
-                             skip_audit=True)
+        out[s] = ns.assemble(mesh, ns.make_fractional_kernel(s))
     return out
 
 
@@ -36,8 +35,7 @@ def fractional_op(op_by_s):
     def build(s, n):
         if (s, n) not in cache:
             cache[(s, n)] = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
-                                        ns.make_fractional_kernel(s),
-                                        skip_audit=True)
+                                        ns.make_fractional_kernel(s))
         return cache[(s, n)]
 
     return build
@@ -62,8 +60,7 @@ def spectrum128(spectrum_by_s):
 def ops_refinement():
     """s = 0.5 assemblies across the mesh refinement ladder."""
     kern = ns.make_fractional_kernel(0.5)
-    return {n: ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n), kern,
-                           skip_audit=True)
+    return {n: ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n), kern)
             for n in (32, 64, 128, 512)}
 
 

@@ -45,7 +45,7 @@ class Criterion:
 
 def _setup(s=0.5, n=128):
     mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
-    op = ns.assemble(mesh, ns.make_fractional_kernel(s), skip_audit=True)
+    op = ns.assemble(mesh, ns.make_fractional_kernel(s))
     return op, ns.solve_eigenproblem(op)
 
 

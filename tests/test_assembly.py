@@ -73,7 +73,7 @@ STRUCTURE_GRID = [(s, n) for s in (0.25, 0.5, 0.75) for n in (128, 1024)]
 @pytest.mark.parametrize("s", sorted(ORACLE_N4))
 def test_stiffness_matches_bruteforce_oracle(s):
     mesh = ns.build_uniform_mesh(-1.0, 1.0, 4)
-    op = ns.assemble(mesh, ns.make_fractional_kernel(s), skip_audit=True)
+    op = ns.assemble(mesh, ns.make_fractional_kernel(s))
     np.testing.assert_allclose(op.stiffness, ORACLE_N4[s],
                                rtol=ORACLE_N4_TOL[s])
 
@@ -81,7 +81,7 @@ def test_stiffness_matches_bruteforce_oracle(s):
 @pytest.mark.parametrize("s", sorted(FOURIER_DIAG))
 def test_diagonal_matches_fourier_oracle(s):
     mesh = ns.build_uniform_mesh(-1.0, 1.0, 4)
-    op = ns.assemble(mesh, ns.make_fractional_kernel(s), skip_audit=True)
+    op = ns.assemble(mesh, ns.make_fractional_kernel(s))
     assert op.stiffness[1, 1] == pytest.approx(FOURIER_DIAG[s], rel=3e-9)
 
 
@@ -122,10 +122,8 @@ def test_domain_scaling_law(s):
     """Dilating the domain by c rescales every entry by c^(1-2s)."""
     kern = ns.make_fractional_kernel(s)
     for n in (16, 1024):
-        a1 = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n), kern,
-                         skip_audit=True).stiffness
-        a2 = ns.assemble(ns.build_uniform_mesh(-2.0, 2.0, n), kern,
-                         skip_audit=True).stiffness
+        a1 = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n), kern).stiffness
+        a2 = ns.assemble(ns.build_uniform_mesh(-2.0, 2.0, n), kern).stiffness
         np.testing.assert_allclose(a2, 2.0 ** (1.0 - 2.0 * s) * a1,
                                    rtol=1e-11)
 
@@ -162,10 +160,10 @@ def test_mass_matrix_exact_entries():
 def test_quadrature_error_estimate_and_tolerance_gate():
     mesh = ns.build_uniform_mesh(-1.0, 1.0, 32)
     kern = ns.make_fractional_kernel(0.5)
-    op = ns.assemble(mesh, kern, skip_audit=True)
+    op = ns.assemble(mesh, kern)
     assert 0.0 <= op.quad_error_estimate < 1e-10
     with pytest.raises(AssemblyAccuracyError):
-        ns.assemble(mesh, kern, assembly_tol=1e-30, skip_audit=True)
+        ns.assemble(mesh, kern, assembly_tol=1e-30)
     for bad in ({"assembly_tol": float("nan")},
                 {"assembly_tol": float("inf")},
                 {"assembly_tol": 0.0},
@@ -173,7 +171,7 @@ def test_quadrature_error_estimate_and_tolerance_gate():
                 {"quad_order": 8.0},
                 {"quad_order": 2}):
         with pytest.raises(InvalidParameterError):
-            ns.assemble(mesh, kern, skip_audit=True, **bad)
+            ns.assemble(mesh, kern, **bad)
 
 
 def test_custom_kernel_path_agrees_with_closed_forms():
@@ -181,12 +179,11 @@ def test_custom_kernel_path_agrees_with_closed_forms():
     independent implementations of the same matrix."""
     mesh = ns.build_uniform_mesh(-1.0, 1.0, 16)
     s = 0.4
-    frac = ns.assemble(mesh, ns.make_fractional_kernel(s), skip_audit=True)
+    frac = ns.assemble(mesh, ns.make_fractional_kernel(s))
     cust = ns.assemble(
         mesh,
         ns.make_custom_kernel(lambda z: np.abs(z) ** (-1.0 - 2.0 * s),
-                              s=s, theta=1.0),
-        skip_audit=True)
+                              s=s, theta=1.0))
     np.testing.assert_allclose(cust.stiffness, frac.stiffness, rtol=5e-6,
                                atol=5e-7)
 
@@ -196,13 +193,12 @@ def test_dominating_kernel_dominates_quadratic_form(rng):
     (the comparison underlying the compact-embedding argument)."""
     mesh = ns.build_uniform_mesh(-1.0, 1.0, 16)
     s = 0.5
-    frac = ns.assemble(mesh, ns.make_fractional_kernel(s), skip_audit=True)
+    frac = ns.assemble(mesh, ns.make_fractional_kernel(s))
     dom = ns.assemble(
         ns.build_uniform_mesh(-1.0, 1.0, 16),
         ns.make_custom_kernel(
             lambda z: np.abs(z) ** -2.0 + np.exp(-np.asarray(z) ** 2),
-            s=s, theta=1.0),
-        skip_audit=True)
+            s=s, theta=1.0))
     for _ in range(20):
         u = rng.standard_normal(15)
         assert u @ dom.stiffness @ u >= u @ frac.stiffness @ u - 1e-10
@@ -229,8 +225,7 @@ def test_tail_weight_closed_form(fractional_op, s):
         mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
         expected = _kappa_closed_form(mesh.interior_nodes, s)
         for op, rel in ((fractional_op(s, n), 1e-12),
-                        (ns.assemble(mesh, _custom_fractional(s),
-                                     skip_audit=True), 1e-10)):
+                        (ns.assemble(mesh, _custom_fractional(s)), 1e-10)):
             np.testing.assert_allclose(op.tail, expected, rtol=rel, atol=0.0)
 
 
@@ -240,9 +235,9 @@ def test_tail_order_gap_within_estimate(n):
     relative to max(1, |kappa|)"""
     mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
     for kern in (ns.make_fractional_kernel(0.4), _custom_fractional(0.4)):
-        op = ns.assemble(mesh, kern, skip_audit=True)
-        higher = ns.assemble(mesh, kern, quad_order=GAUSS_ORDER + ESTIMATE_STEP,
-                             skip_audit=True)
+        op = ns.assemble(mesh, kern)
+        higher = ns.assemble(mesh, kern,
+                             quad_order=GAUSS_ORDER + ESTIMATE_STEP)
         gap = np.abs(op.tail - higher.tail) / np.maximum(1.0, np.abs(op.tail))
         assert gap.max() <= op.quad_error_estimate
 
@@ -252,8 +247,7 @@ def test_kappa_gated_relative_to_its_size():
     order gap (1.6e-9 where kappa is about 184) exceeds a 1e-9 tolerance
     that its relative gap and the symbol meet"""
     mesh = ns.build_uniform_mesh(-1.0, 1.0, 1024)
-    op = ns.assemble(mesh, _custom_fractional(0.4), assembly_tol=1e-9,
-                     skip_audit=True)
+    op = ns.assemble(mesh, _custom_fractional(0.4), assembly_tol=1e-9)
     assert op.quad_error_estimate <= 1e-9
 
 
@@ -275,7 +269,7 @@ def test_constant_interpolant_action_dominated_by_tail(n, s):
     boundary dip (a nonnegative interaction for a mid hat), so the row
     action is bounded below by twice the minimal tail weight times h."""
     mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
-    op = ns.assemble(mesh, ns.make_fractional_kernel(s), skip_audit=True)
+    op = ns.assemble(mesh, ns.make_fractional_kernel(s))
     ones = np.ones(op.size)
     out = op.stiffness @ ones
     assert np.all(out > 0.0)

@@ -25,13 +25,6 @@ RESONANT_CONFIG = {
                      "g": {"type": "constant", "value": 0.0}},
 }
 
-COERCIVE_CONFIG = {
-    "kernel": {"s": 0.5},
-    "mesh": {"n_elements": 32},
-    "nonlinearity": {"family": "saturating", "m": 0.0, "delta": 0.5,
-                     "g": {"type": "constant", "value": 1.0}},
-}
-
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "nonlocal_saddle", *args],
@@ -109,24 +102,6 @@ def test_refusal_exit_code_writes_verdict(tmp_path):
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["supported"] is False
     assert "straddles" in verdict["classification"]["reason"]
-
-
-@pytest.mark.parametrize("config, mode, classified", [
-    (GAP_CONFIG, "case_a", "gap"),
-    (COERCIVE_CONFIG, "case_b", "coercive"),
-])
-def test_forced_mode_on_other_case_is_refused(tmp_path, config, mode,
-                                              classified):
-    raw = dict(config, solver={"mode": mode})
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(raw))
-    out = tmp_path / "art"
-    r = run_cli("solve", "--config", str(cfg), "--out", str(out))
-    assert r.returncode == 1
-    assert f"classified {classified}" in r.stderr
-    verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict["classification"]["case"] == classified
-    assert not (out / "report.json").exists()
 
 
 def test_pipeline_builds_stages_on_demand():

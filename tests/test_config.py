@@ -16,14 +16,14 @@ def test_defaults_fill_in():
 def test_partial_override():
     cfg = validate_config({"kernel": {"s": 0.25},
                            "mesh": {"n_elements": 64}})
-    assert cfg.kernel["s"] == 0.25
-    assert cfg.kernel["theta"] == 1.0
+    assert cfg.kernel == {"s": 0.25}
     assert cfg.mesh["n_elements"] == 64
 
 
 @pytest.mark.parametrize("raw,path", [
     ({"kernel": {"s": 1.5}}, "/kernel/s"),
     ({"kernel": {"s": 0.0}}, "/kernel/s"),
+    # theta and solver.mode are not config keys: refused at their path
     ({"kernel": {"theta": 0.0}}, "/kernel/theta"),
     ({"kernel": {"theta": 2.0}}, "/kernel/theta"),
     ({"domain": {"a": 1.0, "b": -1.0}}, "/domain"),
@@ -60,6 +60,15 @@ def test_unknown_keys_rejected():
     assert "smoothness" in str(exc.value)
     with pytest.raises(ConfigError):
         validate_config({"banana": {}})
+    # the kernel family and theta are fixed by the fractional kernel, and
+    # the solver follows the classification
+    for raw, path in (({"solver": {"mode": "auto"}}, "/solver/mode"),
+                      ({"kernel": {"family": "fractional"}}, "/kernel/family"),
+                      ({"kernel": {"theta": 0.5}}, "/kernel/theta")):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(raw)
+        assert exc.value.path == path
+        assert "unknown key" in str(exc.value)
 
 
 def test_boolean_is_not_a_number():

@@ -21,6 +21,23 @@ from nonlocal_saddle.solvers import (_sphere_samples, eval_J, eval_gradient,
 OPTS = ns.SolverOptions()
 
 
+@pytest.mark.parametrize("bad", [
+    {"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan}, {"tol": math.inf},
+    {"tol": True}, {"tol": "1e-9"},
+    {"max_iter": 0}, {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True},
+    {"seed": -1}, {"seed": 0.5}, {"seed": None},
+])
+def test_solver_options_refuse_bad_values(bad):
+    """the rules validate_config applies under /solver"""
+    with pytest.raises(InvalidParameterError):
+        ns.SolverOptions(**bad)
+
+
+def test_solver_options_accept_the_boundary_values():
+    opts = ns.SolverOptions(tol=1, max_iter=np.int64(1), seed=0)
+    assert (opts.tol, opts.max_iter, opts.seed) == (1, 1, 0)
+
+
 @pytest.fixture(scope="module")
 def gap_spec():
     return nl.saturating(20.0, 0.5, nl.constant_profile(1.0))
@@ -52,13 +69,13 @@ def test_load_vector_of_constant_source(op128):
 def test_linear_nonresonant_solve_1x1():
     """single dof, hand-checkable: u = h / (a11 - 2mh/3)."""
     mesh = ns.build_uniform_mesh(-1.0, 1.0, 2)
-    op = ns.assemble(mesh, ns.make_fractional_kernel(0.5), skip_audit=True)
+    op = ns.assemble(mesh, ns.make_fractional_kernel(0.5))
     sp = ns.solve_eigenproblem(op)
     a11 = op.stiffness[0, 0]
     h = mesh.h
     m = 1.0
-    res = linear_nonresonant_solve(op, sp, m, nl.constant_profile(1.0))
-    assert res.solution[0] == pytest.approx(
+    u = linear_nonresonant_solve(op, sp, m, nl.constant_profile(1.0))
+    assert u[0] == pytest.approx(
         h / (a11 - m * 2.0 * h / 3.0), rel=1e-12)
     with pytest.raises(InvalidParameterError):  # a profile is not an array
         linear_nonresonant_solve(op, sp, np.array([m]),
@@ -68,8 +85,8 @@ def test_linear_nonresonant_solve_1x1():
 def test_linear_solve_matches_direct_inverse(op128, spectrum128, rng):
     for m in (0.0, 10.0, 20.0):
         g_val = float(rng.uniform(-2.0, 2.0))
-        res = linear_nonresonant_solve(op128, spectrum128, m,
-                                       nl.constant_profile(g_val))
+        u = linear_nonresonant_solve(op128, spectrum128, m,
+                                     nl.constant_profile(g_val))
         spec = nl.affine(m, nl.constant_profile(g_val))
         b = load_vector(op128, spec, np.zeros(op128.size))
         b -= m * (op128.mass @ np.zeros(op128.size))
@@ -77,7 +94,7 @@ def test_linear_solve_matches_direct_inverse(op128, spectrum128, rng):
         g_load = load_vector(op128, nl.affine(0.0, nl.constant_profile(g_val)),
                              np.zeros(op128.size))
         direct = np.linalg.solve(op128.stiffness - m * op128.mass, g_load)
-        np.testing.assert_allclose(res.solution, direct, atol=1e-10)
+        np.testing.assert_allclose(u, direct, atol=1e-10)
 
 
 def test_linear_solve_refuses_resonance(op128, spectrum128):
@@ -121,7 +138,7 @@ def test_certified_singular_system_raises():
     the singular system A - lambda_2 M is then a contradiction, not a
     least-squares step"""
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),
-                     ns.make_fractional_kernel(0.5), skip_audit=True)
+                     ns.make_fractional_kernel(0.5))
     sp = ns.solve_eigenproblem(op)
     shifted = dataclasses.replace(sp, eigenvalues=sp.eigenvalues + 1.0)
     with pytest.raises(NonResonanceContradictionError):
@@ -214,7 +231,7 @@ def test_uniqueness_probe_damping_switch(monkeypatch):
     then caps them; at N = 32 this start set needs the cap and still finds
     one solution."""
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),
-                     ns.make_fractional_kernel(0.5), skip_audit=True)
+                     ns.make_fractional_kernel(0.5))
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
     spec = nl.saturating(lam[1] + 0.2, 0.6 * (lam[2] - lam[1]),
@@ -385,9 +402,9 @@ def test_morse_index_equals_gap_index(op128, spectrum128):
 
 def test_residual_weakform_zero_at_linear_solution(op128, spectrum128):
     spec = nl.affine(10.0, nl.constant_profile(1.0))
-    res = linear_nonresonant_solve(op128, spectrum128, 10.0,
-                                   nl.constant_profile(1.0))
-    assert residual_weakform(op128, spec, res.solution) < 1e-12
+    u = linear_nonresonant_solve(op128, spectrum128, 10.0,
+                                 nl.constant_profile(1.0))
+    assert residual_weakform(op128, spec, u) < 1e-12
 
 
 def test_uniqueness_probe_unique_under_f2(op128, spectrum128, gap_spec):
@@ -551,8 +568,7 @@ def small_ops():
     kern = ns.make_fractional_kernel(0.5)
     out = {}
     for n in (16, 64):
-        op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n), kern,
-                         skip_audit=True)
+        op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n), kern)
         out[n] = (op, ns.solve_eigenproblem(op))
     return out
 

@@ -67,7 +67,7 @@ def _assert_alternating_parity(E):
 def test_reflection_split_smallest_meshes(n):
     """N = 2 leaves the odd half empty, N = 3 gives two 1 x 1 halves."""
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
-                     ns.make_fractional_kernel(0.5), skip_audit=True)
+                     ns.make_fractional_kernel(0.5))
     sp = ns.solve_eigenproblem(op)
     direct = scipy.linalg.eigh(op.stiffness, op.mass, eigvals_only=True)
     assert sp.size == n - 1
@@ -187,6 +187,12 @@ def test_project_is_idempotent(spectrum128, rng):
     np.testing.assert_allclose(h1, h2, atol=1e-12)
 
 
+def test_project_refuses_wrong_length(spectrum128):
+    for u in (np.ones(spectrum128.size + 1), np.ones((spectrum128.size, 1))):
+        with pytest.raises(InvalidParameterError):
+            project(spectrum128, u, "head", 2)
+
+
 def test_gap_accessor(spectrum128):
     lam = spectrum128.eigenvalues
     assert spectrum128.gap(2) == (lam[1], lam[2])
@@ -197,7 +203,7 @@ def test_gap_accessor(spectrum128):
 def test_cluster_guard():
     # a nearly-degenerate pair within the relative split tolerance
     mesh = ns.build_uniform_mesh(-1.0, 1.0, 8)
-    op = ns.assemble(mesh, ns.make_fractional_kernel(0.5), skip_audit=True)
+    op = ns.assemble(mesh, ns.make_fractional_kernel(0.5))
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues.copy()
     lam[2] = lam[1] * (1.0 + 1e-12)
@@ -233,7 +239,7 @@ def test_eigenvectors_built_on_first_access(monkeypatch, n):
 
     from nonlocal_saddle import spectral
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
-                     ns.make_fractional_kernel(0.5), skip_audit=True)
+                     ns.make_fractional_kernel(0.5))
     calls = {"eigh": 0, "_fix_signs": 0}
 
     def counted(name, fn):
