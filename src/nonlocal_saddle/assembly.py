@@ -31,12 +31,15 @@ over everything assemble returns: the symbol a_d (the panels, the graded
 moments and the far field all change with the order) and kappa at every
 node relative to max(1, |kappa|), since kappa grows like h^(-2s) at the
 ends (zero for the fractional closed form).  assembly_tol gates it.
+`AssembledOperator` holds the symbol, the mesh and kappa; the dense
+`stiffness` and the exact tridiagonal `mass` are built on first access.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,11 +57,10 @@ ASSEMBLY_TOL = 1.0e-8
 
 @dataclass(frozen=True)
 class AssembledOperator:
-    """Dense stiffness/mass matrices over the interior hat basis."""
+    """The P1 pencil over the interior hats, held as symbol and mesh."""
 
     mesh: Mesh
-    stiffness: np.ndarray = field(repr=False)
-    mass: np.ndarray = field(repr=False)
+    symbol: np.ndarray = field(repr=False)  # a_d = A[i][i + d]
     tail: np.ndarray = field(repr=False)  # kappa at interior nodes
     quad_order: int
     quad_error_estimate: float
@@ -66,6 +68,18 @@ class AssembledOperator:
     @property
     def size(self) -> int:
         return self.mesh.interior_count
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        """Symmetric Toeplitz: row i of the reversed windows of
+        [a_{N-2} .. a_1, a_0, a_1 .. a_{N-2}] starts at a_i."""
+        a = self.symbol
+        windows = sliding_window_view(np.concatenate((a[::-1], a[1:])), a.size)
+        return windows[::-1].copy()
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        return mass_matrix(self.mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +155,7 @@ def mass_matrix(mesh: Mesh) -> np.ndarray:
 def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
              assembly_tol: float = ASSEMBLY_TOL,
              audit: KernelAudit | None = None) -> AssembledOperator:
-    """Assemble stiffness, mass and tail weights for (mesh, kernel)."""
+    """Assemble the stiffness symbol and tail weights for (mesh, kernel)."""
     if (isinstance(quad_order, bool)
             or not isinstance(quad_order, numbers.Integral) or quad_order < 3):
         raise InvalidParameterError(
@@ -174,12 +188,7 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
         i = int(np.argmax(error))
         raise AssemblyAccuracyError((0, i) if i < size else ("kappa", i - size),
                                     worst, assembly_tol)
-    # symmetric Toeplitz: row i of the reversed windows of
-    # [a_{N-2} .. a_1, a_0, a_1 .. a_{N-2}] starts at a_i
-    windows = sliding_window_view(np.concatenate((symbol[::-1], symbol[1:])),
-                                  size)
-    return AssembledOperator(mesh=mesh, stiffness=windows[::-1].copy(),
-                             mass=mass_matrix(mesh), tail=kappa,
+    return AssembledOperator(mesh=mesh, symbol=symbol, tail=kappa,
                              quad_order=quad_order, quad_error_estimate=worst)
 
 

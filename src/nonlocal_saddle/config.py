@@ -97,9 +97,11 @@ def _validate_g(g: dict, path: str) -> dict:
                 or len(xs) != len(vs) or len(xs) < 2:
             raise ConfigError(path, "nodal profile needs matching x/values "
                                     "lists of length >= 2")
-        return {"type": "nodal",
-                "x": [_require_number(v, f"{path}/x/{i}")
-                      for i, v in enumerate(xs)],
+        xs = [_require_number(v, f"{path}/x/{i}") for i, v in enumerate(xs)]
+        if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
+            raise ConfigError(f"{path}/x", f"must be strictly increasing, "
+                                           f"got {xs}")
+        return {"type": "nodal", "x": xs,
                 "values": [_require_number(v, f"{path}/values/{i}")
                            for i, v in enumerate(vs)]}
     raise ConfigError(f"{path}/type",

@@ -25,7 +25,7 @@ class AuditInconclusiveError(NonlocalSaddleError):
 
 
 class AuditFailedError(NonlocalSaddleError):
-    """A kernel failed its structural audit and assembly was not overridden."""
+    """A kernel failed its structural audit, so it cannot be assembled."""
 
 
 class AssemblyAccuracyError(NonlocalSaddleError):

@@ -65,6 +65,9 @@ def nodal_profile(x, values) -> SourceProfile:
     values = np.array([float(v) for v in values])
     if len(x) != len(values):
         raise InvalidParameterError("nodal profile needs matching x/value lists")
+    if not np.all(np.diff(x) > 0.0):  # np.interp misreads any other x
+        raise InvalidParameterError(
+            f"nodal profile x must be strictly increasing, got {x.tolist()}")
     return SourceProfile(lambda xx: np.interp(xx, x, values))
 
 

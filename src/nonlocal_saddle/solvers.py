@@ -45,6 +45,14 @@ STALL_STEPS = 10
 DISTINCT_SOLUTION_Z = 1.0e-8
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Refuse a count that is not an integer >= low; a bool is no count."""
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral) or value < low):
+        raise InvalidParameterError(
+            f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1.0e-9
@@ -59,11 +67,7 @@ class SolverOptions:
             raise InvalidParameterError(
                 f"tol must be positive and finite, got {tol!r}")
         for name, low in (("max_iter", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral) or value < low):
-                raise InvalidParameterError(
-                    f"{name} must be an integer >= {low}, got {value!r}")
+            _check_count(name, getattr(self, name), low)
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,11 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
     """
     xg, wg, xi = _element_data(op)
     m_vals = _profile_values(m_profile, xg)
+    bad = np.count_nonzero(~np.isfinite(m_vals))
+    if bad:  # a NaN would read as resonance below, an inf as a gap
+        raise InvalidParameterError(
+            f"slope profile is not finite (NaN or inf) at {bad} of "
+            f"{m_vals.size} points")
     vals = spectrum.eigenvalues
     lo, hi = float(m_vals.min()), float(m_vals.max())
     if _gap_index(lo, hi, vals) is None:
@@ -276,17 +285,24 @@ def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
 
 
 def _armijo(op, spec, u0):
-    """Backtrack along the Newton step (steepest descent if it does not
-    descend) until J drops by 1e-4 of the predicted decrease, up to a few
-    roundings of J, below which no decrease can be seen."""
+    """Backtrack along the Newton step until J drops by 1e-4 of the
+    predicted decrease, up to a few roundings of J, below which no decrease
+    can be seen.  A Newton step that does not descend is replaced by
+    steepest descent in the Z inner product, -A^-1 grad, which descends
+    because A is SPD; the Euclidean -grad is badly scaled for an H^s
+    energy."""
     j_val = eval_J(op, spec, u0)
 
     def globalize(u, step, grad, res):
         nonlocal j_val
         slope = float(grad @ step)
         if slope >= 0.0:
-            step = -grad
-            slope = -float(grad @ grad)
+            try:
+                step = -np.linalg.solve(op.stiffness, grad)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(
+                    f"steepest-descent step failed: {exc}") from exc
+            slope = float(grad @ step)
         slack = 4.0 * np.finfo(float).eps * abs(j_val)
         t = 1.0
         for _ in range(60):
@@ -383,9 +399,7 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     counterexamples can be probed; a singular Newton system takes the
     minimum-norm step unless `_f2_passed` certifies it, as in solve_case_b.
     """
-    if not isinstance(n_starts, numbers.Integral) or n_starts < 1:
-        raise InvalidParameterError(
-            f"n_starts must be an integer >= 1, got {n_starts!r}")
+    _check_count("n_starts", n_starts, 1)
     f2_passed = _f2_passed(spec, spectrum, k)
     rng = np.random.default_rng(opts.seed)
     solutions = []
@@ -548,9 +562,7 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
     if not radii or not all(math.isfinite(r) and r > 0.0 for r in radii):
         raise InvalidParameterError(
             f"radii must be finite and positive, got {radii}")
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 0:
-        raise InvalidParameterError(
-            f"n_samples must be an integer >= 0, got {n_samples!r}")
+    _check_count("n_samples", n_samples, 0)
     rng = np.random.default_rng(seed)
     m = spectrum.size
     spheres = [np.array([t_rad]) for t_rad in radii]

@@ -19,10 +19,10 @@ gives the eigenvalues and, mapped back by e = L^-T y, the M-orthonormal half
 eigenvectors; the (N - 1) x (N - 1) eigenvector matrix is scattered from
 them on first access to `Spectrum.eigenvectors` and cached, so a caller that
 reads only eigenvalues never builds it.  Every eigenvector is exactly even
-or exactly odd.  A pencil that is not finite or not exactly centrosymmetric,
-a mass matrix that is not tridiagonal, and a mass matrix that is not SPD (a
-bidiagonal Cholesky pivot that is not positive and finite) are refused by
-`solve_eigenproblem` itself.
+or exactly odd.  A is built from its symbol and M from the mesh, so both
+are centrosymmetric and M tridiagonal by construction; `solve_eigenproblem`
+refuses a non-finite symbol and a mesh whose M is not SPD (a bidiagonal
+Cholesky pivot that is not positive and finite: width <= 0 or NaN).
 """
 
 from __future__ import annotations
@@ -178,17 +178,8 @@ def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
     of its mass half to one standard `eigh`, the eigenvalues merged by a
     stable sort.  The eigenvector matrix is built on first access to
     `Spectrum.eigenvectors`."""
-    for name in ("stiffness", "mass"):
-        x = getattr(op, name)
-        if not np.all(np.isfinite(x)):
-            raise AssemblyCorruptionError(f"{name} matrix is not finite")
-        if not np.array_equal(x, x[::-1, ::-1]):
-            raise AssemblyCorruptionError(
-                f"{name} matrix is not centrosymmetric")
-    mass = op.mass
-    if np.count_nonzero(mass) > sum(np.count_nonzero(mass.diagonal(d))
-                                    for d in (-1, 0, 1)):
-        raise AssemblyCorruptionError("mass matrix is not tridiagonal")
+    if not np.all(np.isfinite(op.symbol)):
+        raise AssemblyCorruptionError("stiffness matrix is not finite")
     even_vals, even = _solve_half(op, 1.0, "even")
     odd_vals, odd = _solve_half(op, -1.0, "odd")
     vals = np.concatenate((even_vals, odd_vals))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -135,6 +137,16 @@ def test_symmetry_is_exact(fractional_op):
         assert np.array_equal(op.stiffness,
                               scipy.linalg.toeplitz(op.stiffness[:, 0]))
         assert np.array_equal(op.mass, op.mass.T)
+
+
+def test_operator_holds_symbol_and_mesh(op128):
+    """no N x N field: the stiffness is the cached Toeplitz matrix of the
+    symbol and the mass the closed form of the mesh, both bitwise"""
+    assert [f.name for f in dataclasses.fields(ns.AssembledOperator)] == [
+        "mesh", "symbol", "tail", "quad_order", "quad_error_estimate"]
+    assert op128.stiffness is op128.stiffness
+    assert np.array_equal(op128.stiffness, scipy.linalg.toeplitz(op128.symbol))
+    assert np.array_equal(op128.mass, mass_matrix(op128.mesh))
 
 
 def test_stiffness_is_positive_definite(op_by_s):

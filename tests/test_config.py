@@ -95,3 +95,13 @@ def test_nodal_profile_validation():
         validate_config({"nonlinearity": {"g": {"type": "nodal",
                                                 "x": [0.0, 1.0],
                                                 "values": [1.0]}}})
+
+
+@pytest.mark.parametrize("xs", [[1.0, -1.0], [-1.0, 0.0, 0.0, 1.0]])
+def test_nodal_x_must_be_strictly_increasing(xs):
+    """np.interp misreads unsorted x: [1, -1] with values [0, 2] would give
+    g(-1, 0, 1) = [0, 2, 2] instead of [2, 1, 0]"""
+    with pytest.raises(ConfigError) as info:
+        validate_config({"nonlinearity": {"g": {
+            "type": "nodal", "x": xs, "values": [0.0] * len(xs)}}})
+    assert info.value.path == "/nonlinearity/g/x"

@@ -277,3 +277,12 @@ def test_source_profiles():
     assert q(0.5) == pytest.approx(1.0)
     c = nl.constant_profile(4.0)
     np.testing.assert_allclose(c(np.array([-1.0, 2.0])), [4.0, 4.0])
+
+
+@pytest.mark.parametrize("x", [[1.0, -1.0], [-1.0, 0.0, 0.0, 1.0],
+                               [-1.0, math.nan, 1.0]])
+def test_nodal_profile_refuses_x_not_strictly_increasing(x):
+    """np.interp misreads it: x = [1, -1] with values [0, 2] would give
+    g(-1, 0, 1) = [0, 2, 2] instead of [2, 1, 0]"""
+    with pytest.raises(InvalidParameterError, match="strictly increasing"):
+        nl.nodal_profile(x, np.zeros(len(x)))

@@ -106,6 +106,19 @@ def test_linear_solve_refuses_resonance(op128, spectrum128):
                                      nl.constant_profile(1.0))
 
 
+@pytest.mark.parametrize("profile", [
+    math.nan, lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0),
+    math.inf])
+def test_linear_solve_refuses_non_finite_weight_as_such(op128, spectrum128,
+                                                        profile):
+    """a NaN weight, everywhere or on part of Omega, is bad input, not
+    resonance; an infinite one is not a weight above every eigenvalue"""
+    with pytest.raises(InvalidParameterError, match="NaN or inf") as info:
+        linear_nonresonant_solve(op128, spectrum128, profile,
+                                 nl.constant_profile(1.0))
+    assert not isinstance(info.value, ResonanceError)
+
+
 def test_resonance_refusals_agree_at_the_margin(spectrum128):
     """the linear solve, classify and the slope-gap check place a weight
     next to an eigenvalue the same way, also at exactly GAP_MARGIN from it"""
@@ -161,7 +174,7 @@ def test_case_a_falls_back_to_steepest_descent(op128, spectrum128,
     """saturating(0, 1.5 lambda_1, g = 1) is coercive by its asymptotic
     slopes, but f_t = 1.5 lambda_1 at t = 0 makes the Hessian indefinite
     near 0, so Newton steps there need not descend; Armijo then searches
-    along -grad and still reaches the minimizer."""
+    along the Z-gradient -A^-1 grad and still reaches the minimizer."""
     lam1 = float(spectrum128.eigenvalues[0])
     spec = nl.saturating(0.0, 1.5 * lam1, nl.constant_profile(1.0))
     assert nl.classify(spec, spectrum128).case is nl.Case.COERCIVE
@@ -181,6 +194,36 @@ def test_case_a_falls_back_to_steepest_descent(op128, spectrum128,
     assert rep.residual_inf <= OPTS.tol
     assert ns.morse_index(op128, spec, rep.solution) == 0
     assert any(ascent)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.5), (0.0, 1.2), (-1.0, 3.0)])
+def test_case_a_fallback_converges_at_n512(ops_refinement, lo, hi):
+    """saturating(lo lambda_1, hi lambda_1, g = 1) is coercive, but its
+    Hessian is indefinite near 0.  Searching along the Euclidean -grad, a
+    badly scaled direction for an H^s energy, left the residual at 6e-2 ..
+    1.3e-1 after 200 iterations at N = 512; the Z-gradient takes 7 - 9.
+    J < 0 = J(0) and Morse index 0: a minimizer, not the saddle that plain
+    Newton from 0 reaches."""
+    op = ops_refinement[512]
+    sp = ns.solve_eigenproblem(op)
+    lam1 = float(sp.eigenvalues[0])
+    spec = nl.saturating(lo * lam1, hi * lam1, nl.constant_profile(1.0))
+    assert nl.classify(spec, sp).case is nl.Case.COERCIVE
+    rep = ns.solve_case_a(op, spec, OPTS)
+    assert rep.residual_inf <= OPTS.tol
+    assert rep.iterations <= 20
+    assert rep.j_value < 0.0
+    assert ns.morse_index(op, spec, rep.solution) == 0
+
+
+def test_case_a_singular_fallback_is_a_numeric_error(op128, spectrum128):
+    """a zero stiffness makes the Newton step ascend and the Z-gradient
+    solve singular: LAPACK's error becomes NumericError"""
+    lam1 = float(spectrum128.eigenvalues[0])
+    spec = nl.saturating(0.0, 1.5 * lam1, nl.constant_profile(1.0))
+    bad = dataclasses.replace(op128, symbol=np.zeros_like(op128.symbol))
+    with pytest.raises(NumericError, match="steepest-descent step failed"):
+        ns.solve_case_a(bad, spec, OPTS)
 
 
 def test_case_a_refuses_gap_problem(op128, spectrum128, gap_spec):
@@ -455,7 +498,7 @@ def test_case_b_non_finite_system_raises_numeric_error(op128, spectrum128,
     assert isinstance(err.value.__cause__, ValueError)
 
 
-@pytest.mark.parametrize("n_starts", [0, 2.5])
+@pytest.mark.parametrize("n_starts", [0, 2.5, True])
 def test_uniqueness_probe_rejects_bad_start_count(op128, spectrum128,
                                                   gap_spec, n_starts):
     with pytest.raises(InvalidParameterError):
@@ -521,6 +564,7 @@ def test_geometry_probe_coercive_positive(op128, spectrum128):
     {"radii": ()},
     {"n_samples": -3},
     {"n_samples": 70.5},
+    {"n_samples": True},
 ])
 def test_geometry_probe_rejects_bad_input(op128, spectrum128, kwargs):
     spec = nl.affine(20.0, nl.constant_profile(0.0))
