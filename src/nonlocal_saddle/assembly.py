@@ -37,7 +37,6 @@ ends (zero for the fractional closed form).  assembly_tol gates it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AssemblyAccuracyError, AuditFailedError,
-                     InvalidParameterError)
+                     InvalidParameterError, check_count, check_real)
 from .kernels import (Kernel, KernelAudit, audit_kernel, radial_moment,
                       upper_integral)
 from .meshing import Mesh
@@ -156,13 +155,8 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
              assembly_tol: float = ASSEMBLY_TOL,
              audit: KernelAudit | None = None) -> AssembledOperator:
     """Assemble the stiffness symbol and tail weights for (mesh, kernel)."""
-    if (isinstance(quad_order, bool)
-            or not isinstance(quad_order, numbers.Integral) or quad_order < 3):
-        raise InvalidParameterError(
-            f"quad_order must be an integer >= 3, got {quad_order!r}")
-    if not (assembly_tol > 0.0 and math.isfinite(assembly_tol)):
-        raise InvalidParameterError(
-            f"assembly_tol must be positive and finite, got {assembly_tol!r}")
+    check_count("quad_order", quad_order, 3)
+    check_real("assembly_tol", assembly_tol, 0.0)
     if audit is None:
         audit = audit_kernel(kernel)
     if not audit.passed:

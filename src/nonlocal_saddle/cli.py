@@ -14,7 +14,7 @@ import numpy as np
 from . import nonlinearity as nl
 from .assembly import assemble
 from .config import RunConfig, _require_seed, parse_config
-from .errors import ConfigError, NonlocalSaddleError
+from .errors import ConfigError, NonlocalSaddleError, check_count
 from .kernels import audit_kernel, make_fractional_kernel
 from .meshing import build_uniform_mesh
 from .solvers import (SolverOptions, geometry_probe, solve_case_a,
@@ -232,14 +232,11 @@ def cmd_export_matrices(pipe: Pipeline) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
+    try:  # InvalidParameterError is a ValueError
+        return check_count("count", int(text), 1)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return value
+            f"expected an integer >= 1, got {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

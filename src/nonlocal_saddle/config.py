@@ -1,17 +1,20 @@
 """JSON run configuration with strict validation and documented defaults.
 
-Unknown keys are rejected; violations of module preconditions are reported
-with a JSON-pointer-style path before any computation starts.
+Unknown keys, malformed lists and non-numbers are refused here; a range
+rule is the library's own check, its refusal reported with a
+JSON-pointer-style path.  All of this happens before any computation.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .assembly import ASSEMBLY_TOL
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError, check_count, check_real
+from .nonlinearity import nodal_profile
 from .quadrature import GAUSS_ORDER
 from .solvers import SolverOptions
 
@@ -39,22 +42,35 @@ class RunConfig:
     output: dict
 
 
-def _require_number(value, path, integer=False):
+@contextmanager
+def _at(path: str):
+    """Report the library's refusal of a value as a ConfigError at path."""
+    try:
+        yield
+    except InvalidParameterError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _require_number(value, path, check=None, name=None, *bounds, **flags):
+    """A finite JSON number at path, an integer for check_count, in the
+    range that the library's check(name, value, *bounds, **flags) sets."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, a huge integer
         raise ConfigError(path, f"expected a finite number, got {value!r}")
+    integer = check is check_count
     if integer and not float(value).is_integer():
         raise ConfigError(path, f"expected an integer, got {value!r}")
-    return int(value) if integer else float(value)
+    value = int(value) if integer else float(value)
+    if check is None:
+        return value
+    with _at(path):
+        return check(name, value, *bounds, **flags)
 
 
 def _require_seed(value) -> int:
     """solver.seed, from the config or the --seed override."""
-    seed = _require_number(value, "/solver/seed", integer=True)
-    if seed < 0:
-        raise ConfigError("/solver/seed", f"must be >= 0, got {seed}")
-    return seed
+    return _require_number(value, "/solver/seed", check_count, "seed", 0)
 
 
 def _require_keys(section: dict, allowed, path):
@@ -98,12 +114,11 @@ def _validate_g(g: dict, path: str) -> dict:
             raise ConfigError(path, "nodal profile needs matching x/values "
                                     "lists of length >= 2")
         xs = [_require_number(v, f"{path}/x/{i}") for i, v in enumerate(xs)]
-        if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
-            raise ConfigError(f"{path}/x", f"must be strictly increasing, "
-                                           f"got {xs}")
-        return {"type": "nodal", "x": xs,
-                "values": [_require_number(v, f"{path}/values/{i}")
-                           for i, v in enumerate(vs)]}
+        vs = [_require_number(v, f"{path}/values/{i}")
+              for i, v in enumerate(vs)]
+        with _at(f"{path}/x"):
+            nodal_profile(xs, vs)
+        return {"type": "nodal", "x": xs, "values": vs}
     raise ConfigError(f"{path}/type",
                       f"expected constant|polynomial|nodal, got {gtype!r}")
 
@@ -116,33 +131,26 @@ def validate_config(raw: dict) -> RunConfig:
     domain = _merged(raw.get("domain"), DEFAULTS["domain"], "/domain")
     a = _require_number(domain["a"], "/domain/a")
     b = _require_number(domain["b"], "/domain/b")
-    if not a < b:
-        raise ConfigError("/domain", f"need a < b, got a={a}, b={b}")
+    with _at("/domain"):
+        check_real("b", b, a)
     domain = {"a": a, "b": b}
 
     kernel = _merged(raw.get("kernel"), DEFAULTS["kernel"], "/kernel")
-    s = _require_number(kernel["s"], "/kernel/s")
-    if not 0.0 < s < 1.0:
-        raise ConfigError("/kernel/s", f"must lie in (0, 1), got {s}")
-    kernel = {"s": s}
+    kernel = {"s": _require_number(kernel["s"], "/kernel/s",
+                                   check_real, "s", 0.0, 1.0)}
 
     mesh = _merged(raw.get("mesh"), DEFAULTS["mesh"], "/mesh")
-    n_el = _require_number(mesh["n_elements"], "/mesh/n_elements", integer=True)
-    if n_el < 2:
-        raise ConfigError("/mesh/n_elements", f"must be >= 2, got {n_el}")
-    mesh = {"n_elements": n_el}
+    mesh = {"n_elements": _require_number(mesh["n_elements"],
+                                          "/mesh/n_elements", check_count,
+                                          "n_elements", 2)}
 
     quadrature = _merged(raw.get("quadrature"), DEFAULTS["quadrature"],
                          "/quadrature")
     order = _require_number(quadrature["order"], "/quadrature/order",
-                            integer=True)
-    if order < 3:
-        raise ConfigError("/quadrature/order", f"must be >= 3, got {order}")
+                            check_count, "quad_order", 3)
     atol = _require_number(quadrature["assembly_tol"],
-                           "/quadrature/assembly_tol")
-    if atol <= 0.0:
-        raise ConfigError("/quadrature/assembly_tol",
-                          f"must be positive, got {atol}")
+                           "/quadrature/assembly_tol",
+                           check_real, "assembly_tol", 0.0)
     quadrature = {"order": order, "assembly_tol": atol}
 
     nl = _merged(raw.get("nonlinearity"), DEFAULTS["nonlinearity"],
@@ -159,25 +167,18 @@ def validate_config(raw: dict) -> RunConfig:
                               f"only the {owner} family reads {key}, "
                               f"but the family is {family!r}")
     m = _require_number(nl["m"], "/nonlinearity/m")
-    delta = _require_number(nl["delta"], "/nonlinearity/delta")
+    delta = _require_number(nl["delta"], "/nonlinearity/delta",
+                            check_real, "delta", 0.0, closed=True)
     c = _require_number(nl["c"], "/nonlinearity/c")
-    if family == "saturating" and delta < 0.0:
-        raise ConfigError("/nonlinearity/delta",
-                          f"must be >= 0, got {delta}")
     g = _validate_g(nl["g"], "/nonlinearity/g")
     nl = {"family": family, "m": m, "delta": delta, "c": c, "g": g}
 
     solver = _merged(raw.get("solver"), DEFAULTS["solver"], "/solver")
-    tol = _require_number(solver["tol"], "/solver/tol")
-    if tol <= 0.0:
-        raise ConfigError("/solver/tol", f"must be positive, got {tol}")
+    tol = _require_number(solver["tol"], "/solver/tol", check_real, "tol", 0.0)
     max_iter = _require_number(solver["max_iter"], "/solver/max_iter",
-                               integer=True)
-    if max_iter < 1:
-        raise ConfigError("/solver/max_iter", f"must be >= 1, got {max_iter}")
-    starts = _require_number(solver["starts"], "/solver/starts", integer=True)
-    if starts < 1:
-        raise ConfigError("/solver/starts", f"must be >= 1, got {starts}")
+                               check_count, "max_iter", 1)
+    starts = _require_number(solver["starts"], "/solver/starts",
+                             check_count, "n_starts", 1)
     solver = {"tol": tol, "max_iter": max_iter,
               "starts": starts, "seed": _require_seed(solver["seed"])}
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exceptions shared across the package, and its two argument checks."""
+
+import math
+import numbers
+import sys
 
 
 class NonlocalSaddleError(Exception):
@@ -7,6 +11,29 @@ class NonlocalSaddleError(Exception):
 
 class InvalidParameterError(NonlocalSaddleError, ValueError):
     """A precondition on an argument was violated."""
+
+
+def check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """Return `value` if it is an integer, never a bool, in [low, high)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not low <= value < (math.inf if high is None else high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise InvalidParameterError(
+            f"{name} must be an integer {bound}, got {value!r}")
+    return value
+
+
+def check_real(name: str, value, low: float = -math.inf,
+               high: float = math.inf, closed: bool = False) -> float:
+    """Return `value` as a float if it is a finite real, never a bool, in
+    (low, high), or in [low, high) when `closed` is set."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max  # NaN, inf, a huge int
+            or not (low <= value if closed else low < value) or value >= high):
+        raise InvalidParameterError(
+            f"{name} must be a finite number in {'[' if closed else '('}"
+            f"{low}, {high}), got {value!r}")
+    return float(value)
 
 
 class ConfigError(NonlocalSaddleError, ValueError):

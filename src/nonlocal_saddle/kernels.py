@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AuditInconclusiveError, InvalidParameterError
+from .errors import AuditInconclusiveError, check_real
 from .quadrature import (ESTIMATE_STEP, GAUSS_ORDER, estimate,
                          integrate_graded_zero, panel_sum)
 
@@ -69,8 +69,7 @@ class Kernel:
 
 def make_fractional_kernel(s: float) -> Kernel:
     """The kernel |z|^(-(1+2s)) of the fractional Laplacian of order s."""
-    if not 0.0 < s < 1.0:
-        raise InvalidParameterError(f"fractional order s must lie in (0,1), got {s}")
+    s = check_real("s", s, 0.0, 1.0)
     power = 1.0 + 2.0 * s
 
     def evaluate(z):
@@ -82,10 +81,8 @@ def make_fractional_kernel(s: float) -> Kernel:
 
 def make_custom_kernel(evaluate: Callable, s: float, theta: float) -> Kernel:
     """Wrap user-supplied kernel code with its declared (s, theta)."""
-    if not 0.0 < s < 1.0:
-        raise InvalidParameterError(f"fractional order s must lie in (0,1), got {s}")
-    if theta <= 0.0:
-        raise InvalidParameterError(f"theta must be positive, got {theta}")
+    s = check_real("s", s, 0.0, 1.0)
+    theta = check_real("theta", theta, 0.0)
 
     def vectorized(z):
         return np.asarray(evaluate(np.asarray(z, dtype=float)), dtype=float)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,11 @@ class Mesh:
 
 
 def build_uniform_mesh(a: float, b: float, n_elements: int) -> Mesh:
-    if not a < b:
-        raise InvalidParameterError(f"need a < b, got a={a}, b={b}")
-    if n_elements < 2:
-        raise InvalidParameterError(f"need at least 2 elements, got {n_elements}")
+    a = check_real("a", a)
+    b = check_real("b", b, a)
+    check_count("n_elements", n_elements, 2)
     nodes = np.linspace(a, b, n_elements + 1)
-    return Mesh(a=float(a), b=float(b), n_elements=int(n_elements), nodes=nodes)
+    return Mesh(a=a, b=b, n_elements=int(n_elements), nodes=nodes)
 
 
 def interpolate(mesh: Mesh, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, UnauditableError
+from .errors import (InvalidParameterError, NumericError, UnauditableError,
+                     check_real)
 from .quadrature import ESTIMATE_STEP, estimate, gauss_rule, panel_sum
 from .spectral import Spectrum
 
@@ -51,18 +52,18 @@ class SourceProfile:
 
 
 def constant_profile(value: float) -> SourceProfile:
-    value = float(value)
+    value = check_real("constant profile value", value)
     return SourceProfile(lambda x: np.full_like(x, value))
 
 
 def polynomial_profile(coeffs) -> SourceProfile:
-    coeffs = np.array([float(c) for c in coeffs])
+    coeffs = np.array([check_real("coefficient", c) for c in coeffs])
     return SourceProfile(lambda x: np.polynomial.polynomial.polyval(x, coeffs))
 
 
 def nodal_profile(x, values) -> SourceProfile:
     x = np.array([float(v) for v in x])
-    values = np.array([float(v) for v in values])
+    values = np.array([check_real("nodal profile value", v) for v in values])
     if len(x) != len(values):
         raise InvalidParameterError("nodal profile needs matching x/value lists")
     if not np.all(np.diff(x) > 0.0):  # np.interp misreads any other x
@@ -85,7 +86,7 @@ class NonlinearitySpec:
 
 
 def affine(m: float, g: SourceProfile) -> NonlinearitySpec:
-    m = float(m)
+    m = check_real("m", m)
     return NonlinearitySpec(
         f=lambda x, t: m * t + g(x),
         f_t=lambda x, t: np.full(np.broadcast(x, t).shape, m),
@@ -96,9 +97,7 @@ def affine(m: float, g: SourceProfile) -> NonlinearitySpec:
 
 
 def saturating(m: float, delta: float, g: SourceProfile) -> NonlinearitySpec:
-    if delta < 0.0:
-        raise InvalidParameterError(f"delta must be nonnegative, got {delta}")
-    m, delta = float(m), float(delta)
+    m, delta = check_real("m", m), check_real("delta", delta, 0.0, closed=True)
     return NonlinearitySpec(
         f=lambda x, t: m * t + delta * np.arctan(t) + g(x),
         f_t=lambda x, t: m + delta / (1.0 + t * t),
@@ -111,7 +110,7 @@ def saturating(m: float, delta: float, g: SourceProfile) -> NonlinearitySpec:
 
 
 def bounded_perturbation(m: float, c: float, g: SourceProfile) -> NonlinearitySpec:
-    m, c = float(m), float(c)
+    m, c = check_real("m", m), check_real("c", c)
     return NonlinearitySpec(
         f=lambda x, t: m * t + c * np.sin(t) + g(x),
         f_t=lambda x, t: m + c * np.cos(t),
@@ -128,8 +127,7 @@ def custom(f: Callable, a_profile: Callable, b: float,
     """Wrap user code for f; a missing f_t is a central difference of f and
     a missing F the Gauss panel rule for f from 0 to t (NumericError where
     it does not resolve f)."""
-    if b < 0.0:
-        raise InvalidParameterError(f"growth slope b must be >= 0, got {b}")
+    b = check_real("b", b, 0.0, closed=True)
     if slope_range and not slope_range[0] <= slope_range[1]:
         raise InvalidParameterError(
             f"slope_range must have lo <= hi, got {tuple(slope_range)}")
@@ -155,7 +153,7 @@ def custom(f: Callable, a_profile: Callable, b: float,
 
     spec = NonlinearitySpec(
         f=f, f_t=f_t or central_difference, F=F or primitive,
-        a_profile=a_profile, b=float(b),
+        a_profile=a_profile, b=b,
         alpha_lower=alpha_lower, alpha_upper=alpha_upper,
         slope_range=tuple(slope_range) if slope_range else None)
     return spec

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import check_count
 
 #: Default Gauss order, and the step to the order that estimates its error.
 GAUSS_ORDER = 8
@@ -20,8 +20,7 @@ GRADED_RATIO = 0.5
 @lru_cache(maxsize=64)
 def gauss_rule(order: int):
     """Nodes and weights of the `order`-point Gauss-Legendre rule on [0, 1]."""
-    if order < 1:
-        raise InvalidParameterError("Gauss order must be >= 1")
+    check_count("Gauss order", order, 1)
     x, w = np.polynomial.legendre.leggauss(order)
     return (x + 1.0) / 2.0, w / 2.0
 

@@ -13,7 +13,6 @@ multi-starts the gap driver to test the slope-gap uniqueness prediction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,8 @@ import scipy.linalg
 from .assembly import AssembledOperator, _check_dim, norm_Z
 from .errors import (InvalidParameterError, NonConvergenceError,
                      NonResonanceContradictionError, NumericError,
-                     ResonanceError, UnsupportedCaseError)
+                     ResonanceError, UnsupportedCaseError, check_count,
+                     check_real)
 from .nonlinearity import (Case, CaseClassification, NonlinearitySpec,
                            _gap_index, check_f2_gap, classify, eval_F, eval_f,
                            eval_f_t)
@@ -45,14 +45,6 @@ STALL_STEPS = 10
 DISTINCT_SOLUTION_Z = 1.0e-8
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """Refuse a count that is not an integer >= low; a bool is no count."""
-    if (isinstance(value, bool)
-            or not isinstance(value, numbers.Integral) or value < low):
-        raise InvalidParameterError(
-            f"{name} must be an integer >= {low}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1.0e-9
@@ -60,14 +52,9 @@ class SolverOptions:
     seed: int = 42
 
     def __post_init__(self):
-        # the rules validate_config applies under /solver
-        tol = self.tol
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not (math.isfinite(tol) and tol > 0.0)):
-            raise InvalidParameterError(
-                f"tol must be positive and finite, got {tol!r}")
-        for name, low in (("max_iter", 1), ("seed", 0)):
-            _check_count(name, getattr(self, name), low)
+        check_real("tol", self.tol, 0.0)
+        check_count("max_iter", self.max_iter, 1)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -188,14 +175,29 @@ def residual_weakform(op: AssembledOperator, spec: NonlinearitySpec,
 # linear nonresonant solve
 # ---------------------------------------------------------------------------
 
-def _profile_values(profile, xg: np.ndarray) -> np.ndarray:
-    """A scalar or callable profile at the Gauss points xg."""
+def _profile_values(name: str, profile, xg: np.ndarray) -> np.ndarray:
+    """A scalar or callable profile at the Gauss points xg, refused unless
+    finite: a NaN slope would read as resonance, an infinite one as a gap."""
     if np.isscalar(profile):
-        return np.full_like(xg, float(profile))
-    if callable(profile):
-        return np.asarray(profile(xg), dtype=float)
-    raise InvalidParameterError(
-        f"profile must be a scalar or callable, got {type(profile).__name__}")
+        values = np.full_like(xg, float(profile))
+    elif callable(profile):
+        values = np.asarray(profile(xg), dtype=float)
+    else:
+        raise InvalidParameterError(f"{name} profile must be a scalar or "
+                                    f"callable, got {type(profile).__name__}")
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise InvalidParameterError(
+            f"{name} profile is not finite (NaN or inf) at {bad} of "
+            f"{values.size} points")
+    return values
+
+
+def _check_pair(op: AssembledOperator, spectrum: Spectrum) -> None:
+    """Refuse a spectrum computed for another operator."""
+    if spectrum.op is not op:
+        raise InvalidParameterError(
+            "spectrum was solved for another operator than the one given")
 
 
 def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
@@ -207,13 +209,9 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
     so the solve is one certified Newton step: a singular factorization
     signals an assembly or spectrum bug, not a user error.
     """
+    _check_pair(op, spectrum)
     xg, wg, xi = _element_data(op)
-    m_vals = _profile_values(m_profile, xg)
-    bad = np.count_nonzero(~np.isfinite(m_vals))
-    if bad:  # a NaN would read as resonance below, an inf as a gap
-        raise InvalidParameterError(
-            f"slope profile is not finite (NaN or inf) at {bad} of "
-            f"{m_vals.size} points")
+    m_vals = _profile_values("slope", m_profile, xg)
     vals = spectrum.eigenvalues
     lo, hi = float(m_vals.min()), float(m_vals.max())
     if _gap_index(lo, hi, vals) is None:
@@ -221,7 +219,7 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
             raise ResonanceError(f"slope profile range [{lo:.6g}, {hi:.6g}] "
                                  f"straddles an eigenvalue")
         raise ResonanceError("slope profile touches an eigenvalue within 1e-9")
-    rhs = _p1_load(op, wg * _profile_values(g, xg), xi)
+    rhs = _p1_load(op, wg * _profile_values("source", g, xg), xi)
     work = np.empty((op.size, op.size), order="F")
     return _newton_step(op, m_vals, -rhs, True, work)
 
@@ -378,6 +376,7 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
     slope-gap check (`_f2_passed`) a singular Newton system raises
     NonResonanceContradictionError instead of taking a least-squares step.
     """
+    _check_pair(op, spectrum)
     if classification is None:
         classification = classify(spec, spectrum)
     if classification.case is not Case.GAP:
@@ -399,7 +398,9 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     counterexamples can be probed; a singular Newton system takes the
     minimum-norm step unless `_f2_passed` certifies it, as in solve_case_b.
     """
-    _check_count("n_starts", n_starts, 1)
+    _check_pair(op, spectrum)
+    spectrum.gap(k)
+    check_count("n_starts", n_starts, 1)
     f2_passed = _f2_passed(spec, spectrum, k)
     rng = np.random.default_rng(opts.seed)
     solutions = []
@@ -558,13 +559,13 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
     ratio of an axis sample is the same at every Z-norm, so which norm
     supplies `extreme_j` and `floor_estimate` is decided by rounding.
     """
-    radii = tuple(sorted(float(r) for r in radii))
-    if not radii or not all(math.isfinite(r) and r > 0.0 for r in radii):
-        raise InvalidParameterError(
-            f"radii must be finite and positive, got {radii}")
-    _check_count("n_samples", n_samples, 0)
-    rng = np.random.default_rng(seed)
+    _check_pair(op, spectrum)
+    radii = tuple(sorted(check_real("radius", r, 0.0) for r in radii))
+    check_count("the number of radii", len(radii), 1)
+    check_count("n_samples", n_samples, 0)
     m = spectrum.size
+    check_count("k", k, 0, m)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     spheres = [np.array([t_rad]) for t_rad in radii]
 
     def scan(modes, groups, reduce_max):
@@ -580,8 +581,6 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
                              floor_estimate=min(s.extreme_j for s in samples),
                              separated=separated, seed=seed)
 
-    if not 1 <= k < m:
-        raise InvalidParameterError(f"k must lie in [0, {m - 1}], got {k}")
     head = [RadiusSample(t_rad, *found) for t_rad, found
             in zip(radii, scan(slice(0, k), spheres, True))]
     # the tail shells, then small norms for the floor of J over the tail

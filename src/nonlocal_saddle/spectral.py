@@ -35,7 +35,8 @@ import numpy as np
 
 from .assembly import AssembledOperator, _check_dim
 from .errors import (AssemblyCorruptionError, EigenClusterError,
-                     InvalidParameterError, NumericError)
+                     InvalidParameterError, NumericError, check_count,
+                     check_real)
 
 #: relative gap below which neighbouring eigenvalues count as one cluster
 CLUSTER_GAP = 1.0e-8
@@ -80,11 +81,15 @@ class Spectrum:
         return _fix_signs(vecs, self.op.mass)
 
     def gap(self, k: int) -> tuple[float, float]:
-        """The open interval (lambda_k, lambda_{k+1}), 1-based k."""
-        if not 1 <= k < self.size:
-            raise InvalidParameterError(f"gap index k={k} out of range")
-        _check_cluster_split(self, k)
-        return float(self.eigenvalues[k - 1]), float(self.eigenvalues[k])
+        """The open interval (lambda_k, lambda_{k+1}), 1-based k, if it
+        does not split a numerically repeated cluster."""
+        check_count("k", k, 1, self.size)
+        lo, hi = float(self.eigenvalues[k - 1]), float(self.eigenvalues[k])
+        if (hi - lo) / max(abs(lo), 1.0e-300) < CLUSTER_GAP:
+            raise EigenClusterError(
+                f"k={k} splits a numerically repeated eigenvalue cluster "
+                f"(lambda_k={lo:.12g}, lambda_k+1={hi:.12g})")
+        return lo, hi
 
 
 def _fix_signs(vectors: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -198,28 +203,15 @@ def rayleigh_quotient(op: AssembledOperator, u) -> float:
     return float(u @ op.stiffness @ u) / denom
 
 
-def _check_cluster_split(spectrum: Spectrum, k: int):
-    vals = spectrum.eigenvalues
-    if k < vals.size:
-        lo, hi = vals[k - 1], vals[k]
-        if (hi - lo) / max(abs(lo), 1.0e-300) < CLUSTER_GAP:
-            raise EigenClusterError(
-                f"k={k} splits a numerically repeated eigenvalue cluster "
-                f"(lambda_k={lo:.12g}, lambda_k+1={hi:.12g})")
-
-
 def project(spectrum: Spectrum, u, part: str, k: int) -> np.ndarray:
     """Project onto the head span(e_1..e_k) or its complement.
 
     part is "head" or "tail"; head + tail = u exactly by construction.
     """
     u = _check_dim(spectrum.op, u)
-    m = spectrum.size
-    if not 1 <= k < m:
-        raise InvalidParameterError(f"k must lie in [1, {m - 1}], got {k}")
+    spectrum.gap(k)
     if part not in ("head", "tail"):
         raise InvalidParameterError(f"part must be 'head' or 'tail', got {part!r}")
-    _check_cluster_split(spectrum, k)
     basis = spectrum.eigenvectors[:, :k]
     head = basis @ (basis.T @ (spectrum.op.mass @ u))
     return head if part == "head" else u - head
@@ -230,15 +222,11 @@ def poincare_lower_bound(omega: tuple[float, float], s: float, theta: float,
     """Guaranteed floor for the first eigenvalue from the enclosing-ball
     estimate theta * |B_R \\ Omega| / (2R)^(1+2s) in one dimension."""
     a, b = omega
-    if not a < b:
-        raise InvalidParameterError(f"need a < b, got ({a}, {b})")
-    if not 0.0 < s < 1.0:
-        raise InvalidParameterError(f"s must lie in (0,1), got {s}")
-    if theta <= 0.0:
-        raise InvalidParameterError(f"theta must be positive, got {theta}")
-    if R <= max(abs(a), abs(b)):
-        raise InvalidParameterError(
-            f"R={R} does not leave positive measure outside ({a}, {b})")
+    a = check_real("a", a)
+    b = check_real("b", b, a)
+    s = check_real("s", s, 0.0, 1.0)
+    theta = check_real("theta", theta, 0.0)
+    R = check_real("R", R, max(abs(a), abs(b)))
     # R > max(|a|, |b|) gives b - a < 2R: the ball leaves room outside
     return theta * (2.0 * R - (b - a)) / (2.0 * R) ** (1.0 + 2.0 * s)
 

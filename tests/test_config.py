@@ -1,7 +1,9 @@
 import pytest
 
+import nonlocal_saddle as ns
+from nonlocal_saddle import nonlinearity as nl
 from nonlocal_saddle.config import parse_config, validate_config
-from nonlocal_saddle.errors import ConfigError
+from nonlocal_saddle.errors import ConfigError, InvalidParameterError
 
 
 def test_defaults_fill_in():
@@ -47,11 +49,49 @@ def test_partial_override():
     ({"nonlinearity": {"family": "saturating", "c": 0.0}},
      "/nonlinearity/c"),
     ({"solver": {"seed": -1}}, "/solver/seed"),
+    # JSON integers beyond the float range: no OverflowError escapes
+    ({"kernel": {"s": 10 ** 400}}, "/kernel/s"),
+    ({"mesh": {"n_elements": 10 ** 400}}, "/mesh/n_elements"),
 ])
 def test_invalid_values_report_pointer_path(raw, path):
     with pytest.raises(ConfigError) as exc:
         validate_config(raw)
     assert exc.value.path == path
+
+
+def _small_pencil():
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 8),
+                     ns.make_fractional_kernel(0.5))
+    return op, ns.solve_eigenproblem(op)
+
+
+@pytest.mark.parametrize("raw,library_call", [
+    ({"kernel": {"s": 1.5}}, lambda: ns.make_fractional_kernel(1.5)),
+    ({"mesh": {"n_elements": 1}}, lambda: ns.build_uniform_mesh(-1, 1, 1)),
+    ({"quadrature": {"order": 2}},
+     lambda: ns.assemble(ns.build_uniform_mesh(-1, 1, 4),
+                         ns.make_fractional_kernel(0.5), quad_order=2)),
+    ({"quadrature": {"assembly_tol": 0.0}},
+     lambda: ns.assemble(ns.build_uniform_mesh(-1, 1, 4),
+                         ns.make_fractional_kernel(0.5), assembly_tol=0.0)),
+    ({"nonlinearity": {"family": "saturating", "delta": -0.5}},
+     lambda: nl.saturating(0.0, -0.5, nl.constant_profile(1.0))),
+    ({"solver": {"tol": -1e-9}}, lambda: ns.SolverOptions(tol=-1e-9)),
+    ({"solver": {"max_iter": 0}}, lambda: ns.SolverOptions(max_iter=0)),
+    ({"solver": {"starts": 0}},
+     lambda: ns.uniqueness_probe(*_small_pencil(), nl.affine(
+         0.0, nl.constant_profile(1.0)), 1, n_starts=0)),
+    ({"solver": {"seed": -1}}, lambda: ns.SolverOptions(seed=-1)),
+], ids=["s", "n_elements", "order", "assembly_tol", "delta", "tol",
+        "max_iter", "starts", "seed"])
+def test_config_reports_the_library_refusal(raw, library_call):
+    """each range rule is stated once, by the library: the config refuses
+    a value with the message of the library's refusal of the same value"""
+    with pytest.raises(InvalidParameterError) as library:
+        library_call()
+    with pytest.raises(ConfigError) as config:
+        validate_config(raw)
+    assert str(library.value) in str(config.value)
 
 
 def test_unknown_keys_rejected():

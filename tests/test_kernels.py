@@ -24,6 +24,12 @@ def test_fractional_kernel_rejects_bad_s(s):
         ns.make_fractional_kernel(s)
 
 
+@pytest.mark.parametrize("s,theta", [(0.5, math.nan), (0.5, math.inf)])
+def test_custom_kernel_rejects_bad_parameters(s, theta):
+    with pytest.raises(InvalidParameterError):
+        ns.make_custom_kernel(lambda z: np.abs(z) ** -2.0, s, theta)
+
+
 def test_k1_closed_form():
     # int min{x^2,1} |x|^(-1-2s) dx = 2/(2-2s) + 2/(2s); equals 4 at s=1/2
     assert ns.fractional_k1_closed_form(0.5) == pytest.approx(4.0, rel=1e-15)

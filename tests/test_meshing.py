@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ def test_uniform_mesh_basic():
 
 
 @pytest.mark.parametrize("a,b,n", [(1.0, -1.0, 4), (0.0, 0.0, 4),
-                                   (-1.0, 1.0, 1), (-1.0, 1.0, 0)])
+                                   (-1.0, 1.0, 1), (-1.0, 1.0, 0),
+                                   (-1.0, 1.0, 2.5), (-1.0, 1.0, 3.0),
+                                   (-1.0, math.inf, 4)])
 def test_uniform_mesh_rejects_bad_input(a, b, n):
     with pytest.raises(InvalidParameterError):
         ns.build_uniform_mesh(a, b, n)

@@ -279,6 +279,28 @@ def test_source_profiles():
     np.testing.assert_allclose(c(np.array([-1.0, 2.0])), [4.0, 4.0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: nl.constant_profile(math.nan),
+    lambda: nl.polynomial_profile([1.0, math.nan]),
+    lambda: nl.nodal_profile([0.0, 1.0], [0.0, math.nan]),
+    lambda: nl.affine(math.nan, nl.constant_profile(1.0)),
+    lambda: nl.saturating(math.nan, 1.0, nl.constant_profile(1.0)),
+    lambda: nl.saturating(1.0, math.nan, nl.constant_profile(1.0)),
+    lambda: nl.saturating(1.0, math.inf, nl.constant_profile(1.0)),
+    lambda: nl.bounded_perturbation(1.0, math.nan, nl.constant_profile(1.0)),
+    lambda: nl.custom(f=lambda x, t: t, a_profile=np.abs, b=math.nan,
+                      alpha_lower=nl.constant_profile(1.0),
+                      alpha_upper=nl.constant_profile(1.0)),
+], ids=["constant", "polynomial", "nodal", "affine-m", "saturating-m",
+        "saturating-delta-nan", "saturating-delta-inf", "bounded-c",
+        "custom-b"])
+def test_constructors_refuse_non_finite_parameters(build):
+    """a NaN or inf parameter is bad input when the spec is built, not a
+    numeric failure inside a later Newton step"""
+    with pytest.raises(InvalidParameterError):
+        build()
+
+
 @pytest.mark.parametrize("x", [[1.0, -1.0], [-1.0, 0.0, 0.0, 1.0],
                                [-1.0, math.nan, 1.0]])
 def test_nodal_profile_refuses_x_not_strictly_increasing(x):

@@ -112,11 +112,15 @@ def test_linear_solve_refuses_resonance(op128, spectrum128):
 def test_linear_solve_refuses_non_finite_weight_as_such(op128, spectrum128,
                                                         profile):
     """a NaN weight, everywhere or on part of Omega, is bad input, not
-    resonance; an infinite one is not a weight above every eigenvalue"""
+    resonance; an infinite one is not a weight above every eigenvalue.  A
+    source g as bad is refused by the same check, not as a numeric
+    failure of the solve."""
     with pytest.raises(InvalidParameterError, match="NaN or inf") as info:
         linear_nonresonant_solve(op128, spectrum128, profile,
                                  nl.constant_profile(1.0))
     assert not isinstance(info.value, ResonanceError)
+    with pytest.raises(InvalidParameterError, match="NaN or inf"):
+        linear_nonresonant_solve(op128, spectrum128, 0.0, profile)
 
 
 def test_resonance_refusals_agree_at_the_margin(spectrum128):
@@ -498,12 +502,41 @@ def test_case_b_non_finite_system_raises_numeric_error(op128, spectrum128,
     assert isinstance(err.value.__cause__, ValueError)
 
 
-@pytest.mark.parametrize("n_starts", [0, 2.5, True])
-def test_uniqueness_probe_rejects_bad_start_count(op128, spectrum128,
-                                                  gap_spec, n_starts):
+@pytest.mark.parametrize("bad", [
+    pytest.param({"n_starts": 0}, id="0"),
+    pytest.param({"n_starts": 2.5}, id="2.5"),
+    pytest.param({"n_starts": True}, id="True"),
+    pytest.param({"k": True}, id="k=True"),
+    pytest.param({"k": 999}, id="k=999"),
+    pytest.param({"k": -5}, id="k=-5"),
+    pytest.param({"k": 2.5}, id="k=2.5"),
+])
+def test_uniqueness_probe_rejects_bad_start_count(op128, spectrum128, bad):
+    """a bad start count, and a k that Spectrum.gap refuses, also for a
+    spec without a slope range, which skips the f2 check"""
+    spec = nl.custom(lambda x, t: 20.0 * t + 1.0, lambda x: np.ones_like(x),
+                     20.0, nl.constant_profile(20.0),
+                     nl.constant_profile(20.0))
     with pytest.raises(InvalidParameterError):
-        ns.uniqueness_probe(op128, spectrum128, gap_spec, 2,
-                            n_starts=n_starts, opts=OPTS)
+        ns.uniqueness_probe(op128, spectrum128, spec,
+                            **{"k": 2, "n_starts": 2, **bad}, opts=OPTS)
+
+
+def test_solvers_refuse_the_spectrum_of_another_operator(
+        op128, spectrum_by_s, fractional_op, gap_spec):
+    """a spectrum of another s, or of another N, with op128: solve_case_b
+    would classify and certify by the wrong operator"""
+    for other in (spectrum_by_s[0.25],
+                  ns.solve_eigenproblem(fractional_op(0.5, 64))):
+        for call in (
+                lambda: ns.solve_case_b(op128, other, gap_spec, OPTS),
+                lambda: ns.uniqueness_probe(op128, other, gap_spec, 2,
+                                            n_starts=2, opts=OPTS),
+                lambda: ns.geometry_probe(op128, other, gap_spec, 2),
+                lambda: linear_nonresonant_solve(op128, other, 1.0,
+                                                 nl.constant_profile(1.0))):
+            with pytest.raises(InvalidParameterError, match="another"):
+                call()
 
 
 def test_uniqueness_probe_is_seeded(op128, spectrum128, gap_spec):
@@ -565,11 +598,15 @@ def test_geometry_probe_coercive_positive(op128, spectrum128):
     {"n_samples": -3},
     {"n_samples": 70.5},
     {"n_samples": True},
+    {"k": True},
+    {"k": 2.0},
+    {"radii": (True, 10.0)},
+    {"seed": -1},
 ])
 def test_geometry_probe_rejects_bad_input(op128, spectrum128, kwargs):
     spec = nl.affine(20.0, nl.constant_profile(0.0))
     with pytest.raises(InvalidParameterError):
-        ns.geometry_probe(op128, spectrum128, spec, 2, **kwargs)
+        ns.geometry_probe(op128, spectrum128, spec, **{"k": 2, **kwargs})
 
 
 def _oracle_probe(op, sp, spec, k, n_samples, seed,

@@ -1,5 +1,6 @@
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonlocal_saddle as ns
+from nonlocal_saddle import nonlinearity as nl
 from nonlocal_saddle.errors import (AssemblyCorruptionError,
                                     EigenClusterError, InvalidParameterError)
 from nonlocal_saddle.spectral import _fix_signs, project, rayleigh_quotient
@@ -189,10 +191,18 @@ def test_project_refuses_wrong_length(spectrum128):
 
 
 def test_gap_accessor(spectrum128):
+    """gap states the eigen-index rule for project and check_f2_gap too; a
+    bool k once read as a numpy mask"""
     lam = spectrum128.eigenvalues
     assert spectrum128.gap(2) == (lam[1], lam[2])
-    with pytest.raises(InvalidParameterError):
-        spectrum128.gap(0)
+    spec = nl.saturating(20.0, 0.5, nl.constant_profile(1.0))
+    u = np.ones(spectrum128.size)
+    for k in (0, True, 2.5, spectrum128.size):
+        for call in (lambda: spectrum128.gap(k),
+                     lambda: project(spectrum128, u, "head", k),
+                     lambda: nl.check_f2_gap(spec, spectrum128, k)):
+            with pytest.raises(InvalidParameterError):
+                call()
 
 
 def test_cluster_guard():
@@ -262,6 +272,13 @@ def test_poincare_floor_closed_form(s, floor):
     # theta * |B_R \ Omega| / (2R)^(1+2s) with R = 2, Omega = (-1, 1)
     assert ns.poincare_lower_bound((-1.0, 1.0), s, 1.0, 2.0) == pytest.approx(
         floor, rel=1e-14)
+
+
+@pytest.mark.parametrize("theta,R", [(math.nan, 2.0), (math.inf, 2.0),
+                                     (1.0, math.nan)])
+def test_poincare_floor_refuses_bad_input(theta, R):
+    with pytest.raises(InvalidParameterError):
+        ns.poincare_lower_bound((-1.0, 1.0), 0.5, theta, R)
 
 
 def test_lambda1_above_poincare_floor(spectrum_by_s):
