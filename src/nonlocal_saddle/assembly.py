@@ -31,8 +31,12 @@ over everything assemble returns: the symbol a_d (the panels, the graded
 moments and the far field all change with the order) and kappa at every
 node relative to max(1, |kappa|), since kappa grows like h^(-2s) at the
 ends (zero for the fractional closed form).  assembly_tol gates it.
-`AssembledOperator` holds the symbol, the mesh and kappa; the dense
-`stiffness` and the exact tridiagonal `mass` are built on first access.
+
+The mass matrix is exact, since hat products are piecewise quadratics: it
+is the symmetric Toeplitz matrix of its first column (2h/3, h/6, 0, ...).
+`AssembledOperator` holds the symbol, the mesh and kappa, and derives that
+column (`mass_symbol`) from the mesh; the dense `stiffness` and `mass` are
+built on first access, each copied from the Toeplitz view of its column.
 """
 from __future__ import annotations
 
@@ -68,17 +72,29 @@ class AssembledOperator:
     def size(self) -> int:
         return self.mesh.interior_count
 
+    @property
+    def mass_symbol(self) -> np.ndarray:
+        """M's first column (2h/3, h/6, 0, ...), c_d = M[i][i + d]."""
+        column = np.zeros(self.size)
+        column[0] = 2.0 * self.mesh.h / 3.0
+        column[1:2] = self.mesh.h / 6.0
+        return column
+
     @cached_property
     def stiffness(self) -> np.ndarray:
-        """Symmetric Toeplitz: row i of the reversed windows of
-        [a_{N-2} .. a_1, a_0, a_1 .. a_{N-2}] starts at a_i."""
-        a = self.symbol
-        windows = sliding_window_view(np.concatenate((a[::-1], a[1:])), a.size)
-        return windows[::-1].copy()
+        return _toeplitz(self.symbol).copy()
 
     @cached_property
     def mass(self) -> np.ndarray:
-        return mass_matrix(self.mesh)
+        return _toeplitz(self.mass_symbol).copy()
+
+
+def _toeplitz(column: np.ndarray) -> np.ndarray:
+    """Read-only view T[i][j] = column[|i - j|]: row i of the reversed
+    windows of [c_{n-1} .. c_1, c_0, c_1 .. c_{n-1}] starts at c_i."""
+    windows = sliding_window_view(
+        np.concatenate((column[::-1], column[1:])), column.size)
+    return windows[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -130,21 +146,6 @@ def _symbol(kernel: Kernel, h: float, size: int, order: int) -> np.ndarray:
         a[j] += (2.0 * _hat_autocorrelation(j)
                  * upper_integral(kernel, (j + 2) * h, order))
     return 2.0 * h * a
-
-
-# ---------------------------------------------------------------------------
-# mass matrix (exact: hat products are piecewise quadratics)
-# ---------------------------------------------------------------------------
-
-def mass_matrix(mesh: Mesh) -> np.ndarray:
-    m = mesh.interior_count
-    h = mesh.h
-    mat = np.zeros((m, m))
-    idx = np.arange(m)
-    mat[idx, idx] = 2.0 * h / 3.0
-    mat[idx[:-1], idx[:-1] + 1] = h / 6.0
-    mat[idx[:-1] + 1, idx[:-1]] = h / 6.0
-    return mat
 
 
 # ---------------------------------------------------------------------------

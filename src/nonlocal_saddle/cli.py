@@ -96,10 +96,7 @@ class Pipeline:
 
     @cached_property
     def op(self):
-        return assemble(self.mesh, self.kernel,
-                        quad_order=self.cfg.quadrature["order"],
-                        assembly_tol=self.cfg.quadrature["assembly_tol"],
-                        audit=self.audit)
+        return assemble(self.mesh, self.kernel, audit=self.audit)
 
     @cached_property
     def spectrum(self):
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        cfg = parse_config(Path(args.config).read_bytes())
         if args.seed is not None:
             cfg = dataclasses.replace(
                 cfg, solver={**cfg.solver, "seed": _require_seed(args.seed)})

@@ -12,17 +12,14 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .assembly import ASSEMBLY_TOL
 from .errors import ConfigError, InvalidParameterError, check_count, check_real
 from .nonlinearity import nodal_profile
-from .quadrature import GAUSS_ORDER
 from .solvers import SolverOptions
 
 DEFAULTS = {
     "domain": {"a": -1.0, "b": 1.0},
     "kernel": {"s": 0.5},
     "mesh": {"n_elements": 128},
-    "quadrature": {"order": GAUSS_ORDER, "assembly_tol": ASSEMBLY_TOL},
     "nonlinearity": {"family": "affine", "m": 0.0, "delta": 0.0, "c": 0.0,
                      "g": {"type": "constant", "value": 1.0}},
     "solver": {"starts": 1, "tol": SolverOptions.tol,
@@ -36,7 +33,6 @@ class RunConfig:
     domain: dict
     kernel: dict
     mesh: dict
-    quadrature: dict
     nonlinearity: dict
     solver: dict
     output: dict
@@ -144,15 +140,6 @@ def validate_config(raw: dict) -> RunConfig:
                                           "/mesh/n_elements", check_count,
                                           "n_elements", 2)}
 
-    quadrature = _merged(raw.get("quadrature"), DEFAULTS["quadrature"],
-                         "/quadrature")
-    order = _require_number(quadrature["order"], "/quadrature/order",
-                            check_count, "quad_order", 3)
-    atol = _require_number(quadrature["assembly_tol"],
-                           "/quadrature/assembly_tol",
-                           check_real, "assembly_tol", 0.0)
-    quadrature = {"order": order, "assembly_tol": atol}
-
     nl = _merged(raw.get("nonlinearity"), DEFAULTS["nonlinearity"],
                  "/nonlinearity")
     family = nl["family"]
@@ -186,15 +173,20 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(output["dir"], str):
         raise ConfigError("/output/dir", "expected a string path")
 
-    return RunConfig(domain=domain, kernel=kernel, mesh=mesh,
-                     quadrature=quadrature, nonlinearity=nl, solver=solver,
-                     output=output)
+    return RunConfig(domain=domain, kernel=kernel, mesh=mesh, nonlinearity=nl,
+                     solver=solver, output=output)
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str | bytes) -> RunConfig:
+    """Validate a config from JSON text, or from the UTF-8 bytes of a file."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text.decode("utf-8") if isinstance(text, bytes)
+                         else text)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"malformed JSON at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
+    # not UTF-8, an integer of more digits than int() converts, nesting
+    # deeper than the parser recurses (UnicodeDecodeError is a ValueError)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError("", f"malformed JSON: {exc}") from exc
     return validate_config(raw)

@@ -13,6 +13,7 @@ multi-starts the gap driver to test the slope-gap uniqueness prediction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,15 +177,17 @@ def residual_weakform(op: AssembledOperator, spec: NonlinearitySpec,
 # ---------------------------------------------------------------------------
 
 def _profile_values(name: str, profile, xg: np.ndarray) -> np.ndarray:
-    """A scalar or callable profile at the Gauss points xg, refused unless
-    finite: a NaN slope would read as resonance, an infinite one as a gap."""
-    if np.isscalar(profile):
+    """A real scalar (never a bool) or callable profile at the Gauss points
+    xg, refused unless finite: a NaN slope would read as resonance, an
+    infinite one as a gap."""
+    if isinstance(profile, numbers.Real) and not isinstance(profile, bool):
         values = np.full_like(xg, float(profile))
     elif callable(profile):
         values = np.asarray(profile(xg), dtype=float)
     else:
-        raise InvalidParameterError(f"{name} profile must be a scalar or "
-                                    f"callable, got {type(profile).__name__}")
+        raise InvalidParameterError(
+            f"{name} profile must be a real scalar or callable, got "
+            f"{type(profile).__name__}")
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise InvalidParameterError(

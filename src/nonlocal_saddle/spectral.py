@@ -10,17 +10,22 @@ reversal J, so the pencil splits exactly into an even and an odd block of
 half the order (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With
 n = N - 1, p = n // 2 and X11, X12 the top-left and top-right p x p blocks,
 the halves are X11 + X12 J and X11 - X12 J; for odd n the even half also
-takes the middle row and column, off the diagonal scaled by sqrt(2).  The
-reflection changes only entries on or next to the diagonal, so each half
-of M is tridiagonal and factors as L L^T with L bidiagonal, in O(p); two
-bidiagonal sweeps then reduce the half pencil to the standard symmetric
-matrix C = L^-1 A L^-T, in O(p^2).  One `numpy.linalg.eigh(C)` per half
+takes the middle row and column, off the diagonal scaled by sqrt(2).  For a
+symmetric Toeplitz X with first column c, X11 is the Toeplitz matrix of
+c_0 .. c_{p-1} and X12 J the Hankel matrix of c_{n-1} .. c_1, so each half
+is read from the column alone: `op.symbol` for A, `op.mass_symbol` for M,
+and the eigensolve never builds the dense A or M.  The reflection changes
+only entries on or next to the diagonal, so each half of M is tridiagonal
+and factors as L L^T with L bidiagonal, in O(p); two bidiagonal sweeps
+then reduce the half pencil to the standard symmetric matrix
+C = L^-1 A L^-T, in O(p^2).  One `numpy.linalg.eigh(C)` per half
 gives the eigenvalues and, mapped back by e = L^-T y, the M-orthonormal half
 eigenvectors; the (N - 1) x (N - 1) eigenvector matrix is scattered from
 them on first access to `Spectrum.eigenvectors` and cached, so a caller that
 reads only eigenvalues never builds it.  Every eigenvector is exactly even
-or exactly odd.  A is built from its symbol and M from the mesh, so both
-are centrosymmetric and M tridiagonal by construction; `solve_eigenproblem`
+or exactly odd; its sign makes the M-weighted mean nonnegative, with 1^T M
+taken from M's column.  Both columns come from the construction, so A and M
+are centrosymmetric and M tridiagonal by design; `solve_eigenproblem`
 refuses a non-finite symbol and a mesh whose M is not SPD (a bidiagonal
 Cholesky pivot that is not positive and finite: width <= 0 or NaN).
 """
@@ -32,8 +37,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .assembly import AssembledOperator, _check_dim
+from .assembly import AssembledOperator, _check_dim, _toeplitz
 from .errors import (AssemblyCorruptionError, EigenClusterError,
                      InvalidParameterError, NumericError, check_count,
                      check_real)
@@ -78,7 +84,11 @@ class Spectrum:
             if n % 2:
                 vecs[p, cols] = half[p] if sign > 0.0 else 0.0
         del top
-        return _fix_signs(vecs, self.op.mass)
+        # 1^T M, column sums of tridiagonal Toeplitz M (a zero c_1 for n = 1)
+        c = np.append(self.op.mass_symbol, 0.0)
+        ones_mass = np.full(n, c[0] + c[1] + c[1])
+        ones_mass[[0, -1]] = c[0] + c[1]
+        return _fix_signs(vecs, ones_mass)
 
     def gap(self, k: int) -> tuple[float, float]:
         """The open interval (lambda_k, lambda_{k+1}), 1-based k, if it
@@ -92,12 +102,12 @@ class Spectrum:
         return lo, hi
 
 
-def _fix_signs(vectors: np.ndarray, mass: np.ndarray) -> np.ndarray:
+def _fix_signs(vectors: np.ndarray, ones_mass: np.ndarray) -> np.ndarray:
     """Flip columns of `vectors` in place to the canonical representatives
-    and return it: nonnegative M-weighted mean, ties broken by the first
-    coefficient above 1e-12 in magnitude (a column with none keeps its
-    sign)."""
-    means = np.ones(mass.shape[0]) @ mass @ vectors
+    and return it: nonnegative M-weighted mean (`ones_mass` is 1^T M), ties
+    broken by the first coefficient above 1e-12 in magnitude (a column with
+    none keeps its sign)."""
+    means = ones_mass @ vectors
     largest = np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
     # |v| > 1e-12 without an n x n float temporary
     nonzero = vectors > 1.0e-12
@@ -109,18 +119,21 @@ def _fix_signs(vectors: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _half_pencil(x: np.ndarray, sign: float) -> np.ndarray:
-    """X11 + sign X12 J; for odd n and sign +1 bordered by the middle column
-    times sqrt(2) and the middle entry."""
-    n = x.shape[0]
+def _half_pencil(column: np.ndarray, sign: float) -> np.ndarray:
+    """X11 + sign X12 J of the symmetric Toeplitz X with first column c:
+    the Toeplitz matrix of c_0 .. c_{p-1} plus or minus the Hankel matrix
+    X12 J [i][j] = c_{n-1-i-j}; for odd n and sign +1 bordered by the
+    middle column (c_p .. c_1) times sqrt(2) and the middle entry c_0."""
+    n = column.size
     p = n // 2
     border = int(sign > 0.0 and n % 2 == 1)
     out = np.empty((p + border, p + border))
     combine = np.add if sign > 0.0 else np.subtract
-    combine(x[:p, :p], x[:p, ::-1][:, :p], out=out[:p, :p])
+    combine(_toeplitz(column[:p]), sliding_window_view(column[::-1], p)[:p],
+            out=out[:p, :p])
     if border:
-        out[:p, p] = out[p, :p] = math.sqrt(2.0) * x[:p, p]
-        out[p, p] = x[p, p]
+        out[:p, p] = out[p, :p] = math.sqrt(2.0) * column[p:0:-1]
+        out[p, p] = column[0]
     return out
 
 
@@ -162,8 +175,8 @@ def _backward(x: np.ndarray, diag: list, sub: list) -> None:
 
 def _solve_half(op: AssembledOperator, sign: float, name: str):
     """Eigenvalues and M-orthonormal eigenvectors of one half pencil."""
-    diag, sub = _bidiagonal_cholesky(_half_pencil(op.mass, sign), name)
-    reduced = _half_pencil(op.stiffness, sign)
+    diag, sub = _bidiagonal_cholesky(_half_pencil(op.mass_symbol, sign), name)
+    reduced = _half_pencil(op.symbol, sign)
     if not diag:
         return np.empty(0), reduced
     _forward(reduced, diag, sub)

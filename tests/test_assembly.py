@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 import nonlocal_saddle as ns
-from nonlocal_saddle.assembly import mass_matrix, norm_L2, norm_Z
+from nonlocal_saddle.assembly import norm_L2, norm_Z
 from nonlocal_saddle.errors import AssemblyAccuracyError, InvalidParameterError
 from nonlocal_saddle.quadrature import ESTIMATE_STEP, GAUSS_ORDER
 
@@ -140,13 +140,14 @@ def test_symmetry_is_exact(fractional_op):
 
 
 def test_operator_holds_symbol_and_mesh(op128):
-    """no N x N field: the stiffness is the cached Toeplitz matrix of the
-    symbol and the mass the closed form of the mesh, both bitwise"""
+    """no N x N field: the stiffness and the mass are the cached Toeplitz
+    matrices of the symbol and of the mass column, both bitwise"""
     assert [f.name for f in dataclasses.fields(ns.AssembledOperator)] == [
         "mesh", "symbol", "tail", "quad_order", "quad_error_estimate"]
     assert op128.stiffness is op128.stiffness
+    assert op128.mass is op128.mass
     assert np.array_equal(op128.stiffness, scipy.linalg.toeplitz(op128.symbol))
-    assert np.array_equal(op128.mass, mass_matrix(op128.mesh))
+    assert np.array_equal(op128.mass, scipy.linalg.toeplitz(op128.mass_symbol))
 
 
 def test_stiffness_is_positive_definite(op_by_s):
@@ -155,14 +156,17 @@ def test_stiffness_is_positive_definite(op_by_s):
 
 
 def test_mass_matrix_exact_entries():
-    mesh = ns.build_uniform_mesh(-1.0, 1.0, 8)
-    m = mass_matrix(mesh)
-    h = mesh.h
-    assert np.allclose(np.diag(m), 2.0 * h / 3.0, rtol=1e-15)
-    assert np.allclose(np.diag(m, 1), h / 6.0, rtol=1e-15)
-    assert np.count_nonzero(m - np.diag(np.diag(m))
-                            - np.diag(np.diag(m, 1), 1)
-                            - np.diag(np.diag(m, -1), -1)) == 0
+    """M's column is (2h/3, h/6, 0, ...) of the mesh, exactly, and the
+    dense M is its tridiagonal Toeplitz matrix, down to one interior node"""
+    for n in (2, 3, 8):
+        mesh = ns.build_uniform_mesh(-1.0, 1.0, n)
+        op = ns.assemble(mesh, ns.make_fractional_kernel(0.5))
+        h = mesh.h
+        assert np.array_equal(op.mass_symbol,
+                              [2.0 * h / 3.0, h / 6.0, 0.0, 0.0, 0.0, 0.0,
+                               0.0][:n - 1])
+        m = op.mass
+        assert np.array_equal(m, scipy.linalg.toeplitz(op.mass_symbol))
     # interior rows integrate phi_i against the interpolant of 1
     row_sums = m.sum(axis=1)
     assert row_sums[3] == pytest.approx(h, rel=1e-14)

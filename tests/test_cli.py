@@ -121,6 +121,25 @@ def test_invalid_config_exit_code(tmp_path):
     assert "/kernel/s" in r.stderr
 
 
+@pytest.mark.parametrize("content", [
+    b'{"kernel": {"s": ' + b"1" * 5000 + b"}}",  # beyond int()'s 4300 digits
+    b"[" * 100_000 + b"]" * 100_000,  # deeper than the parser recurses
+    '{"output": {"dir": "caf\u00e9"}}'.encode("latin-1"),  # not UTF-8
+], ids=["long-integer", "deep-nesting", "not-utf8"])
+def test_malformed_config_file_exits_as_config_error(tmp_path, capsys,
+                                                     content):
+    """a config file that is not valid UTF-8 JSON is a one-line config
+    error at / with exit 2, not a traceback and exit 1, the refusal code"""
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    assert cli.main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "art")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at /: malformed JSON")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "art").exists()
+
+
 def test_negative_seed_override_exit_code(gap_config):
     r = run_cli("probe-geometry", "--config", str(gap_config),
                 "--seed", "-4")

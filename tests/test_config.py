@@ -31,14 +31,15 @@ def test_partial_override():
     ({"domain": {"a": 1.0, "b": -1.0}}, "/domain"),
     ({"mesh": {"n_elements": 1}}, "/mesh/n_elements"),
     ({"mesh": {"n_elements": 2.5}}, "/mesh/n_elements"),
-    ({"quadrature": {"order": 0}}, "/quadrature/order"),
+    # the quadrature is the library's: its section is an unknown key
+    ({"quadrature": {"order": 0}}, "/quadrature"),
     ({"solver": {"tol": -1.0}}, "/solver/tol"),
     ({"solver": {"mode": "banana"}}, "/solver/mode"),
     ({"solver": {"starts": 0}}, "/solver/starts"),
     ({"nonlinearity": {"family": "exotic"}}, "/nonlinearity/family"),
     ({"nonlinearity": {"g": {"type": "nope"}}}, "/nonlinearity/g/type"),
-    ({"quadrature": {"assembly_tol": float("nan")}}, "/quadrature/assembly_tol"),
-    ({"quadrature": {"assembly_tol": float("inf")}}, "/quadrature/assembly_tol"),
+    ({"quadrature": {"assembly_tol": float("nan")}}, "/quadrature"),
+    ({"quadrature": {"assembly_tol": float("inf")}}, "/quadrature"),
     ({"solver": {"tol": float("nan")}}, "/solver/tol"),
     ({"kernel": {"s": float("nan")}}, "/kernel/s"),
     ({"nonlinearity": {"family": "affine", "m": 1, "delta": 5, "c": 3}},
@@ -68,12 +69,6 @@ def _small_pencil():
 @pytest.mark.parametrize("raw,library_call", [
     ({"kernel": {"s": 1.5}}, lambda: ns.make_fractional_kernel(1.5)),
     ({"mesh": {"n_elements": 1}}, lambda: ns.build_uniform_mesh(-1, 1, 1)),
-    ({"quadrature": {"order": 2}},
-     lambda: ns.assemble(ns.build_uniform_mesh(-1, 1, 4),
-                         ns.make_fractional_kernel(0.5), quad_order=2)),
-    ({"quadrature": {"assembly_tol": 0.0}},
-     lambda: ns.assemble(ns.build_uniform_mesh(-1, 1, 4),
-                         ns.make_fractional_kernel(0.5), assembly_tol=0.0)),
     ({"nonlinearity": {"family": "saturating", "delta": -0.5}},
      lambda: nl.saturating(0.0, -0.5, nl.constant_profile(1.0))),
     ({"solver": {"tol": -1e-9}}, lambda: ns.SolverOptions(tol=-1e-9)),
@@ -82,8 +77,7 @@ def _small_pencil():
      lambda: ns.uniqueness_probe(*_small_pencil(), nl.affine(
          0.0, nl.constant_profile(1.0)), 1, n_starts=0)),
     ({"solver": {"seed": -1}}, lambda: ns.SolverOptions(seed=-1)),
-], ids=["s", "n_elements", "order", "assembly_tol", "delta", "tol",
-        "max_iter", "starts", "seed"])
+], ids=["s", "n_elements", "delta", "tol", "max_iter", "starts", "seed"])
 def test_config_reports_the_library_refusal(raw, library_call):
     """each range rule is stated once, by the library: the config refuses
     a value with the message of the library's refusal of the same value"""
@@ -100,11 +94,13 @@ def test_unknown_keys_rejected():
     assert "smoothness" in str(exc.value)
     with pytest.raises(ConfigError):
         validate_config({"banana": {}})
-    # the kernel family and theta are fixed by the fractional kernel, and
-    # the solver follows the classification
+    # the kernel family and theta are fixed by the fractional kernel, the
+    # solver follows the classification, and the quadrature is the
+    # library's default, so even its default value is refused
     for raw, path in (({"solver": {"mode": "auto"}}, "/solver/mode"),
                       ({"kernel": {"family": "fractional"}}, "/kernel/family"),
-                      ({"kernel": {"theta": 0.5}}, "/kernel/theta")):
+                      ({"kernel": {"theta": 0.5}}, "/kernel/theta"),
+                      ({"quadrature": {"order": 8}}, "/quadrature")):
         with pytest.raises(ConfigError) as exc:
             validate_config(raw)
         assert exc.value.path == path

@@ -106,20 +106,25 @@ def test_linear_solve_refuses_resonance(op128, spectrum128):
                                      nl.constant_profile(1.0))
 
 
-@pytest.mark.parametrize("profile", [
-    math.nan, lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0),
-    math.inf])
+@pytest.mark.parametrize("profile,message", [
+    pytest.param(math.nan, "NaN or inf", id="nan"),
+    pytest.param(lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0),
+                 "NaN or inf", id="<lambda>"),
+    pytest.param(math.inf, "NaN or inf", id="inf"),
+    pytest.param("abc", "real scalar or callable, got str", id="str"),
+    pytest.param(True, "real scalar or callable, got bool", id="bool")])
 def test_linear_solve_refuses_non_finite_weight_as_such(op128, spectrum128,
-                                                        profile):
+                                                        profile, message):
     """a NaN weight, everywhere or on part of Omega, is bad input, not
     resonance; an infinite one is not a weight above every eigenvalue.  A
     source g as bad is refused by the same check, not as a numeric
-    failure of the solve."""
-    with pytest.raises(InvalidParameterError, match="NaN or inf") as info:
+    failure of the solve.  A string is not a number, and True is not the
+    weight 1."""
+    with pytest.raises(InvalidParameterError, match=message) as info:
         linear_nonresonant_solve(op128, spectrum128, profile,
                                  nl.constant_profile(1.0))
     assert not isinstance(info.value, ResonanceError)
-    with pytest.raises(InvalidParameterError, match="NaN or inf"):
+    with pytest.raises(InvalidParameterError, match=message):
         linear_nonresonant_solve(op128, spectrum128, 0.0, profile)
 
 

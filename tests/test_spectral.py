@@ -12,7 +12,8 @@ import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
 from nonlocal_saddle.errors import (AssemblyCorruptionError,
                                     EigenClusterError, InvalidParameterError)
-from nonlocal_saddle.spectral import _fix_signs, project, rayleigh_quotient
+from nonlocal_saddle.spectral import (_fix_signs, _half_pencil, project,
+                                      rayleigh_quotient)
 
 
 def test_eigenvalues_ascending_and_positive(spectrum_by_s):
@@ -111,9 +112,9 @@ def test_sign_convention_deterministic(op128):
     assert np.all(means[significant] >= 0.0)
 
 
-def _fix_signs_loop(vectors, mass):
+def _fix_signs_loop(vectors, ones_mass):
     """per-column reference for the sign convention"""
-    means = np.ones(mass.shape[0]) @ mass @ vectors
+    means = ones_mass @ vectors
     out = vectors.copy()
     for j in range(vectors.shape[1]):
         if abs(means[j]) > 1.0e-12 * np.abs(vectors[:, j]).max():
@@ -132,19 +133,52 @@ def test_sign_convention_tie_break(op128):
     raw eigenvectors (the odd modes have zero mean) the result equals the
     per-column loop bit for bit."""
     _, raw = scipy.linalg.eigh(op128.stiffness, op128.mass)
-    assert np.array_equal(_fix_signs(raw.copy(), op128.mass),
-                          _fix_signs_loop(raw, op128.mass))
+    ones_mass = np.ones(op128.size) @ op128.mass
+    assert np.array_equal(_fix_signs(raw.copy(), ones_mass),
+                          _fix_signs_loop(raw, ones_mass))
     # the last column's mean, 8e-13, is a tie against its largest entry -1
     vectors = np.array([[1e-13, -0.5, 0.0, -1e-13, 2.0, -1.0],
                         [-0.25, 0.0, 0.0, 0.0, -1.0, 0.25],
                         [0.75, 0.5, 0.0, 1e-13, -3.0, 0.25],
                         [-0.5, 0.0, 0.0, 0.0, 0.0, 0.5 + 8e-13]])
-    fixed = _fix_signs(vectors, np.eye(4))
+    fixed = _fix_signs(vectors, np.ones(4))
     np.testing.assert_array_equal(
         fixed, [[-1e-13, 0.5, 0.0, -1e-13, -2.0, 1.0],
                 [0.25, 0.0, 0.0, 0.0, 1.0, -0.25],
                 [-0.75, -0.5, 0.0, 1e-13, 3.0, -0.25],
                 [0.5, 0.0, 0.0, 0.0, 0.0, -0.5 - 8e-13]])
+
+
+def _dense_half(x, sign):
+    """X11 + sign X12 J from the dense matrix, bordered for odd n and sign
+    +1 by the middle column times sqrt(2) and the middle entry"""
+    n = x.shape[0]
+    p = n // 2
+    combine = np.add if sign > 0.0 else np.subtract
+    half = combine(x[:p, :p], x[:p, ::-1][:, :p])
+    if sign < 0.0 or n % 2 == 0:
+        return half
+    out = np.empty((p + 1, p + 1))
+    out[:p, :p] = half
+    out[:p, p] = out[p, :p] = math.sqrt(2.0) * x[:p, p]
+    out[p, p] = x[p, p]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 63, 128])
+def test_half_pencil_from_column_matches_dense(n):
+    """the Toeplitz view of c_0 .. c_{p-1} plus or minus the Hankel view of
+    c_{n-1} .. c_1 gives each half of A and of M bit for bit as the dense
+    blocks of the Toeplitz matrix do"""
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n + 1),
+                     ns.make_fractional_kernel(0.3))
+    for column in (op.symbol, op.mass_symbol):
+        dense = scipy.linalg.toeplitz(column)
+        for sign in (1.0, -1.0):
+            half = _half_pencil(column, sign)
+            oracle = _dense_half(dense, sign)
+            assert half.shape == oracle.shape
+            assert np.array_equal(half, oracle)
 
 
 def test_rayleigh_quotient_of_eigenvector(spectrum128, op128):
@@ -260,6 +294,8 @@ def test_eigenvectors_built_on_first_access(monkeypatch, n):
     assert sp.eigenvectors is first
     assert calls == {"eigh": halves, "_fix_signs": 1}
     assert np.array_equal(ns.solve_eigenproblem(op).eigenvectors, first)
+    # the eigensolve and the vectors read the two columns, never dense A, M
+    assert "stiffness" not in vars(op) and "mass" not in vars(op)
     for bad in _bad_meshes(op):
         with pytest.raises(AssemblyCorruptionError, match="positive definite"):
             ns.solve_eigenproblem(bad)
