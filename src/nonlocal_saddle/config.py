@@ -12,7 +12,8 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import ConfigError, InvalidParameterError, check_count, check_real
+from .errors import (ConfigError, InvalidParameterError, check_count,
+                     check_real, clipped_repr)
 from .nonlinearity import nodal_profile
 from .solvers import SolverOptions
 
@@ -51,12 +52,15 @@ def _require_number(value, path, check=None, name=None, *bounds, **flags):
     """A finite JSON number at path, an integer for check_count, in the
     range that the library's check(name, value, *bounds, **flags) sets."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+        raise ConfigError(path,
+                          f"expected a number, got {clipped_repr(value)}")
     if not abs(value) <= sys.float_info.max:  # NaN, inf, a huge integer
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
+        raise ConfigError(
+            path, f"expected a finite number, got {clipped_repr(value)}")
     integer = check is check_count
     if integer and not float(value).is_integer():
-        raise ConfigError(path, f"expected an integer, got {value!r}")
+        raise ConfigError(path,
+                          f"expected an integer, got {clipped_repr(value)}")
     value = int(value) if integer else float(value)
     if check is None:
         return value
@@ -71,7 +75,8 @@ def _require_seed(value) -> int:
 
 def _require_keys(section: dict, allowed, path):
     if not isinstance(section, dict):
-        raise ConfigError(path, f"expected an object, got {section!r}")
+        raise ConfigError(path,
+                          f"expected an object, got {clipped_repr(section)}")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"{path}/{key}", "unknown key")
@@ -87,7 +92,7 @@ def _merged(section: dict | None, defaults: dict, path: str) -> dict:
 
 def _validate_g(g: dict, path: str) -> dict:
     if not isinstance(g, dict):
-        raise ConfigError(path, f"expected an object, got {g!r}")
+        raise ConfigError(path, f"expected an object, got {clipped_repr(g)}")
     gtype = g.get("type")
     if gtype == "constant":
         _require_keys(g, {"type", "value"}, path)
@@ -116,7 +121,8 @@ def _validate_g(g: dict, path: str) -> dict:
             nodal_profile(xs, vs)
         return {"type": "nodal", "x": xs, "values": vs}
     raise ConfigError(f"{path}/type",
-                      f"expected constant|polynomial|nodal, got {gtype!r}")
+                      f"expected constant|polynomial|nodal, "
+                      f"got {clipped_repr(gtype)}")
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -146,7 +152,7 @@ def validate_config(raw: dict) -> RunConfig:
     if family not in ("affine", "saturating", "bounded_perturbation"):
         raise ConfigError("/nonlinearity/family",
                           f"expected affine|saturating|bounded_perturbation, "
-                          f"got {family!r}")
+                          f"got {clipped_repr(family)}")
     # a parameter the family does not read would be silently dropped
     for key, owner in (("delta", "saturating"), ("c", "bounded_perturbation")):
         if family != owner and key in (raw.get("nonlinearity") or {}):

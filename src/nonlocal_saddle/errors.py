@@ -2,7 +2,22 @@
 
 import math
 import numbers
+import reprlib
 import sys
+
+_CLIP = reprlib.Repr()
+_CLIP.maxlevel = 1
+_CLIP.maxlist = _CLIP.maxtuple = 4
+_CLIP.maxdict = 3
+_CLIP.maxstring = _CLIP.maxlong = 32
+_CLIP.maxother = 40
+
+
+def clipped_repr(value) -> str:
+    """repr(value) for an error line, clipped in depth and in the length of
+    each string, integer and container, so that a huge value cannot flood
+    the line."""
+    return _CLIP.repr(value)
 
 
 class NonlocalSaddleError(Exception):
@@ -19,7 +34,7 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
             or not low <= value < (math.inf if high is None else high)):
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
         raise InvalidParameterError(
-            f"{name} must be an integer {bound}, got {value!r}")
+            f"{name} must be an integer {bound}, got {clipped_repr(value)}")
     return value
 
 
@@ -32,7 +47,7 @@ def check_real(name: str, value, low: float = -math.inf,
             or not (low <= value if closed else low < value) or value >= high):
         raise InvalidParameterError(
             f"{name} must be a finite number in {'[' if closed else '('}"
-            f"{low}, {high}), got {value!r}")
+            f"{low}, {high}), got {clipped_repr(value)}")
     return float(value)
 
 

@@ -8,6 +8,11 @@ case, a Z-norm cap after STALL_STEPS steps without a new residual minimum
 in the gap case.  The geometry probe samples the saddle structure that
 underpins the gap-case existence argument, and the uniqueness probe
 multi-starts the gap driver to test the slope-gap uniqueness prediction.
+
+scipy is the package's last dependency beyond numpy, and only for the LU
+of a Newton system: `_newton_step` imports `scipy.linalg` at its first
+call, so importing the package, and every run that factors no Newton
+system, never loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import AssembledOperator, _check_dim, norm_Z
 from .errors import (InvalidParameterError, NonConvergenceError,
@@ -238,6 +242,7 @@ def _newton_step(op: AssembledOperator, slopes: np.ndarray,
     `_system`) by LU, factored in place in the F-ordered n x n `work`;
     below SINGULAR_PIVOT_RATIO a certified system raises, any other takes
     the least-squares step; a failed LAPACK call raises NumericError."""
+    import scipy.linalg  # here, so only a process that factors pays for it
     system = _system(op, slopes, work)
     try:  # scipy refuses a non-finite system with a bare ValueError
         factors = scipy.linalg.lu_factor(system, overwrite_a=True)

@@ -8,6 +8,15 @@ import nonlocal_saddle as ns
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+#: a small gap-case config (N = 32, classified gap with k = 2)
+GAP_CONFIG = {
+    "kernel": {"s": 0.5},
+    "mesh": {"n_elements": 32},
+    "nonlinearity": {"family": "saturating", "m": 20.0, "delta": 0.5,
+                     "g": {"type": "constant", "value": 1.0}},
+    "solver": {"starts": 4},
+}
+
 
 def child_env() -> dict:
     """The environment for a child Python process, with the package's

@@ -5,18 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import GAP_CONFIG, child_env
 
 from nonlocal_saddle import cli
 from nonlocal_saddle.config import parse_config
-
-GAP_CONFIG = {
-    "kernel": {"s": 0.5},
-    "mesh": {"n_elements": 32},
-    "nonlinearity": {"family": "saturating", "m": 20.0, "delta": 0.5,
-                     "g": {"type": "constant", "value": 1.0}},
-    "solver": {"starts": 4},
-}
 
 RESONANT_CONFIG = {
     "kernel": {"s": 0.5},
@@ -138,6 +130,28 @@ def test_malformed_config_file_exits_as_config_error(tmp_path, capsys,
     assert err.startswith("config error at /: malformed JSON")
     assert err.count("\n") == 1
     assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("raw, prefix", [
+    ({"kernel": {"s": json.loads("[" * 950 + "]" * 950)}},
+     "config error at /kernel/s: expected a number, got [["),
+    ({"kernel": {"s": "x" * 5000}},
+     "config error at /kernel/s: expected a number, got 'x"),
+    ({"kernel": list(range(3000))},
+     "config error at /kernel: expected an object, got [0"),
+    ({"solver": {"seed": -1e300}},  # a 301-digit integer for check_count
+     "config error at /solver/seed: seed must be an integer >= 0, got -1"),
+], ids=["deep-list", "long-string", "long-list", "huge-integer"])
+def test_config_error_clips_the_echoed_value(tmp_path, capsys, raw, prefix):
+    """a huge value is echoed clipped: one short error line, exit 2"""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "art")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
+    assert len(err) < 200
 
 
 def test_negative_seed_override_exit_code(gap_config):

@@ -1,9 +1,10 @@
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import GAP_CONFIG, child_env
 
 from nonlocal_saddle.quadrature import estimate, integrate_graded_zero, panel_sum
 
@@ -18,6 +19,29 @@ def test_package_import_leaves_out_scipy_integrate():
                          check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_only_a_factored_newton_system_loads_scipy_linalg(tmp_path):
+    """scipy.linalg is imported at the first LU of a Newton system: the
+    package and the four subcommands that factor none leave it out, and
+    `solve` loads it."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(GAP_CONFIG))
+    code = ("import sys, nonlocal_saddle\n"
+            "from nonlocal_saddle import cli\n"
+            "cfg, out = sys.argv[1:]\n"
+            "for cmd in ('spectrum', 'verify', 'probe-geometry',\n"
+            "            'export-matrices'):\n"
+            "    assert cli.main([cmd, '--config', cfg, '--out', out]) == 0\n"
+            "print('#', 'scipy.linalg' in sys.modules)\n"
+            "code = cli.main(['solve', '--config', cfg, '--out', out])\n"
+            "print('#', code, 'scipy.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg),
+                          str(tmp_path / "art")], env=child_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=300)
+    marks = [ln for ln in out.stdout.splitlines() if ln.startswith("#")]
+    assert marks == ["# False", "# 0 True"]
 
 
 def test_panel_sum_is_signed_and_skips_empty_panels():

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
@@ -505,6 +508,56 @@ def test_case_b_non_finite_system_raises_numeric_error(op128, spectrum128,
     with pytest.raises(NumericError) as err:
         ns.solve_case_b(op128, spectrum128, spec, OPTS)
     assert isinstance(err.value.__cause__, ValueError)
+
+
+def _first_lu_of_a_process(code: str, *args) -> str:
+    """Run code in a fresh interpreter after building op and sp as op128
+    and spectrum128 are built, with scipy.linalg not yet loaded; return
+    its stdout."""
+    setup = ("import sys\n"
+             "import numpy as np\n"
+             "import nonlocal_saddle as ns\n"
+             "from nonlocal_saddle import nonlinearity as nl\n"
+             "op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 128),\n"
+             "                 ns.make_fractional_kernel(0.5))\n"
+             "sp = ns.solve_eigenproblem(op)\n"
+             "assert 'scipy.linalg' not in sys.modules\n")
+    out = subprocess.run([sys.executable, "-c", setup + code, *args],
+                         env=child_env(), check=True, capture_output=True,
+                         text=True, timeout=300)
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("slope_range", [None, (20.0, 20.0)],
+                         ids=["uncertified", "certified"])
+def test_first_lu_of_a_process_maps_a_non_finite_system(slope_range):
+    """the NaN-slope step above, as the call that loads scipy.linalg"""
+    code = ("nan_t = lambda x, t: np.full(np.broadcast(x, t).shape, np.nan)\n"
+            "spec = nl.custom(lambda x, t: 20.0 * t + 1.0,\n"
+            "                 lambda x: np.ones_like(x), 20.0,\n"
+            "                 nl.constant_profile(20.0),\n"
+            "                 nl.constant_profile(20.0),\n"
+            f"                 slope_range={slope_range!r}, f_t=nan_t,\n"
+            "                 F=lambda x, t: 10.0 * t * t + t)\n"
+            "try:\n"
+            "    ns.solve_case_b(op, sp, spec, ns.SolverOptions())\n"
+            "except ns.NumericError as exc:\n"
+            "    print(type(exc.__cause__).__name__)\n")
+    assert _first_lu_of_a_process(code) == "ValueError"
+
+
+def test_first_lu_of_a_process_solves_as_in_process(op128, spectrum128,
+                                                    tmp_path):
+    """linear_nonresonant_solve as the first scipy.linalg user of a process
+    returns the in-process array bit for bit"""
+    path = tmp_path / "u.npy"
+    code = ("u = ns.linear_nonresonant_solve(op, sp, 10.0,\n"
+            "                                nl.constant_profile(1.5))\n"
+            "np.save(sys.argv[1], u)\n")
+    _first_lu_of_a_process(code, str(path))
+    u = linear_nonresonant_solve(op128, spectrum128, 10.0,
+                                 nl.constant_profile(1.5))
+    np.testing.assert_array_equal(np.load(path), u)
 
 
 @pytest.mark.parametrize("bad", [
