@@ -127,7 +127,10 @@ def _verdict_dict(pipe: Pipeline) -> dict:
         f2 = nl.check_f2_gap(pipe.spec, pipe.spectrum, cls.k)
         verdict["f2"] = {"pass": f2.passed, "k": f2.k,
                          "slope_range": list(f2.slope_range),
-                         "gap": list(f2.gap)}
+                         "gap": list(f2.gap),
+                         "lower_margin": f2.lower_margin,
+                         "upper_margin": f2.upper_margin,
+                         "inverse_bound": f2.inverse_bound}
     else:
         verdict["f2"] = None
     verdict["supported"] = cls.case is not nl.Case.UNSUPPORTED

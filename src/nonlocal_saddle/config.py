@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import (ConfigError, InvalidParameterError, check_count,
-                     check_real, clipped_repr)
+                     check_real, clipped_key, clipped_repr)
 from .nonlinearity import nodal_profile
 from .solvers import SolverOptions
 
@@ -79,7 +79,7 @@ def _require_keys(section: dict, allowed, path):
                           f"expected an object, got {clipped_repr(section)}")
     for key in section:
         if key not in allowed:
-            raise ConfigError(f"{path}/{key}", "unknown key")
+            raise ConfigError(f"{path}/{clipped_key(key)}", "unknown key")
 
 
 def _merged(section: dict | None, defaults: dict, path: str) -> dict:

@@ -20,6 +20,16 @@ def clipped_repr(value) -> str:
     return _CLIP.repr(value)
 
 
+def clipped_key(key: str) -> str:
+    """An object key for a config path, clipped as `clipped_repr` clips a
+    string but without its quotes: a key of at most _CLIP.maxstring
+    characters is returned as it is."""
+    if len(key) <= _CLIP.maxstring:
+        return key
+    head = (_CLIP.maxstring - 3) // 2
+    return key[:head] + "..." + key[len(key) - (_CLIP.maxstring - 3 - head):]
+
+
 class NonlocalSaddleError(Exception):
     """Base class for all package errors."""
 

@@ -301,6 +301,19 @@ class SlopeGapReport:
     lower_margin: float
     upper_margin: float
 
+    @property
+    def inverse_bound(self) -> float | None:
+        """C = max(lambda_k / (lo - lambda_k), lambda_{k+1} / (lambda_{k+1}
+        - hi)) for a passed check, else None.  Every averaged Hessian
+        A - D of f then has lo M <= D <= hi M, so its inverse maps Z* to Z
+        with norm at most C, and |u - u*|_Z <= C |g(u)|_{Z*} for the
+        solution u* and the gradient g(u) at any u, with
+        |g|_{Z*}^2 = g^T A^-1 g = sum_j (e_j^T g)^2 / lambda_j."""
+        if not self.passed:
+            return None
+        (lo, hi), (gap_lo, gap_hi) = self.slope_range, self.gap
+        return max(gap_lo / (lo - gap_lo), gap_hi / (gap_hi - hi))
+
 
 def check_f2_gap(spec: NonlinearitySpec, spectrum: Spectrum,
                  k: int) -> SlopeGapReport:

@@ -3,11 +3,15 @@
 The energy is J(u) = 1/2 u'Au - int F(x, u_h) dx; a zero gradient
 A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
 find that zero with one Newton driver on the Hessian A - D(u) and differ
-only in how a step is made safe: Armijo backtracking on J in the coercive
-case, a Z-norm cap after STALL_STEPS steps without a new residual minimum
-in the gap case.  The geometry probe samples the saddle structure that
-underpins the gap-case existence argument, and the uniqueness probe
-multi-starts the gap driver to test the slope-gap uniqueness prediction.
+only in how a step is made safe.  The coercive case backtracks on J.  A
+gap-case run certified by the slope-gap check (`_f2_passed`) backtracks
+on the merit |g|_{Z*}^2 / 2, which every Newton step descends because the
+certificate makes the Hessian nonsingular; an uncertified one caps its
+steps' Z-norm after STALL_STEPS steps without a new residual minimum.  The
+geometry probe samples the saddle structure that underpins the gap-case
+existence argument, and the uniqueness probe multi-starts the gap driver
+to test the slope-gap uniqueness prediction; under the certificate it
+tells limits apart by the certificate's error bound C |g|_{Z*}.
 
 scipy is the package's last dependency beyond numpy, and only for the LU
 of a Newton system: `_newton_step` imports `scipy.linalg` at its first
@@ -29,25 +33,37 @@ from .errors import (InvalidParameterError, NonConvergenceError,
                      ResonanceError, UnsupportedCaseError, check_count,
                      check_real)
 from .nonlinearity import (Case, CaseClassification, NonlinearitySpec,
-                           _gap_index, check_f2_gap, classify, eval_F, eval_f,
-                           eval_f_t)
+                           SlopeGapReport, _gap_index, check_f2_gap, classify,
+                           eval_F, eval_f, eval_f_t)
 from .quadrature import gauss_rule
 from .spectral import Spectrum
 
 #: pivot ratio below which a Newton/linear system counts as singular
 SINGULAR_PIVOT_RATIO = 1.0e-12
 
-#: factor by which the Armijo line search shortens a rejected step
+#: factor by which a line search shortens a rejected step
 LINE_SEARCH_CONTRACTION = 0.5
 
-#: steps without a new residual minimum after which the gap-case Newton
-#: caps its steps
+#: share of the predicted decrease that a line search must achieve
+ARMIJO_FRACTION = 1.0e-4
+
+#: shortenings of a certified gap-case step before the full step is taken
+MERIT_HALVINGS = 40
+
+#: steps without a new residual minimum after which an uncertified
+#: gap-case Newton caps its steps
 STALL_STEPS = 10
 
-#: Z-distance above which the uniqueness probe counts two solutions as
-#: distinct; a known defect: an absolute cut reports MultipleFound for
-#: limits 4.6e-8 apart at N = 512 although the slope gap is certified
+#: without a slope-gap certificate, the uniqueness probe counts two limits
+#: as distinct when their Z-distance exceeds this share of the largest
+#: limit's Z-norm (at least 1): a heuristic cut, since no bound on a
+#: limit's error is known there.  A certified probe bounds each limit's
+#: error by the certificate instead (`uniqueness_probe`).
 DISTINCT_SOLUTION_Z = 1.0e-8
+
+#: rounding allowance of the certified distinct-solution cut, relative to
+#: the largest limit's Z-norm (at least 1)
+DISTINCT_ROUNDING_Z = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -69,12 +85,20 @@ class UniquenessVerdict:
     representatives: tuple = ()
     n_starts: int = 0
     seed: int = 0
-    f2_passed: bool | None = None
+    f2_passed: bool = False
+    #: the distinct-solution cut that decided the verdict: "certified" (the
+    #: certificate's error bound) or "heuristic" (scaled DISTINCT_SOLUTION_Z);
+    #: None when Inconclusive
+    cut: str | None = None
+    #: the smallest Z-distance below which a pair of limits counts as one
+    #: solution (NaN without a pair)
+    min_pair_bound: float = math.nan
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "max_pairwise_z": self.max_pairwise_z,
                 "n_starts": self.n_starts, "seed": self.seed,
-                "f2_passed": self.f2_passed}
+                "f2_passed": self.f2_passed, "cut": self.cut,
+                "min_pair_bound": self.min_pair_bound}
 
 
 @dataclass(frozen=True)
@@ -260,10 +284,13 @@ def _newton_step(op: AssembledOperator, slopes: np.ndarray,
 
 
 def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
-    """Newton on A u - b(u) from u0; returns u and the residual of every
-    iterate.  globalize(u, step, grad, res) turns the Newton step at u into
-    the next iterate, or returns None when it finds no acceptable one."""
+    """Newton on A u - b(u) from u0; returns u, its gradient and the
+    residual of every iterate.  globalize(u, step, grad, res) turns the
+    Newton step at u into the next iterate and returns it with its
+    gradient and residual (`_gradient`), or returns None when it finds no
+    acceptable one."""
     u = np.array(u0, dtype=float)
+    grad, res = _gradient(op, spec, u)
     trace = []
     # one work array per run.  Two fresh n x n arrays per step are fresh
     # mmaps with page faults unless an earlier large free has raised glibc's
@@ -272,19 +299,19 @@ def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
     # allocator and on what ran before.
     work = np.empty((op.size, op.size), order="F")
     for it in range(max_iter + 1):
-        grad, res = _gradient(op, spec, u)
         trace.append(res)
         if res <= tol:
-            return u, trace
+            return u, grad, trace
         if it == max_iter:
             break
         step = _newton_step(op, _slopes(op, spec, u), grad, f2_certified,
                             work)
-        u = globalize(u, step, grad, res)
-        if u is None:
+        moved = globalize(u, step, grad, res)
+        if moved is None:
             raise NonConvergenceError(
                 f"line search stalled at iteration {it} "
                 f"(residual {res:.3e})", trace=trace)
+        u, grad, res = moved
     raise NonConvergenceError(
         f"Newton did not reach tol={tol} in {max_iter} iterations "
         f"(last residual {trace[-1]:.3e})", trace=trace)
@@ -314,20 +341,21 @@ def _armijo(op, spec, u0):
         for _ in range(60):
             trial = u + t * step
             j_trial = eval_J(op, spec, trial)
-            if j_trial <= j_val + 1.0e-4 * t * slope + slack:
+            if j_trial <= j_val + ARMIJO_FRACTION * t * slope + slack:
                 j_val = j_trial
-                return trial
+                return trial, *_gradient(op, spec, trial)
             t *= LINE_SEARCH_CONTRACTION
         return None
 
     return globalize
 
 
-def _z_capped(op):
-    """Full steps until the residual has gone STALL_STEPS steps without a
-    new minimum, whether it diverges or cycles (a Newton 2-cycle rises only
-    on every other step); from then on the step's Z-norm is capped at
-    |u|_Z + 1, u the iterate at the switch."""
+def _z_capped(op, spec):
+    """The rule of an uncertified gap run: full steps until the residual
+    has gone STALL_STEPS steps without a new minimum, whether it diverges
+    or cycles (a Newton 2-cycle rises only on every other step); from then
+    on the step's Z-norm is capped at |u|_Z + 1, u the iterate at the
+    switch."""
     radius = None
     best_res = math.inf
     stall = 0
@@ -343,7 +371,46 @@ def _z_capped(op):
         if radius is None and stall >= STALL_STEPS:
             radius = norm_Z(op, u) + 1.0
         best_res = min(best_res, res)
-        return u
+        return u, *_gradient(op, spec, u)
+
+    return globalize
+
+
+def _merit_backtracking(op, spec, spectrum):
+    """The rule of a certified gap run: backtrack along the Newton step on
+    the merit phi(u) = |g(u)|_{Z*}^2 / 2 until phi drops by ARMIJO_FRACTION
+    of its predicted decrease, halving the step up to MERIT_HALVINGS times.
+
+    Under a slope-gap certificate the Hessian H = A - W is nonsingular, so
+    along the Newton step d = -H^-1 g, d phi(u + t d)/dt = g^T A^-1 H d =
+    -2 phi at t = 0, whatever the inertia of H: the test accepts some t
+    unless rounding hides the decrease, as it does with phi at rounding
+    level near a solution; then the full step is taken.  A trial costs one
+    gradient and one `Spectrum.dual_norms`, and the merit of the iterate it
+    returns is kept for the next call."""
+    kept = (None, math.nan)  # the gradient last returned and its merit
+
+    def merit(grad):
+        return 0.5 * float(spectrum.dual_norms(grad)) ** 2
+
+    def globalize(u, step, grad, res):
+        nonlocal kept
+        phi = kept[1] if grad is kept[0] else merit(grad)
+        t = 1.0
+        full = None
+        for _ in range(MERIT_HALVINGS + 1):
+            trial = u + t * step
+            moved = (trial, *_gradient(op, spec, trial))
+            phi_trial = merit(moved[1])
+            if full is None:
+                full = moved, phi_trial
+            if phi_trial <= (1.0 - 2.0 * ARMIJO_FRACTION * t) * phi:
+                kept = moved[1], phi_trial
+                return moved
+            t *= LINE_SEARCH_CONTRACTION
+        moved, phi_trial = full
+        kept = moved[1], phi_trial
+        return moved
 
     return globalize
 
@@ -360,16 +427,32 @@ def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
     if classification is not None and classification.case is not Case.COERCIVE:
         raise UnsupportedCaseError(classification)
     u0 = np.zeros(op.size)
-    u, trace = _newton(op, spec, u0, opts.tol, opts.max_iter,
-                       _armijo(op, spec, u0))
+    u, _, trace = _newton(op, spec, u0, opts.tol, opts.max_iter,
+                          _armijo(op, spec, u0))
     return _report(op, spec, u, trace)
 
 
-def _f2_passed(spec: NonlinearitySpec, spectrum: Spectrum, k: int):
-    """`check_f2_gap`'s verdict for gap k, None without a slope range; a
-    passed one certifies every gap-case Newton system."""
-    return (None if spec.slope_range is None
-            else check_f2_gap(spec, spectrum, k).passed)
+def _f2_passed(spec: NonlinearitySpec, spectrum: Spectrum,
+               k: int) -> SlopeGapReport | None:
+    """The slope-gap certificate for gap k: `check_f2_gap`'s report if it
+    passed, None if it failed or f declares no slope range.  It makes every
+    gap-case Newton system nonsingular and bounds the error of an iterate
+    by its gradient (`SlopeGapReport.inverse_bound`)."""
+    if spec.slope_range is None:
+        return None
+    report = check_f2_gap(spec, spectrum, k)
+    return report if report.passed else None
+
+
+def _gap_newton(op, spectrum, spec, u0, opts, certificate):
+    """Gap-case Newton from u0 (`_newton`).  Under a certificate steps
+    backtrack on the merit (`_merit_backtracking`) and a singular system
+    raises NonResonanceContradictionError; without one they follow
+    `_z_capped`, and a singular system takes the least-squares step."""
+    rule = (_z_capped(op, spec) if certificate is None
+            else _merit_backtracking(op, spec, spectrum))
+    return _newton(op, spec, u0, opts.tol, opts.max_iter, rule,
+                   f2_certified=certificate is not None)
 
 
 def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
@@ -377,22 +460,17 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
                  opts: SolverOptions = SolverOptions(),
                  classification: CaseClassification | None = None,
                  u0: np.ndarray | None = None) -> SolveReport:
-    """Newton on the gradient in the spectral-gap case.
-
-    Steps are full until the residual has gone STALL_STEPS steps without
-    a new minimum, then Z-norm capped (`_z_capped`).  Under a passed
-    slope-gap check (`_f2_passed`) a singular Newton system raises
-    NonResonanceContradictionError instead of taking a least-squares step.
-    """
+    """Newton on the gradient in the spectral-gap case (`_gap_newton`),
+    certified when the slope-gap check of the classified gap passes
+    (`_f2_passed`)."""
     _check_pair(op, spectrum)
     if classification is None:
         classification = classify(spec, spectrum)
     if classification.case is not Case.GAP:
         raise UnsupportedCaseError(classification)
-    f2_ok = bool(_f2_passed(spec, spectrum, classification.k))
+    certificate = _f2_passed(spec, spectrum, classification.k)
     start = np.zeros(op.size) if u0 is None else np.asarray(u0, dtype=float)
-    u, trace = _newton(op, spec, start, opts.tol, opts.max_iter,
-                       _z_capped(op), f2_certified=f2_ok)
+    u, _, trace = _gap_newton(op, spectrum, spec, start, opts, certificate)
     return _report(op, spec, u, trace)
 
 
@@ -403,37 +481,59 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
 
     Initial iterates have eigenbasis components uniform in [-10, 10].  The
     classification gate is deliberately bypassed so resonant
-    counterexamples can be probed; a singular Newton system takes the
-    minimum-norm step unless `_f2_passed` certifies it, as in solve_case_b.
+    counterexamples can be probed; every start runs `_gap_newton`, as
+    solve_case_b does, certified when `_f2_passed` passes for gap k.
+
+    Two limits u_i, u_j count as distinct when |u_i - u_j|_Z exceeds their
+    pair bound.  Under the certificate that is C (|g_i|_{Z*} + |g_j|_{Z*})
+    plus DISTINCT_ROUNDING_Z times max(1, max_i |u_i|_Z), C its inverse
+    bound and g_i the gradient at u_i: the solution is unique and each
+    limit lies within C |g_i|_{Z*} of it, so only rounding beyond the
+    allowance or a false certificate can make that verdict MultipleFound.
+    Without a certificate the bound is the heuristic DISTINCT_SOLUTION_Z
+    times max(1, max_i |u_i|_Z).
     """
     _check_pair(op, spectrum)
     spectrum.gap(k)
     check_count("n_starts", n_starts, 1)
-    f2_passed = _f2_passed(spec, spectrum, k)
+    certificate = _f2_passed(spec, spectrum, k)
     rng = np.random.default_rng(opts.seed)
-    solutions = []
+    solutions, grads = [], []
     for _ in range(n_starts):
         coeffs = rng.uniform(-10.0, 10.0, size=spectrum.size)
         u0 = spectrum.eigenvectors @ coeffs
         try:
-            u, _ = _newton(op, spec, u0, opts.tol, opts.max_iter,
-                           _z_capped(op), f2_certified=bool(f2_passed))
+            u, grad, _ = _gap_newton(op, spectrum, spec, u0, opts,
+                                     certificate)
         except NonConvergenceError:
             return UniquenessVerdict(kind="Inconclusive", n_starts=n_starts,
-                                     seed=opts.seed, f2_passed=f2_passed)
+                                     seed=opts.seed,
+                                     f2_passed=certificate is not None)
         solutions.append(u)
+        grads.append(grad)
     dist = np.array([[norm_Z(op, u - v) for v in solutions]
                      for u in solutions])
+    scale = max(1.0, max(norm_Z(op, u) for u in solutions))
+    if certificate is None:
+        cut = "heuristic"
+        bound = np.full_like(dist, DISTINCT_SOLUTION_Z * scale)
+    else:
+        cut = "certified"
+        error = certificate.inverse_bound * spectrum.dual_norms(
+            np.column_stack(grads))
+        bound = error[:, None] + error[None, :] + DISTINCT_ROUNDING_Z * scale
+    distinct = dist > bound
     rep = [0]
     for j in range(1, len(solutions)):
-        if dist[j, rep].min() > DISTINCT_SOLUTION_Z:
+        if distinct[j, rep].all():
             rep.append(j)
-    max_dist = float(dist.max())
-    kind = "Unique" if max_dist <= DISTINCT_SOLUTION_Z else "MultipleFound"
-    return UniquenessVerdict(kind=kind, max_pairwise_z=max_dist,
-                             representatives=tuple(solutions[i] for i in rep),
-                             n_starts=n_starts,
-                             seed=opts.seed, f2_passed=f2_passed)
+    pairs = bound[np.triu_indices(n_starts, 1)]
+    return UniquenessVerdict(
+        kind="MultipleFound" if distinct.any() else "Unique",
+        max_pairwise_z=float(dist.max()),
+        representatives=tuple(solutions[i] for i in rep),
+        n_starts=n_starts, seed=opts.seed, f2_passed=certificate is not None,
+        cut=cut, min_pair_bound=float(pairs.min()) if pairs.size else math.nan)
 
 
 # ---------------------------------------------------------------------------

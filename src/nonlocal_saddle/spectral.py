@@ -90,6 +90,21 @@ class Spectrum:
         ones_mass[[0, -1]] = c[0] + c[1]
         return _fix_signs(vecs, ones_mass)
 
+    def dual_norms(self, g: np.ndarray) -> np.ndarray:
+        """|g|_{Z*} = sqrt(g^T A^-1 g) = sqrt(sum_j (e_j^T g)^2 / lambda_j)
+        of g, or of each column of a 2-D g, read from the half eigenvectors
+        y without building the eigenvector matrix: e_j^T g = y_j^T h /
+        sqrt2, h = g_top + J g_bottom (sqrt2 g_mid appended for odd n) in
+        the even half and g_top - J g_bottom in the odd half."""
+        n = self.size
+        p = n // 2
+        even, odd = self.halves
+        top, bottom = g[:p], g[n - p:][::-1]
+        plus = np.concatenate((top + bottom, math.sqrt(2.0) * g[p:n - p]))
+        coeffs = np.concatenate((even.T @ plus, odd.T @ (top - bottom)))
+        return np.sqrt(0.5 * ((1.0 / self.eigenvalues[self.rank])
+                              @ coeffs ** 2))
+
     def gap(self, k: int) -> tuple[float, float]:
         """The open interval (lambda_k, lambda_{k+1}), 1-based k, if it
         does not split a numerically repeated cluster."""

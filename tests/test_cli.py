@@ -70,7 +70,9 @@ def test_solve_artifacts(gap_config, tmp_path):
     assert report["case"]["case"] == "gap" and report["case"]["k"] == 2
     assert report["tol"] == 1e-9
     assert report["residual_inf"] <= report["tol"]
-    assert report["uniqueness"]["kind"] == "Unique"
+    uniqueness = report["uniqueness"]
+    assert (uniqueness["kind"], uniqueness["cut"]) == ("Unique", "certified")
+    assert 0.0 < uniqueness["min_pair_bound"] < 1e-6
     assert report["seed"] == 42
 
 
@@ -81,7 +83,13 @@ def test_verify_verdict(gap_config, tmp_path):
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["kernel_k1"]["pass"] and verdict["kernel_k2"]["pass"]
     assert verdict["growth"]["pass"]
-    assert verdict["f2"]["pass"]
+    f2 = verdict["f2"]
+    assert f2["pass"]
+    assert f2["lower_margin"] > 0.0 and f2["upper_margin"] > 0.0
+    # C = max(lambda_k / (lo - lambda_k), lambda_k+1 / (lambda_k+1 - hi))
+    (lo, hi), (gap_lo, gap_hi) = f2["slope_range"], f2["gap"]
+    assert f2["inverse_bound"] == max(gap_lo / (lo - gap_lo),
+                                      gap_hi / (gap_hi - hi))
     assert verdict["all_hypotheses_pass"]
 
 
@@ -152,6 +160,20 @@ def test_config_error_clips_the_echoed_value(tmp_path, capsys, raw, prefix):
     assert err.startswith(prefix)
     assert err.count("\n") == 1
     assert len(err) < 200
+
+
+def test_config_error_clips_an_unknown_key(tmp_path, capsys):
+    """a huge unknown key is echoed clipped in the error path; an ordinary
+    one is echoed whole"""
+    cfg = tmp_path / "config.json"
+    for key, path in (("x" * 5000, "/kernel/" + "x" * 14 + "..." + "x" * 15),
+                      ("smoothness", "/kernel/smoothness")):
+        cfg.write_text(json.dumps({"kernel": {key: 1}}))
+        assert cli.main(["verify", "--config", str(cfg),
+                         "--out", str(tmp_path / "art")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error at {path}: unknown key\n"
+    assert not (tmp_path / "art").exists()
 
 
 def test_negative_seed_override_exit_code(gap_config):

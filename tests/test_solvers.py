@@ -282,44 +282,53 @@ def test_solvers_raise_with_trace_when_out_of_iterations(op128, spectrum128,
 
 
 def test_uniqueness_probe_damping_switch(monkeypatch):
-    """gap-case Newton runs full steps until the residual has stalled,
-    then caps them; at N = 32 this start set needs the cap and still finds
-    one solution."""
+    """at N = 32, a certified start set backtracks on the merit and takes
+    no `_z_capped` step; an f2-failing one (slopes reaching past lambda_3)
+    runs full steps until the residual has stalled, then caps them, and
+    still converges from every start."""
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),
                      ns.make_fractional_kernel(0.5))
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
-    spec = nl.saturating(lam[1] + 0.2, 0.6 * (lam[2] - lam[1]),
-                         nl.constant_profile(5.0))
+    gap = lam[2] - lam[1]
     capped = []
     z_capped = solvers._z_capped
 
-    def spy(op):
-        globalize = z_capped(op)
+    def spy(op, spec):
+        globalize = z_capped(op, spec)
 
         def wrapped(u, step, grad, res):
             new = globalize(u, step, grad, res)
-            capped.append(not np.array_equal(new, u + step))
+            capped.append(not np.array_equal(new[0], u + step))
             return new
         return wrapped
 
     monkeypatch.setattr(solvers, "_z_capped", spy)
-    verdict = ns.uniqueness_probe(op, sp, spec, 2, n_starts=8,
+    certified = nl.saturating(lam[1] + 0.2, 0.6 * gap,
+                              nl.constant_profile(5.0))
+    verdict = ns.uniqueness_probe(op, sp, certified, 2, n_starts=8,
                                   opts=ns.SolverOptions(seed=42))
-    assert verdict.kind == "Unique"
+    assert (verdict.kind, verdict.cut) == ("Unique", "certified")
+    assert capped == []
+    uncertified = nl.saturating(lam[1] + 0.02 * gap, 1.2 * gap,
+                                nl.constant_profile(5.0))
+    verdict = ns.uniqueness_probe(op, sp, uncertified, 2, n_starts=8,
+                                  opts=ns.SolverOptions(seed=42))
+    assert (verdict.kind, verdict.cut) == ("Unique", "heuristic")
     assert any(capped)
 
 
 def _capped_steps(op, residuals):
     """which steps of `_z_capped` were shortened for a residual sequence;
     the steps grow so that any cap taken earlier bites"""
-    globalize = solvers._z_capped(op)
+    globalize = solvers._z_capped(op,
+                                  nl.affine(0.0, nl.constant_profile(0.0)))
     u = np.zeros(op.size)
     base = np.ones(op.size)
     capped = []
     for it, res in enumerate(residuals):
         step = (it + 1.0) * base
-        capped.append(not np.array_equal(globalize(u, step, None, res),
+        capped.append(not np.array_equal(globalize(u, step, None, res)[0],
                                          u + step))
     return capped
 
@@ -340,22 +349,86 @@ def test_z_capped_switches_after_a_stall(fractional_op):
     assert _capped_steps(op, rising) == [False] * (n + 1) + [True] * 3
 
 
+def _fixed_gap_spec(lam, k):
+    """saturating(lambda_k + 0.2, 0.6 gap, g = 5), certified unique by the
+    slope gap k"""
+    return nl.saturating(lam[k - 1] + 0.2, 0.6 * (lam[k] - lam[k - 1]),
+                         nl.constant_profile(5.0))
+
+
 @pytest.mark.parametrize("n,k", [(32, 1), (32, 2), (32, 3),
-                                 (128, 1), (128, 3)])
+                                 (128, 1), (128, 2), (128, 3)])
 def test_uniqueness_probe_escapes_two_cycles(fractional_op, n, k):
-    """saturating(lambda_k + 0.2, 0.6 gap, g = 5) is certified unique by
-    the slope gap; when only three rises in a row switched the cap on, a
-    start caught in a Newton 2-cycle made the probe Inconclusive for k = 1
-    and 3."""
+    """the certified probe of `_fixed_gap_spec` finds one solution.  When
+    only three rises in a row switched a Z-norm cap on, a start caught in a
+    Newton 2-cycle made it Inconclusive for k = 1 and 3; under the absolute
+    1e-8 Z-distance cut it reported MultipleFound for N = 128, k = 2 (limits
+    2.3e-8 apart)."""
     op = fractional_op(0.5, n)
     sp = ns.solve_eigenproblem(op)
-    lam = sp.eigenvalues
-    spec = nl.saturating(lam[k - 1] + 0.2, 0.6 * (lam[k] - lam[k - 1]),
-                         nl.constant_profile(5.0))
+    spec = _fixed_gap_spec(sp.eigenvalues, k)
     verdict = ns.uniqueness_probe(op, sp, spec, k, n_starts=8,
                                   opts=ns.SolverOptions(seed=42))
     assert verdict.f2_passed
-    assert verdict.kind == "Unique"
+    assert (verdict.kind, verdict.cut) == ("Unique", "certified")
+
+
+def test_certified_error_bound_holds_and_decides(fractional_op, monkeypatch):
+    """every limit u_i of the certified N = 128, k = 1 probe lies within
+    C (|g_i|_{Z*} + |g_ref|_{Z*}) of a reference solved to tol 1e-13, as
+    both lie within their bounds of the one solution, and the probe says
+    Unique although two limits lie more than the old absolute cut of 1e-8
+    apart."""
+    op = fractional_op(0.5, 128)
+    sp = ns.solve_eigenproblem(op)
+    spec = _fixed_gap_spec(sp.eigenvalues, 1)
+    certificate = solvers._f2_passed(spec, sp, 1)
+    limits = []
+    gap_newton = solvers._gap_newton
+
+    def spy(*args):
+        out = gap_newton(*args)
+        limits.append(out[:2])
+        return out
+
+    monkeypatch.setattr(solvers, "_gap_newton", spy)
+    verdict = ns.uniqueness_probe(op, sp, spec, 1, n_starts=8,
+                                  opts=ns.SolverOptions(seed=42))
+    monkeypatch.undo()
+    assert (verdict.kind, verdict.cut) == ("Unique", "certified")
+    assert verdict.max_pairwise_z > 1e-8
+    assert len(limits) == 8
+    u_ref = ns.solve_case_b(op, sp, spec, ns.SolverOptions(tol=1e-13)).solution
+    c = certificate.inverse_bound
+    ref_bound = c * float(sp.dual_norms(eval_gradient(op, spec, u_ref)))
+    for u, grad in limits:
+        bound = c * float(sp.dual_norms(grad))
+        assert norm_Z(op, u - u_ref) <= bound + ref_bound
+
+
+def test_merit_slope_is_minus_twice_the_merit(fractional_op):
+    """along the Newton step d at a certified point whose Hessian is
+    indefinite, the merit phi = |g|_{Z*}^2 / 2 has d phi(u + t d)/dt = -2 phi
+    at t = 0 (a central difference)"""
+    op = fractional_op(0.5, 64)
+    sp = ns.solve_eigenproblem(op)
+    spec = _fixed_gap_spec(sp.eigenvalues, 2)
+    assert solvers._f2_passed(spec, sp, 2) is not None
+    x = op.mesh.interior_nodes
+    u = 2.0 * np.cos(3.0 * x) + x
+    assert ns.morse_index(op, spec, u) == 2
+    grad = eval_gradient(op, spec, u)
+    work = np.empty((op.size, op.size), order="F")
+    step = solvers._newton_step(op, solvers._slopes(op, spec, u), grad, True,
+                                work)
+
+    def phi(t):
+        g = eval_gradient(op, spec, u + t * step)
+        return 0.5 * float(sp.dual_norms(g)) ** 2
+
+    eps = 1e-5
+    slope = (phi(eps) - phi(-eps)) / (2.0 * eps)
+    assert slope == pytest.approx(-2.0 * phi(0.0), rel=1e-6)
 
 
 @pytest.mark.parametrize("family", ["saturating", "bounded_perturbation"])

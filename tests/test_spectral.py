@@ -301,6 +301,21 @@ def test_eigenvectors_built_on_first_access(monkeypatch, n):
             ns.solve_eigenproblem(bad)
 
 
+@pytest.mark.parametrize("n", [2, 3, 64, 65])
+def test_dual_norms_match_the_dense_inverse(fractional_op, n):
+    """|g|_{Z*} from the half eigenvectors equals sqrt(g^T A^-1 g) by a
+    dense solve, for one g and column by column, at both parities of the
+    interior size n - 1, without building the eigenvector matrix"""
+    op = fractional_op(0.5, n)
+    sp = ns.solve_eigenproblem(op)
+    g = np.random.default_rng(n).standard_normal((op.size, 3))
+    dense = np.sqrt(np.sum(g * np.linalg.solve(op.stiffness, g), axis=0))
+    np.testing.assert_allclose(sp.dual_norms(g), dense, rtol=1e-12)
+    assert float(sp.dual_norms(g[:, 1])) == pytest.approx(dense[1],
+                                                         rel=1e-12)
+    assert "eigenvectors" not in vars(sp)
+
+
 @pytest.mark.parametrize("s,floor", [(0.25, 2.0 / 4.0 ** 1.5),
                                      (0.5, 0.125),
                                      (0.75, 2.0 / 4.0 ** 2.5)])
