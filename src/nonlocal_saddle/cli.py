@@ -13,12 +13,11 @@ import numpy as np
 
 from . import nonlinearity as nl
 from .assembly import assemble
-from .config import RunConfig, _require_seed, parse_config
+from .config import RunConfig, _at, parse_config
 from .errors import ConfigError, NonlocalSaddleError, check_count
-from .kernels import audit_kernel, make_fractional_kernel
-from .meshing import build_uniform_mesh
-from .solvers import (SolverOptions, geometry_probe, solve_case_a,
-                      solve_case_b, uniqueness_probe)
+from .kernels import audit_kernel
+from .solvers import (geometry_probe, solve_case_a, solve_case_b,
+                      uniqueness_probe)
 from .spectral import solve_eigenproblem
 
 EXIT_OK = 0
@@ -61,38 +60,16 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def build_source_profile(g: dict) -> nl.SourceProfile:
-    if g["type"] == "constant":
-        return nl.constant_profile(g["value"])
-    if g["type"] == "polynomial":
-        return nl.polynomial_profile(g["coeffs"])
-    return nl.nodal_profile(g["x"], g["values"])
-
-
-def build_nonlinearity(cfg: RunConfig) -> nl.NonlinearitySpec:
-    section = cfg.nonlinearity
-    g = build_source_profile(section["g"])
-    if section["family"] == "affine":
-        return nl.affine(section["m"], g)
-    if section["family"] == "saturating":
-        return nl.saturating(section["m"], section["delta"], g)
-    return nl.bounded_perturbation(section["m"], section["c"], g)
-
-
 class Pipeline:
-    """Shared setup for all subcommands, built lazily from the config: the
-    assembly, eigensolve and classification run on first use."""
+    """Shared setup for all subcommands: the config's objects and the kernel
+    audit; the assembly, eigensolve and classification run on first use."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.kernel = make_fractional_kernel(cfg.kernel["s"])
-        self.audit = audit_kernel(self.kernel)
-        self.mesh = build_uniform_mesh(cfg.domain["a"], cfg.domain["b"],
-                                       cfg.mesh["n_elements"])
-        self.spec = build_nonlinearity(cfg)
-        self.opts = SolverOptions(tol=cfg.solver["tol"],
-                                  max_iter=cfg.solver["max_iter"],
-                                  seed=cfg.solver["seed"])
+        self.kernel, self.mesh = cfg.kernel, cfg.mesh
+        self.spec, self.opts = cfg.spec, cfg.opts
+        self.out_dir = cfg.out_dir
+        self.audit = audit_kernel(cfg.kernel)
 
     @cached_property
     def op(self):
@@ -105,10 +82,6 @@ class Pipeline:
     @cached_property
     def classification(self):
         return nl.classify(self.spec, self.spectrum)
-
-    @property
-    def out_dir(self) -> Path:
-        return Path(self.cfg.output["dir"])
 
 
 def _verdict_dict(pipe: Pipeline) -> dict:
@@ -185,7 +158,7 @@ def cmd_solve(pipe: Pipeline) -> int:
         report = solve_case_b(pipe.op, pipe.spectrum, pipe.spec, pipe.opts,
                               classification=cls)
     uniqueness = None
-    starts = pipe.cfg.solver["starts"]
+    starts = pipe.cfg.starts
     if starts > 1 and cls.case is nl.Case.GAP:
         uniqueness = uniqueness_probe(pipe.op, pipe.spectrum, pipe.spec,
                                       cls.k, n_starts=starts, opts=pipe.opts)
@@ -216,7 +189,7 @@ def cmd_probe_geometry(pipe: Pipeline) -> int:
     k = 0 if cls.case is nl.Case.COERCIVE else cls.k
     probe = geometry_probe(pipe.op, pipe.spectrum, pipe.spec, k,
                            seed=pipe.opts.seed)
-    text = _json_dumps(probe.to_dict())
+    text = _json_dumps(dataclasses.asdict(probe))
     sys.stdout.write(text)
     _write_text(pipe.out_dir / "probe.json", text)
     return EXIT_OK
@@ -264,8 +237,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(Path(args.config).read_bytes())
         if args.seed is not None:
-            cfg = dataclasses.replace(
-                cfg, solver={**cfg.solver, "seed": _require_seed(args.seed)})
+            with _at("/solver/seed"):
+                cfg = dataclasses.replace(cfg, opts=dataclasses.replace(
+                    cfg.opts, seed=args.seed))
     except OSError as exc:
         sys.stderr.write(f"cannot read config: {exc}\n")
         return EXIT_IO
@@ -274,7 +248,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
     if args.out is not None:
-        cfg = dataclasses.replace(cfg, output={"dir": args.out})
+        cfg = dataclasses.replace(cfg, out_dir=Path(args.out))
 
     try:
         pipe = Pipeline(cfg)

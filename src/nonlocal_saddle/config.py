@@ -1,8 +1,11 @@
-"""JSON run configuration with strict validation and documented defaults.
+"""JSON run configuration, parsed straight into the run's objects.
 
-Unknown keys, malformed lists and non-numbers are refused here; a range
-rule is the library's own check, its refusal reported with a
-JSON-pointer-style path.  All of this happens before any computation.
+`validate_config` refuses unknown keys, malformed lists and non-numbers,
+then builds the kernel, the mesh, the nonlinearity spec (one `FAMILIES`
+table) and the `SolverOptions` with the library's own constructors.  So
+every range rule is the constructor's: its refusal is reported at the
+JSON-pointer-style path of the refused value.  All of this happens before
+any computation.
 """
 
 from __future__ import annotations
@@ -11,17 +14,30 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
+from . import nonlinearity as nl
 from .errors import (ConfigError, InvalidParameterError, check_count,
-                     check_real, clipped_key, clipped_repr)
-from .nonlinearity import nodal_profile
+                     clipped_key, clipped_repr)
+from .kernels import Kernel, make_fractional_kernel
+from .meshing import Mesh, build_uniform_mesh
 from .solvers import SolverOptions
+
+#: each nonlinearity family: its constructor and the parameters it reads
+#: besides m and g
+FAMILIES = {
+    "affine": (nl.affine, ()),
+    "saturating": (nl.saturating, ("delta",)),
+    "bounded_perturbation": (nl.bounded_perturbation, ("c",)),
+}
 
 DEFAULTS = {
     "domain": {"a": -1.0, "b": 1.0},
     "kernel": {"s": 0.5},
     "mesh": {"n_elements": 128},
-    "nonlinearity": {"family": "affine", "m": 0.0, "delta": 0.0, "c": 0.0,
+    "nonlinearity": {"family": "affine", "m": 0.0,
+                     **{key: 0.0 for _, params in FAMILIES.values()
+                        for key in params},
                      "g": {"type": "constant", "value": 1.0}},
     "solver": {"starts": 1, "tol": SolverOptions.tol,
                "max_iter": SolverOptions.max_iter, "seed": SolverOptions.seed},
@@ -31,46 +47,37 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    domain: dict
-    kernel: dict
-    mesh: dict
-    nonlinearity: dict
-    solver: dict
-    output: dict
+    kernel: Kernel
+    mesh: Mesh
+    spec: nl.NonlinearitySpec
+    opts: SolverOptions
+    starts: int
+    out_dir: Path
 
 
 @contextmanager
-def _at(path: str):
-    """Report the library's refusal of a value as a ConfigError at path."""
+def _at(path: str, **paths_by_name):
+    """Report the library's refusal of a value as a ConfigError at the path
+    of the refused argument's name, or at path."""
     try:
         yield
     except InvalidParameterError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        raise ConfigError(paths_by_name.get(exc.name, path), str(exc)) \
+            from exc
 
 
-def _require_number(value, path, check=None, name=None, *bounds, **flags):
-    """A finite JSON number at path, an integer for check_count, in the
-    range that the library's check(name, value, *bounds, **flags) sets."""
+def _require_number(value, path, integer=False):
+    """A finite JSON number at path: an int if `integer`, else a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path,
                           f"expected a number, got {clipped_repr(value)}")
     if not abs(value) <= sys.float_info.max:  # NaN, inf, a huge integer
         raise ConfigError(
             path, f"expected a finite number, got {clipped_repr(value)}")
-    integer = check is check_count
     if integer and not float(value).is_integer():
         raise ConfigError(path,
                           f"expected an integer, got {clipped_repr(value)}")
-    value = int(value) if integer else float(value)
-    if check is None:
-        return value
-    with _at(path):
-        return check(name, value, *bounds, **flags)
-
-
-def _require_seed(value) -> int:
-    """solver.seed, from the config or the --seed override."""
-    return _require_number(value, "/solver/seed", check_count, "seed", 0)
+    return int(value) if integer else float(value)
 
 
 def _require_keys(section: dict, allowed, path):
@@ -90,22 +97,24 @@ def _merged(section: dict | None, defaults: dict, path: str) -> dict:
     return out
 
 
-def _validate_g(g: dict, path: str) -> dict:
+def _source_profile(g: dict, path: str) -> nl.SourceProfile:
     if not isinstance(g, dict):
         raise ConfigError(path, f"expected an object, got {clipped_repr(g)}")
     gtype = g.get("type")
     if gtype == "constant":
         _require_keys(g, {"type", "value"}, path)
-        return {"type": "constant",
-                "value": _require_number(g.get("value", 0.0), f"{path}/value")}
+        with _at(f"{path}/value"):
+            return nl.constant_profile(
+                _require_number(g.get("value", 0.0), f"{path}/value"))
     if gtype == "polynomial":
         _require_keys(g, {"type", "coeffs"}, path)
         coeffs = g.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             raise ConfigError(f"{path}/coeffs", "expected a nonempty list")
-        return {"type": "polynomial",
-                "coeffs": [_require_number(c, f"{path}/coeffs/{i}")
-                           for i, c in enumerate(coeffs)]}
+        with _at(f"{path}/coeffs"):
+            return nl.polynomial_profile(
+                [_require_number(c, f"{path}/coeffs/{i}")
+                 for i, c in enumerate(coeffs)])
     if gtype == "nodal":
         _require_keys(g, {"type", "x", "values"}, path)
         xs = g.get("x")
@@ -118,11 +127,33 @@ def _validate_g(g: dict, path: str) -> dict:
         vs = [_require_number(v, f"{path}/values/{i}")
               for i, v in enumerate(vs)]
         with _at(f"{path}/x"):
-            nodal_profile(xs, vs)
-        return {"type": "nodal", "x": xs, "values": vs}
+            return nl.nodal_profile(xs, vs)
     raise ConfigError(f"{path}/type",
                       f"expected constant|polynomial|nodal, "
                       f"got {clipped_repr(gtype)}")
+
+
+def _nonlinearity(given: dict | None) -> nl.NonlinearitySpec:
+    section = _merged(given, DEFAULTS["nonlinearity"], "/nonlinearity")
+    family = section["family"]
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ConfigError("/nonlinearity/family",
+                          f"expected {'|'.join(FAMILIES)}, "
+                          f"got {clipped_repr(family)}")
+    build, params = FAMILIES[family]
+    # a parameter the family does not read would be silently dropped
+    for owner, (_, owned) in FAMILIES.items():
+        for key in owned:
+            if family != owner and key in (given or {}):
+                raise ConfigError(f"/nonlinearity/{key}",
+                                  f"only the {owner} family reads {key}, "
+                                  f"but the family is {family!r}")
+    keys = ("m", *params)
+    args = [_require_number(section[key], f"/nonlinearity/{key}")
+            for key in keys]
+    g = _source_profile(section["g"], "/nonlinearity/g")
+    with _at("/nonlinearity", **{key: f"/nonlinearity/{key}" for key in keys}):
+        return build(*args, g)
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -133,54 +164,38 @@ def validate_config(raw: dict) -> RunConfig:
     domain = _merged(raw.get("domain"), DEFAULTS["domain"], "/domain")
     a = _require_number(domain["a"], "/domain/a")
     b = _require_number(domain["b"], "/domain/b")
-    with _at("/domain"):
-        check_real("b", b, a)
-    domain = {"a": a, "b": b}
 
     kernel = _merged(raw.get("kernel"), DEFAULTS["kernel"], "/kernel")
-    kernel = {"s": _require_number(kernel["s"], "/kernel/s",
-                                   check_real, "s", 0.0, 1.0)}
+    s = _require_number(kernel["s"], "/kernel/s")
+    with _at("/kernel/s"):
+        kernel = make_fractional_kernel(s)
 
     mesh = _merged(raw.get("mesh"), DEFAULTS["mesh"], "/mesh")
-    mesh = {"n_elements": _require_number(mesh["n_elements"],
-                                          "/mesh/n_elements", check_count,
-                                          "n_elements", 2)}
+    n = _require_number(mesh["n_elements"], "/mesh/n_elements", integer=True)
+    with _at("/domain", n_elements="/mesh/n_elements"):
+        mesh = build_uniform_mesh(a, b, n)
 
-    nl = _merged(raw.get("nonlinearity"), DEFAULTS["nonlinearity"],
-                 "/nonlinearity")
-    family = nl["family"]
-    if family not in ("affine", "saturating", "bounded_perturbation"):
-        raise ConfigError("/nonlinearity/family",
-                          f"expected affine|saturating|bounded_perturbation, "
-                          f"got {clipped_repr(family)}")
-    # a parameter the family does not read would be silently dropped
-    for key, owner in (("delta", "saturating"), ("c", "bounded_perturbation")):
-        if family != owner and key in (raw.get("nonlinearity") or {}):
-            raise ConfigError(f"/nonlinearity/{key}",
-                              f"only the {owner} family reads {key}, "
-                              f"but the family is {family!r}")
-    m = _require_number(nl["m"], "/nonlinearity/m")
-    delta = _require_number(nl["delta"], "/nonlinearity/delta",
-                            check_real, "delta", 0.0, closed=True)
-    c = _require_number(nl["c"], "/nonlinearity/c")
-    g = _validate_g(nl["g"], "/nonlinearity/g")
-    nl = {"family": family, "m": m, "delta": delta, "c": c, "g": g}
+    spec = _nonlinearity(raw.get("nonlinearity"))
 
     solver = _merged(raw.get("solver"), DEFAULTS["solver"], "/solver")
-    tol = _require_number(solver["tol"], "/solver/tol", check_real, "tol", 0.0)
+    tol = _require_number(solver["tol"], "/solver/tol")
     max_iter = _require_number(solver["max_iter"], "/solver/max_iter",
-                               check_count, "max_iter", 1)
-    starts = _require_number(solver["starts"], "/solver/starts",
-                             check_count, "n_starts", 1)
-    solver = {"tol": tol, "max_iter": max_iter,
-              "starts": starts, "seed": _require_seed(solver["seed"])}
+                               integer=True)
+    seed = _require_number(solver["seed"], "/solver/seed", integer=True)
+    with _at("/solver", tol="/solver/tol", max_iter="/solver/max_iter",
+             seed="/solver/seed"):
+        opts = SolverOptions(tol=tol, max_iter=max_iter, seed=seed)
+    starts = _require_number(solver["starts"], "/solver/starts", integer=True)
+    # uniqueness_probe refuses it too, but only after the solve
+    with _at("/solver/starts"):
+        check_count("n_starts", starts, 1)
 
     output = _merged(raw.get("output"), DEFAULTS["output"], "/output")
     if not isinstance(output["dir"], str):
         raise ConfigError("/output/dir", "expected a string path")
 
-    return RunConfig(domain=domain, kernel=kernel, mesh=mesh, nonlinearity=nl,
-                     solver=solver, output=output)
+    return RunConfig(kernel=kernel, mesh=mesh, spec=spec, opts=opts,
+                     starts=starts, out_dir=Path(output["dir"]))
 
 
 def parse_config(text: str | bytes) -> RunConfig:

@@ -1,4 +1,9 @@
-"""Exceptions shared across the package, and its two argument checks."""
+"""Exceptions shared across the package, and its two argument checks.
+
+A refusal by `check_count` or `check_real` names the refused argument
+(`InvalidParameterError.name`), so that a caller which passed several
+values, such as the config, can tell which one was refused.
+"""
 
 import math
 import numbers
@@ -35,7 +40,12 @@ class NonlocalSaddleError(Exception):
 
 
 class InvalidParameterError(NonlocalSaddleError, ValueError):
-    """A precondition on an argument was violated."""
+    """A precondition on an argument was violated; `name` is the refused
+    argument's, when the check that refused it knows it."""
+
+    def __init__(self, message: str, name: str | None = None):
+        self.name = name
+        super().__init__(message)
 
 
 def check_count(name: str, value, low: int, high: int | None = None) -> int:
@@ -44,7 +54,8 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
             or not low <= value < (math.inf if high is None else high)):
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
         raise InvalidParameterError(
-            f"{name} must be an integer {bound}, got {clipped_repr(value)}")
+            f"{name} must be an integer {bound}, got {clipped_repr(value)}",
+            name)
     return value
 
 
@@ -57,7 +68,7 @@ def check_real(name: str, value, low: float = -math.inf,
             or not (low <= value if closed else low < value) or value >= high):
         raise InvalidParameterError(
             f"{name} must be a finite number in {'[' if closed else '('}"
-            f"{low}, {high}), got {clipped_repr(value)}")
+            f"{low}, {high}), got {clipped_repr(value)}", name)
     return float(value)
 
 

@@ -34,9 +34,6 @@ class Mesh:
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[1:-1]
 
-    def element(self, e: int) -> tuple[float, float]:
-        return float(self.nodes[e]), float(self.nodes[e + 1])
-
 
 def build_uniform_mesh(a: float, b: float, n_elements: int) -> Mesh:
     a = check_real("a", a)

@@ -90,15 +90,16 @@ class UniquenessVerdict:
     #: certificate's error bound) or "heuristic" (scaled DISTINCT_SOLUTION_Z);
     #: None when Inconclusive
     cut: str | None = None
-    #: the smallest Z-distance below which a pair of limits counts as one
-    #: solution (NaN without a pair)
-    min_pair_bound: float = math.nan
+    #: the largest |u_i - u_j|_Z over that pair's bound, the Z-distance
+    #: below which the two limits count as one solution: MultipleFound
+    #: exactly when it exceeds 1 (NaN without a pair)
+    max_pair_ratio: float = math.nan
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "max_pairwise_z": self.max_pairwise_z,
                 "n_starts": self.n_starts, "seed": self.seed,
                 "f2_passed": self.f2_passed, "cut": self.cut,
-                "min_pair_bound": self.min_pair_bound}
+                "max_pair_ratio": self.max_pair_ratio}
 
 
 @dataclass(frozen=True)
@@ -484,9 +485,10 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     counterexamples can be probed; every start runs `_gap_newton`, as
     solve_case_b does, certified when `_f2_passed` passes for gap k.
 
-    Two limits u_i, u_j count as distinct when |u_i - u_j|_Z exceeds their
-    pair bound.  Under the certificate that is C (|g_i|_{Z*} + |g_j|_{Z*})
-    plus DISTINCT_ROUNDING_Z times max(1, max_i |u_i|_Z), C its inverse
+    Two limits u_i, u_j count as distinct when |u_i - u_j|_Z over their
+    pair bound exceeds 1 (`max_pair_ratio` is the largest such ratio).
+    Under the certificate the bound is C (|g_i|_{Z*} + |g_j|_{Z*}) plus
+    DISTINCT_ROUNDING_Z times max(1, max_i |u_i|_Z), C its inverse
     bound and g_i the gradient at u_i: the solution is unique and each
     limit lies within C |g_i|_{Z*} of it, so only rounding beyond the
     allowance or a false certificate can make that verdict MultipleFound.
@@ -522,18 +524,19 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
         error = certificate.inverse_bound * spectrum.dual_norms(
             np.column_stack(grads))
         bound = error[:, None] + error[None, :] + DISTINCT_ROUNDING_Z * scale
-    distinct = dist > bound
+    ratio = dist / bound
+    distinct = ratio > 1.0
     rep = [0]
     for j in range(1, len(solutions)):
         if distinct[j, rep].all():
             rep.append(j)
-    pairs = bound[np.triu_indices(n_starts, 1)]
+    pairs = ratio[np.triu_indices(n_starts, 1)]
     return UniquenessVerdict(
         kind="MultipleFound" if distinct.any() else "Unique",
         max_pairwise_z=float(dist.max()),
         representatives=tuple(solutions[i] for i in rep),
         n_starts=n_starts, seed=opts.seed, f2_passed=certificate is not None,
-        cut=cut, min_pair_bound=float(pairs.min()) if pairs.size else math.nan)
+        cut=cut, max_pair_ratio=float(pairs.max()) if pairs.size else math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +550,6 @@ class RadiusSample:
     extreme_ratio_z: float   # J / |u|_Z^2 at the extreme sample
     extreme_j: float
 
-    def to_dict(self) -> dict:
-        return {"radius": self.radius,
-                "extreme_ratio_l2": self.extreme_ratio_l2,
-                "extreme_ratio_z": self.extreme_ratio_z,
-                "extreme_j": self.extreme_j}
-
 
 @dataclass(frozen=True)
 class GeometryProbe:
@@ -563,13 +560,6 @@ class GeometryProbe:
     floor_estimate: float = math.nan  # sampled min of J over the tail space
     separated: bool | None = None
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "k": self.k,
-                "head": [h.to_dict() for h in self.head],
-                "tail": [t.to_dict() for t in self.tail],
-                "floor_estimate": self.floor_estimate,
-                "separated": self.separated, "seed": self.seed}
 
 
 #: directions evaluated per batch by the geometry probe; a larger batch

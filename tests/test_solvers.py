@@ -540,6 +540,7 @@ def test_uniqueness_probe_unique_under_f2(op128, spectrum128, gap_spec):
                                   n_starts=8, opts=OPTS)
     assert verdict.kind == "Unique"
     assert verdict.max_pairwise_z <= 1e-8
+    assert verdict.max_pair_ratio <= 1.0
     assert verdict.n_starts == 8
 
 
@@ -550,6 +551,7 @@ def test_uniqueness_probe_resonant_multiple(op128, spectrum128):
                                   n_starts=8, opts=OPTS)
     assert verdict.kind == "MultipleFound"
     assert verdict.max_pairwise_z > 1e-6
+    assert verdict.max_pair_ratio > 1.0
     # every representative is a genuine critical point (on ker(A - lam2 M))
     for u in verdict.representatives:
         assert residual_weakform(op128, spec, np.asarray(u)) < 1e-8
@@ -821,7 +823,7 @@ def test_geometry_probe_matches_per_sample_oracle(small_ops, n, n_samples,
     assert probe.separated == separated
     again = ns.geometry_probe(op, sp, spec, k, radii=radii,
                               n_samples=n_samples, seed=7)
-    assert again.to_dict() == probe.to_dict()
+    assert dataclasses.asdict(again) == dataclasses.asdict(probe)
 
 
 def test_z_norm_of_eigenvector(op128, spectrum128):
