@@ -103,7 +103,8 @@ def _verdict_dict(pipe: Pipeline) -> dict:
                          "gap": list(f2.gap),
                          "lower_margin": f2.lower_margin,
                          "upper_margin": f2.upper_margin,
-                         "inverse_bound": f2.inverse_bound}
+                         "inverse_bound": f2.inverse_bound,
+                         "contraction": f2.contraction}
     else:
         verdict["f2"] = None
     verdict["supported"] = cls.case is not nl.Case.UNSUPPORTED

@@ -314,6 +314,32 @@ class SlopeGapReport:
         (lo, hi), (gap_lo, gap_hi) = self.slope_range, self.gap
         return max(gap_lo / (lo - gap_lo), gap_hi / (gap_hi - hi))
 
+    @property
+    def shift(self) -> float:
+        """c = (lo + hi) / 2, the midpoint of the slope range."""
+        lo, hi = self.slope_range
+        return 0.5 * (lo + hi)
+
+    @property
+    def contraction(self) -> float | None:
+        """rho = (hi - lo) / (2 min(c - lambda_k, lambda_{k+1} - c)) for a
+        passed check, c the `shift`, else None (`_contraction`)."""
+        if not self.passed:
+            return None
+        return _contraction(*self.slope_range, *self.gap)
+
+
+def _contraction(lo: float, hi: float, gap_lo: float, gap_hi: float) -> float:
+    """rho = (hi - lo) / (2 min(c - gap_lo, gap_hi - c)), c = (lo + hi) / 2,
+    for a slope range [lo, hi] inside the gap (gap_lo, gap_hi), which may
+    be -inf or +inf.  A weight W between lo M and hi M has
+    |W - c M| <= (hi - lo)/2 M and E^T M E = I, so the symmetrically
+    preconditioned |Lambda - c|^-1/2 (Lambda - E^T W E) |Lambda - c|^-1/2
+    has its spectrum in +-[1 - rho, 1 + rho]: rho < 1 bounds the MINRES
+    iterations of a Newton system in the gap whatever the mesh."""
+    shift = 0.5 * (lo + hi)
+    return (hi - lo) / (2.0 * min(shift - gap_lo, gap_hi - shift))
+
 
 def check_f2_gap(spec: NonlinearitySpec, spectrum: Spectrum,
                  k: int) -> SlopeGapReport:

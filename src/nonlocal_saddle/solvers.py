@@ -3,20 +3,23 @@
 The energy is J(u) = 1/2 u'Au - int F(x, u_h) dx; a zero gradient
 A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
 find that zero with one Newton driver on the Hessian A - D(u) and differ
-only in how a step is made safe.  The coercive case backtracks on J.  A
-gap-case run certified by the slope-gap check (`_f2_passed`) backtracks
-on the merit |g|_{Z*}^2 / 2, which every Newton step descends because the
-certificate makes the Hessian nonsingular; an uncertified one caps its
-steps' Z-norm after STALL_STEPS steps without a new residual minimum.  The
-geometry probe samples the saddle structure that underpins the gap-case
-existence argument, and the uniqueness probe multi-starts the gap driver
-to test the slope-gap uniqueness prediction; under the certificate it
-tells limits apart by the certificate's error bound C |g|_{Z*}.
+only in how a step is solved and made safe.  The coercive case factors
+each step and backtracks on J.  A gap-case run certified by the slope-gap
+check (`_f2_passed`) solves each step by preconditioned MINRES in the
+eigen-coordinates (`_certified_step`) and backtracks on the merit
+|g|_{Z*}^2 / 2, which every Newton step descends because the certificate
+makes the Hessian nonsingular; an uncertified one factors each step and
+caps its steps' Z-norm after STALL_STEPS steps without a new residual
+minimum.  The geometry probe samples the saddle structure that underpins
+the gap-case existence argument, and the uniqueness probe multi-starts the
+gap driver to test the slope-gap uniqueness prediction; under the
+certificate it tells limits apart by the certificate's error bound
+C |g|_{Z*}.
 
 scipy is the package's last dependency beyond numpy, and only for the LU
-of a Newton system: `_newton_step` imports `scipy.linalg` at its first
-call, so importing the package, and every run that factors no Newton
-system, never loads it.
+of a factored Newton step: `_newton_step` imports `scipy.linalg` at its
+first call, so importing the package, and every run whose Newton steps
+are all certified, never loads it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .errors import (InvalidParameterError, NonConvergenceError,
                      ResonanceError, UnsupportedCaseError, check_count,
                      check_real)
 from .nonlinearity import (Case, CaseClassification, NonlinearitySpec,
-                           SlopeGapReport, _gap_index, check_f2_gap, classify,
-                           eval_F, eval_f, eval_f_t)
+                           SlopeGapReport, _contraction, _gap_index,
+                           check_f2_gap, classify, eval_F, eval_f, eval_f_t)
 from .quadrature import gauss_rule
 from .spectral import Spectrum
 
@@ -64,6 +67,22 @@ DISTINCT_SOLUTION_Z = 1.0e-8
 #: rounding allowance of the certified distinct-solution cut, relative to
 #: the largest limit's Z-norm (at least 1)
 DISTINCT_ROUNDING_Z = 1.0e-12
+
+#: relative preconditioned residual at which the MINRES of a certified
+#: Newton step stops.  The steps it gives differ from the LU steps by at
+#: most 3e-13 in relative Z-norm on the benchmark sweep (N = 512).
+MINRES_TOL = 1.0e-14
+
+#: MINRES iterations allowed beyond the bound 2 ceil(log(MINRES_TOL / 2) /
+#: log rho) of a certified step, for rounding: a constant weight (rho = 0)
+#: takes two
+MINRES_SLACK = 4
+
+#: largest normwise backward error |(A - W) d + g|_inf / (|A d|_inf +
+#: |W d|_inf + |g|_inf) of a certified step d.  Real steps measure at most
+#: 4.6e-13 (benchmark sweep, N = 512); the spectrum of
+#: `test_certified_singular_system_raises`, shifted by 1, gives 3e-2.
+STEP_BACKWARD_ERROR = 1.0e-10
 
 
 @dataclass(frozen=True)
@@ -175,24 +194,41 @@ def _slopes(op: AssembledOperator, spec: NonlinearitySpec, u) -> np.ndarray:
     return eval_f_t(spec, xg, _interp_elements(u, xi))
 
 
-def _system(op: AssembledOperator, slopes: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """A - W, W_ij = int m phi_i phi_j dx for slope values m at the Gauss
-    points (n_elem, q).  W is tridiagonal, so its bands are subtracted from
-    a copy of A, made in `out` when it is given.  With
-    m = _slopes(op, spec, u) this is the Hessian of J."""
+def _weight_bands(op: AssembledOperator, slopes: np.ndarray):
+    """The diagonal and the off-diagonal of the tridiagonal W,
+    W_ij = int m phi_i phi_j dx for slope values m at the Gauss points
+    (n_elem, q)."""
     _, wg, xi = _element_data(op)
     phi = np.stack([1.0 - xi, xi])  # (2, q)
     loc = np.einsum("pg,qg,eg->epq", phi, phi, wg * slopes)
+    return loc[1:, 0, 0] + loc[:-1, 1, 1], loc[1:-1, 0, 1]
+
+
+def _tridiagonal(bands, x: np.ndarray) -> np.ndarray:
+    """W x for the bands (diagonal, off-diagonal) of a symmetric
+    tridiagonal W."""
+    diag, off = bands
+    out = diag * x
+    out[:-1] += off * x[1:]
+    out[1:] += off * x[:-1]
+    return out
+
+
+def _system(op: AssembledOperator, slopes: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """A - W for the slope values `slopes` (`_weight_bands`): W's bands
+    are subtracted from a copy of A, made in `out` when it is given.  With
+    m = _slopes(op, spec, u) this is the Hessian of J."""
+    diag, off = _weight_bands(op, slopes)
     if out is None:
         system = op.stiffness.copy()
     else:
         system = out
         np.copyto(system, op.stiffness)
     i = np.arange(op.size)
-    system[i, i] -= loc[1:, 0, 0] + loc[:-1, 1, 1]
-    system[i[:-1], i[1:]] -= loc[1:-1, 0, 1]
-    system[i[1:], i[:-1]] -= loc[1:-1, 1, 0]
+    system[i, i] -= diag
+    system[i[:-1], i[1:]] -= off
+    system[i[1:], i[:-1]] -= off
     return system
 
 
@@ -236,24 +272,28 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
                              m_profile, g) -> np.ndarray:
     """Solve (A - M_w) u = M g with the slope weight certified nonresonant.
 
-    `_gap_index` must place the weight's range between two eigenvalues, as
-    `classify_slopes` places a slope range.  The system is then invertible,
-    so the solve is one certified Newton step: a singular factorization
-    signals an assembly or spectrum bug, not a user error.
+    `_gap_index` must place the weight's range in a gap k between two
+    eigenvalues, as `classify_slopes` places a slope range.  The system is
+    then invertible, so the solve is one certified Newton step
+    (`_certified_step`): a step that fails its checks signals an assembly
+    or spectrum bug, not a user error.
     """
     _check_pair(op, spectrum)
     xg, wg, xi = _element_data(op)
     m_vals = _profile_values("slope", m_profile, xg)
     vals = spectrum.eigenvalues
     lo, hi = float(m_vals.min()), float(m_vals.max())
-    if _gap_index(lo, hi, vals) is None:
+    k = _gap_index(lo, hi, vals)
+    if k is None:
         if np.any((lo < vals) & (vals < hi)):
             raise ResonanceError(f"slope profile range [{lo:.6g}, {hi:.6g}] "
                                  f"straddles an eigenvalue")
         raise ResonanceError("slope profile touches an eigenvalue within 1e-9")
     rhs = _p1_load(op, wg * _profile_values("source", g, xg), xi)
-    work = np.empty((op.size, op.size), order="F")
-    return _newton_step(op, m_vals, -rhs, True, work)
+    gap_lo = float(vals[k - 1]) if k > 0 else -math.inf
+    gap_hi = float(vals[k]) if k < vals.size else math.inf
+    return _certified_step(op, spectrum, m_vals, -rhs, k,
+                           _contraction(lo, hi, gap_lo, gap_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +301,10 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
 # ---------------------------------------------------------------------------
 
 def _newton_step(op: AssembledOperator, slopes: np.ndarray,
-                 grad: np.ndarray, f2_certified: bool,
-                 work: np.ndarray) -> np.ndarray:
-    """The step (A - W)^-1 (-grad) for the slope values `slopes` (see
-    `_system`) by LU, factored in place in the F-ordered n x n `work`;
-    below SINGULAR_PIVOT_RATIO a certified system raises, any other takes
+                 grad: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The step (A - W)^-1 (-grad) of an uncertified system for the slope
+    values `slopes` (see `_system`) by LU, factored in place in the
+    F-ordered n x n `work`; below SINGULAR_PIVOT_RATIO the system takes
     the least-squares step; a failed LAPACK call raises NumericError."""
     import scipy.linalg  # here, so only a process that factors pays for it
     system = _system(op, slopes, work)
@@ -275,39 +314,170 @@ def _newton_step(op: AssembledOperator, slopes: np.ndarray,
         pivot_ratio = float(pivots.min()) / max(float(pivots.max()), 1.0e-300)
         if not pivot_ratio < SINGULAR_PIVOT_RATIO:
             return scipy.linalg.lu_solve(factors, -grad)
-        if not f2_certified:
-            # minimum-norm least-squares step keeps resonant probes meaningful
-            return np.linalg.lstsq(_system(op, slopes), -grad, rcond=None)[0]
+        # minimum-norm least-squares step keeps resonant probes meaningful
+        return np.linalg.lstsq(_system(op, slopes), -grad, rcond=None)[0]
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise NumericError(f"Newton step failed: {exc}") from exc
-    raise NonResonanceContradictionError(
-        "Newton system singular although the slope gap was verified")
 
 
-def _newton(op, spec, u0, tol, max_iter, globalize, f2_certified=False):
+def _minres(apply, rhs: np.ndarray, tol: float, max_iter: int):
+    """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for
+    apply(x) = rhs, `apply` a symmetric nonsingular operator, in the
+    recurrences of Choi, Paige & Saunders (SIAM J. Sci. Comput. 33,
+    2011).  Returns x and its iteration count once the residual that
+    the recurrence tracks is at most tol |rhs|, or None after max_iter
+    iterations without."""
+    beta = float(np.linalg.norm(rhs))
+    x = np.zeros_like(rhs)
+    if beta == 0.0:
+        return x, 0
+    v_old, v = np.zeros_like(rhs), rhs / beta
+    d_old = d = np.zeros_like(rhs)
+    cos, sin = -1.0, 0.0
+    delta, eps = 0.0, 0.0
+    phi, target = beta, tol * beta
+    for it in range(1, max_iter + 1):
+        p = apply(v)
+        alpha = float(v @ p)
+        p -= alpha * v
+        p -= beta * v_old
+        beta_next = float(np.linalg.norm(p))
+        # rotate the new column of the Lanczos tridiagonal
+        delta2 = cos * delta + sin * alpha
+        gamma = sin * delta - cos * alpha
+        eps_next = sin * beta_next
+        delta = -cos * beta_next
+        gamma2 = math.hypot(gamma, beta_next)
+        if not gamma2 > 0.0:
+            return None
+        cos, sin = gamma / gamma2, beta_next / gamma2
+        d_old, d = d, (v - delta2 * d - eps * d_old) / gamma2
+        eps = eps_next
+        x += (cos * phi) * d
+        phi *= sin
+        if phi <= target:
+            return x, it
+        v_old, v = v, p / beta_next
+        beta = beta_next
+    return None
+
+
+def _minres_bound(contraction: float) -> int:
+    """The MINRES iterations a certified step may take: on a spectrum in
+    +-[1 - rho, 1 + rho] the residual after j iterations is at most
+    2 rho^floor(j/2) times the first (the two-interval bound; Elman,
+    Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*, 2nd
+    ed., 2014), so 2 ceil(log(MINRES_TOL / 2) / log rho) iterations reach
+    MINRES_TOL in exact arithmetic; MINRES_SLACK more allow for
+    rounding."""
+    if not contraction > 0.0:
+        return MINRES_SLACK
+    rho = min(contraction, math.nextafter(1.0, 0.0))
+    return 2 * math.ceil(math.log(MINRES_TOL / 2.0) / math.log(rho)) \
+        + MINRES_SLACK
+
+
+def _certified_step(op: AssembledOperator, spectrum: Spectrum,
+                    slopes: np.ndarray, grad: np.ndarray, k: int,
+                    contraction: float) -> np.ndarray:
+    """The step d = (A - W)^-1 (-grad) for the slope values `slopes` (see
+    `_system`) of an iterate certified in gap k, with `contraction` rho
+    the certificate's (`SlopeGapReport.contraction`), without forming
+    A - W.
+
+    In the eigen-coordinates of `Spectrum.to_eigen` the system is
+    (Lambda - E^T W E) y = -E^T grad, d = E y.  With c the midpoint of the
+    iterate's slope range, MINRES solves it preconditioned symmetrically
+    by |Lambda - c|^-1, whose spectrum the certificate puts in
+    +-[1 - rho, 1 + rho] (`_contraction`), so `_minres_bound(rho)`
+    iterations suffice whatever the mesh; each costs one E, one W and one
+    E^T.  The step raises NonResonanceContradictionError when the
+    iterate's slope range has left gap k (`_gap_index`), when MINRES does
+    not reach MINRES_TOL within the bound, or when d misses the nodal
+    system by a normwise backward error above STEP_BACKWARD_ERROR, which
+    a spectrum that does not belong to A gives; non-finite slopes or a
+    non-finite gradient raise NumericError."""
+    if not (np.isfinite(slopes).all() and np.isfinite(grad).all()):
+        raise NumericError(
+            "Newton step failed: the system or the gradient is not finite")
+    lo, hi = float(slopes.min()), float(slopes.max())
+    if _gap_index(lo, hi, spectrum.eigenvalues) != k:
+        raise NonResonanceContradictionError(
+            f"slopes [{lo:.6g}, {hi:.6g}] at the iterate leave the certified "
+            f"gap k={k}")
+    bands = _weight_bands(op, slopes)
+    lam = spectrum.half_eigenvalues
+    scale = 1.0 / np.sqrt(np.abs(lam - 0.5 * (lo + hi)))
+
+    def apply(z):
+        y = scale * z
+        return scale * (lam * y - spectrum.to_eigen(
+            _tridiagonal(bands, spectrum.from_eigen(y))))
+
+    bound = _minres_bound(contraction)
+    found = _minres(apply, -scale * spectrum.to_eigen(grad), MINRES_TOL,
+                    bound)
+    if found is None:
+        raise NonResonanceContradictionError(
+            f"MINRES missed {MINRES_TOL:g} within {bound} iterations "
+            f"although the slope gap was verified (rho = {contraction:.6g})")
+    step = spectrum.from_eigen(scale * found[0])
+    a_step, w_step = op.stiffness @ step, _tridiagonal(bands, step)
+    scale_inf = (np.abs(a_step).max() + np.abs(w_step).max()
+                 + np.abs(grad).max())
+    backward = float(np.abs(a_step - w_step + grad).max() / scale_inf)
+    if not backward <= STEP_BACKWARD_ERROR:
+        raise NonResonanceContradictionError(
+            f"Newton step misses its system by a backward error of "
+            f"{backward:.3e} although the slope gap was verified")
+    return step
+
+
+def _lu_steps(op, spec):
+    """step(u, grad), the factored Newton step at u (`_newton_step`).  Its
+    one work array per run is allocated at the first step.  Two fresh
+    n x n arrays per step are fresh mmaps with page faults unless an
+    earlier large free has raised glibc's dynamic mmap threshold; that made
+    sweep cases up to 30% slower with the same iterates (one 2-core x86_64
+    machine).  The gain depends on the allocator and on what ran before."""
+    work = None
+
+    def step(u, grad):
+        nonlocal work
+        if work is None:
+            work = np.empty((op.size, op.size), order="F")
+        return _newton_step(op, _slopes(op, spec, u), grad, work)
+
+    return step
+
+
+def _certified_steps(op, spectrum, spec, certificate):
+    """step(u, grad), the certified Newton step at u (`_certified_step`)
+    under the slope-gap report `certificate`."""
+    def step(u, grad):
+        return _certified_step(op, spectrum, _slopes(op, spec, u), grad,
+                               certificate.k, certificate.contraction)
+
+    return step
+
+
+def _newton(op, spec, u0, tol, max_iter, globalize, step):
     """Newton on A u - b(u) from u0; returns u, its gradient and the
-    residual of every iterate.  globalize(u, step, grad, res) turns the
-    Newton step at u into the next iterate and returns it with its
-    gradient and residual (`_gradient`), or returns None when it finds no
+    residual of every iterate.  step(u, grad) solves the Newton system at
+    u (`_lu_steps`, `_certified_steps`); globalize(u, step, grad, res)
+    turns that step into the next iterate and returns it with its gradient
+    and residual (`_gradient`), or returns None when it finds no
     acceptable one."""
     u = np.array(u0, dtype=float)
     grad, res = _gradient(op, spec, u)
     trace = []
-    # one work array per run.  Two fresh n x n arrays per step are fresh
-    # mmaps with page faults unless an earlier large free has raised glibc's
-    # dynamic mmap threshold; that made sweep cases up to 30% slower with the
-    # same iterates (one 2-core x86_64 machine).  The gain depends on the
-    # allocator and on what ran before.
-    work = np.empty((op.size, op.size), order="F")
     for it in range(max_iter + 1):
         trace.append(res)
         if res <= tol:
             return u, grad, trace
         if it == max_iter:
             break
-        step = _newton_step(op, _slopes(op, spec, u), grad, f2_certified,
-                            work)
-        moved = globalize(u, step, grad, res)
+        moved = globalize(u, step(u, grad), grad, res)
         if moved is None:
             raise NonConvergenceError(
                 f"line search stalled at iteration {it} "
@@ -384,9 +554,12 @@ def _merit_backtracking(op, spec, spectrum):
 
     Under a slope-gap certificate the Hessian H = A - W is nonsingular, so
     along the Newton step d = -H^-1 g, d phi(u + t d)/dt = g^T A^-1 H d =
-    -2 phi at t = 0, whatever the inertia of H: the test accepts some t
-    unless rounding hides the decrease, as it does with phi at rounding
-    level near a solution; then the full step is taken.  A trial costs one
+    -2 phi at t = 0, whatever the inertia of H; the MINRES step
+    (`_certified_step`) solves H d = -g to a backward error of at most
+    STEP_BACKWARD_ERROR, far inside the ARMIJO_FRACTION test.  The test
+    accepts some t unless rounding hides the decrease, as it does with phi
+    at rounding level near a solution; then the full step is taken.  A
+    trial costs one
     gradient and one `Spectrum.dual_norms`, and the merit of the iterate it
     returns is kept for the next call."""
     kept = (None, math.nan)  # the gradient last returned and its merit
@@ -429,7 +602,7 @@ def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
         raise UnsupportedCaseError(classification)
     u0 = np.zeros(op.size)
     u, _, trace = _newton(op, spec, u0, opts.tol, opts.max_iter,
-                          _armijo(op, spec, u0))
+                          _armijo(op, spec, u0), _lu_steps(op, spec))
     return _report(op, spec, u, trace)
 
 
@@ -446,14 +619,18 @@ def _f2_passed(spec: NonlinearitySpec, spectrum: Spectrum,
 
 
 def _gap_newton(op, spectrum, spec, u0, opts, certificate):
-    """Gap-case Newton from u0 (`_newton`).  Under a certificate steps
-    backtrack on the merit (`_merit_backtracking`) and a singular system
-    raises NonResonanceContradictionError; without one they follow
-    `_z_capped`, and a singular system takes the least-squares step."""
-    rule = (_z_capped(op, spec) if certificate is None
-            else _merit_backtracking(op, spec, spectrum))
-    return _newton(op, spec, u0, opts.tol, opts.max_iter, rule,
-                   f2_certified=certificate is not None)
+    """Gap-case Newton from u0 (`_newton`).  Under a certificate steps are
+    solved by MINRES (`_certified_steps`, which raise
+    NonResonanceContradictionError where the certificate fails) and
+    backtrack on the merit (`_merit_backtracking`); without one they are
+    factored (`_lu_steps`, a singular system taking the least-squares step)
+    and follow `_z_capped`."""
+    if certificate is None:
+        rule, step = _z_capped(op, spec), _lu_steps(op, spec)
+    else:
+        rule = _merit_backtracking(op, spec, spectrum)
+        step = _certified_steps(op, spectrum, spec, certificate)
+    return _newton(op, spec, u0, opts.tol, opts.max_iter, rule, step)
 
 
 def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
@@ -513,8 +690,10 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
                                      f2_passed=certificate is not None)
         solutions.append(u)
         grads.append(grad)
-    dist = np.array([[norm_Z(op, u - v) for v in solutions]
-                     for u in solutions])
+    # u_j - u_i = -(u_i - u_j) exactly, so one Z-norm per pair
+    dist = np.zeros((n_starts, n_starts))
+    for i, j in zip(*np.triu_indices(n_starts, 1)):
+        dist[i, j] = dist[j, i] = norm_Z(op, solutions[i] - solutions[j])
     scale = max(1.0, max(norm_Z(op, u) for u in solutions))
     if certificate is None:
         cut = "heuristic"

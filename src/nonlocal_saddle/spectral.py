@@ -90,20 +90,49 @@ class Spectrum:
         ones_mass[[0, -1]] = c[0] + c[1]
         return _fix_signs(vecs, ones_mass)
 
-    def dual_norms(self, g: np.ndarray) -> np.ndarray:
-        """|g|_{Z*} = sqrt(g^T A^-1 g) = sqrt(sum_j (e_j^T g)^2 / lambda_j)
-        of g, or of each column of a 2-D g, read from the half eigenvectors
-        y without building the eigenvector matrix: e_j^T g = y_j^T h /
-        sqrt2, h = g_top + J g_bottom (sqrt2 g_mid appended for odd n) in
-        the even half and g_top - J g_bottom in the odd half."""
+    @property
+    def half_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues in the order of the half eigenpairs, even half
+        first: the order of `to_eigen` and `from_eigen`."""
+        return self.eigenvalues[self.rank]
+
+    def to_eigen(self, g: np.ndarray) -> np.ndarray:
+        """E^T g in half order, for g or each column of a 2-D g, read from
+        the half eigenvectors y: e_j^T g = y_j^T h / sqrt2, h = g_top +
+        J g_bottom (sqrt2 g_mid appended for odd n) in the even half and
+        g_top - J g_bottom in the odd half.  E is the eigenvector matrix
+        with its columns in half order and their signs as the halves give
+        them (not `eigenvectors`' canonical signs); it is M-orthonormal, so
+        E^T M E = I and E^T A E = diag `half_eigenvalues`."""
         n = self.size
         p = n // 2
         even, odd = self.halves
         top, bottom = g[:p], g[n - p:][::-1]
         plus = np.concatenate((top + bottom, math.sqrt(2.0) * g[p:n - p]))
-        coeffs = np.concatenate((even.T @ plus, odd.T @ (top - bottom)))
-        return np.sqrt(0.5 * ((1.0 / self.eigenvalues[self.rank])
-                              @ coeffs ** 2))
+        return np.concatenate((even.T @ plus, odd.T @ (top - bottom))) \
+            / math.sqrt(2.0)
+
+    def from_eigen(self, y: np.ndarray) -> np.ndarray:
+        """E y for coefficients y in half order (`to_eigen`): the nodal
+        vector [(v_top + w) / sqrt2; v_mid; J (v_top - w) / sqrt2] of the
+        even-half combination v (v_mid only for odd n) and the odd-half
+        combination w."""
+        n = self.size
+        p = n // 2
+        even, odd = self.halves
+        v = even @ y[:even.shape[1]]
+        w = odd @ y[even.shape[1]:]
+        out = np.empty(n)
+        out[:p] = (v[:p] + w) / math.sqrt(2.0)
+        out[n - p:] = ((v[:p] - w) / math.sqrt(2.0))[::-1]
+        out[p:n - p] = v[p:]
+        return out
+
+    def dual_norms(self, g: np.ndarray) -> np.ndarray:
+        """|g|_{Z*} = sqrt(g^T A^-1 g) = sqrt(sum_j (e_j^T g)^2 / lambda_j)
+        of g, or of each column of a 2-D g, read from the half eigenvectors
+        (`to_eigen`) without building the eigenvector matrix."""
+        return np.sqrt((1.0 / self.half_eigenvalues) @ self.to_eigen(g) ** 2)
 
     def gap(self, k: int) -> tuple[float, float]:
         """The open interval (lambda_k, lambda_{k+1}), 1-based k, if it

@@ -90,6 +90,11 @@ def test_verify_verdict(gap_config, tmp_path):
     (lo, hi), (gap_lo, gap_hi) = f2["slope_range"], f2["gap"]
     assert f2["inverse_bound"] == max(gap_lo / (lo - gap_lo),
                                       gap_hi / (gap_hi - hi))
+    # rho = (hi - lo) / (2 min(c - lambda_k, lambda_k+1 - c)), c the midpoint
+    c = (lo + hi) / 2.0
+    assert f2["contraction"] == (hi - lo) / (2.0 * min(c - gap_lo,
+                                                       gap_hi - c))
+    assert 0.0 < f2["contraction"] < 1.0
     assert verdict["all_hypotheses_pass"]
 
 

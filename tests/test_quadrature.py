@@ -23,25 +23,36 @@ def test_package_import_leaves_out_scipy_integrate():
 
 def test_only_a_factored_newton_system_loads_scipy_linalg(tmp_path):
     """scipy.linalg is imported at the first LU of a Newton system: the
-    package and the four subcommands that factor none leave it out, and
-    `solve` loads it."""
+    package, the four subcommands that solve none and `solve` on the
+    certified GAP_CONFIG, whose steps are all MINRES steps, leave it out;
+    `solve` on a config whose slope range reaches past lambda_3 (f2 fails)
+    factors its steps and loads it."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(GAP_CONFIG))
+    uncertified = tmp_path / "uncertified.json"
+    uncertified.write_text(json.dumps(
+        {**GAP_CONFIG, "nonlinearity": {**GAP_CONFIG["nonlinearity"],
+                                        "delta": 10.0}}))
     code = ("import sys, nonlocal_saddle\n"
             "from nonlocal_saddle import cli\n"
-            "cfg, out = sys.argv[1:]\n"
+            "cfg, uncertified, out = sys.argv[1:]\n"
             "for cmd in ('spectrum', 'verify', 'probe-geometry',\n"
-            "            'export-matrices'):\n"
+            "            'export-matrices', 'solve'):\n"
             "    assert cli.main([cmd, '--config', cfg, '--out', out]) == 0\n"
             "print('#', 'scipy.linalg' in sys.modules)\n"
-            "code = cli.main(['solve', '--config', cfg, '--out', out])\n"
+            "assert cli.main(['verify', '--config', uncertified,\n"
+            "                 '--out', out]) == 0\n"
+            "code = cli.main(['solve', '--config', uncertified, '--out', out])\n"
             "print('#', code, 'scipy.linalg' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code, str(cfg),
-                          str(tmp_path / "art")], env=child_env(),
-                         check=True, capture_output=True, text=True,
-                         timeout=300)
+                          str(uncertified), str(tmp_path / "art")],
+                         env=child_env(), check=True, capture_output=True,
+                         text=True, timeout=300)
     marks = [ln for ln in out.stdout.splitlines() if ln.startswith("#")]
     assert marks == ["# False", "# 0 True"]
+    verdict = json.loads((tmp_path / "art" / "verdict.json").read_text())
+    assert verdict["classification"]["k"] == 2
+    assert verdict["f2"]["pass"] is False
 
 
 def test_panel_sum_is_signed_and_skips_empty_panels():

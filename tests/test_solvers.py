@@ -171,6 +171,87 @@ def test_certified_singular_system_raises():
                                  nl.constant_profile(1.0))
 
 
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_certified_step_matches_the_lu_step(fractional_op, s, n):
+    """the MINRES step in eigen-coordinates equals the dense solve of
+    A - W to 1e-10 in relative Z-norm, at an iterate whose Hessian has
+    Morse index k, for k = 1, 2, 3"""
+    op = fractional_op(s, n)
+    sp = ns.solve_eigenproblem(op)
+    x = op.mesh.interior_nodes
+    u = 2.0 * np.cos(3.0 * x) + x
+    for k in (1, 2, 3):
+        spec = _fixed_gap_spec(sp.eigenvalues, k)
+        certificate = solvers._f2_passed(spec, sp, k)
+        slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
+        step = solvers._certified_step(op, sp, slopes, grad, k,
+                                       certificate.contraction)
+        lu = np.linalg.solve(solvers._system(op, slopes), -grad)
+        assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu), (k,)
+
+
+def test_certified_iterations_do_not_grow_with_n(fractional_op, monkeypatch):
+    """the MINRES iterations of a certified solve stay within the bound
+    that the certificate's contraction gives, and at N = 2048 within twice
+    those at N = 512"""
+    calls = []  # (iterations, bound) of every MINRES call
+    minres = solvers._minres
+
+    def spy(apply, rhs, tol, max_iter):
+        found = minres(apply, rhs, tol, max_iter)
+        calls.append((found[1] if found else None, max_iter))
+        return found
+
+    monkeypatch.setattr(solvers, "_minres", spy)
+    most = {}
+    for n in (512, 2048):
+        op = fractional_op(0.5, n)
+        sp = ns.solve_eigenproblem(op)
+        spec = _fixed_gap_spec(sp.eigenvalues, 2)
+        certificate = solvers._f2_passed(spec, sp, 2)
+        calls.clear()
+        ns.solve_case_b(op, sp, spec, OPTS)
+        assert calls
+        bound = solvers._minres_bound(certificate.contraction)
+        assert all(it is not None and it <= bound and cap == bound
+                   for it, cap in calls), (n, calls, bound)
+        most[n] = max(it for it, _ in calls)
+    assert most[2048] <= 2 * most[512], most
+
+
+def test_forged_spectrum_in_a_certified_solve_raises(fractional_op):
+    """eigenvalues shifted by 1 certify a slope range in their gap 2, but
+    the MINRES steps then solve another system than A - W: the backward
+    error check refuses the first"""
+    op = fractional_op(0.5, 64)
+    sp = ns.solve_eigenproblem(op)
+    forged = dataclasses.replace(sp, eigenvalues=sp.eigenvalues + 1.0)
+    spec = _fixed_gap_spec(forged.eigenvalues, 2)
+    assert solvers._f2_passed(spec, forged, 2) is not None
+    with pytest.raises(NonResonanceContradictionError, match="backward"):
+        ns.solve_case_b(op, forged, spec, OPTS)
+
+
+def test_slopes_leaving_the_declared_range_raise(fractional_op):
+    """a custom f whose f_t = m + 5 gap t^2 reaches past lambda_3 at the
+    iterate, although its declared slope range lies in gap 2: the certified
+    step refuses it instead of solving a system outside the certificate"""
+    op = fractional_op(0.5, 64)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    gap = lam[2] - lam[1]
+    m = lam[1] + 0.5 * gap
+    spec = nl.custom(lambda x, t: m * t + 5.0 * gap * t ** 3 / 3.0 + 1.0,
+                     lambda x: np.ones_like(x), m, nl.constant_profile(m),
+                     nl.constant_profile(m), slope_range=(m, m + 0.1 * gap),
+                     f_t=lambda x, t: m + 5.0 * gap * t * t)
+    assert nl.classify(spec, sp).k == 2
+    assert solvers._f2_passed(spec, sp, 2) is not None
+    with pytest.raises(NonResonanceContradictionError, match="leave"):
+        ns.solve_case_b(op, sp, spec, OPTS, u0=np.full(op.size, 3.0))
+
+
 def test_case_a_matches_direct_solve(op128):
     spec = nl.affine(0.0, nl.constant_profile(1.0))
     rep = ns.solve_case_a(op128, spec, OPTS)
@@ -413,14 +494,14 @@ def test_merit_slope_is_minus_twice_the_merit(fractional_op):
     op = fractional_op(0.5, 64)
     sp = ns.solve_eigenproblem(op)
     spec = _fixed_gap_spec(sp.eigenvalues, 2)
-    assert solvers._f2_passed(spec, sp, 2) is not None
+    certificate = solvers._f2_passed(spec, sp, 2)
+    assert certificate is not None
     x = op.mesh.interior_nodes
     u = 2.0 * np.cos(3.0 * x) + x
     assert ns.morse_index(op, spec, u) == 2
     grad = eval_gradient(op, spec, u)
-    work = np.empty((op.size, op.size), order="F")
-    step = solvers._newton_step(op, solvers._slopes(op, spec, u), grad, True,
-                                work)
+    step = solvers._certified_step(op, sp, solvers._slopes(op, spec, u), grad,
+                                   2, certificate.contraction)
 
     def phi(t):
         g = eval_gradient(op, spec, u + t * step)
@@ -431,36 +512,55 @@ def test_merit_slope_is_minus_twice_the_merit(fractional_op):
     assert slope == pytest.approx(-2.0 * phi(0.0), rel=1e-6)
 
 
-@pytest.mark.parametrize("family", ["saturating", "bounded_perturbation"])
+@pytest.mark.parametrize("family,certified", [
+    pytest.param("saturating", True, id="saturating"),
+    pytest.param("bounded_perturbation", True, id="bounded_perturbation"),
+    pytest.param("saturating", False, id="saturating-uncertified")])
 def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
-                                                family):
-    """the system the Newton driver factors at u, as built in its work
-    array, equals central differences of the gradient at u, column by
-    column."""
+                                                family, certified):
+    """the system the Newton driver solves at u equals central differences
+    of the gradient at u, column by column: A minus the W whose bands the
+    certified MINRES step applies, or the system built in the work array
+    that an uncertified step factors."""
     op = fractional_op(0.5, 64)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
     gap = lam[2] - lam[1]
     g = nl.polynomial_profile([1.0, 2.0])
-    spec = (nl.saturating(lam[1] + 0.1 * gap, 0.5 * gap, g)
+    spec = (nl.saturating(lam[1] + 0.1 * gap, (0.5 if certified else 1.2)
+                          * gap, g)
             if family == "saturating"
             else nl.bounded_perturbation(lam[1] + 0.5 * gap, 0.3 * gap, g))
+    assert (solvers._f2_passed(spec, sp, 2) is not None) == certified
     x = op.mesh.interior_nodes
     u = 2.0 * np.cos(3.0 * x) + x
     systems = []
-    system = solvers._system
+    if certified:
+        weight_bands = solvers._weight_bands
 
-    def spy(op, slopes, out=None):
-        # the driver's system is built in its work array and then factored
-        # in place, so copy it before the LU overwrites it
-        result = system(op, slopes, out)
-        if out is not None:
-            systems.append(result.copy())
-        return result
+        def spy(op, slopes):
+            bands = weight_bands(op, slopes)
+            diag, off = bands
+            systems.append(op.stiffness - np.diag(diag) - np.diag(off, 1)
+                           - np.diag(off, -1))
+            return bands
 
-    monkeypatch.setattr(solvers, "_system", spy)
+        monkeypatch.setattr(solvers, "_weight_bands", spy)
+    else:
+        system = solvers._system
+
+        def spy(op, slopes, out=None):
+            # the driver's system is built in its work array and then
+            # factored in place, so copy it before the LU overwrites it
+            result = system(op, slopes, out)
+            if out is not None:
+                systems.append(result.copy())
+            return result
+
+        monkeypatch.setattr(solvers, "_system", spy)
     with pytest.raises(NonConvergenceError):
         ns.solve_case_b(op, sp, spec, ns.SolverOptions(max_iter=1), u0=u)
+    assert len(systems) == 1
     eps = 1e-5
     fd = np.empty((op.size, op.size))
     for j in range(op.size):
@@ -572,8 +672,9 @@ def test_uniqueness_probe_inconclusive_when_a_start_fails(op128,
                          ids=["uncertified", "certified"])
 def test_case_b_non_finite_system_raises_numeric_error(op128, spectrum128,
                                                        slope_range):
-    """a NaN f_t makes the Newton system non-finite; scipy's bare
-    ValueError for it comes out as NumericError, certified or not"""
+    """a NaN f_t makes the Newton system non-finite: NumericError,
+    certified or not.  The certified step refuses it before MINRES; the
+    factored one maps scipy's bare ValueError."""
     spec = nl.custom(lambda x, t: 20.0 * t + 1.0, lambda x: np.ones_like(x),
                      20.0, nl.constant_profile(20.0),
                      nl.constant_profile(20.0), slope_range=slope_range,
@@ -582,7 +683,8 @@ def test_case_b_non_finite_system_raises_numeric_error(op128, spectrum128,
                      F=lambda x, t: 10.0 * t * t + t)
     with pytest.raises(NumericError) as err:
         ns.solve_case_b(op128, spectrum128, spec, OPTS)
-    assert isinstance(err.value.__cause__, ValueError)
+    if slope_range is None:
+        assert isinstance(err.value.__cause__, ValueError)
 
 
 def _first_lu_of_a_process(code: str, *args) -> str:
@@ -606,7 +708,10 @@ def _first_lu_of_a_process(code: str, *args) -> str:
 @pytest.mark.parametrize("slope_range", [None, (20.0, 20.0)],
                          ids=["uncertified", "certified"])
 def test_first_lu_of_a_process_maps_a_non_finite_system(slope_range):
-    """the NaN-slope step above, as the call that loads scipy.linalg"""
+    """the NaN-slope step above as the first Newton step of a process:
+    NumericError either way.  Uncertified, it is the call that loads
+    scipy.linalg and maps its ValueError; certified, it leaves scipy.linalg
+    unloaded."""
     code = ("nan_t = lambda x, t: np.full(np.broadcast(x, t).shape, np.nan)\n"
             "spec = nl.custom(lambda x, t: 20.0 * t + 1.0,\n"
             "                 lambda x: np.ones_like(x), 20.0,\n"
@@ -617,19 +722,23 @@ def test_first_lu_of_a_process_maps_a_non_finite_system(slope_range):
             "try:\n"
             "    ns.solve_case_b(op, sp, spec, ns.SolverOptions())\n"
             "except ns.NumericError as exc:\n"
-            "    print(type(exc.__cause__).__name__)\n")
-    assert _first_lu_of_a_process(code) == "ValueError"
+            "    print(type(exc.__cause__).__name__,\n"
+            "          'scipy.linalg' in sys.modules)\n")
+    expected = "ValueError True" if slope_range is None else "NoneType False"
+    assert _first_lu_of_a_process(code) == expected
 
 
 def test_first_lu_of_a_process_solves_as_in_process(op128, spectrum128,
                                                     tmp_path):
-    """linear_nonresonant_solve as the first scipy.linalg user of a process
-    returns the in-process array bit for bit"""
+    """linear_nonresonant_solve, a certified step, as the first Newton
+    step of a process returns the in-process array bit for bit and loads
+    no scipy.linalg"""
     path = tmp_path / "u.npy"
     code = ("u = ns.linear_nonresonant_solve(op, sp, 10.0,\n"
             "                                nl.constant_profile(1.5))\n"
-            "np.save(sys.argv[1], u)\n")
-    _first_lu_of_a_process(code, str(path))
+            "np.save(sys.argv[1], u)\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    assert _first_lu_of_a_process(code, str(path)) == "False"
     u = linear_nonresonant_solve(op128, spectrum128, 10.0,
                                  nl.constant_profile(1.5))
     np.testing.assert_array_equal(np.load(path), u)
@@ -670,6 +779,59 @@ def test_solvers_refuse_the_spectrum_of_another_operator(
                                                  nl.constant_profile(1.0))):
             with pytest.raises(InvalidParameterError, match="another"):
                 call()
+
+
+@pytest.mark.parametrize("case", ["certified", "uncertified", "resonant"])
+def test_uniqueness_probe_pair_distances_match_the_double_loop(
+        op128, spectrum128, monkeypatch, case):
+    """one Z-norm per pair, mirrored, gives bit for bit the max_pairwise_z,
+    max_pair_ratio, verdict and representatives of the full double loop
+    over the limits"""
+    lam = spectrum128.eigenvalues
+    gap = lam[2] - lam[1]
+    certified = case == "certified"
+    spec = (nl.affine(float(lam[1]), nl.constant_profile(0.0))
+            if case == "resonant"
+            else nl.saturating(lam[1] + 0.2, (0.6 if certified else 1.2)
+                               * gap, nl.constant_profile(5.0)))
+    limits = []
+    gap_newton = solvers._gap_newton
+
+    def spy(*args):
+        out = gap_newton(*args)
+        limits.append(out[:2])
+        return out
+
+    monkeypatch.setattr(solvers, "_gap_newton", spy)
+    verdict = ns.uniqueness_probe(op128, spectrum128, spec, 2, n_starts=8,
+                                  opts=OPTS)
+    assert verdict.f2_passed == certified
+    solutions = [u for u, _ in limits]
+    dist = np.array([[norm_Z(op128, u - v) for v in solutions]
+                     for u in solutions])
+    scale = max(1.0, max(norm_Z(op128, u) for u in solutions))
+    if certified:
+        c = solvers._f2_passed(spec, spectrum128, 2).inverse_bound
+        error = c * spectrum128.dual_norms(np.column_stack([g for _, g
+                                                            in limits]))
+        bound = (error[:, None] + error[None, :]
+                 + solvers.DISTINCT_ROUNDING_Z * scale)
+    else:
+        bound = np.full_like(dist, solvers.DISTINCT_SOLUTION_Z * scale)
+    ratio = dist / bound
+    assert verdict.max_pairwise_z == float(dist.max())
+    assert verdict.max_pair_ratio == float(
+        ratio[np.triu_indices(8, 1)].max())
+    distinct = ratio > 1.0
+    assert verdict.kind == ("MultipleFound" if distinct.any() else "Unique")
+    assert distinct.any() == (case == "resonant")
+    rep = [0]
+    for j in range(1, 8):
+        if distinct[j, rep].all():
+            rep.append(j)
+    assert len(verdict.representatives) == len(rep)
+    for u, i in zip(verdict.representatives, rep):
+        assert u is solutions[i]
 
 
 def test_uniqueness_probe_is_seeded(op128, spectrum128, gap_spec):

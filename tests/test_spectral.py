@@ -316,6 +316,27 @@ def test_dual_norms_match_the_dense_inverse(fractional_op, n):
     assert "eigenvectors" not in vars(sp)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 64, 65])
+def test_eigen_coordinates_are_the_eigenvectors_up_to_sign(fractional_op, n):
+    """from_eigen's columns are `eigenvectors` in half order up to sign,
+    to_eigen is their transpose, E^T M E = I and E^T A E is diag
+    `half_eigenvalues`, at both parities of the interior size n - 1"""
+    op = fractional_op(0.5, n)
+    sp = ns.solve_eigenproblem(op)
+    e = np.column_stack([sp.from_eigen(col) for col in np.eye(op.size)])
+    assert "eigenvectors" not in vars(sp)
+    dense = sp.eigenvectors[:, sp.rank]
+    np.testing.assert_allclose(np.abs(e), np.abs(dense), rtol=0, atol=1e-15)
+    g = np.random.default_rng(n).standard_normal(op.size)
+    np.testing.assert_allclose(sp.to_eigen(g), e.T @ g, rtol=0,
+                               atol=1e-13 * np.abs(g).sum())
+    np.testing.assert_allclose(e.T @ op.mass @ e, np.eye(op.size), rtol=0,
+                               atol=1e-13)
+    lam = sp.half_eigenvalues
+    np.testing.assert_allclose(e.T @ op.stiffness @ e, np.diag(lam), rtol=0,
+                               atol=1e-12 * lam.max())
+
+
 @pytest.mark.parametrize("s,floor", [(0.25, 2.0 / 4.0 ** 1.5),
                                      (0.5, 0.125),
                                      (0.75, 2.0 / 4.0 ** 2.5)])
