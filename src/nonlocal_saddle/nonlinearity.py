@@ -315,15 +315,10 @@ class SlopeGapReport:
         return max(gap_lo / (lo - gap_lo), gap_hi / (gap_hi - hi))
 
     @property
-    def shift(self) -> float:
-        """c = (lo + hi) / 2, the midpoint of the slope range."""
-        lo, hi = self.slope_range
-        return 0.5 * (lo + hi)
-
-    @property
     def contraction(self) -> float | None:
         """rho = (hi - lo) / (2 min(c - lambda_k, lambda_{k+1} - c)) for a
-        passed check, c the `shift`, else None (`_contraction`)."""
+        passed check, c = (lo + hi) / 2 the midpoint of the slope range,
+        else None (`_contraction`)."""
         if not self.passed:
             return None
         return _contraction(*self.slope_range, *self.gap)

@@ -680,7 +680,7 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     solutions, grads = [], []
     for _ in range(n_starts):
         coeffs = rng.uniform(-10.0, 10.0, size=spectrum.size)
-        u0 = spectrum.eigenvectors @ coeffs
+        u0 = spectrum.from_eigen(coeffs[spectrum.rank])
         try:
             u, grad, _ = _gap_newton(op, spectrum, spec, u0, opts,
                                      certificate)

@@ -20,11 +20,12 @@ and factors as L L^T with L bidiagonal, in O(p); two bidiagonal sweeps
 then reduce the half pencil to the standard symmetric matrix
 C = L^-1 A L^-T, in O(p^2).  One `numpy.linalg.eigh(C)` per half
 gives the eigenvalues and, mapped back by e = L^-T y, the M-orthonormal half
-eigenvectors; the (N - 1) x (N - 1) eigenvector matrix is scattered from
-them on first access to `Spectrum.eigenvectors` and cached, so a caller that
-reads only eigenvalues never builds it.  Every eigenvector is exactly even
-or exactly odd; its sign makes the M-weighted mean nonnegative, with 1^T M
-taken from M's column.  Both columns come from the construction, so A and M
+eigenvectors.  Every eigenvector is exactly even or exactly odd; the solve
+fixes its sign once, on its half eigenvector, so that its M-weighted mean
+1^T M e is nonnegative (the tie-break of `_fix_signs` for an odd mode,
+whose mean is zero).  `to_eigen` and `from_eigen` apply that one basis E
+from the halves; `Spectrum.eigenvectors` scatters it into the dense matrix
+on first access.  Both columns come from the construction, so A and M
 are centrosymmetric and M tridiagonal by design; `solve_eigenproblem`
 refuses a non-finite symbol and a mesh whose M is not SPD (a bidiagonal
 Cholesky pivot that is not positive and finite: width <= 0 or NaN).
@@ -57,7 +58,7 @@ class Spectrum:
 
     eigenvalues: np.ndarray = field(repr=False)
     op: AssembledOperator = field(repr=False)
-    #: M-orthonormal eigenvectors of the even and of the odd half pencil
+    #: M-orthonormal, canonically signed eigenvectors of the two half pencils
     halves: tuple[np.ndarray, np.ndarray] = field(repr=False)
     #: position in `eigenvalues` of each half eigenpair, even half first
     rank: np.ndarray = field(repr=False)
@@ -68,9 +69,9 @@ class Spectrum:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """Columns e_j.  v = [y / sqrt2; y_mid; +-J y / sqrt2] (y_mid = 0 in
-        the odd half) is M-orthonormal because y is M-orthonormal in its
-        half pencil."""
+        """Columns e_j, ascending; `eigenvectors[:, rank]` is E (`to_eigen`).
+        v = [y / sqrt2; y_mid; +-J y / sqrt2] (y_mid = 0 in the odd half) is
+        M-orthonormal because y is M-orthonormal in its half pencil."""
         n = self.size
         p = n // 2
         even, odd = self.halves
@@ -83,12 +84,7 @@ class Spectrum:
             vecs[n - p:, cols] = sign * top[::-1]
             if n % 2:
                 vecs[p, cols] = half[p] if sign > 0.0 else 0.0
-        del top
-        # 1^T M, column sums of tridiagonal Toeplitz M (a zero c_1 for n = 1)
-        c = np.append(self.op.mass_symbol, 0.0)
-        ones_mass = np.full(n, c[0] + c[1] + c[1])
-        ones_mass[[0, -1]] = c[0] + c[1]
-        return _fix_signs(vecs, ones_mass)
+        return vecs
 
     @property
     def half_eigenvalues(self) -> np.ndarray:
@@ -98,35 +94,26 @@ class Spectrum:
 
     def to_eigen(self, g: np.ndarray) -> np.ndarray:
         """E^T g in half order, for g or each column of a 2-D g, read from
-        the half eigenvectors y: e_j^T g = y_j^T h / sqrt2, h = g_top +
-        J g_bottom (sqrt2 g_mid appended for odd n) in the even half and
-        g_top - J g_bottom in the odd half.  E is the eigenvector matrix
-        with its columns in half order and their signs as the halves give
-        them (not `eigenvectors`' canonical signs); it is M-orthonormal, so
-        E^T M E = I and E^T A E = diag `half_eigenvalues`."""
-        n = self.size
-        p = n // 2
+        the half eigenvectors y: e_j^T g = y_j^T h / sqrt2 with h the fold
+        of g into y's half (`_fold`).  E is the canonical eigenvector
+        matrix with its columns in half order, `eigenvectors[:, rank]`; it
+        is M-orthonormal, so E^T M E = I and E^T A E = diag
+        `half_eigenvalues`."""
         even, odd = self.halves
-        top, bottom = g[:p], g[n - p:][::-1]
-        plus = np.concatenate((top + bottom, math.sqrt(2.0) * g[p:n - p]))
-        return np.concatenate((even.T @ plus, odd.T @ (top - bottom))) \
-            / math.sqrt(2.0)
+        plus, minus = _fold(g)
+        return np.concatenate((even.T @ plus, odd.T @ minus)) / math.sqrt(2.0)
 
     def from_eigen(self, y: np.ndarray) -> np.ndarray:
         """E y for coefficients y in half order (`to_eigen`): the nodal
         vector [(v_top + w) / sqrt2; v_mid; J (v_top - w) / sqrt2] of the
         even-half combination v (v_mid only for odd n) and the odd-half
         combination w."""
-        n = self.size
-        p = n // 2
         even, odd = self.halves
         v = even @ y[:even.shape[1]]
         w = odd @ y[even.shape[1]:]
-        out = np.empty(n)
-        out[:p] = (v[:p] + w) / math.sqrt(2.0)
-        out[n - p:] = ((v[:p] - w) / math.sqrt(2.0))[::-1]
-        out[p:n - p] = v[p:]
-        return out
+        p = w.size
+        return np.concatenate(((v[:p] + w) / math.sqrt(2.0), v[p:],
+                               ((v[:p] - w) / math.sqrt(2.0))[::-1]))
 
     def dual_norms(self, g: np.ndarray) -> np.ndarray:
         """|g|_{Z*} = sqrt(g^T A^-1 g) = sqrt(sum_j (e_j^T g)^2 / lambda_j)
@@ -146,12 +133,22 @@ class Spectrum:
         return lo, hi
 
 
-def _fix_signs(vectors: np.ndarray, ones_mass: np.ndarray) -> np.ndarray:
+def _fold(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g, or each column of a 2-D g, folded into the even and the odd half:
+    g_top + J g_bottom (sqrt2 g_mid appended for odd n) and
+    g_top - J g_bottom."""
+    p = len(g) // 2
+    top, bottom = g[:p], g[::-1][:p]
+    return (np.concatenate((top + bottom, math.sqrt(2.0) * g[p:len(g) - p])),
+            top - bottom)
+
+
+def _fix_signs(vectors: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Flip columns of `vectors` in place to the canonical representatives
-    and return it: nonnegative M-weighted mean (`ones_mass` is 1^T M), ties
-    broken by the first coefficient above 1e-12 in magnitude (a column with
-    none keeps its sign)."""
-    means = ones_mass @ vectors
+    and return it: nonnegative M-weighted mean (`weight` is 1^T M in their
+    coordinates), ties broken by the first coefficient above 1e-12 in
+    magnitude (a column with none keeps its sign)."""
+    means = weight @ vectors
     largest = np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
     # |v| > 1e-12 without an n x n float temporary
     nonzero = vectors > 1.0e-12
@@ -238,12 +235,20 @@ def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
     """Dense symmetric-definite eigendecomposition of (A, M) by the exact
     reflection split: each half pencil reduced by the bidiagonal Cholesky
     of its mass half to one standard `eigh`, the eigenvalues merged by a
-    stable sort.  The eigenvector matrix is built on first access to
-    `Spectrum.eigenvectors`."""
+    stable sort, each half eigenvector signed by `_fix_signs` on 1^T M
+    folded into its half (exactly zero in the odd half).  The eigenvector
+    matrix is built on first access to `Spectrum.eigenvectors`."""
     if not np.all(np.isfinite(op.symbol)):
         raise AssemblyCorruptionError("stiffness matrix is not finite")
     even_vals, even = _solve_half(op, 1.0, "even")
     odd_vals, odd = _solve_half(op, -1.0, "odd")
+    # 1^T M, column sums of tridiagonal Toeplitz M (a zero c_1 for n = 1)
+    c = np.append(op.mass_symbol, 0.0)
+    ones_mass = np.full(op.size, c[0] + c[1] + c[1])
+    ones_mass[[0, -1]] = c[0] + c[1]
+    for half, weight in zip((even, odd), _fold(ones_mass)):
+        if half.size:
+            _fix_signs(half, weight / math.sqrt(2.0))
     vals = np.concatenate((even_vals, odd_vals))
     order = np.argsort(vals, kind="stable")
     rank = np.empty(op.size, dtype=np.intp)
@@ -269,8 +274,8 @@ def project(spectrum: Spectrum, u, part: str, k: int) -> np.ndarray:
     spectrum.gap(k)
     if part not in ("head", "tail"):
         raise InvalidParameterError(f"part must be 'head' or 'tail', got {part!r}")
-    basis = spectrum.eigenvectors[:, :k]
-    head = basis @ (basis.T @ (spectrum.op.mass @ u))
+    coeffs = spectrum.to_eigen(spectrum.op.mass @ u)
+    head = spectrum.from_eigen(np.where(spectrum.rank < k, coeffs, 0.0))
     return head if part == "head" else u - head
 
 

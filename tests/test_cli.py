@@ -43,6 +43,36 @@ def test_spectrum_subcommand(gap_config, tmp_path):
     assert (out / "spectrum.csv").read_text().splitlines()[0] == "j,lambda"
 
 
+def test_spectrum_vectors_are_the_canonical_eigenvectors(gap_config,
+                                                         tmp_path, capsys):
+    """`spectrum --vectors` on an even N (odd interior count, so every odd
+    mode is zero at the middle node): each row is the eigenvector exactly,
+    with its canonical sign, and no field is a signed zero"""
+    code = cli.main(["spectrum", "--config", str(gap_config),
+                     "--out", str(tmp_path / "art"), "--count", "3",
+                     "--vectors"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    pipe = cli.Pipeline(parse_config(gap_config.read_bytes()))
+    n = pipe.op.size
+    assert n % 2 == 1
+    assert lines[0].split(",") == (["j", "lambda"]
+                                   + [f"node_{i}" for i in range(1, n + 1)])
+    assert len(lines) == 4
+    ones_mass = pipe.op.mass.sum(axis=0)
+    for j, line in enumerate(lines[1:]):
+        fields = line.split(",")
+        assert "-0" not in fields
+        assert fields[0] == str(j + 1)
+        row = np.array([float(v) for v in fields[2:]])
+        assert np.array_equal(row, pipe.spectrum.eigenvectors[:, j])
+        mean = ones_mass @ row
+        if abs(mean) > 1e-12 * np.abs(row).max():
+            assert mean > 0.0
+        else:  # the tie-break: the first entry above 1e-12 is positive
+            assert row[np.flatnonzero(np.abs(row) > 1e-12)[0]] > 0.0
+
+
 def test_lapack_failure_exits_as_numeric_failure(gap_config, tmp_path,
                                                  monkeypatch, capsys):
     """a LAPACK error in the eigensolve is a NumericError: exit 2 with an

@@ -842,6 +842,31 @@ def test_uniqueness_probe_is_seeded(op128, spectrum128, gap_spec):
     assert v1.max_pairwise_z == v2.max_pairwise_z
 
 
+@pytest.mark.parametrize("case", ["certified", "uncertified", "resonant"])
+def test_probe_and_project_build_no_eigenvector_matrix(fractional_op, case):
+    """the probe's starts and `project` apply the eigenbasis through the
+    half eigenvectors (`Spectrum.from_eigen`, `Spectrum.to_eigen`): neither
+    builds the N x N eigenvector matrix, certified, f2-failing or
+    resonant"""
+    op = fractional_op(0.5, 32)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    gap = lam[2] - lam[1]
+    spec = {"certified": nl.saturating(lam[1] + 0.2, 0.6 * gap,
+                                       nl.constant_profile(5.0)),
+            "uncertified": nl.saturating(lam[1] + 0.2 * gap, 0.8 * gap,
+                                         nl.constant_profile(1.0)),
+            "resonant": nl.affine(float(lam[1]),
+                                  nl.constant_profile(0.0))}[case]
+    verdict = ns.uniqueness_probe(op, sp, spec, 2, n_starts=4, opts=OPTS)
+    assert verdict.f2_passed == (case == "certified")
+    assert "eigenvectors" not in vars(sp)
+    u = np.random.default_rng(0).standard_normal(op.size)
+    for part in ("head", "tail"):
+        ns.project(sp, u, part, 2)
+    assert "eigenvectors" not in vars(sp)
+
+
 # ---------------------------------------------------------------------------
 # geometry probe
 # ---------------------------------------------------------------------------

@@ -268,11 +268,11 @@ def test_non_spd_mass_is_rejected(op128):
 
 @pytest.mark.parametrize("n", [2, 3, 128])
 def test_eigenvectors_built_on_first_access(monkeypatch, n):
-    """solving makes one eigh per non-empty half (N = 2 leaves the odd half
-    empty) and builds no eigenvector matrix; the first access builds it
-    once, a second returns the same array, and every Spectrum of one
-    operator gets the same bits.  A non-SPD mass is refused by the solve,
-    before any vector is read."""
+    """solving makes one eigh and one sign pass per non-empty half (N = 2
+    leaves the odd half empty) and builds no eigenvector matrix; the first
+    access builds it once with no further sign pass, a second returns the
+    same array, and every Spectrum of one operator gets the same bits.  A
+    non-SPD mass is refused by the solve, before any vector is read."""
     from nonlocal_saddle import spectral
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
                      ns.make_fractional_kernel(0.5))
@@ -289,10 +289,11 @@ def test_eigenvectors_built_on_first_access(monkeypatch, n):
                         counted("_fix_signs", spectral._fix_signs))
     sp = ns.solve_eigenproblem(op)
     halves = 1 if n == 2 else 2
-    assert calls == {"eigh": halves, "_fix_signs": 0}
+    assert calls == {"eigh": halves, "_fix_signs": halves}
+    assert "eigenvectors" not in vars(sp)
     first = sp.eigenvectors
     assert sp.eigenvectors is first
-    assert calls == {"eigh": halves, "_fix_signs": 1}
+    assert calls == {"eigh": halves, "_fix_signs": halves}
     assert np.array_equal(ns.solve_eigenproblem(op).eigenvectors, first)
     # the eigensolve and the vectors read the two columns, never dense A, M
     assert "stiffness" not in vars(op) and "mass" not in vars(op)
@@ -318,15 +319,15 @@ def test_dual_norms_match_the_dense_inverse(fractional_op, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 64, 65])
 def test_eigen_coordinates_are_the_eigenvectors_up_to_sign(fractional_op, n):
-    """from_eigen's columns are `eigenvectors` in half order up to sign,
+    """from_eigen's columns are `eigenvectors` in half order exactly,
+    canonical signs included (the signs are decided once, on the halves),
     to_eigen is their transpose, E^T M E = I and E^T A E is diag
     `half_eigenvalues`, at both parities of the interior size n - 1"""
     op = fractional_op(0.5, n)
     sp = ns.solve_eigenproblem(op)
     e = np.column_stack([sp.from_eigen(col) for col in np.eye(op.size)])
     assert "eigenvectors" not in vars(sp)
-    dense = sp.eigenvectors[:, sp.rank]
-    np.testing.assert_allclose(np.abs(e), np.abs(dense), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(e, sp.eigenvectors[:, sp.rank])
     g = np.random.default_rng(n).standard_normal(op.size)
     np.testing.assert_allclose(sp.to_eigen(g), e.T @ g, rtol=0,
                                atol=1e-13 * np.abs(g).sum())
