@@ -204,6 +204,23 @@ def norm_Z(op: AssembledOperator, u) -> float:
     return math.sqrt(max(float(u @ op.stiffness @ u), 0.0))
 
 
+def _tridiagonal(bands, x: np.ndarray) -> np.ndarray:
+    """W x for the bands (diagonal, off-diagonal) of a symmetric
+    tridiagonal W; either band may be a scalar or a length-1 array."""
+    diag, off = bands
+    out = diag * x
+    out[:-1] += off * x[1:]
+    out[1:] += off * x[:-1]
+    return out
+
+
+def _mass_times(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
+    """M u as the tridiagonal product of `op.mass_symbol`, in O(N) and
+    without building the dense `op.mass`."""
+    column = op.mass_symbol
+    return _tridiagonal((column[0], column[1:2]), u)
+
+
 def norm_L2(op: AssembledOperator, u) -> float:
     u = _check_dim(op, u)
-    return math.sqrt(max(float(u @ op.mass @ u), 0.0))
+    return math.sqrt(max(float(u @ _mass_times(op, u)), 0.0))

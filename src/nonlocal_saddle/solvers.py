@@ -4,22 +4,26 @@ The energy is J(u) = 1/2 u'Au - int F(x, u_h) dx; a zero gradient
 A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
 find that zero with one Newton driver on the Hessian A - D(u) and differ
 only in how a step is solved and made safe.  The coercive case factors
-each step and backtracks on J.  A gap-case run certified by the slope-gap
-check (`_f2_passed`) solves each step by preconditioned MINRES in the
-eigen-coordinates (`_certified_step`) and backtracks on the merit
+each step and backtracks on J.  A gap-case step is solved by
+preconditioned MINRES in the eigen-coordinates (`_certified_step`)
+wherever the slopes are known to lie in a spectral gap, which by
+Courant-Fischer makes the Hessian nonsingular: at every iterate of a run
+certified by the slope-gap check (`_f2_passed`), and at each iterate of
+an uncertified run whose own Gauss-point slope range lies in a gap, unless
+the MINRES bound of that range exceeds N (`_gap_steps`).  Every other step
+is factored by LU.  A certified run backtracks on the merit
 |g|_{Z*}^2 / 2, which every Newton step descends because the certificate
-makes the Hessian nonsingular; an uncertified one factors each step and
-caps its steps' Z-norm after STALL_STEPS steps without a new residual
-minimum.  The geometry probe samples the saddle structure that underpins
-the gap-case existence argument, and the uniqueness probe multi-starts the
-gap driver to test the slope-gap uniqueness prediction; under the
-certificate it tells limits apart by the certificate's error bound
-C |g|_{Z*}.
+makes the Hessian nonsingular; an uncertified one caps its steps' Z-norm
+after STALL_STEPS steps without a new residual minimum.  The geometry
+probe samples the saddle structure that underpins the gap-case existence
+argument, and the uniqueness probe multi-starts the gap driver to test the
+slope-gap uniqueness prediction; under the certificate it tells limits
+apart by the certificate's error bound C |g|_{Z*}.
 
 scipy is the package's last dependency beyond numpy, and only for the LU
 of a factored Newton step: `_newton_step` imports `scipy.linalg` at its
 first call, so importing the package, and every run whose Newton steps
-are all certified, never loads it.
+are all solved by MINRES, certified or not, never loads it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AssembledOperator, _check_dim, norm_Z
+from .assembly import AssembledOperator, _check_dim, _tridiagonal, norm_Z
 from .errors import (InvalidParameterError, NonConvergenceError,
                      NonResonanceContradictionError, NumericError,
                      ResonanceError, UnsupportedCaseError, check_count,
@@ -68,13 +72,15 @@ DISTINCT_SOLUTION_Z = 1.0e-8
 #: the largest limit's Z-norm (at least 1)
 DISTINCT_ROUNDING_Z = 1.0e-12
 
-#: relative preconditioned residual at which the MINRES of a certified
-#: Newton step stops.  The steps it gives differ from the LU steps by at
-#: most 3e-13 in relative Z-norm on the benchmark sweep (N = 512).
+#: relative preconditioned residual at which the MINRES of a Newton step
+#: in a gap (`_certified_step`) stops.  The steps it gives differ from the
+#: LU steps by at most 3e-13 in relative Z-norm on the benchmark sweep
+#: (N = 512); the uncertified in-gap steps of its f2-failing case, 283 of
+#: them over seeds 1-10, by at most 1.4e-13.
 MINRES_TOL = 1.0e-14
 
 #: MINRES iterations allowed beyond the bound 2 ceil(log(MINRES_TOL / 2) /
-#: log rho) of a certified step, for rounding: a constant weight (rho = 0)
+#: log rho) of a step in a gap, for rounding: a constant weight (rho = 0)
 #: takes two
 MINRES_SLACK = 4
 
@@ -199,19 +205,17 @@ def _weight_bands(op: AssembledOperator, slopes: np.ndarray):
     W_ij = int m phi_i phi_j dx for slope values m at the Gauss points
     (n_elem, q)."""
     _, wg, xi = _element_data(op)
-    phi = np.stack([1.0 - xi, xi])  # (2, q)
-    loc = np.einsum("pg,qg,eg->epq", phi, phi, wg * slopes)
-    return loc[1:, 0, 0] + loc[:-1, 1, 1], loc[1:-1, 0, 1]
-
-
-def _tridiagonal(bands, x: np.ndarray) -> np.ndarray:
-    """W x for the bands (diagonal, off-diagonal) of a symmetric
-    tridiagonal W."""
-    diag, off = bands
-    out = diag * x
-    out[:-1] += off * x[1:]
-    out[1:] += off * x[:-1]
-    return out
+    phi = np.stack([1.0 - xi, xi])
+    # phi_0^2, phi_1^2 and phi_0 phi_1 at each Gauss point, shape (q, 3)
+    products = np.stack([phi[0] * phi[0], phi[1] * phi[1], phi[0] * phi[1]],
+                        axis=1)
+    weighted = (wg * slopes).T
+    # element integrals summed over the Gauss points in order, without BLAS,
+    # so that the bands do not depend on a GEMM's blocking or FMA
+    loc = products[0][:, None] * weighted[0]
+    for g in range(1, xi.size):
+        loc += products[g][:, None] * weighted[g]
+    return loc[0, 1:] + loc[1, :-1], loc[2, 1:-1]
 
 
 def _system(op: AssembledOperator, slopes: np.ndarray,
@@ -283,17 +287,27 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
     m_vals = _profile_values("slope", m_profile, xg)
     vals = spectrum.eigenvalues
     lo, hi = float(m_vals.min()), float(m_vals.max())
-    k = _gap_index(lo, hi, vals)
-    if k is None:
+    placed = _placed(lo, hi, vals)
+    if placed is None:
         if np.any((lo < vals) & (vals < hi)):
             raise ResonanceError(f"slope profile range [{lo:.6g}, {hi:.6g}] "
                                  f"straddles an eigenvalue")
         raise ResonanceError("slope profile touches an eigenvalue within 1e-9")
     rhs = _p1_load(op, wg * _profile_values("source", g, xg), xi)
-    gap_lo = float(vals[k - 1]) if k > 0 else -math.inf
-    gap_hi = float(vals[k]) if k < vals.size else math.inf
-    return _certified_step(op, spectrum, m_vals, -rhs, k,
-                           _contraction(lo, hi, gap_lo, gap_hi))
+    return _certified_step(op, spectrum, m_vals, -rhs, *placed)
+
+
+def _placed(lo: float, hi: float, eigenvalues: np.ndarray):
+    """(k, rho) for a slope range [lo, hi] that `_gap_index` places in gap
+    k, rho its `_contraction` against (lambda_k, lambda_{k+1}) with
+    lambda_0 = -inf and lambda_{N+1} = +inf; None where an eigenvalue lies
+    within GAP_MARGIN of the range."""
+    k = _gap_index(lo, hi, eigenvalues)
+    if k is None:
+        return None
+    gap_lo = float(eigenvalues[k - 1]) if k > 0 else -math.inf
+    gap_hi = float(eigenvalues[k]) if k < eigenvalues.size else math.inf
+    return k, _contraction(lo, hi, gap_lo, gap_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +316,10 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
 
 def _newton_step(op: AssembledOperator, slopes: np.ndarray,
                  grad: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The step (A - W)^-1 (-grad) of an uncertified system for the slope
-    values `slopes` (see `_system`) by LU, factored in place in the
-    F-ordered n x n `work`; below SINGULAR_PIVOT_RATIO the system takes
-    the least-squares step; a failed LAPACK call raises NumericError."""
+    """The step (A - W)^-1 (-grad) for the slope values `slopes` (see
+    `_system`) by LU, factored in place in the F-ordered n x n `work`;
+    below SINGULAR_PIVOT_RATIO the system takes the least-squares step; a
+    failed LAPACK call raises NumericError."""
     import scipy.linalg  # here, so only a process that factors pays for it
     system = _system(op, slopes, work)
     try:  # scipy refuses a non-finite system with a bare ValueError
@@ -363,7 +377,7 @@ def _minres(apply, rhs: np.ndarray, tol: float, max_iter: int):
 
 
 def _minres_bound(contraction: float) -> int:
-    """The MINRES iterations a certified step may take: on a spectrum in
+    """The MINRES iterations a step in a gap may take: on a spectrum in
     +-[1 - rho, 1 + rho] the residual after j iterations is at most
     2 rho^floor(j/2) times the first (the two-interval bound; Elman,
     Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*, 2nd
@@ -381,9 +395,11 @@ def _certified_step(op: AssembledOperator, spectrum: Spectrum,
                     slopes: np.ndarray, grad: np.ndarray, k: int,
                     contraction: float) -> np.ndarray:
     """The step d = (A - W)^-1 (-grad) for the slope values `slopes` (see
-    `_system`) of an iterate certified in gap k, with `contraction` rho
-    the certificate's (`SlopeGapReport.contraction`), without forming
-    A - W.
+    `_system`) of an iterate whose slope range lies in gap k, without
+    forming A - W.  `contraction` rho is that of a range containing the
+    slopes: a slope-gap certificate's (`SlopeGapReport.contraction`), or
+    the iterate's own (`_placed`).  By Courant-Fischer A - W is then
+    nonsingular with Morse index k.
 
     In the eigen-coordinates of `Spectrum.to_eigen` the system is
     (Lambda - E^T W E) y = -E^T grad, d = E y.  With c the midpoint of the
@@ -392,7 +408,7 @@ def _certified_step(op: AssembledOperator, spectrum: Spectrum,
     +-[1 - rho, 1 + rho] (`_contraction`), so `_minres_bound(rho)`
     iterations suffice whatever the mesh; each costs one E, one W and one
     E^T.  The step raises NonResonanceContradictionError when the
-    iterate's slope range has left gap k (`_gap_index`), when MINRES does
+    iterate's slope range is not in gap k (`_gap_index`), when MINRES does
     not reach MINRES_TOL within the bound, or when d misses the nodal
     system by a normwise backward error above STEP_BACKWARD_ERROR, which
     a spectrum that does not belong to A gives; non-finite slopes or a
@@ -403,8 +419,8 @@ def _certified_step(op: AssembledOperator, spectrum: Spectrum,
     lo, hi = float(slopes.min()), float(slopes.max())
     if _gap_index(lo, hi, spectrum.eigenvalues) != k:
         raise NonResonanceContradictionError(
-            f"slopes [{lo:.6g}, {hi:.6g}] at the iterate leave the certified "
-            f"gap k={k}")
+            f"slopes [{lo:.6g}, {hi:.6g}] at the iterate leave gap k={k}, "
+            f"in which its step was to be solved")
     bands = _weight_bands(op, slopes)
     lam = spectrum.half_eigenvalues
     scale = 1.0 / np.sqrt(np.abs(lam - 0.5 * (lo + hi)))
@@ -420,7 +436,7 @@ def _certified_step(op: AssembledOperator, spectrum: Spectrum,
     if found is None:
         raise NonResonanceContradictionError(
             f"MINRES missed {MINRES_TOL:g} within {bound} iterations "
-            f"although the slope gap was verified (rho = {contraction:.6g})")
+            f"although the slopes lie in gap k={k} (rho = {contraction:.6g})")
     step = spectrum.from_eigen(scale * found[0])
     a_step, w_step = op.stiffness @ step, _tridiagonal(bands, step)
     scale_inf = (np.abs(a_step).max() + np.abs(w_step).max()
@@ -429,45 +445,59 @@ def _certified_step(op: AssembledOperator, spectrum: Spectrum,
     if not backward <= STEP_BACKWARD_ERROR:
         raise NonResonanceContradictionError(
             f"Newton step misses its system by a backward error of "
-            f"{backward:.3e} although the slope gap was verified")
+            f"{backward:.3e} although the slopes lie in gap k={k}")
     return step
 
 
-def _lu_steps(op, spec):
-    """step(u, grad), the factored Newton step at u (`_newton_step`).  Its
-    one work array per run is allocated at the first step.  Two fresh
-    n x n arrays per step are fresh mmaps with page faults unless an
+def _lu_steps(op):
+    """step(slopes, grad), the factored Newton step (`_newton_step`).  Its
+    one work array per run is allocated at the first factored step.  Two
+    fresh n x n arrays per step are fresh mmaps with page faults unless an
     earlier large free has raised glibc's dynamic mmap threshold; that made
     sweep cases up to 30% slower with the same iterates (one 2-core x86_64
     machine).  The gain depends on the allocator and on what ran before."""
     work = None
 
-    def step(u, grad):
+    def step(slopes, grad):
         nonlocal work
         if work is None:
             work = np.empty((op.size, op.size), order="F")
-        return _newton_step(op, _slopes(op, spec, u), grad, work)
+        return _newton_step(op, slopes, grad, work)
 
     return step
 
 
-def _certified_steps(op, spectrum, spec, certificate):
-    """step(u, grad), the certified Newton step at u (`_certified_step`)
-    under the slope-gap report `certificate`."""
-    def step(u, grad):
-        return _certified_step(op, spectrum, _slopes(op, spec, u), grad,
-                               certificate.k, certificate.contraction)
+def _gap_steps(op, spectrum, certificate):
+    """step(slopes, grad), the Newton step of a gap run.  Under the
+    slope-gap report `certificate` every step is `_certified_step` in its
+    gap k with its contraction.  Without one each iterate is placed by its
+    own slope range (`_placed`): in a gap j with contraction rho and
+    `_minres_bound(rho)` <= N the step is `_certified_step` in gap j;
+    otherwise it is factored (`_lu_steps`).  At that bound the worst-case
+    MINRES cost, O(N^2) per iteration, is itself that of the LU."""
+    factored = _lu_steps(op)
+
+    def step(slopes, grad):
+        if certificate is not None:
+            return _certified_step(op, spectrum, slopes, grad, certificate.k,
+                                   certificate.contraction)
+        placed = _placed(float(slopes.min()), float(slopes.max()),
+                         spectrum.eigenvalues)
+        if placed is not None and _minres_bound(placed[1]) <= op.size:
+            return _certified_step(op, spectrum, slopes, grad, *placed)
+        return factored(slopes, grad)
 
     return step
 
 
 def _newton(op, spec, u0, tol, max_iter, globalize, step):
     """Newton on A u - b(u) from u0; returns u, its gradient and the
-    residual of every iterate.  step(u, grad) solves the Newton system at
-    u (`_lu_steps`, `_certified_steps`); globalize(u, step, grad, res)
-    turns that step into the next iterate and returns it with its gradient
-    and residual (`_gradient`), or returns None when it finds no
-    acceptable one."""
+    residual of every iterate.  step(slopes, grad) solves the Newton
+    system A - W at an iterate with Gauss-point slopes `slopes`
+    (`_slopes`) and gradient grad (`_lu_steps`, `_gap_steps`);
+    globalize(u, step, grad, res) turns that step into the next iterate
+    and returns it with its gradient and residual (`_gradient`), or
+    returns None when it finds no acceptable one."""
     u = np.array(u0, dtype=float)
     grad, res = _gradient(op, spec, u)
     trace = []
@@ -477,7 +507,7 @@ def _newton(op, spec, u0, tol, max_iter, globalize, step):
             return u, grad, trace
         if it == max_iter:
             break
-        moved = globalize(u, step(u, grad), grad, res)
+        moved = globalize(u, step(_slopes(op, spec, u), grad), grad, res)
         if moved is None:
             raise NonConvergenceError(
                 f"line search stalled at iteration {it} "
@@ -602,7 +632,7 @@ def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
         raise UnsupportedCaseError(classification)
     u0 = np.zeros(op.size)
     u, _, trace = _newton(op, spec, u0, opts.tol, opts.max_iter,
-                          _armijo(op, spec, u0), _lu_steps(op, spec))
+                          _armijo(op, spec, u0), _lu_steps(op))
     return _report(op, spec, u, trace)
 
 
@@ -619,18 +649,17 @@ def _f2_passed(spec: NonlinearitySpec, spectrum: Spectrum,
 
 
 def _gap_newton(op, spectrum, spec, u0, opts, certificate):
-    """Gap-case Newton from u0 (`_newton`).  Under a certificate steps are
-    solved by MINRES (`_certified_steps`, which raise
-    NonResonanceContradictionError where the certificate fails) and
-    backtrack on the merit (`_merit_backtracking`); without one they are
-    factored (`_lu_steps`, a singular system taking the least-squares step)
-    and follow `_z_capped`."""
-    if certificate is None:
-        rule, step = _z_capped(op, spec), _lu_steps(op, spec)
-    else:
-        rule = _merit_backtracking(op, spec, spectrum)
-        step = _certified_steps(op, spectrum, spec, certificate)
-    return _newton(op, spec, u0, opts.tol, opts.max_iter, rule, step)
+    """Gap-case Newton from u0 (`_newton`) with the steps of `_gap_steps`.
+    Under a certificate every step is solved by MINRES, raising
+    NonResonanceContradictionError where the certificate fails, and
+    backtracks on the merit (`_merit_backtracking`).  Without one a step
+    is solved by MINRES where the iterate's own slopes lie in a gap and
+    factored elsewhere (a singular system taking the least-squares step),
+    and the steps follow `_z_capped`."""
+    rule = (_z_capped(op, spec) if certificate is None
+            else _merit_backtracking(op, spec, spectrum))
+    return _newton(op, spec, u0, opts.tol, opts.max_iter, rule,
+                   _gap_steps(op, spectrum, certificate))
 
 
 def solve_case_b(op: AssembledOperator, spectrum: Spectrum,

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .assembly import AssembledOperator, _check_dim, _toeplitz
+from .assembly import AssembledOperator, _check_dim, _mass_times, _toeplitz
 from .errors import (AssemblyCorruptionError, EigenClusterError,
                      InvalidParameterError, NumericError, check_count,
                      check_real)
@@ -259,7 +259,7 @@ def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
 
 def rayleigh_quotient(op: AssembledOperator, u) -> float:
     u = _check_dim(op, u)
-    denom = float(u @ op.mass @ u)
+    denom = float(u @ _mass_times(op, u))
     if denom <= 0.0:
         raise InvalidParameterError("Rayleigh quotient of the zero vector")
     return float(u @ op.stiffness @ u) / denom
@@ -274,7 +274,7 @@ def project(spectrum: Spectrum, u, part: str, k: int) -> np.ndarray:
     spectrum.gap(k)
     if part not in ("head", "tail"):
         raise InvalidParameterError(f"part must be 'head' or 'tail', got {part!r}")
-    coeffs = spectrum.to_eigen(spectrum.op.mass @ u)
+    coeffs = spectrum.to_eigen(_mass_times(spectrum.op, u))
     head = spectrum.from_eigen(np.where(spectrum.rank < k, coeffs, 0.0))
     return head if part == "head" else u - head
 

@@ -171,24 +171,60 @@ def test_certified_singular_system_raises():
                                  nl.constant_profile(1.0))
 
 
+def _count_steps(monkeypatch):
+    """Count the Newton steps solved by MINRES and by LU from now on:
+    {"minres": .., "lu": ..}"""
+    counts = {"minres": 0, "lu": 0}
+    minres, newton_step = solvers._minres, solvers._newton_step
+
+    def minres_spy(*args):
+        counts["minres"] += 1
+        return minres(*args)
+
+    def lu_spy(*args):
+        counts["lu"] += 1
+        return newton_step(*args)
+
+    monkeypatch.setattr(solvers, "_minres", minres_spy)
+    monkeypatch.setattr(solvers, "_newton_step", lu_spy)
+    return counts
+
+
 @pytest.mark.parametrize("n", [64, 512])
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-def test_certified_step_matches_the_lu_step(fractional_op, s, n):
+def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
+                                            n):
     """the MINRES step in eigen-coordinates equals the dense solve of
     A - W to 1e-10 in relative Z-norm, at an iterate whose Hessian has
-    Morse index k, for k = 1, 2, 3"""
+    Morse index k, for k = 1, 2, 3; and so does the step that an
+    uncertified run gives an iterate of an f2-failing spec whose own
+    slopes lie in gap 3"""
     op = fractional_op(s, n)
     sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
     x = op.mesh.interior_nodes
     u = 2.0 * np.cos(3.0 * x) + x
     for k in (1, 2, 3):
-        spec = _fixed_gap_spec(sp.eigenvalues, k)
+        spec = _fixed_gap_spec(lam, k)
         certificate = solvers._f2_passed(spec, sp, k)
         slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
         step = solvers._certified_step(op, sp, slopes, grad, k,
                                        certificate.contraction)
         lu = np.linalg.solve(solvers._system(op, slopes), -grad)
         assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu), (k,)
+    # slopes (m, m + delta] run from gap 2 into gap 3: no certificate
+    m = lam[1] + 0.5 * (lam[2] - lam[1])
+    spec = nl.saturating(m, lam[2] + 0.5 * (lam[3] - lam[2]) - m,
+                         nl.constant_profile(1.0))
+    assert solvers._f2_passed(spec, sp, 2) is None
+    u = 0.1 * u  # small, so the slopes lie near m + delta
+    slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
+    assert solvers._placed(slopes.min(), slopes.max(), lam)[0] == 3
+    counts = _count_steps(monkeypatch)
+    step = solvers._gap_steps(op, sp, None)(slopes, grad)
+    assert counts == {"minres": 1, "lu": 0}
+    lu = np.linalg.solve(solvers._system(op, slopes), -grad)
+    assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu)
 
 
 def test_certified_iterations_do_not_grow_with_n(fractional_op, monkeypatch):
@@ -250,6 +286,61 @@ def test_slopes_leaving_the_declared_range_raise(fractional_op):
     assert solvers._f2_passed(spec, sp, 2) is not None
     with pytest.raises(NonResonanceContradictionError, match="leave"):
         ns.solve_case_b(op, sp, spec, OPTS, u0=np.full(op.size, 3.0))
+
+
+def test_uncertified_step_takes_lu_above_the_minres_bound(fractional_op,
+                                                          monkeypatch):
+    """an uncertified iterate whose slopes lie in gap 2 takes MINRES only
+    while `_minres_bound` of its contraction is at most N: a slope profile
+    spanning 90% of the gap (rho = 0.9, bound 626) is factored at N = 64,
+    one spanning 20% (rho = 0.2, bound 46) is not; the bound N itself
+    still takes MINRES"""
+    op = fractional_op(0.5, 64)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    xg, _, _ = solvers._element_data(op)
+    grad = eval_gradient(op, _fixed_gap_spec(lam, 2), np.ones(op.size))
+    step = solvers._gap_steps(op, sp, None)
+    counts = _count_steps(monkeypatch)
+    for width, lu_steps in ((0.9, 1), (0.2, 0)):
+        # slope profile over [lambda_2, lambda_3] centred in the gap
+        slopes = lam[1] + (0.5 + 0.5 * width * xg) * (lam[2] - lam[1])
+        rho = solvers._placed(slopes.min(), slopes.max(), lam)[1]
+        assert rho == pytest.approx(width, abs=0.01)
+        counts.update(minres=0, lu=0)
+        d = step(slopes, grad)
+        assert counts == {"minres": 1 - lu_steps, "lu": lu_steps}, width
+        assert (solvers._minres_bound(rho) > op.size) == bool(lu_steps)
+        lu = np.linalg.solve(solvers._system(op, slopes), -grad)
+        assert norm_Z(op, d - lu) <= 1e-10 * norm_Z(op, lu)
+    for bound, lu_steps in ((op.size, 0), (op.size + 1, 1)):
+        monkeypatch.setattr(solvers, "_minres_bound", lambda rho: bound)
+        counts.update(minres=0, lu=0)
+        step(slopes, grad)
+        assert counts == {"minres": 1 - lu_steps, "lu": lu_steps}, bound
+
+
+def test_uncertified_solve_in_a_gap_loads_no_scipy(op128, spectrum128,
+                                                   monkeypatch):
+    """saturating(lambda_2 + 0.3 gap, 1.5 gap, g = 5) fails the slope-gap
+    check, but each of its iterates' slopes lie in a gap: every step is a
+    MINRES step, and a process that runs the solve loads no scipy.linalg"""
+    lam = spectrum128.eigenvalues
+    gap = lam[2] - lam[1]
+    spec = nl.saturating(lam[1] + 0.3 * gap, 1.5 * gap,
+                         nl.constant_profile(5.0))
+    assert solvers._f2_passed(spec, spectrum128, 2) is None
+    counts = _count_steps(monkeypatch)
+    rep = ns.solve_case_b(op128, spectrum128, spec, OPTS)
+    assert rep.residual_inf <= OPTS.tol
+    assert counts["lu"] == 0 and counts["minres"] == rep.iterations > 0
+    code = ("lam = sp.eigenvalues\n"
+            "gap = lam[2] - lam[1]\n"
+            "spec = nl.saturating(lam[1] + 0.3 * gap, 1.5 * gap,\n"
+            "                     nl.constant_profile(5.0))\n"
+            "rep = ns.solve_case_b(op, sp, spec, ns.SolverOptions())\n"
+            "print(rep.iterations, 'scipy.linalg' in sys.modules)\n")
+    assert _first_lu_of_a_process(code) == f"{rep.iterations} False"
 
 
 def test_case_a_matches_direct_solve(op128):
@@ -584,13 +675,17 @@ def test_case_b_converges_and_is_critical(op128, spectrum128, gap_spec):
 
 
 def test_case_b_converges_without_slope_gap_certificate(op128,
-                                                       spectrum128):
+                                                       spectrum128,
+                                                       monkeypatch):
     """slope ranges that reach past lambda_3 (no slope-gap certificate)
     still converge with the gap policy: f2-failing points of the grid
-    saturating(lambda_2 + a gap, b gap, g = 5)."""
+    saturating(lambda_2 + a gap, b gap, g = 5).  Their steps are solved
+    both ways: by MINRES at iterates whose slopes lie in a gap, by LU at
+    those whose slopes straddle an eigenvalue."""
     lam = spectrum128.eigenvalues
     gap = lam[2] - lam[1]
     uncertified = 0
+    counts = _count_steps(monkeypatch)
     for a in (0.02, 0.1, 0.3, 0.5):
         for b in (0.8, 1.0, 1.2, 1.5):
             spec = nl.saturating(lam[1] + a * gap, b * gap,
@@ -604,6 +699,7 @@ def test_case_b_converges_without_slope_gap_certificate(op128,
                                   classification=cls)
             assert residual_weakform(op128, spec, rep.solution) <= OPTS.tol
     assert uncertified == 14
+    assert counts["minres"] > 0 and counts["lu"] > 0, counts
 
 
 def test_case_b_saddle_signature(op128, spectrum128, gap_spec):

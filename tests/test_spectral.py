@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
+from nonlocal_saddle.assembly import norm_L2
 from nonlocal_saddle.errors import (AssemblyCorruptionError,
                                     EigenClusterError, InvalidParameterError)
 from nonlocal_saddle.spectral import (_fix_signs, _half_pencil, project,
@@ -185,6 +186,35 @@ def test_rayleigh_quotient_of_eigenvector(spectrum128, op128):
     for j in (0, 1, 4):
         q = rayleigh_quotient(op128, spectrum128.eigenvectors[:, j])
         assert q == pytest.approx(spectrum128.eigenvalues[j], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_mass_products_build_no_dense_mass(n):
+    """`project`, `rayleigh_quotient` and `norm_L2` form M u as the
+    tridiagonal product of `op.mass_symbol`: the dense M is never built,
+    and they agree with the dense products to rounding (down to N = 2, a
+    single interior node)"""
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
+                     ns.make_fractional_kernel(0.5))
+    sp = ns.solve_eigenproblem(op)
+    u = np.random.default_rng(n).standard_normal(op.size)
+    k = min(2, op.size - 1)
+    parts = ([project(sp, u, part, k) for part in ("head", "tail")]
+             if k else [])
+    quotient = rayleigh_quotient(op, u)
+    l2 = norm_L2(op, u)
+    assert "mass" not in vars(op)
+    mass = op.mass
+    assert l2 == pytest.approx(math.sqrt(u @ mass @ u), rel=1e-14)
+    assert quotient == pytest.approx((u @ op.stiffness @ u) / (u @ mass @ u),
+                                     rel=1e-14)
+    if parts:
+        coeffs = sp.to_eigen(mass @ u)
+        head = sp.from_eigen(np.where(sp.rank < k, coeffs, 0.0))
+        np.testing.assert_allclose(parts[0], head, rtol=0.0,
+                                   atol=1e-14 * np.abs(u).max())
+        np.testing.assert_allclose(parts[1], u - head, rtol=0.0,
+                                   atol=1e-14 * np.abs(u).max())
 
 
 def test_rayleigh_inequalities_random_vectors(spectrum128, op128, rng):
