@@ -116,16 +116,16 @@ def _verdict_dict(pipe: Pipeline) -> dict:
 
 
 def cmd_spectrum(pipe: Pipeline, count: int, vectors: bool) -> int:
-    count = min(count, pipe.spectrum.size)
+    sp = pipe.spectrum
+    count = min(count, sp.size)
     header = ["j", "lambda"]
+    rows = [[j + 1, float(sp.eigenvalues[j])] for j in range(count)]
     if vectors:
         header += [f"node_{i}" for i in range(1, pipe.op.size + 1)]
-    rows = []
-    for j in range(count):
-        row = [j + 1, float(pipe.spectrum.eigenvalues[j])]
-        if vectors:
-            row += [float(v) for v in pipe.spectrum.eigenvectors[:, j]]
-        rows.append(row)
+        # E of the printed modes' unit coefficients, put in half order
+        vecs = sp.from_eigen(np.eye(sp.size, count)[sp.rank])
+        for row, vec in zip(rows, vecs.T):
+            row += vec.tolist()
     text = _csv(rows, header)
     sys.stdout.write(text)
     _write_text(pipe.out_dir / "spectrum.csv", text)

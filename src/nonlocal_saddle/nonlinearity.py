@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (InvalidParameterError, NumericError, UnauditableError,
-                     check_real)
+                     check_count, check_real, clipped_repr)
 from .quadrature import ESTIMATE_STEP, estimate, gauss_rule, panel_sum
 from .spectral import Spectrum
 
@@ -58,6 +58,7 @@ def constant_profile(value: float) -> SourceProfile:
 
 def polynomial_profile(coeffs) -> SourceProfile:
     coeffs = np.array([check_real("coefficient", c) for c in coeffs])
+    check_count("the number of coefficients", coeffs.size, 1)
     return SourceProfile(lambda x: np.polynomial.polynomial.polyval(x, coeffs))
 
 
@@ -128,9 +129,14 @@ def custom(f: Callable, a_profile: Callable, b: float,
     a missing F the Gauss panel rule for f from 0 to t (NumericError where
     it does not resolve f)."""
     b = check_real("b", b, 0.0, closed=True)
-    if slope_range and not slope_range[0] <= slope_range[1]:
-        raise InvalidParameterError(
-            f"slope_range must have lo <= hi, got {tuple(slope_range)}")
+    if slope_range is not None:
+        pair = ([check_real("slope_range bound", v) for v in slope_range]
+                if isinstance(slope_range, (tuple, list)) else [])
+        if len(pair) != 2 or not pair[0] <= pair[1]:
+            raise InvalidParameterError(
+                "slope_range must be None or a pair (lo, hi) with lo <= hi, "
+                f"got {clipped_repr(slope_range)}", "slope_range")
+        slope_range = tuple(pair)
 
     def central_difference(x, t):
         eps = 1.0e-6 * np.maximum(1.0, np.abs(t))
@@ -155,7 +161,7 @@ def custom(f: Callable, a_profile: Callable, b: float,
         f=f, f_t=f_t or central_difference, F=F or primitive,
         a_profile=a_profile, b=b,
         alpha_lower=alpha_lower, alpha_upper=alpha_upper,
-        slope_range=tuple(slope_range) if slope_range else None)
+        slope_range=slope_range)
     return spec
 
 

@@ -796,21 +796,27 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
     directions, all of unit Z-norm.  Eigenvectors are M-orthonormal and
     A-orthogonal, so a sample of Z-norm z has quadratic energy exactly
     z^2/2 and squared L2-norm z^2 |c|^2 in eigen-coordinates c; only the
-    integral of F needs nodal values, PROBE_CHUNK directions at a time.
+    integral of F needs nodal values, PROBE_CHUNK directions at a time,
+    each block mapped by `Spectrum.from_eigen`.
     """
     lam = spectrum.eigenvalues[modes]
-    vecs = spectrum.eigenvectors[:, modes]
     xg, wg, xi = _element_data(op)
     x, w = xg[:, :, None], wg.ravel()
 
-    def energies(nodal, n_dirs, z_norms):
-        """J at z_norms along n_dirs directions, shape (z_norms.size,
-        n_dirs); nodal(i0, i1) gives directions i0..i1-1 as columns."""
+    def energies(coeffs, scale, z_norms):
+        """J at z_norms along scale.size directions, shape (z_norms.size,
+        scale.size); coeffs(i0, i1) gives the coefficients on `modes` of
+        directions i0..i1-1 as columns, mapped to nodes by `from_eigen` and
+        then scaled by `scale`, so that an axis keeps its eigenvector's
+        bits."""
         half_z_sq = 0.5 * z_norms ** 2
-        out = np.empty((z_norms.size, n_dirs))
-        for i0 in range(0, n_dirs, PROBE_CHUNK):
-            i1 = min(i0 + PROBE_CHUNK, n_dirs)
-            uh = _interp_elements(nodal(i0, i1), xi)
+        out = np.empty((z_norms.size, scale.size))
+        for i0 in range(0, scale.size, PROBE_CHUNK):
+            i1 = min(i0 + PROBE_CHUNK, scale.size)
+            y = np.zeros((spectrum.size, i1 - i0))  # in ascending order
+            y[modes] = coeffs(i0, i1)
+            nodal = spectrum.from_eigen(y[spectrum.rank]) * scale[i0:i1]
+            uh = _interp_elements(nodal, xi)
             for iz, z in enumerate(z_norms):
                 f_int = w @ eval_F(spec, x, z * uh).reshape(w.size, -1)
                 out[iz, i0:i1] = half_z_sq[iz] - f_int
@@ -818,9 +824,8 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
 
     # the axes once for every group; the -e_j sample at z is e_j at -z
     norms = np.unique(np.concatenate(groups))
-    axes = vecs * (1.0 / np.sqrt(lam))
-    on_axes = energies(lambda i0, i1: axes[:, i0:i1], lam.size,
-                       np.concatenate([norms, -norms]))
+    on_axes = energies(lambda i0, i1: np.eye(lam.size, i1 - i0, -i0),
+                       1.0 / np.sqrt(lam), np.concatenate([norms, -norms]))
     out = []
     for z_norms in groups:
         dirs = _sphere_samples(rng, lam.size, max(n_samples - 2 * lam.size, 0))
@@ -828,7 +833,7 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
         rows = np.searchsorted(norms, z_norms)
         sampled = np.hstack([
             on_axes[rows], on_axes[norms.size + rows],
-            energies(lambda i0, i1: vecs @ unit[i0:i1].T, len(unit),
+            energies(lambda i0, i1: unit[i0:i1].T, np.ones(len(unit)),
                      z_norms)])
         l2_sq = np.concatenate([1.0 / lam, 1.0 / lam,
                                 np.sum(unit ** 2, axis=1)])
@@ -860,9 +865,11 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
     its axes are interpolated once, the -axis sample at z being the +axis
     sample at -z.  Every group of Z-norms samples all 2*dim +-axes, so
     `n_samples` is a floor: it only adds seeded random directions beyond
-    2*dim, per group.  A scan costs O(N^2) per Z-norm.  The first extreme
-    sample in (Z-norm, direction) order wins.  For a purely quadratic F the
-    ratio of an axis sample is the same at every Z-norm, so which norm
+    2*dim, per group.  Each direction is mapped to nodal values once, by
+    `Spectrum.from_eigen` in O(N^2), and then costs O(N) per Z-norm; no
+    N x N eigenvector matrix is built.  The first extreme sample in
+    (Z-norm, direction) order wins.  For a purely quadratic F the ratio of
+    an axis sample is the same at every Z-norm, so which norm
     supplies `extreme_j` and `floor_estimate` is decided by rounding.
     """
     _check_pair(op, spectrum)

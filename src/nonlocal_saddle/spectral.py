@@ -24,18 +24,18 @@ eigenvectors.  Every eigenvector is exactly even or exactly odd; the solve
 fixes its sign once, on its half eigenvector, so that its M-weighted mean
 1^T M e is nonnegative (the tie-break of `_fix_signs` for an odd mode,
 whose mean is zero).  `to_eigen` and `from_eigen` apply that one basis E
-from the halves; `Spectrum.eigenvectors` scatters it into the dense matrix
-on first access.  Both columns come from the construction, so A and M
-are centrosymmetric and M tridiagonal by design; `solve_eigenproblem`
-refuses a non-finite symbol and a mesh whose M is not SPD (a bidiagonal
-Cholesky pivot that is not positive and finite: width <= 0 or NaN).
+from the halves, to a vector or to a block of columns; no N x N
+eigenvector matrix is ever built.  Both columns come from the
+construction, so A and M are centrosymmetric and M tridiagonal by design;
+`solve_eigenproblem` refuses a non-finite symbol and a mesh whose M is not
+SPD (a bidiagonal Cholesky pivot that is not positive and finite: width
+<= 0 or NaN).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,8 +53,8 @@ CLUSTER_GAP = 1.0e-8
 class Spectrum:
     """All eigenpairs of the assembled pencil, ascending, L2-normalized.
 
-    The eigenvector matrix is built from the half eigenvectors on first
-    access and cached."""
+    The eigenvectors are held as the half eigenvectors and applied only
+    through `to_eigen` (E^T) and `from_eigen` (E)."""
 
     eigenvalues: np.ndarray = field(repr=False)
     op: AssembledOperator = field(repr=False)
@@ -67,25 +67,6 @@ class Spectrum:
     def size(self) -> int:
         return self.eigenvalues.size
 
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """Columns e_j, ascending; `eigenvectors[:, rank]` is E (`to_eigen`).
-        v = [y / sqrt2; y_mid; +-J y / sqrt2] (y_mid = 0 in the odd half) is
-        M-orthonormal because y is M-orthonormal in its half pencil."""
-        n = self.size
-        p = n // 2
-        even, odd = self.halves
-        # C order: the layout decides how products with the vectors round
-        vecs = np.empty((n, n))
-        for half, cols, sign in ((even, self.rank[:even.shape[1]], 1.0),
-                                 (odd, self.rank[even.shape[1]:], -1.0)):
-            top = half[:p] / math.sqrt(2.0)
-            vecs[:p, cols] = top
-            vecs[n - p:, cols] = sign * top[::-1]
-            if n % 2:
-                vecs[p, cols] = half[p] if sign > 0.0 else 0.0
-        return vecs
-
     @property
     def half_eigenvalues(self) -> np.ndarray:
         """The eigenvalues in the order of the half eigenpairs, even half
@@ -95,30 +76,34 @@ class Spectrum:
     def to_eigen(self, g: np.ndarray) -> np.ndarray:
         """E^T g in half order, for g or each column of a 2-D g, read from
         the half eigenvectors y: e_j^T g = y_j^T h / sqrt2 with h the fold
-        of g into y's half (`_fold`).  E is the canonical eigenvector
-        matrix with its columns in half order, `eigenvectors[:, rank]`; it
-        is M-orthonormal, so E^T M E = I and E^T A E = diag
-        `half_eigenvalues`."""
+        of g into y's half (`_fold`).  E holds the canonical eigenvectors as
+        columns in half order, column i the eigenvector of
+        `eigenvalues[rank[i]]`; it is M-orthonormal, so E^T M E = I and
+        E^T A E = diag `half_eigenvalues`."""
         even, odd = self.halves
         plus, minus = _fold(g)
         return np.concatenate((even.T @ plus, odd.T @ minus)) / math.sqrt(2.0)
 
     def from_eigen(self, y: np.ndarray) -> np.ndarray:
-        """E y for coefficients y in half order (`to_eigen`): the nodal
-        vector [(v_top + w) / sqrt2; v_mid; J (v_top - w) / sqrt2] of the
-        even-half combination v (v_mid only for odd n) and the odd-half
-        combination w."""
+        """E y for coefficients y in half order (`to_eigen`), or for each
+        column of a 2-D y: the nodal vector [(v_top + w) / sqrt2; v_mid;
+        J (v_top - w) / sqrt2] of the even-half combination v (v_mid only
+        for odd n) and the odd-half combination w.  A column of E,
+        [x / sqrt2; x_mid; +-J x / sqrt2] for a half eigenvector x
+        (x_mid = 0 in the odd half), is M-orthonormal because x is in its
+        half pencil.  Coefficients c of the eigenvectors in ascending order
+        are y = c[rank] in half order."""
         even, odd = self.halves
         v = even @ y[:even.shape[1]]
         w = odd @ y[even.shape[1]:]
-        p = w.size
+        p = len(w)
         return np.concatenate(((v[:p] + w) / math.sqrt(2.0), v[p:],
                                ((v[:p] - w) / math.sqrt(2.0))[::-1]))
 
     def dual_norms(self, g: np.ndarray) -> np.ndarray:
         """|g|_{Z*} = sqrt(g^T A^-1 g) = sqrt(sum_j (e_j^T g)^2 / lambda_j)
         of g, or of each column of a 2-D g, read from the half eigenvectors
-        (`to_eigen`) without building the eigenvector matrix."""
+        (`to_eigen`)."""
         return np.sqrt((1.0 / self.half_eigenvalues) @ self.to_eigen(g) ** 2)
 
     def gap(self, k: int) -> tuple[float, float]:
@@ -236,8 +221,9 @@ def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
     reflection split: each half pencil reduced by the bidiagonal Cholesky
     of its mass half to one standard `eigh`, the eigenvalues merged by a
     stable sort, each half eigenvector signed by `_fix_signs` on 1^T M
-    folded into its half (exactly zero in the odd half).  The eigenvector
-    matrix is built on first access to `Spectrum.eigenvectors`."""
+    folded into its half (exactly zero in the odd half).  The eigenvectors
+    stay as the two halves, applied by `Spectrum.to_eigen` and
+    `Spectrum.from_eigen`; no N x N eigenvector matrix is built."""
     if not np.all(np.isfinite(op.symbol)):
         raise AssemblyCorruptionError("stiffness matrix is not finite")
     even_vals, even = _solve_half(op, 1.0, "even")

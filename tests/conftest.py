@@ -25,6 +25,13 @@ def child_env() -> dict:
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
+def eigenvector_matrix(sp) -> np.ndarray:
+    """The canonical eigenvectors of `sp` as columns, ascending: E
+    (`Spectrum.from_eigen`) applied to the identity, whose rows are put in
+    half order as any ascending coefficients c are (c[rank])."""
+    return sp.from_eigen(np.eye(sp.size)[sp.rank])
+
+
 @pytest.fixture(scope="session")
 def op_by_s():
     """Assembled operators at N = 128 for the three standard exponents."""

@@ -209,6 +209,40 @@ def test_custom_refuses_reversed_slope_range(spectrum128):
                   slope_range=(lam[2] + 1.0, lam[0] + 1.0))
 
 
+def _custom_with_slope_range(slope_range):
+    return nl.custom(f=lambda x, t: 20.0 * t,
+                     a_profile=lambda x: np.zeros_like(np.asarray(x, float)),
+                     b=21.0, alpha_lower=nl.constant_profile(20.0),
+                     alpha_upper=nl.constant_profile(20.0),
+                     slope_range=slope_range)
+
+
+@pytest.mark.parametrize("slope_range", [
+    (1.0,), (), "ab", (20, 20, 30), 20.0, (20.0, math.nan),
+    (-math.inf, 20.0), (True, 20.0), ("20", 21.0), np.array([20.0, 21.0]),
+    np.array(20.0)])
+def test_custom_refuses_a_slope_range_that_is_not_a_real_pair(slope_range):
+    """a slope range is None or a pair (tuple or list) of finite reals: a
+    short, empty, long or non-numeric one was read by index, silently
+    taken as undeclared, or failed only in a later f2 check, and an array
+    failed on its truth value"""
+    with pytest.raises(InvalidParameterError) as info:
+        _custom_with_slope_range(slope_range)
+    assert info.value.name.startswith("slope_range")
+
+
+def test_custom_reads_its_slope_range_as_floats(spectrum128):
+    """an integer pair or a list is read as the pair of floats; lo = hi is
+    an admissible range"""
+    for pair in ((20, 20), [20, 20.5], (np.float64(20.0), 20.5)):
+        spec = _custom_with_slope_range(pair)
+        assert spec.slope_range == (20.0, float(pair[1]))
+        assert all(type(v) is float for v in spec.slope_range)
+    assert _custom_with_slope_range(None).slope_range is None
+    assert nl.check_f2_gap(_custom_with_slope_range((20, 20)),
+                           spectrum128, 2).passed
+
+
 def test_classify_against_spectrum(spectrum128):
     spec = nl.saturating(20.0, 0.5, nl.constant_profile(1.0))
     c = nl.classify(spec, spectrum128)
@@ -299,6 +333,13 @@ def test_constructors_refuse_non_finite_parameters(build):
     numeric failure inside a later Newton step"""
     with pytest.raises(InvalidParameterError):
         build()
+
+
+def test_polynomial_profile_refuses_no_coefficients():
+    """an empty coefficient list was accepted and failed with IndexError
+    when the profile was evaluated"""
+    with pytest.raises(InvalidParameterError, match="coefficients"):
+        nl.polynomial_profile([])
 
 
 @pytest.mark.parametrize("x", [[1.0, -1.0], [-1.0, 0.0, 0.0, 1.0],

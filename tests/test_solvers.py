@@ -1,13 +1,16 @@
 import dataclasses
+import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import child_env, eigenvector_matrix
 
 import nonlocal_saddle as ns
+from nonlocal_saddle import cli
 from nonlocal_saddle import nonlinearity as nl
 from nonlocal_saddle.assembly import norm_Z
 from nonlocal_saddle import solvers
@@ -708,7 +711,7 @@ def test_case_b_saddle_signature(op128, spectrum128, gap_spec):
     rep = ns.solve_case_b(op128, spectrum128, gap_spec, OPTS)
     u = rep.solution
     j0 = eval_J(op128, gap_spec, u)
-    E = spectrum128.eigenvectors
+    E = eigenvector_matrix(spectrum128)
     for j in (0, 1):  # head directions, k = 2
         for sgn in (+1.0, -1.0):
             assert eval_J(op128, gap_spec, u + sgn * 0.5 * E[:, j]) < j0
@@ -941,9 +944,9 @@ def test_uniqueness_probe_is_seeded(op128, spectrum128, gap_spec):
 @pytest.mark.parametrize("case", ["certified", "uncertified", "resonant"])
 def test_probe_and_project_build_no_eigenvector_matrix(fractional_op, case):
     """the probe's starts and `project` apply the eigenbasis through the
-    half eigenvectors (`Spectrum.from_eigen`, `Spectrum.to_eigen`): neither
-    builds the N x N eigenvector matrix, certified, f2-failing or
-    resonant"""
+    half eigenvectors (`Spectrum.from_eigen`, `Spectrum.to_eigen`),
+    certified, f2-failing or resonant; the memory bound is
+    `test_eigenbasis_users_allocate_less_than_one_n_by_n_array`"""
     op = fractional_op(0.5, 32)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
@@ -956,11 +959,45 @@ def test_probe_and_project_build_no_eigenvector_matrix(fractional_op, case):
                                   nl.constant_profile(0.0))}[case]
     verdict = ns.uniqueness_probe(op, sp, spec, 2, n_starts=4, opts=OPTS)
     assert verdict.f2_passed == (case == "certified")
-    assert "eigenvectors" not in vars(sp)
     u = np.random.default_rng(0).standard_normal(op.size)
     for part in ("head", "tail"):
         ns.project(sp, u, part, 2)
-    assert "eigenvectors" not in vars(sp)
+
+
+def test_eigenbasis_users_allocate_less_than_one_n_by_n_array(
+        fractional_op, tmp_path, capsys):
+    """at N = 1024 the geometry probe (coercive and gap), `project`,
+    `dual_norms` and `spectrum --vectors` (eigensolve included) each peak
+    below 8 N^2 bytes, one N x N float array: the eigenbasis is applied
+    from the half eigenvectors a column block at a time.  The probe peaked
+    at 15-24 MB when it read a cached eigenvector matrix."""
+    n = 1024
+    op = fractional_op(0.5, n)
+    sp = ns.solve_eigenproblem(op)
+    spec = nl.saturating(20.0, 0.5, nl.constant_profile(1.0))
+    u = np.random.default_rng(0).standard_normal(op.size)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mesh": {"n_elements": n}}))
+    calls = {
+        "coercive probe": lambda: ns.geometry_probe(
+            op, sp, spec, 0, radii=(10.0,), n_samples=0),
+        "gap probe": lambda: ns.geometry_probe(
+            op, sp, spec, 2, radii=(10.0,), n_samples=0),
+        "project": lambda: ns.project(sp, u, "head", 2),
+        "dual_norms": lambda: sp.dual_norms(u),
+        "spectrum --vectors": lambda: cli.main(
+            ["spectrum", "--config", str(config), "--out",
+             str(tmp_path / "art"), "--count", "2", "--vectors"]),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n, (name, peak)
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1030,7 +1067,7 @@ def _oracle_probe(op, sp, spec, k, n_samples, seed,
     """The probe as a per-sample loop: one eval_J on the nodal vector of
     every sample, with the directions of the same seeded sequence."""
     rng = np.random.default_rng(seed)
-    lam, vecs = sp.eigenvalues, sp.eigenvectors
+    lam, vecs = sp.eigenvalues, eigenvector_matrix(sp)
 
     def scan(idx, z_norms, reduce_max):
         dim = len(idx)
@@ -1112,6 +1149,6 @@ def test_geometry_probe_matches_per_sample_oracle(small_ops, n, n_samples,
 def test_z_norm_of_eigenvector(op128, spectrum128):
     # an M-normalized eigenvector has Z-norm sqrt(lambda)
     for j in (0, 3):
-        e = spectrum128.eigenvectors[:, j]
+        e = eigenvector_matrix(spectrum128)[:, j]
         assert norm_Z(op128, e) == pytest.approx(
             np.sqrt(spectrum128.eigenvalues[j]), rel=1e-10)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import eigenvector_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ def test_eigenvectors_m_orthonormal(spectrum128, op128, fractional_op):
     op1024 = fractional_op(0.5, 1024)
     for op, spec in ((op128, spectrum128),
                      (op1024, ns.solve_eigenproblem(op1024))):
-        E = spec.eigenvectors
+        E = eigenvector_matrix(spec)
         gram = E.T @ op.mass @ E
         np.testing.assert_allclose(gram, np.eye(E.shape[1]), atol=1e-10)
 
@@ -56,7 +57,7 @@ def test_reflection_split_matches_direct_eigh(fractional_op, s, n):
                                rayleigh.astype(float), rtol=1e-11, atol=0.0)
     np.testing.assert_allclose(sp.eigenvalues[LOWEST_EXACT:],
                                direct[LOWEST_EXACT:], rtol=1e-11, atol=0.0)
-    E = sp.eigenvectors
+    E = eigenvector_matrix(sp)
     gram = E.T @ op.mass @ E
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     assert np.abs(gram).max() <= 1e-13
@@ -78,9 +79,10 @@ def test_reflection_split_smallest_meshes(n):
     direct = scipy.linalg.eigh(op.stiffness, op.mass, eigvals_only=True)
     assert sp.size == n - 1
     np.testing.assert_allclose(sp.eigenvalues, direct, rtol=1e-14, atol=0.0)
-    gram = sp.eigenvectors.T @ op.mass @ sp.eigenvectors
+    E = eigenvector_matrix(sp)
+    gram = E.T @ op.mass @ E
     np.testing.assert_allclose(gram, np.eye(n - 1), rtol=0.0, atol=1e-15)
-    _assert_alternating_parity(sp.eigenvectors)
+    _assert_alternating_parity(E)
 
 
 # the mass is built from the mesh, so only the stiffness can be made
@@ -97,7 +99,7 @@ def test_non_finite_pencil_is_rejected_as_such(op128, matrix):
 
 
 def test_eigenpairs_satisfy_generalized_problem(spectrum128, op128):
-    E = spectrum128.eigenvectors
+    E = eigenvector_matrix(spectrum128)
     lam = spectrum128.eigenvalues
     res = op128.stiffness @ E - op128.mass @ E * lam[None, :]
     assert np.max(np.abs(res)) < 1e-9 * lam[-1]
@@ -106,9 +108,10 @@ def test_eigenpairs_satisfy_generalized_problem(spectrum128, op128):
 def test_sign_convention_deterministic(op128):
     sp1 = ns.solve_eigenproblem(op128)
     sp2 = ns.solve_eigenproblem(op128)
-    assert np.array_equal(sp1.eigenvectors, sp2.eigenvectors)
+    E = eigenvector_matrix(sp1)
+    assert np.array_equal(E, eigenvector_matrix(sp2))
     # canonical sign: nonnegative mass-weighted mean
-    means = op128.mass.sum(axis=0) @ sp1.eigenvectors
+    means = op128.mass.sum(axis=0) @ E
     significant = np.abs(means) > 1e-12
     assert np.all(means[significant] >= 0.0)
 
@@ -183,8 +186,9 @@ def test_half_pencil_from_column_matches_dense(n):
 
 
 def test_rayleigh_quotient_of_eigenvector(spectrum128, op128):
+    E = eigenvector_matrix(spectrum128)
     for j in (0, 1, 4):
-        q = rayleigh_quotient(op128, spectrum128.eigenvectors[:, j])
+        q = rayleigh_quotient(op128, E[:, j])
         assert q == pytest.approx(spectrum128.eigenvalues[j], rel=1e-12)
 
 
@@ -221,13 +225,14 @@ def test_rayleigh_inequalities_random_vectors(spectrum128, op128, rng):
     """head-subspace quotients bounded above by lambda_k, orthogonal
     complement bounded below by lambda_{k+1}."""
     lam = spectrum128.eigenvalues
+    E = eigenvector_matrix(spectrum128)
     for k in (1, 2, 3, 5):
         for _ in range(20):
             c = rng.standard_normal(k)
-            u = spectrum128.eigenvectors[:, :k] @ c
+            u = E[:, :k] @ c
             assert rayleigh_quotient(op128, u) <= lam[k - 1] + 1e-9
             c = rng.standard_normal(op128.size - k)
-            v = spectrum128.eigenvectors[:, k:] @ c
+            v = E[:, k:] @ c
             assert rayleigh_quotient(op128, v) >= lam[k] - 1e-9
 
 
@@ -299,9 +304,8 @@ def test_non_spd_mass_is_rejected(op128):
 @pytest.mark.parametrize("n", [2, 3, 128])
 def test_eigenvectors_built_on_first_access(monkeypatch, n):
     """solving makes one eigh and one sign pass per non-empty half (N = 2
-    leaves the odd half empty) and builds no eigenvector matrix; the first
-    access builds it once with no further sign pass, a second returns the
-    same array, and every Spectrum of one operator gets the same bits.  A
+    leaves the odd half empty); applying the eigenbasis makes no further
+    sign pass, and every Spectrum of one operator gets the same bits.  A
     non-SPD mass is refused by the solve, before any vector is read."""
     from nonlocal_saddle import spectral
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
@@ -320,11 +324,10 @@ def test_eigenvectors_built_on_first_access(monkeypatch, n):
     sp = ns.solve_eigenproblem(op)
     halves = 1 if n == 2 else 2
     assert calls == {"eigh": halves, "_fix_signs": halves}
-    assert "eigenvectors" not in vars(sp)
-    first = sp.eigenvectors
-    assert sp.eigenvectors is first
+    first = eigenvector_matrix(sp)
     assert calls == {"eigh": halves, "_fix_signs": halves}
-    assert np.array_equal(ns.solve_eigenproblem(op).eigenvectors, first)
+    assert np.array_equal(eigenvector_matrix(ns.solve_eigenproblem(op)),
+                          first)
     # the eigensolve and the vectors read the two columns, never dense A, M
     assert "stiffness" not in vars(op) and "mass" not in vars(op)
     for bad in _bad_meshes(op):
@@ -336,7 +339,7 @@ def test_eigenvectors_built_on_first_access(monkeypatch, n):
 def test_dual_norms_match_the_dense_inverse(fractional_op, n):
     """|g|_{Z*} from the half eigenvectors equals sqrt(g^T A^-1 g) by a
     dense solve, for one g and column by column, at both parities of the
-    interior size n - 1, without building the eigenvector matrix"""
+    interior size n - 1"""
     op = fractional_op(0.5, n)
     sp = ns.solve_eigenproblem(op)
     g = np.random.default_rng(n).standard_normal((op.size, 3))
@@ -344,20 +347,34 @@ def test_dual_norms_match_the_dense_inverse(fractional_op, n):
     np.testing.assert_allclose(sp.dual_norms(g), dense, rtol=1e-12)
     assert float(sp.dual_norms(g[:, 1])) == pytest.approx(dense[1],
                                                          rel=1e-12)
-    assert "eigenvectors" not in vars(sp)
+
+
+def _scattered_halves(sp):
+    """E in half order written out column by column from the half
+    eigenvectors x: [x / sqrt2; x_mid; +-J x / sqrt2], x_mid = 0 in the odd
+    half (x_mid only for an odd interior size)"""
+    n, p = sp.size, sp.size // 2
+    cols = []
+    for half, sign in zip(sp.halves, (1.0, -1.0)):
+        for x in half.T:
+            top = x[:p] / math.sqrt(2.0)
+            mid = x[p:] if sign > 0.0 else np.zeros(n - 2 * p)
+            cols.append(np.concatenate((top, mid, sign * top[::-1])))
+    return np.column_stack(cols)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 64, 65])
 def test_eigen_coordinates_are_the_eigenvectors_up_to_sign(fractional_op, n):
-    """from_eigen's columns are `eigenvectors` in half order exactly,
-    canonical signs included (the signs are decided once, on the halves),
-    to_eigen is their transpose, E^T M E = I and E^T A E is diag
+    """from_eigen's columns are the half eigenvectors scattered to the
+    nodes exactly, canonical signs included (the signs are decided once,
+    on the halves), and mapping a block of unit columns gives the same
+    bits; to_eigen is their transpose, E^T M E = I and E^T A E is diag
     `half_eigenvalues`, at both parities of the interior size n - 1"""
     op = fractional_op(0.5, n)
     sp = ns.solve_eigenproblem(op)
     e = np.column_stack([sp.from_eigen(col) for col in np.eye(op.size)])
-    assert "eigenvectors" not in vars(sp)
-    np.testing.assert_array_equal(e, sp.eigenvectors[:, sp.rank])
+    np.testing.assert_array_equal(e, _scattered_halves(sp))
+    np.testing.assert_array_equal(eigenvector_matrix(sp)[:, sp.rank], e)
     g = np.random.default_rng(n).standard_normal(op.size)
     np.testing.assert_allclose(sp.to_eigen(g), e.T @ g, rtol=0,
                                atol=1e-13 * np.abs(g).sum())
@@ -366,6 +383,21 @@ def test_eigen_coordinates_are_the_eigenvectors_up_to_sign(fractional_op, n):
     lam = sp.half_eigenvalues
     np.testing.assert_allclose(e.T @ op.stiffness @ e, np.diag(lam), rtol=0,
                                atol=1e-12 * lam.max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 64, 65])
+def test_from_eigen_maps_a_block_of_columns(fractional_op, n):
+    """from_eigen of a 2-D coefficient block equals it column by column to
+    rounding (a matrix product may round otherwise than a matrix-vector
+    product), with an empty odd half (N = 2) and at both parities of the
+    interior size n - 1"""
+    sp = ns.solve_eigenproblem(fractional_op(0.5, n))
+    y = np.random.default_rng(n).standard_normal((sp.size, 3))
+    block = sp.from_eigen(y)
+    assert block.shape == y.shape
+    by_column = np.column_stack([sp.from_eigen(col) for col in y.T])
+    np.testing.assert_allclose(block, by_column, rtol=0,
+                               atol=1e-14 * np.abs(y).sum(axis=0).max())
 
 
 @pytest.mark.parametrize("s,floor", [(0.25, 2.0 / 4.0 ** 1.5),
@@ -404,7 +436,7 @@ def test_eigenvalues_decrease_under_refinement(ops_refinement):
 def test_rayleigh_bounds_property(spectrum128, k, seed):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(k)
-    u = spectrum128.eigenvectors[:, :k] @ c
+    u = eigenvector_matrix(spectrum128)[:, :k] @ c
     lam = spectrum128.eigenvalues
     q = rayleigh_quotient(spectrum128.op, u)
     assert lam[0] - 1e-9 <= q <= lam[k - 1] + 1e-9
