@@ -35,8 +35,11 @@ ends (zero for the fractional closed form).  assembly_tol gates it.
 The mass matrix is exact, since hat products are piecewise quadratics: it
 is the symmetric Toeplitz matrix of its first column (2h/3, h/6, 0, ...).
 `AssembledOperator` holds the symbol, the mesh and kappa, and derives that
-column (`mass_symbol`) from the mesh; the dense `stiffness` and `mass` are
-built on first access, each copied from the Toeplitz view of its column.
+column (`mass_symbol`) from the mesh.  Products never read an N x N array:
+A u is a correlation with the symbol (`_stiffness_times`), M u a
+tridiagonal product (`_mass_times`).  `stiffness` and `mass` are read-only
+Toeplitz views of the two columns, O(N) memory however large N is, for a
+caller that needs the dense matrix: a factorization copies its view.
 """
 from __future__ import annotations
 
@@ -82,19 +85,24 @@ class AssembledOperator:
 
     @cached_property
     def stiffness(self) -> np.ndarray:
-        return _toeplitz(self.symbol).copy()
+        """A as a read-only Toeplitz view of `symbol` (`_toeplitz`)."""
+        return _toeplitz(self.symbol)
 
     @cached_property
     def mass(self) -> np.ndarray:
-        return _toeplitz(self.mass_symbol).copy()
+        """M as a read-only Toeplitz view of `mass_symbol` (`_toeplitz`)."""
+        return _toeplitz(self.mass_symbol)
+
+
+def _palindrome(column: np.ndarray) -> np.ndarray:
+    """[c_{n-1} .. c_1, c_0, c_1 .. c_{n-1}] for column c_0 .. c_{n-1}."""
+    return np.concatenate((column[::-1], column[1:]))
 
 
 def _toeplitz(column: np.ndarray) -> np.ndarray:
     """Read-only view T[i][j] = column[|i - j|]: row i of the reversed
-    windows of [c_{n-1} .. c_1, c_0, c_1 .. c_{n-1}] starts at c_i."""
-    windows = sliding_window_view(
-        np.concatenate((column[::-1], column[1:])), column.size)
-    return windows[::-1]
+    windows of the palindrome (`_palindrome`) starts at c_i."""
+    return sliding_window_view(_palindrome(column), column.size)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +207,18 @@ def _check_dim(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _stiffness_times(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
+    """A u for a vector u, without reading an N x N array: window k of the
+    palindrome (`_palindrome`) is row N - 2 - k of A, so the valid
+    correlation of the palindrome with u is A u reversed.  Each entry is
+    one dot product of a row with u, as in the dense product, in O(N)
+    memory."""
+    return np.correlate(_palindrome(op.symbol), u, "valid")[::-1]
+
+
 def norm_Z(op: AssembledOperator, u) -> float:
     u = _check_dim(op, u)
-    return math.sqrt(max(float(u @ op.stiffness @ u), 0.0))
+    return math.sqrt(max(float(u @ _stiffness_times(op, u)), 0.0))
 
 
 def _tridiagonal(bands, x: np.ndarray) -> np.ndarray:
@@ -215,8 +232,7 @@ def _tridiagonal(bands, x: np.ndarray) -> np.ndarray:
 
 
 def _mass_times(op: AssembledOperator, u: np.ndarray) -> np.ndarray:
-    """M u as the tridiagonal product of `op.mass_symbol`, in O(N) and
-    without building the dense `op.mass`."""
+    """M u as the tridiagonal product of `op.mass_symbol`, in O(N)."""
     column = op.mass_symbol
     return _tridiagonal((column[0], column[1:2]), u)
 

@@ -20,6 +20,12 @@ argument, and the uniqueness probe multi-starts the gap driver to test the
 slope-gap uniqueness prediction; under the certificate it tells limits
 apart by the certificate's error bound C |g|_{Z*}.
 
+A u is always the product of the Toeplitz symbol (`_stiffness_times`).
+The dense A, the read-only `op.stiffness` view, is read only where a
+matrix is factored: copied into a factored step's system (`_system`,
+also the Hessian of `morse_index`) and solved by the steepest-descent
+fallback of the coercive line search (`_armijo`).
+
 scipy is the package's last dependency beyond numpy, and only for the LU
 of a factored Newton step: `_newton_step` imports `scipy.linalg` at its
 first call, so importing the package, and every run whose Newton steps
@@ -34,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AssembledOperator, _check_dim, _tridiagonal, norm_Z
+from .assembly import (AssembledOperator, _check_dim, _stiffness_times,
+                       _tridiagonal, norm_Z)
 from .errors import (InvalidParameterError, NonConvergenceError,
                      NonResonanceContradictionError, NumericError,
                      ResonanceError, UnsupportedCaseError, check_count,
@@ -161,7 +168,7 @@ def eval_J(op: AssembledOperator, spec: NonlinearitySpec, u) -> float:
     xg, wg, xi = _element_data(op)
     uh = _interp_elements(u, xi)
     f_int = float(np.sum(wg * eval_F(spec, xg, uh)))
-    return 0.5 * float(u @ op.stiffness @ u) - f_int
+    return 0.5 * float(u @ _stiffness_times(op, u)) - f_int
 
 
 def load_vector(op: AssembledOperator, spec: NonlinearitySpec,
@@ -184,7 +191,7 @@ def _p1_load(op: AssembledOperator, wvals, xi) -> np.ndarray:
 def _gradient(op: AssembledOperator, spec: NonlinearitySpec, u):
     """The gradient A u - b(u) of J and the residual of the weak form, its
     sup-norm relative to 1 + |A u|_inf."""
-    au = op.stiffness @ u
+    au = _stiffness_times(op, u)
     grad = au - load_vector(op, spec, u)
     return grad, float(np.abs(grad).max() / (1.0 + np.abs(au).max()))
 
@@ -221,8 +228,9 @@ def _weight_bands(op: AssembledOperator, slopes: np.ndarray):
 def _system(op: AssembledOperator, slopes: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
     """A - W for the slope values `slopes` (`_weight_bands`): W's bands
-    are subtracted from a copy of A, made in `out` when it is given.  With
-    m = _slopes(op, spec, u) this is the Hessian of J."""
+    are subtracted from a dense copy of A (the `op.stiffness` view), made
+    in `out` when it is given.  With m = _slopes(op, spec, u) this is the
+    Hessian of J."""
     diag, off = _weight_bands(op, slopes)
     if out is None:
         system = op.stiffness.copy()
@@ -438,7 +446,7 @@ def _certified_step(op: AssembledOperator, spectrum: Spectrum,
             f"MINRES missed {MINRES_TOL:g} within {bound} iterations "
             f"although the slopes lie in gap k={k} (rho = {contraction:.6g})")
     step = spectrum.from_eigen(scale * found[0])
-    a_step, w_step = op.stiffness @ step, _tridiagonal(bands, step)
+    a_step, w_step = _stiffness_times(op, step), _tridiagonal(bands, step)
     scale_inf = (np.abs(a_step).max() + np.abs(w_step).max()
                  + np.abs(grad).max())
     backward = float(np.abs(a_step - w_step + grad).max() / scale_inf)

@@ -15,12 +15,13 @@ symmetric Toeplitz X with first column c, X11 is the Toeplitz matrix of
 c_0 .. c_{p-1} and X12 J the Hankel matrix of c_{n-1} .. c_1, so each half
 is read from the column alone: `op.symbol` for A, `op.mass_symbol` for M,
 and the eigensolve never builds the dense A or M.  The reflection changes
-only entries on or next to the diagonal, so each half of M is tridiagonal
-and factors as L L^T with L bidiagonal, in O(p); two bidiagonal sweeps
-then reduce the half pencil to the standard symmetric matrix
-C = L^-1 A L^-T, in O(p^2).  One `numpy.linalg.eigh(C)` per half
-gives the eigenvalues and, mapped back by e = L^-T y, the M-orthonormal half
-eigenvectors.  Every eigenvector is exactly even or exactly odd; the solve
+only entries on or next to the diagonal, so each half of M is tridiagonal,
+its two bands are read in closed form from c_0 and c_1
+(`_mass_half_bands`), and it factors as L L^T with L bidiagonal, in O(p);
+two bidiagonal sweeps then reduce the half pencil to the standard
+symmetric matrix C = L^-1 A L^-T, in O(p^2).  One `numpy.linalg.eigh(C)`
+per half gives the eigenvalues and, mapped back by e = L^-T y, the
+M-orthonormal half eigenvectors.  Every eigenvector is exactly even or exactly odd; the solve
 fixes its sign once, on its half eigenvector, so that its M-weighted mean
 1^T M e is nonnegative (the tie-break of `_fix_signs` for an odd mode,
 whose mean is zero).  `to_eigen` and `from_eigen` apply that one basis E
@@ -40,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .assembly import AssembledOperator, _check_dim, _mass_times, _toeplitz
+from .assembly import (AssembledOperator, _check_dim, _mass_times,
+                       _stiffness_times, _toeplitz)
 from .errors import (AssemblyCorruptionError, EigenClusterError,
                      InvalidParameterError, NumericError, check_count,
                      check_real)
@@ -163,12 +165,30 @@ def _half_pencil(column: np.ndarray, sign: float) -> np.ndarray:
     return out
 
 
-def _bidiagonal_cholesky(mass_half: np.ndarray, name: str):
+def _mass_half_bands(column: np.ndarray, sign: float):
+    """Diagonal and subdiagonal, as lists, of the tridiagonal half
+    `_half_pencil(column, sign)` of M with first column c = (c_0, c_1, 0,
+    ...): the Toeplitz bands c_0 and c_1 of X11, whose last diagonal entry
+    the Hankel X12 J turns into c_0 + sign c_1 for even n; for odd n the
+    even half ends with the border entries sqrt(2) c_1 and c_0."""
+    n = column.size
+    p = n // 2
+    c0, c1 = float(column[0]), (float(column[1]) if n > 1 else 0.0)
+    diag, sub = [c0] * p, [c1] * max(p - 1, 0)
+    if n % 2 == 0:
+        diag[-1] = c0 + c1 if sign > 0.0 else c0 - c1
+    elif sign > 0.0:
+        diag.append(c0)
+        if p:
+            sub.append(math.sqrt(2.0) * c1)
+    return diag, sub
+
+
+def _bidiagonal_cholesky(bands, name: str):
     """Diagonal and subdiagonal of L, as lists, with L L^T the tridiagonal
-    mass half; a pivot that is not positive and finite means M is not
-    SPD."""
-    diag = mass_half.diagonal().tolist()
-    sub = mass_half.diagonal(-1).tolist()
+    mass half of the given bands (`_mass_half_bands`); a pivot that is not
+    positive and finite means M is not SPD."""
+    diag, sub = bands
     for i, pivot in enumerate(diag):
         if i:
             sub[i - 1] /= diag[i - 1]
@@ -201,7 +221,8 @@ def _backward(x: np.ndarray, diag: list, sub: list) -> None:
 
 def _solve_half(op: AssembledOperator, sign: float, name: str):
     """Eigenvalues and M-orthonormal eigenvectors of one half pencil."""
-    diag, sub = _bidiagonal_cholesky(_half_pencil(op.mass_symbol, sign), name)
+    diag, sub = _bidiagonal_cholesky(_mass_half_bands(op.mass_symbol, sign),
+                                     name)
     reduced = _half_pencil(op.symbol, sign)
     if not diag:
         return np.empty(0), reduced
@@ -248,7 +269,7 @@ def rayleigh_quotient(op: AssembledOperator, u) -> float:
     denom = float(u @ _mass_times(op, u))
     if denom <= 0.0:
         raise InvalidParameterError("Rayleigh quotient of the zero vector")
-    return float(u @ op.stiffness @ u) / denom
+    return float(u @ _stiffness_times(op, u)) / denom
 
 
 def project(spectrum: Spectrum, u, part: str, k: int) -> np.ndarray:

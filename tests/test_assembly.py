@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 import nonlocal_saddle as ns
-from nonlocal_saddle.assembly import norm_L2, norm_Z
+from nonlocal_saddle.assembly import _stiffness_times, norm_L2, norm_Z
 from nonlocal_saddle.errors import AssemblyAccuracyError, InvalidParameterError
 from nonlocal_saddle.quadrature import ESTIMATE_STEP, GAUSS_ORDER
 
@@ -148,6 +148,30 @@ def test_operator_holds_symbol_and_mesh(op128):
     assert op128.mass is op128.mass
     assert np.array_equal(op128.stiffness, scipy.linalg.toeplitz(op128.symbol))
     assert np.array_equal(op128.mass, scipy.linalg.toeplitz(op128.mass_symbol))
+
+
+def test_dense_matrices_are_read_only_views(op128):
+    """`stiffness` and `mass` view the Toeplitz columns and refuse a write
+    that would corrupt every later read of the cached view"""
+    for name in ("stiffness", "mass"):
+        matrix = getattr(op128, name)
+        assert not matrix.flags.owndata and not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 1.0
+    np.testing.assert_array_equal(op128.stiffness[0], op128.symbol)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 1024])
+def test_stiffness_times_matches_the_dense_product(s, n, fractional_op):
+    """A u from the symbol equals the dense Toeplitz product to 1e-14 of
+    |A|_inf |u|_inf, down to one interior node"""
+    op = fractional_op(s, n)
+    u = np.random.default_rng(n).standard_normal(op.size)
+    dense = scipy.linalg.toeplitz(op.symbol)
+    scale = np.abs(dense).sum(axis=1).max() * np.abs(u).max()
+    error = np.abs(_stiffness_times(op, u) - dense @ u).max()
+    assert error <= 1e-14 * scale
 
 
 def test_stiffness_is_positive_definite(op_by_s):

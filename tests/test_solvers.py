@@ -1000,6 +1000,47 @@ def test_eigenbasis_users_allocate_less_than_one_n_by_n_array(
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
+def test_stiffness_products_allocate_less_than_a_quarter_n_by_n_array():
+    """at N = 1024 a certified solve_case_b plus a 4-start uniqueness
+    probe (eigensolve outside the trace) peaks below 2 N^2 bytes, and so
+    does each of eval_J, norm_Z, rayleigh_quotient and residual_weakform
+    on an operator that has not built a dense A yet: A u is the product of
+    the symbol, and no dense A or M is read.  The solve and probe peaked
+    at 9.2 MB when every A u read a cached dense copy of A."""
+    n = 1024
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
+                     ns.make_fractional_kernel(0.5))
+    sp = ns.solve_eigenproblem(op)
+    spec = nl.saturating(20.0, 0.5, nl.constant_profile(1.0))
+    classification = ns.classify(spec, sp)
+    u = np.random.default_rng(0).standard_normal(op.size)
+
+    def solve_and_probe():
+        ns.solve_case_b(op, sp, spec, classification=classification)
+        verdict = ns.uniqueness_probe(op, sp, spec, classification.k,
+                                      n_starts=4)
+        assert (verdict.kind, verdict.cut) == ("Unique", "certified")
+
+    calls = {
+        "solve and probe": solve_and_probe,
+        "eval_J": lambda: eval_J(dataclasses.replace(op), spec, u),
+        "norm_Z": lambda: norm_Z(dataclasses.replace(op), u),
+        "rayleigh_quotient": lambda: ns.rayleigh_quotient(
+            dataclasses.replace(op), u),
+        "residual_weakform": lambda: residual_weakform(
+            dataclasses.replace(op), spec, u),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n, (name, peak)
+    assert "stiffness" not in vars(op) and "mass" not in vars(op)
+
+
 # ---------------------------------------------------------------------------
 # geometry probe
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from nonlocal_saddle import nonlinearity as nl
 from nonlocal_saddle.assembly import norm_L2
 from nonlocal_saddle.errors import (AssemblyCorruptionError,
                                     EigenClusterError, InvalidParameterError)
-from nonlocal_saddle.spectral import (_fix_signs, _half_pencil, project,
+from nonlocal_saddle.spectral import (_fix_signs, _half_pencil,
+                                      _mass_half_bands, project,
                                       rayleigh_quotient)
 
 
@@ -183,6 +184,21 @@ def test_half_pencil_from_column_matches_dense(n):
             oracle = _dense_half(dense, sign)
             assert half.shape == oracle.shape
             assert np.array_equal(half, oracle)
+
+
+def test_mass_half_bands_match_the_dense_half():
+    """the closed-form bands of each mass half are those of the dense
+    half bit for bit, and the dense half has no other nonzero entry, for
+    N = 2 .. 39, 128, 129 and 512 elements"""
+    for n in list(range(1, 39)) + [127, 128, 511]:
+        column = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n + 1),
+                             ns.make_fractional_kernel(0.5)).mass_symbol
+        dense = scipy.linalg.toeplitz(column)
+        for sign in (1.0, -1.0):
+            oracle = _dense_half(dense, sign)
+            assert _mass_half_bands(column, sign) == (
+                oracle.diagonal().tolist(), oracle.diagonal(-1).tolist()), n
+            assert not np.tril(oracle, -2).any()
 
 
 def test_rayleigh_quotient_of_eigenvector(spectrum128, op128):
