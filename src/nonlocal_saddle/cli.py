@@ -122,8 +122,8 @@ def cmd_spectrum(pipe: Pipeline, count: int, vectors: bool) -> int:
     rows = [[j + 1, float(sp.eigenvalues[j])] for j in range(count)]
     if vectors:
         header += [f"node_{i}" for i in range(1, pipe.op.size + 1)]
-        # E of the printed modes' unit coefficients, put in half order
-        vecs = sp.from_eigen(np.eye(sp.size, count)[sp.rank])
+        # E of the printed modes' unit coefficients
+        vecs = sp.from_eigen(np.eye(sp.size, count))
         for row, vec in zip(rows, vecs.T):
             row += vec.tolist()
     text = _csv(rows, header)

@@ -117,9 +117,13 @@ class ResonanceError(NonlocalSaddleError, ValueError):
 
 
 class NonResonanceContradictionError(NonlocalSaddleError):
-    """A system certified nonresonant turned out numerically singular.
+    """A Newton step solved by MINRES in a spectral gap failed its checks.
 
-    Signals an assembly or spectrum bug rather than a user error.
+    The gap was placed by a slope-gap certificate, by the weight of a
+    linear solve or by the iterate's own slopes.  A step whose slopes leave
+    it, whose MINRES misses its tolerance within the gap's bound, or that
+    misses its system signals a slope range that f_t does not keep or an
+    assembly or spectrum bug rather than a user error.
     """
 
 

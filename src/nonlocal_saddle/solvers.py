@@ -5,7 +5,7 @@ A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
 find that zero with one Newton driver on the Hessian A - D(u) and differ
 only in how a step is solved and made safe.  The coercive case factors
 each step and backtracks on J.  A gap-case step is solved by
-preconditioned MINRES in the eigen-coordinates (`_certified_step`)
+preconditioned MINRES in the eigen-coordinates (`_minres_step`)
 wherever the slopes are known to lie in a spectral gap, which by
 Courant-Fischer makes the Hessian nonsingular: at every iterate of a run
 certified by the slope-gap check (`_f2_passed`), and at each iterate of
@@ -46,9 +46,10 @@ from .errors import (InvalidParameterError, NonConvergenceError,
                      NonResonanceContradictionError, NumericError,
                      ResonanceError, UnsupportedCaseError, check_count,
                      check_real)
-from .nonlinearity import (Case, CaseClassification, NonlinearitySpec,
-                           SlopeGapReport, _contraction, _gap_index,
-                           check_f2_gap, classify, eval_F, eval_f, eval_f_t)
+from .nonlinearity import (GAP_MARGIN, Case, CaseClassification,
+                           NonlinearitySpec, SlopeGapReport, _contraction,
+                           _gap_index, check_f2_gap, classify, eval_F, eval_f,
+                           eval_f_t)
 from .quadrature import gauss_rule
 from .spectral import Spectrum
 
@@ -80,7 +81,7 @@ DISTINCT_SOLUTION_Z = 1.0e-8
 DISTINCT_ROUNDING_Z = 1.0e-12
 
 #: relative preconditioned residual at which the MINRES of a Newton step
-#: in a gap (`_certified_step`) stops.  The steps it gives differ from the
+#: in a gap (`_minres_step`) stops.  The steps it gives differ from the
 #: LU steps by at most 3e-13 in relative Z-norm on the benchmark sweep
 #: (N = 512); the uncertified in-gap steps of its f2-failing case, 283 of
 #: them over seeds 1-10, by at most 1.4e-13.
@@ -225,18 +226,13 @@ def _weight_bands(op: AssembledOperator, slopes: np.ndarray):
     return loc[0, 1:] + loc[1, :-1], loc[2, 1:-1]
 
 
-def _system(op: AssembledOperator, slopes: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """A - W for the slope values `slopes` (`_weight_bands`): W's bands
-    are subtracted from a dense copy of A (the `op.stiffness` view), made
-    in `out` when it is given.  With m = _slopes(op, spec, u) this is the
+def _system(op: AssembledOperator, slopes: np.ndarray) -> np.ndarray:
+    """A - W for the slope values `slopes` (`_weight_bands`), exactly
+    symmetric: W's bands are subtracted from a C-ordered copy of A (the
+    `op.stiffness` view).  With m = _slopes(op, spec, u) this is the
     Hessian of J."""
     diag, off = _weight_bands(op, slopes)
-    if out is None:
-        system = op.stiffness.copy()
-    else:
-        system = out
-        np.copyto(system, op.stiffness)
+    system = op.stiffness.copy()
     i = np.arange(op.size)
     system[i, i] -= diag
     system[i[:-1], i[1:]] -= off
@@ -286,9 +282,9 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
 
     `_gap_index` must place the weight's range in a gap k between two
     eigenvalues, as `classify_slopes` places a slope range.  The system is
-    then invertible, so the solve is one certified Newton step
-    (`_certified_step`): a step that fails its checks signals an assembly
-    or spectrum bug, not a user error.
+    then invertible, so the solve is one Newton step solved by MINRES in
+    gap k (`_minres_step`): a step that fails its checks signals an
+    assembly or spectrum bug, not a user error.
     """
     _check_pair(op, spectrum)
     xg, wg, xi = _element_data(op)
@@ -300,9 +296,10 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
         if np.any((lo < vals) & (vals < hi)):
             raise ResonanceError(f"slope profile range [{lo:.6g}, {hi:.6g}] "
                                  f"straddles an eigenvalue")
-        raise ResonanceError("slope profile touches an eigenvalue within 1e-9")
+        raise ResonanceError(f"slope profile touches an eigenvalue within "
+                             f"{GAP_MARGIN:g}")
     rhs = _p1_load(op, wg * _profile_values("source", g, xg), xi)
-    return _certified_step(op, spectrum, m_vals, -rhs, *placed)
+    return _minres_step(op, spectrum, m_vals, -rhs, *placed)
 
 
 def _placed(lo: float, hi: float, eigenvalues: np.ndarray):
@@ -323,13 +320,14 @@ def _placed(lo: float, hi: float, eigenvalues: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _newton_step(op: AssembledOperator, slopes: np.ndarray,
-                 grad: np.ndarray, work: np.ndarray) -> np.ndarray:
+                 grad: np.ndarray) -> np.ndarray:
     """The step (A - W)^-1 (-grad) for the slope values `slopes` (see
-    `_system`) by LU, factored in place in the F-ordered n x n `work`;
-    below SINGULAR_PIVOT_RATIO the system takes the least-squares step; a
-    failed LAPACK call raises NumericError."""
+    `_system`) by LU.  The system is exactly symmetric, so its C-ordered
+    copy, transposed, is the same matrix F-contiguous, which LAPACK
+    factors in place.  Below SINGULAR_PIVOT_RATIO the system takes the
+    least-squares step; a failed LAPACK call raises NumericError."""
     import scipy.linalg  # here, so only a process that factors pays for it
-    system = _system(op, slopes, work)
+    system = _system(op, slopes).T
     try:  # scipy refuses a non-finite system with a bare ValueError
         factors = scipy.linalg.lu_factor(system, overwrite_a=True)
         pivots = np.abs(np.diag(factors[0]))
@@ -399,9 +397,9 @@ def _minres_bound(contraction: float) -> int:
         + MINRES_SLACK
 
 
-def _certified_step(op: AssembledOperator, spectrum: Spectrum,
-                    slopes: np.ndarray, grad: np.ndarray, k: int,
-                    contraction: float) -> np.ndarray:
+def _minres_step(op: AssembledOperator, spectrum: Spectrum,
+                 slopes: np.ndarray, grad: np.ndarray, k: int,
+                 contraction: float) -> np.ndarray:
     """The step d = (A - W)^-1 (-grad) for the slope values `slopes` (see
     `_system`) of an iterate whose slope range lies in gap k, without
     forming A - W.  `contraction` rho is that of a range containing the
@@ -430,7 +428,7 @@ def _certified_step(op: AssembledOperator, spectrum: Spectrum,
             f"slopes [{lo:.6g}, {hi:.6g}] at the iterate leave gap k={k}, "
             f"in which its step was to be solved")
     bands = _weight_bands(op, slopes)
-    lam = spectrum.half_eigenvalues
+    lam = spectrum.eigenvalues
     scale = 1.0 / np.sqrt(np.abs(lam - 0.5 * (lo + hi)))
 
     def apply(z):
@@ -457,43 +455,25 @@ def _certified_step(op: AssembledOperator, spectrum: Spectrum,
     return step
 
 
-def _lu_steps(op):
-    """step(slopes, grad), the factored Newton step (`_newton_step`).  Its
-    one work array per run is allocated at the first factored step.  Two
-    fresh n x n arrays per step are fresh mmaps with page faults unless an
-    earlier large free has raised glibc's dynamic mmap threshold; that made
-    sweep cases up to 30% slower with the same iterates (one 2-core x86_64
-    machine).  The gain depends on the allocator and on what ran before."""
-    work = None
-
-    def step(slopes, grad):
-        nonlocal work
-        if work is None:
-            work = np.empty((op.size, op.size), order="F")
-        return _newton_step(op, slopes, grad, work)
-
-    return step
-
-
 def _gap_steps(op, spectrum, certificate):
     """step(slopes, grad), the Newton step of a gap run.  Under the
-    slope-gap report `certificate` every step is `_certified_step` in its
+    slope-gap report `certificate` every step is `_minres_step` in its
     gap k with its contraction.  Without one each iterate is placed by its
     own slope range (`_placed`): in a gap j with contraction rho and
-    `_minres_bound(rho)` <= N the step is `_certified_step` in gap j;
-    otherwise it is factored (`_lu_steps`).  At that bound the worst-case
-    MINRES cost, O(N^2) per iteration, is itself that of the LU."""
-    factored = _lu_steps(op)
+    `_minres_bound(rho)` <= N the step is `_minres_step` in gap j;
+    otherwise it is factored (`_newton_step`).  At that bound the
+    worst-case MINRES cost, O(N^2) per iteration, is itself that of the
+    LU."""
 
     def step(slopes, grad):
         if certificate is not None:
-            return _certified_step(op, spectrum, slopes, grad, certificate.k,
-                                   certificate.contraction)
+            return _minres_step(op, spectrum, slopes, grad, certificate.k,
+                                certificate.contraction)
         placed = _placed(float(slopes.min()), float(slopes.max()),
                          spectrum.eigenvalues)
         if placed is not None and _minres_bound(placed[1]) <= op.size:
-            return _certified_step(op, spectrum, slopes, grad, *placed)
-        return factored(slopes, grad)
+            return _minres_step(op, spectrum, slopes, grad, *placed)
+        return _newton_step(op, slopes, grad)
 
     return step
 
@@ -502,7 +482,7 @@ def _newton(op, spec, u0, tol, max_iter, globalize, step):
     """Newton on A u - b(u) from u0; returns u, its gradient and the
     residual of every iterate.  step(slopes, grad) solves the Newton
     system A - W at an iterate with Gauss-point slopes `slopes`
-    (`_slopes`) and gradient grad (`_lu_steps`, `_gap_steps`);
+    (`_slopes`) and gradient grad (`_newton_step`, `_gap_steps`);
     globalize(u, step, grad, res) turns that step into the next iterate
     and returns it with its gradient and residual (`_gradient`), or
     returns None when it finds no acceptable one."""
@@ -593,7 +573,7 @@ def _merit_backtracking(op, spec, spectrum):
     Under a slope-gap certificate the Hessian H = A - W is nonsingular, so
     along the Newton step d = -H^-1 g, d phi(u + t d)/dt = g^T A^-1 H d =
     -2 phi at t = 0, whatever the inertia of H; the MINRES step
-    (`_certified_step`) solves H d = -g to a backward error of at most
+    (`_minres_step`) solves H d = -g to a backward error of at most
     STEP_BACKWARD_ERROR, far inside the ARMIJO_FRACTION test.  The test
     accepts some t unless rounding hides the decrease, as it does with phi
     at rounding level near a solution; then the full step is taken.  A
@@ -640,7 +620,8 @@ def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
         raise UnsupportedCaseError(classification)
     u0 = np.zeros(op.size)
     u, _, trace = _newton(op, spec, u0, opts.tol, opts.max_iter,
-                          _armijo(op, spec, u0), _lu_steps(op))
+                          _armijo(op, spec, u0),
+                          lambda slopes, grad: _newton_step(op, slopes, grad))
     return _report(op, spec, u, trace)
 
 
@@ -716,8 +697,7 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     rng = np.random.default_rng(opts.seed)
     solutions, grads = [], []
     for _ in range(n_starts):
-        coeffs = rng.uniform(-10.0, 10.0, size=spectrum.size)
-        u0 = spectrum.from_eigen(coeffs[spectrum.rank])
+        u0 = spectrum.from_eigen(rng.uniform(-10.0, 10.0, size=spectrum.size))
         try:
             u, grad, _ = _gap_newton(op, spectrum, spec, u0, opts,
                                      certificate)
@@ -786,8 +766,8 @@ PROBE_CHUNK = 16
 def _sphere_samples(rng, dim: int, n_random: int) -> np.ndarray:
     """Random unit directions in R^dim, shape (n_random, dim).
 
-    Every scan also samples the 2*dim deterministic +-axes ahead of these;
-    they are known in closed form and never built as a matrix.
+    Every scan also samples the 2*dim deterministic +-axes ahead of these,
+    mapped as identity blocks of PROBE_CHUNK columns (`_scan`).
     """
     raw = rng.standard_normal((n_random, dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -821,9 +801,9 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
         out = np.empty((z_norms.size, scale.size))
         for i0 in range(0, scale.size, PROBE_CHUNK):
             i1 = min(i0 + PROBE_CHUNK, scale.size)
-            y = np.zeros((spectrum.size, i1 - i0))  # in ascending order
-            y[modes] = coeffs(i0, i1)
-            nodal = spectrum.from_eigen(y[spectrum.rank]) * scale[i0:i1]
+            c = np.zeros((spectrum.size, i1 - i0))
+            c[modes] = coeffs(i0, i1)
+            nodal = spectrum.from_eigen(c) * scale[i0:i1]
             uh = _interp_elements(nodal, xi)
             for iz, z in enumerate(z_norms):
                 f_int = w @ eval_F(spec, x, z * uh).reshape(w.size, -1)

@@ -25,9 +25,11 @@ M-orthonormal half eigenvectors.  Every eigenvector is exactly even or exactly o
 fixes its sign once, on its half eigenvector, so that its M-weighted mean
 1^T M e is nonnegative (the tie-break of `_fix_signs` for an odd mode,
 whose mean is zero).  `to_eigen` and `from_eigen` apply that one basis E
-from the halves, to a vector or to a block of columns; no N x N
-eigenvector matrix is ever built.  Both columns come from the
-construction, so A and M are centrosymmetric and M tridiagonal by design;
+from the halves, to a vector or to a block of columns, with coefficients
+in the order of `eigenvalues`: the even/odd order of the halves never
+leaves `Spectrum`, and no N x N eigenvector matrix is ever built.  Both
+columns come from the construction, so A and M are centrosymmetric and M
+tridiagonal by design;
 `solve_eigenproblem` refuses a non-finite symbol and a mesh whose M is not
 SPD (a bidiagonal Cholesky pivot that is not positive and finite: width
 <= 0 or NaN).
@@ -56,7 +58,8 @@ class Spectrum:
     """All eigenpairs of the assembled pencil, ascending, L2-normalized.
 
     The eigenvectors are held as the half eigenvectors and applied only
-    through `to_eigen` (E^T) and `from_eigen` (E)."""
+    through `to_eigen` (E^T) and `from_eigen` (E), whose coefficients are
+    in the order of `eigenvalues`."""
 
     eigenvalues: np.ndarray = field(repr=False)
     op: AssembledOperator = field(repr=False)
@@ -69,33 +72,30 @@ class Spectrum:
     def size(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def half_eigenvalues(self) -> np.ndarray:
-        """The eigenvalues in the order of the half eigenpairs, even half
-        first: the order of `to_eigen` and `from_eigen`."""
-        return self.eigenvalues[self.rank]
-
     def to_eigen(self, g: np.ndarray) -> np.ndarray:
-        """E^T g in half order, for g or each column of a 2-D g, read from
-        the half eigenvectors y: e_j^T g = y_j^T h / sqrt2 with h the fold
-        of g into y's half (`_fold`).  E holds the canonical eigenvectors as
-        columns in half order, column i the eigenvector of
-        `eigenvalues[rank[i]]`; it is M-orthonormal, so E^T M E = I and
-        E^T A E = diag `half_eigenvalues`."""
+        """E^T g for g or each column of a 2-D g.  E holds the canonical
+        eigenvectors as columns in the order of `eigenvalues`; it is
+        M-orthonormal, so E^T M E = I and E^T A E = diag `eigenvalues`.
+        Read from the half eigenvectors y: e_j^T g = y_i^T h / sqrt2, h the
+        fold of g into y's half (`_fold`), scattered to j = rank[i]."""
         even, odd = self.halves
         plus, minus = _fold(g)
-        return np.concatenate((even.T @ plus, odd.T @ minus)) / math.sqrt(2.0)
+        half = np.concatenate((even.T @ plus, odd.T @ minus)) / math.sqrt(2.0)
+        coeffs = np.empty_like(half)
+        coeffs[self.rank] = half
+        return coeffs
 
-    def from_eigen(self, y: np.ndarray) -> np.ndarray:
-        """E y for coefficients y in half order (`to_eigen`), or for each
-        column of a 2-D y: the nodal vector [(v_top + w) / sqrt2; v_mid;
+    def from_eigen(self, c: np.ndarray) -> np.ndarray:
+        """E c for coefficients c in the order of `eigenvalues` (`to_eigen`),
+        or for each column of a 2-D c: with y = c[rank] gathered into the
+        half order, the nodal vector [(v_top + w) / sqrt2; v_mid;
         J (v_top - w) / sqrt2] of the even-half combination v (v_mid only
         for odd n) and the odd-half combination w.  A column of E,
         [x / sqrt2; x_mid; +-J x / sqrt2] for a half eigenvector x
         (x_mid = 0 in the odd half), is M-orthonormal because x is in its
-        half pencil.  Coefficients c of the eigenvectors in ascending order
-        are y = c[rank] in half order."""
+        half pencil."""
         even, odd = self.halves
+        y = c[self.rank]
         v = even @ y[:even.shape[1]]
         w = odd @ y[even.shape[1]:]
         p = len(w)
@@ -106,7 +106,7 @@ class Spectrum:
         """|g|_{Z*} = sqrt(g^T A^-1 g) = sqrt(sum_j (e_j^T g)^2 / lambda_j)
         of g, or of each column of a 2-D g, read from the half eigenvectors
         (`to_eigen`)."""
-        return np.sqrt((1.0 / self.half_eigenvalues) @ self.to_eigen(g) ** 2)
+        return np.sqrt((1.0 / self.eigenvalues) @ self.to_eigen(g) ** 2)
 
     def gap(self, k: int) -> tuple[float, float]:
         """The open interval (lambda_k, lambda_{k+1}), 1-based k, if it
@@ -282,7 +282,8 @@ def project(spectrum: Spectrum, u, part: str, k: int) -> np.ndarray:
     if part not in ("head", "tail"):
         raise InvalidParameterError(f"part must be 'head' or 'tail', got {part!r}")
     coeffs = spectrum.to_eigen(_mass_times(spectrum.op, u))
-    head = spectrum.from_eigen(np.where(spectrum.rank < k, coeffs, 0.0))
+    coeffs[k:] = 0.0
+    head = spectrum.from_eigen(coeffs)
     return head if part == "head" else u - head
 
 

@@ -27,9 +27,8 @@ def child_env() -> dict:
 
 def eigenvector_matrix(sp) -> np.ndarray:
     """The canonical eigenvectors of `sp` as columns, ascending: E
-    (`Spectrum.from_eigen`) applied to the identity, whose rows are put in
-    half order as any ascending coefficients c are (c[rank])."""
-    return sp.from_eigen(np.eye(sp.size)[sp.rank])
+    (`Spectrum.from_eigen`) applied to the identity."""
+    return sp.from_eigen(np.eye(sp.size))
 
 
 @pytest.fixture(scope="session")

@@ -211,8 +211,8 @@ def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
         spec = _fixed_gap_spec(lam, k)
         certificate = solvers._f2_passed(spec, sp, k)
         slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
-        step = solvers._certified_step(op, sp, slopes, grad, k,
-                                       certificate.contraction)
+        step = solvers._minres_step(op, sp, slopes, grad, k,
+                                    certificate.contraction)
         lu = np.linalg.solve(solvers._system(op, slopes), -grad)
         assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu), (k,)
     # slopes (m, m + delta] run from gap 2 into gap 3: no certificate
@@ -228,6 +228,45 @@ def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
     assert counts == {"minres": 1, "lu": 0}
     lu = np.linalg.solve(solvers._system(op, slopes), -grad)
     assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_newton_step_takes_least_squares_at_resonance(fractional_op, n):
+    """at the exactly resonant slope lambda_2 (affine f, g = 0) the pivot
+    ratio of A - lambda_2 M is below SINGULAR_PIVOT_RATIO, and the factored
+    step takes the minimum-norm least-squares step: the gradient
+    (A - lambda_2 M) u is in the range of the system, so u + d is the
+    Euclidean projection of u onto span(e_2), to 1e-12 relative to u"""
+    import scipy.linalg
+    op = fractional_op(0.5, n)
+    sp = ns.solve_eigenproblem(op)
+    spec = nl.affine(float(sp.eigenvalues[1]), nl.constant_profile(0.0))
+    u = np.random.default_rng(n).standard_normal(op.size)
+    slopes = solvers._slopes(op, spec, u)
+    pivots = np.abs(np.diag(scipy.linalg.lu_factor(
+        solvers._system(op, slopes))[0]))
+    assert pivots.min() / pivots.max() < solvers.SINGULAR_PIVOT_RATIO
+    d = solvers._newton_step(op, slopes, eval_gradient(op, spec, u))
+    e2 = eigenvector_matrix(sp)[:, 1]
+    projection = e2 * (e2 @ u) / (e2 @ e2)
+    np.testing.assert_allclose(u + d, projection, rtol=0,
+                               atol=1e-12 * np.abs(u).max())
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_newton_step_factors_a_nonsingular_system(fractional_op, n):
+    """with slopes at the midpoint of (lambda_2, lambda_3) the factored
+    step is the dense solve of A - W"""
+    op = fractional_op(0.5, n)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    spec = nl.affine(0.5 * float(lam[1] + lam[2]), nl.constant_profile(1.0))
+    u = np.random.default_rng(n).standard_normal(op.size)
+    slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
+    expected = np.linalg.solve(solvers._system(op, slopes), -grad)
+    np.testing.assert_allclose(solvers._newton_step(op, slopes, grad),
+                               expected, rtol=0,
+                               atol=1e-12 * np.abs(expected).max())
 
 
 def test_certified_iterations_do_not_grow_with_n(fractional_op, monkeypatch):
@@ -594,8 +633,8 @@ def test_merit_slope_is_minus_twice_the_merit(fractional_op):
     u = 2.0 * np.cos(3.0 * x) + x
     assert ns.morse_index(op, spec, u) == 2
     grad = eval_gradient(op, spec, u)
-    step = solvers._certified_step(op, sp, solvers._slopes(op, spec, u), grad,
-                                   2, certificate.contraction)
+    step = solvers._minres_step(op, sp, solvers._slopes(op, spec, u), grad, 2,
+                                certificate.contraction)
 
     def phi(t):
         g = eval_gradient(op, spec, u + t * step)
@@ -614,8 +653,8 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
                                                 family, certified):
     """the system the Newton driver solves at u equals central differences
     of the gradient at u, column by column: A minus the W whose bands the
-    certified MINRES step applies, or the system built in the work array
-    that an uncertified step factors."""
+    certified MINRES step applies, or the system that an uncertified step
+    factors."""
     op = fractional_op(0.5, 64)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
@@ -643,12 +682,11 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
     else:
         system = solvers._system
 
-        def spy(op, slopes, out=None):
-            # the driver's system is built in its work array and then
-            # factored in place, so copy it before the LU overwrites it
-            result = system(op, slopes, out)
-            if out is not None:
-                systems.append(result.copy())
+        def spy(op, slopes):
+            # the driver factors its system in place, so copy it before
+            # the LU overwrites it
+            result = system(op, slopes)
+            systems.append(result.copy())
             return result
 
         monkeypatch.setattr(solvers, "_system", spy)

@@ -230,7 +230,7 @@ def test_mass_products_build_no_dense_mass(n):
                                      rel=1e-14)
     if parts:
         coeffs = sp.to_eigen(mass @ u)
-        head = sp.from_eigen(np.where(sp.rank < k, coeffs, 0.0))
+        head = sp.from_eigen(np.where(np.arange(sp.size) < k, coeffs, 0.0))
         np.testing.assert_allclose(parts[0], head, rtol=0.0,
                                    atol=1e-14 * np.abs(u).max())
         np.testing.assert_allclose(parts[1], u - head, rtol=0.0,
@@ -366,9 +366,10 @@ def test_dual_norms_match_the_dense_inverse(fractional_op, n):
 
 
 def _scattered_halves(sp):
-    """E in half order written out column by column from the half
-    eigenvectors x: [x / sqrt2; x_mid; +-J x / sqrt2], x_mid = 0 in the odd
-    half (x_mid only for an odd interior size)"""
+    """E written out column by column from the half eigenvectors x:
+    [x / sqrt2; x_mid; +-J x / sqrt2], x_mid = 0 in the odd half (x_mid
+    only for an odd interior size), the even half's columns first and then
+    each moved to its eigenvalue's position `rank`"""
     n, p = sp.size, sp.size // 2
     cols = []
     for half, sign in zip(sp.halves, (1.0, -1.0)):
@@ -376,29 +377,52 @@ def _scattered_halves(sp):
             top = x[:p] / math.sqrt(2.0)
             mid = x[p:] if sign > 0.0 else np.zeros(n - 2 * p)
             cols.append(np.concatenate((top, mid, sign * top[::-1])))
-    return np.column_stack(cols)
+    e = np.empty((n, n))
+    e[:, sp.rank] = np.column_stack(cols)
+    return e
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 64, 65])
 def test_eigen_coordinates_are_the_eigenvectors_up_to_sign(fractional_op, n):
     """from_eigen's columns are the half eigenvectors scattered to the
     nodes exactly, canonical signs included (the signs are decided once,
-    on the halves), and mapping a block of unit columns gives the same
-    bits; to_eigen is their transpose, E^T M E = I and E^T A E is diag
-    `half_eigenvalues`, at both parities of the interior size n - 1"""
+    on the halves), in the order of `eigenvalues`, and mapping a block of
+    unit columns gives the same bits; to_eigen is their transpose,
+    E^T M E = I and E^T A E is diag `eigenvalues`, at both parities of the
+    interior size n - 1"""
     op = fractional_op(0.5, n)
     sp = ns.solve_eigenproblem(op)
     e = np.column_stack([sp.from_eigen(col) for col in np.eye(op.size)])
     np.testing.assert_array_equal(e, _scattered_halves(sp))
-    np.testing.assert_array_equal(eigenvector_matrix(sp)[:, sp.rank], e)
+    np.testing.assert_array_equal(eigenvector_matrix(sp), e)
     g = np.random.default_rng(n).standard_normal(op.size)
     np.testing.assert_allclose(sp.to_eigen(g), e.T @ g, rtol=0,
                                atol=1e-13 * np.abs(g).sum())
     np.testing.assert_allclose(e.T @ op.mass @ e, np.eye(op.size), rtol=0,
                                atol=1e-13)
-    lam = sp.half_eigenvalues
+    lam = sp.eigenvalues
     np.testing.assert_allclose(e.T @ op.stiffness @ e, np.diag(lam), rtol=0,
                                atol=1e-12 * lam.max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_eigen_coordinates_are_in_the_order_of_eigenvalues(fractional_op, s,
+                                                          n):
+    """coefficient j of to_eigen and from_eigen belongs to eigenvalues[j]:
+    to_eigen(M from_eigen(c)) returns c, and column j of from_eigen(I)
+    solves A e = lambda_j M e, at both parities of the interior size
+    n - 1"""
+    op = fractional_op(s, n)
+    sp = ns.solve_eigenproblem(op)
+    c = np.random.default_rng(n).standard_normal(sp.size)
+    np.testing.assert_allclose(sp.to_eigen(op.mass @ sp.from_eigen(c)), c,
+                               rtol=0, atol=1e-13 * np.abs(c).max())
+    e = sp.from_eigen(np.eye(sp.size))
+    lam = sp.eigenvalues
+    residual = op.stiffness @ e - (op.mass @ e) * lam
+    assert np.all(np.abs(residual).max(axis=0)
+                  <= 1e-13 * lam.max() * np.abs(e).max(axis=0))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 64, 65])
