@@ -10,15 +10,17 @@ wherever the slopes are known to lie in a spectral gap, which by
 Courant-Fischer makes the Hessian nonsingular: at every iterate of a run
 certified by the slope-gap check (`_f2_passed`), and at each iterate of
 an uncertified run whose own Gauss-point slope range lies in a gap, unless
-the MINRES bound of that range exceeds N (`_gap_steps`).  Every other step
-is factored by LU.  A certified run backtracks on the merit
-|g|_{Z*}^2 / 2, which every Newton step descends because the certificate
-makes the Hessian nonsingular; an uncertified one caps its steps' Z-norm
-after STALL_STEPS steps without a new residual minimum.  The geometry
-probe samples the saddle structure that underpins the gap-case existence
-argument, and the uniqueness probe multi-starts the gap driver to test the
-slope-gap uniqueness prediction; under the certificate it tells limits
-apart by the certificate's error bound C |g|_{Z*}.
+the MINRES bound of that range exceeds N (`_gap_steps`).  An uncertified
+iterate whose slopes are one constant at an eigenvalue takes its step in
+the eigen-coordinates, where the system is diagonal (`_resonant_step`).
+Every other step is factored by LU.  A certified run backtracks on the
+merit |g|_{Z*}^2 / 2, which every Newton step descends because the
+certificate makes the Hessian nonsingular; an uncertified one caps its
+steps' Z-norm after STALL_STEPS steps without a new residual minimum.
+The geometry probe samples the saddle structure that underpins the
+gap-case existence argument, and the uniqueness probe multi-starts the gap
+driver to test the slope-gap uniqueness prediction; under the certificate
+it tells limits apart by the certificate's error bound C |g|_{Z*}.
 
 A u is always the product of the Toeplitz symbol (`_stiffness_times`).
 The dense A, the read-only `op.stiffness` view, is read only where a
@@ -29,7 +31,8 @@ fallback of the coercive line search (`_armijo`).
 scipy is the package's last dependency beyond numpy, and only for the LU
 of a factored Newton step: `_newton_step` imports `scipy.linalg` at its
 first call, so importing the package, and every run whose Newton steps
-are all solved by MINRES, certified or not, never loads it.
+are all solved by MINRES or in the eigen-coordinates, certified or not
+(the resonant probe included), never loads it.
 """
 
 from __future__ import annotations
@@ -47,14 +50,11 @@ from .errors import (InvalidParameterError, NonConvergenceError,
                      ResonanceError, UnsupportedCaseError, check_count,
                      check_real)
 from .nonlinearity import (GAP_MARGIN, Case, CaseClassification,
-                           NonlinearitySpec, SlopeGapReport, _contraction,
-                           _gap_index, check_f2_gap, classify, eval_F, eval_f,
-                           eval_f_t)
+                           NonlinearitySpec, SlopeGapReport, _clear_of,
+                           _contraction, _gap_index, check_f2_gap, classify,
+                           eval_F, eval_f, eval_f_t)
 from .quadrature import gauss_rule
 from .spectral import Spectrum
-
-#: pivot ratio below which a Newton/linear system counts as singular
-SINGULAR_PIVOT_RATIO = 1.0e-12
 
 #: factor by which a line search shortens a rejected step
 LINE_SEARCH_CONTRACTION = 0.5
@@ -324,20 +324,39 @@ def _newton_step(op: AssembledOperator, slopes: np.ndarray,
     """The step (A - W)^-1 (-grad) for the slope values `slopes` (see
     `_system`) by LU.  The system is exactly symmetric, so its C-ordered
     copy, transposed, is the same matrix F-contiguous, which LAPACK
-    factors in place.  Below SINGULAR_PIVOT_RATIO the system takes the
-    least-squares step; a failed LAPACK call raises NumericError."""
+    factors in place; a failed LAPACK call raises NumericError."""
     import scipy.linalg  # here, so only a process that factors pays for it
     system = _system(op, slopes).T
     try:  # scipy refuses a non-finite system with a bare ValueError
-        factors = scipy.linalg.lu_factor(system, overwrite_a=True)
-        pivots = np.abs(np.diag(factors[0]))
-        pivot_ratio = float(pivots.min()) / max(float(pivots.max()), 1.0e-300)
-        if not pivot_ratio < SINGULAR_PIVOT_RATIO:
-            return scipy.linalg.lu_solve(factors, -grad)
-        # minimum-norm least-squares step keeps resonant probes meaningful
-        return np.linalg.lstsq(_system(op, slopes), -grad, rcond=None)[0]
+        return scipy.linalg.lu_solve(
+            scipy.linalg.lu_factor(system, overwrite_a=True), -grad)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise NumericError(f"Newton step failed: {exc}") from exc
+
+
+def _resonant_step(spectrum: Spectrum, m: float,
+                   grad: np.ndarray) -> np.ndarray:
+    """The step of an iterate whose slopes are the one constant m at an
+    eigenvalue: W = m M, so the system A - m M is diagonal in the
+    eigen-coordinates, Lambda - m.  y_j = -(E^T grad)_j / (lambda_j - m)
+    off the null set, the eigenvalues that `_clear_of` [m, m] leaves, and
+    y_j = 0 on it; the step E y then loses its Euclidean component along
+    the null eigenvectors.  Of the steps that minimize the residual in the
+    M^-1 norm this is the one of least Euclidean norm, so for a consistent
+    system (a gradient in the range of A - m M) it is the minimum-norm
+    least-squares step.  A non-finite gradient raises NumericError."""
+    if not np.isfinite(grad).all():
+        raise NumericError("Newton step failed: the gradient is not finite")
+    lam = spectrum.eigenvalues
+    clear = np.logical_or(*_clear_of(m, m, lam))
+    y = np.divide(-spectrum.to_eigen(grad), lam - m, out=np.zeros_like(lam),
+                  where=clear)
+    null = np.flatnonzero(~clear)
+    unit = np.zeros((spectrum.size, null.size))
+    unit[null, np.arange(null.size)] = 1.0
+    basis = np.linalg.qr(spectrum.from_eigen(unit))[0]
+    step = spectrum.from_eigen(y)
+    return step - basis @ (basis.T @ step)
 
 
 def _minres(apply, rhs: np.ndarray, tol: float, max_iter: int):
@@ -460,17 +479,21 @@ def _gap_steps(op, spectrum, certificate):
     slope-gap report `certificate` every step is `_minres_step` in its
     gap k with its contraction.  Without one each iterate is placed by its
     own slope range (`_placed`): in a gap j with contraction rho and
-    `_minres_bound(rho)` <= N the step is `_minres_step` in gap j;
-    otherwise it is factored (`_newton_step`).  At that bound the
-    worst-case MINRES cost, O(N^2) per iteration, is itself that of the
-    LU."""
+    `_minres_bound(rho)` <= N the step is `_minres_step` in gap j; slopes
+    that are one constant m placed in no gap, so that an eigenvalue lies
+    within GAP_MARGIN of m, take `_resonant_step`; any other step is
+    factored (`_newton_step`), among them straddling slopes, whose
+    system is singular only by accident.  At that bound the worst-case
+    MINRES cost, O(N^2) per iteration, is itself that of the LU."""
 
     def step(slopes, grad):
         if certificate is not None:
             return _minres_step(op, spectrum, slopes, grad, certificate.k,
                                 certificate.contraction)
-        placed = _placed(float(slopes.min()), float(slopes.max()),
-                         spectrum.eigenvalues)
+        lo, hi = float(slopes.min()), float(slopes.max())
+        placed = _placed(lo, hi, spectrum.eigenvalues)
+        if placed is None and lo == hi:
+            return _resonant_step(spectrum, lo, grad)
         if placed is not None and _minres_bound(placed[1]) <= op.size:
             return _minres_step(op, spectrum, slopes, grad, *placed)
         return _newton_step(op, slopes, grad)
@@ -642,9 +665,9 @@ def _gap_newton(op, spectrum, spec, u0, opts, certificate):
     Under a certificate every step is solved by MINRES, raising
     NonResonanceContradictionError where the certificate fails, and
     backtracks on the merit (`_merit_backtracking`).  Without one a step
-    is solved by MINRES where the iterate's own slopes lie in a gap and
-    factored elsewhere (a singular system taking the least-squares step),
-    and the steps follow `_z_capped`."""
+    is solved by MINRES where the iterate's own slopes lie in a gap, in
+    the eigen-coordinates where they are one constant at an eigenvalue,
+    and by LU elsewhere, and the steps follow `_z_capped`."""
     rule = (_z_capped(op, spec) if certificate is None
             else _merit_backtracking(op, spec, spectrum))
     return _newton(op, spec, u0, opts.tol, opts.max_iter, rule,

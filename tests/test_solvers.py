@@ -134,11 +134,16 @@ def test_linear_solve_refuses_non_finite_weight_as_such(op128, spectrum128,
         linear_nonresonant_solve(op128, spectrum128, 0.0, profile)
 
 
-def test_resonance_refusals_agree_at_the_margin(spectrum128):
-    """the linear solve, classify and the slope-gap check place a weight
-    next to an eigenvalue the same way, also at exactly GAP_MARGIN from it"""
+def test_resonance_refusals_agree_at_the_margin(spectrum128, monkeypatch):
+    """the linear solve, classify, the slope-gap check and the step of an
+    uncertified gap run place a weight next to an eigenvalue the same way,
+    also at exactly GAP_MARGIN from it: the constant slopes of affine(w)
+    take the resonant step exactly where classify refuses w"""
     lam, margin = spectrum128.eigenvalues, nl.GAP_MARGIN
     op = spectrum128.op
+    step = solvers._gap_steps(op, spectrum128, None)
+    u = np.cos(3.0 * op.mesh.interior_nodes)
+    counts = _count_steps(monkeypatch)
     for k in range(1, 6):
         edges = (lam[k - 1] - margin, lam[k - 1] + margin)
         weights = [*edges, *(np.nextafter(e, d) for e in edges
@@ -155,6 +160,10 @@ def test_resonance_refusals_agree_at_the_margin(spectrum128):
                 refused = True
             assert refused == (cls.case is nl.Case.UNSUPPORTED), (k, w)
             spec = nl.affine(w, nl.constant_profile(1.0))
+            counts.update(minres=0, lu=0, resonant=0)
+            step(solvers._slopes(op, spec, u), eval_gradient(op, spec, u))
+            assert counts["lu"] == 0, (k, w)
+            assert (counts["resonant"] == 1) == refused, (k, w)
             for j in (k - 1, k) if k > 1 else (k,):
                 passed = nl.check_f2_gap(spec, spectrum128, j).passed
                 assert passed == (cls.case is nl.Case.GAP and cls.k == j), \
@@ -164,7 +173,7 @@ def test_resonance_refusals_agree_at_the_margin(spectrum128):
 def test_certified_singular_system_raises():
     """eigenvalues shifted by 1 certify the true lambda_2 as nonresonant;
     the singular system A - lambda_2 M is then a contradiction, not a
-    least-squares step"""
+    resonant step"""
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),
                      ns.make_fractional_kernel(0.5))
     sp = ns.solve_eigenproblem(op)
@@ -175,21 +184,17 @@ def test_certified_singular_system_raises():
 
 
 def _count_steps(monkeypatch):
-    """Count the Newton steps solved by MINRES and by LU from now on:
-    {"minres": .., "lu": ..}"""
-    counts = {"minres": 0, "lu": 0}
-    minres, newton_step = solvers._minres, solvers._newton_step
+    """Count the Newton steps solved by MINRES, by LU and in the
+    eigen-coordinates of a resonant iterate from now on:
+    {"minres": .., "lu": .., "resonant": ..}"""
+    counts = {"minres": 0, "lu": 0, "resonant": 0}
+    for key, name in (("minres", "_minres"), ("lu", "_newton_step"),
+                      ("resonant", "_resonant_step")):
+        def spy(*args, key=key, solve=getattr(solvers, name)):
+            counts[key] += 1
+            return solve(*args)
 
-    def minres_spy(*args):
-        counts["minres"] += 1
-        return minres(*args)
-
-    def lu_spy(*args):
-        counts["lu"] += 1
-        return newton_step(*args)
-
-    monkeypatch.setattr(solvers, "_minres", minres_spy)
-    monkeypatch.setattr(solvers, "_newton_step", lu_spy)
+        monkeypatch.setattr(solvers, name, spy)
     return counts
 
 
@@ -225,29 +230,36 @@ def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
     assert solvers._placed(slopes.min(), slopes.max(), lam)[0] == 3
     counts = _count_steps(monkeypatch)
     step = solvers._gap_steps(op, sp, None)(slopes, grad)
-    assert counts == {"minres": 1, "lu": 0}
+    assert counts == {"minres": 1, "lu": 0, "resonant": 0}
     lu = np.linalg.solve(solvers._system(op, slopes), -grad)
     assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu)
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 128])
-def test_newton_step_takes_least_squares_at_resonance(fractional_op, n):
-    """at the exactly resonant slope lambda_2 (affine f, g = 0) the pivot
-    ratio of A - lambda_2 M is below SINGULAR_PIVOT_RATIO, and the factored
-    step takes the minimum-norm least-squares step: the gradient
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 512, 1024])
+def test_newton_step_takes_least_squares_at_resonance(fractional_op,
+                                                      monkeypatch, n):
+    """at the exactly resonant slope lambda_2 (affine f, g = 0) the step
+    of an uncertified gap run is taken in the eigen-coordinates, not by
+    LU, and it is the minimum-norm least-squares step: the gradient
     (A - lambda_2 M) u is in the range of the system, so u + d is the
-    Euclidean projection of u onto span(e_2), to 1e-12 relative to u"""
-    import scipy.linalg
+    Euclidean projection of u onto span(e_2), to 1e-12 relative to u.
+    At N = 512 the LU pivot ratio of A - lambda_2 M is 2.4e-12, and a
+    factored step misses that projection by 8.6e-2.  A NaN gradient
+    raises NumericError."""
     op = fractional_op(0.5, n)
     sp = ns.solve_eigenproblem(op)
     spec = nl.affine(float(sp.eigenvalues[1]), nl.constant_profile(0.0))
     u = np.random.default_rng(n).standard_normal(op.size)
     slopes = solvers._slopes(op, spec, u)
-    pivots = np.abs(np.diag(scipy.linalg.lu_factor(
-        solvers._system(op, slopes))[0]))
-    assert pivots.min() / pivots.max() < solvers.SINGULAR_PIVOT_RATIO
-    d = solvers._newton_step(op, slopes, eval_gradient(op, spec, u))
-    e2 = eigenvector_matrix(sp)[:, 1]
+    counts = _count_steps(monkeypatch)
+    step = solvers._gap_steps(op, sp, None)
+    d = step(slopes, eval_gradient(op, spec, u))
+    assert counts == {"minres": 0, "lu": 0, "resonant": 1}
+    with pytest.raises(NumericError, match="not finite"):
+        step(slopes, np.full(op.size, np.nan))
+    coeffs = np.zeros(sp.size)
+    coeffs[1] = 1.0
+    e2 = sp.from_eigen(coeffs)
     projection = e2 * (e2 @ u) / (e2 @ e2)
     np.testing.assert_allclose(u + d, projection, rtol=0,
                                atol=1e-12 * np.abs(u).max())
@@ -349,17 +361,19 @@ def test_uncertified_step_takes_lu_above_the_minres_bound(fractional_op,
         slopes = lam[1] + (0.5 + 0.5 * width * xg) * (lam[2] - lam[1])
         rho = solvers._placed(slopes.min(), slopes.max(), lam)[1]
         assert rho == pytest.approx(width, abs=0.01)
-        counts.update(minres=0, lu=0)
+        counts.update(minres=0, lu=0, resonant=0)
         d = step(slopes, grad)
-        assert counts == {"minres": 1 - lu_steps, "lu": lu_steps}, width
+        assert counts == {"minres": 1 - lu_steps, "lu": lu_steps,
+                          "resonant": 0}, width
         assert (solvers._minres_bound(rho) > op.size) == bool(lu_steps)
         lu = np.linalg.solve(solvers._system(op, slopes), -grad)
         assert norm_Z(op, d - lu) <= 1e-10 * norm_Z(op, lu)
     for bound, lu_steps in ((op.size, 0), (op.size + 1, 1)):
         monkeypatch.setattr(solvers, "_minres_bound", lambda rho: bound)
-        counts.update(minres=0, lu=0)
+        counts.update(minres=0, lu=0, resonant=0)
         step(slopes, grad)
-        assert counts == {"minres": 1 - lu_steps, "lu": lu_steps}, bound
+        assert counts == {"minres": 1 - lu_steps, "lu": lu_steps,
+                          "resonant": 0}, bound
 
 
 def test_uncertified_solve_in_a_gap_loads_no_scipy(op128, spectrum128,
@@ -440,6 +454,41 @@ def test_case_a_fallback_converges_at_n512(ops_refinement, lo, hi):
     assert rep.iterations <= 20
     assert rep.j_value < 0.0
     assert ns.morse_index(op, spec, rep.solution) == 0
+
+
+#: J at the solution of saturating(0, lambda_j, g = 1) from u = 0, by N and
+#: j, as reached when the singular first step was taken by least squares
+#: (N = 32 and 128, j = 1 and 3) or by LU (the others).  None where the
+#: critical point reached depends on the rounding of the singular LU step:
+#: at N = 512, j = 3, J is -0.0478 with one BLAS thread and -97.85 with two
+SINGULAR_START_J = {
+    32: (-1.0281535580183645, -25.930149492387613, -97.61101730143466),
+    128: (-1.0358510343627199, -25.991318425473445, -97.82123048177303),
+    512: (-1.0377789066829495, -26.000728429374163, None),
+}
+
+
+@pytest.mark.parametrize("n", [32, 128, 512])
+def test_case_a_converges_from_a_singular_start(ops_refinement, n):
+    """f_t = lambda_j at u = 0 for saturating(0, lambda_j, g = 1), so the
+    Hessian A - lambda_j M of the first Newton step is singular (the
+    slopes touch lambda_j); its LU step still leads the Armijo search to
+    a critical point below J(0) = 0, for j = 1, 2, 3, with J as recorded
+    to 1e-12"""
+    op = ops_refinement[n]
+    sp = ns.solve_eigenproblem(op)
+    for j, expected in enumerate(SINGULAR_START_J[n], start=1):
+        lam = float(sp.eigenvalues[j - 1])
+        spec = nl.saturating(0.0, lam, nl.constant_profile(1.0))
+        slopes = solvers._slopes(op, spec, np.zeros(op.size))
+        assert solvers._placed(slopes.min(), slopes.max(),
+                               sp.eigenvalues) is None, j
+        rep = ns.solve_case_a(op, spec, OPTS)
+        assert rep.residual_inf <= OPTS.tol, j
+        assert rep.j_value < 0.0, j
+        if expected is not None:
+            assert rep.j_value == pytest.approx(expected, rel=1e-12,
+                                                abs=0), j
 
 
 def test_case_a_singular_fallback_is_a_numeric_error(op128, spectrum128):
@@ -794,6 +843,31 @@ def test_uniqueness_probe_resonant_multiple(op128, spectrum128):
         assert residual_weakform(op128, spec, np.asarray(u)) < 1e-8
 
 
+def test_resonant_probe_follows_the_fredholm_alternative(fractional_op):
+    """at the slope lambda_2, affine(lambda_2, g) has a solution only when
+    the load of g is orthogonal to e_2.  For g = x it is not (e_2 is odd),
+    and no start converges: Inconclusive at N = 256, 512 and 1024, where
+    a factored step once reported a "solution" of Z-norm 1.6e13 as
+    Unique at N = 512.  For g = 0 every multiple of e_2 solves it:
+    MultipleFound at N = 32, 128, 512 and 1024."""
+    opts = ns.SolverOptions(seed=42, max_iter=20)
+    for profile, sizes, kind in (
+            (nl.polynomial_profile([0.0, 1.0]), (256, 512, 1024),
+             "Inconclusive"),
+            (nl.constant_profile(0.0), (32, 128, 512, 1024),
+             "MultipleFound")):
+        for n in sizes:
+            op = fractional_op(0.5, n)
+            sp = ns.solve_eigenproblem(op)
+            spec = nl.affine(float(sp.eigenvalues[1]), profile)
+            load = sp.to_eigen(load_vector(op, spec, np.zeros(op.size)))
+            # e_2^T b, zero exactly when the problem is solvable
+            assert (abs(load[1]) > 1e-2) == (kind == "Inconclusive"), n
+            verdict = ns.uniqueness_probe(op, sp, spec, 2, n_starts=4,
+                                          opts=opts)
+            assert verdict.kind == kind, (n, verdict)
+
+
 def test_uniqueness_probe_inconclusive_when_a_start_fails(op128,
                                                          spectrum128,
                                                          gap_spec):
@@ -1004,11 +1078,13 @@ def test_probe_and_project_build_no_eigenvector_matrix(fractional_op, case):
 
 def test_eigenbasis_users_allocate_less_than_one_n_by_n_array(
         fractional_op, tmp_path, capsys):
-    """at N = 1024 the geometry probe (coercive and gap), `project`,
-    `dual_norms` and `spectrum --vectors` (eigensolve included) each peak
-    below 8 N^2 bytes, one N x N float array: the eigenbasis is applied
-    from the half eigenvectors a column block at a time.  The probe peaked
-    at 15-24 MB when it read a cached eigenvector matrix."""
+    """at N = 1024 the geometry probe (coercive and gap), the resonant
+    uniqueness probe, `project`, `dual_norms` and `spectrum --vectors`
+    (eigensolve included) each peak below 8 N^2 bytes, one N x N float
+    array: the eigenbasis is applied from the half eigenvectors a column
+    block at a time.  The probe peaked at 15-24 MB when it read a cached
+    eigenvector matrix, and the resonant probe factored a dense A -
+    lambda_2 M before its steps were taken in the eigen-coordinates."""
     n = 1024
     op = fractional_op(0.5, n)
     sp = ns.solve_eigenproblem(op)
@@ -1021,6 +1097,9 @@ def test_eigenbasis_users_allocate_less_than_one_n_by_n_array(
             op, sp, spec, 0, radii=(10.0,), n_samples=0),
         "gap probe": lambda: ns.geometry_probe(
             op, sp, spec, 2, radii=(10.0,), n_samples=0),
+        "resonant probe": lambda: ns.uniqueness_probe(
+            op, sp, nl.affine(float(sp.eigenvalues[1]),
+                              nl.constant_profile(0.0)), 2, n_starts=2),
         "project": lambda: ns.project(sp, u, "head", 2),
         "dual_norms": lambda: sp.dual_norms(u),
         "spectrum --vectors": lambda: cli.main(
