@@ -30,7 +30,7 @@ it.  quad_error_estimate is the largest gap between Gauss orders q and q + 6
 over everything assemble returns: the symbol a_d (the panels, the graded
 moments and the far field all change with the order) and kappa at every
 node relative to max(1, |kappa|), since kappa grows like h^(-2s) at the
-ends (zero for the fractional closed form).  assembly_tol gates it.
+ends (zero for the fractional closed form).  ASSEMBLY_TOL gates it.
 
 The mass matrix is exact, since hat products are piecewise quadratics: it
 is the symmetric Toeplitz matrix of its first column (2h/3, h/6, 0, ...).
@@ -51,13 +51,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AssemblyAccuracyError, AuditFailedError,
-                     InvalidParameterError, check_count, check_real)
+                     InvalidParameterError)
 from .kernels import (Kernel, KernelAudit, audit_kernel, radial_moment,
                       upper_integral)
 from .meshing import Mesh
 from .quadrature import GAUSS_ORDER, estimate, gauss_rule
 
-#: default bound on quad_error_estimate
+#: bound on quad_error_estimate
 ASSEMBLY_TOL = 1.0e-8
 
 
@@ -68,7 +68,6 @@ class AssembledOperator:
     mesh: Mesh
     symbol: np.ndarray = field(repr=False)  # a_d = A[i][i + d]
     tail: np.ndarray = field(repr=False)  # kappa at interior nodes
-    quad_order: int
     quad_error_estimate: float
 
     @property
@@ -160,12 +159,10 @@ def _symbol(kernel: Kernel, h: float, size: int, order: int) -> np.ndarray:
 # driver
 # ---------------------------------------------------------------------------
 
-def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
-             assembly_tol: float = ASSEMBLY_TOL,
+def assemble(mesh: Mesh, kernel: Kernel,
              audit: KernelAudit | None = None) -> AssembledOperator:
-    """Assemble the stiffness symbol and tail weights for (mesh, kernel)."""
-    check_count("quad_order", quad_order, 3)
-    check_real("assembly_tol", assembly_tol, 0.0)
+    """Assemble the stiffness symbol and tail weights for (mesh, kernel)
+    with Gauss order GAUSS_ORDER, gated by ASSEMBLY_TOL."""
     if audit is None:
         audit = audit_kernel(kernel)
     if not audit.passed:
@@ -182,17 +179,17 @@ def assemble(mesh: Mesh, kernel: Kernel, quad_order: int = GAUSS_ORDER,
         return from_a + from_a[::-1]
 
     symbol, symbol_error = estimate(lambda q: _symbol(kernel, h, size, q),
-                                    quad_order)
-    kappa, kappa_error = estimate(kappa_at, quad_order)
+                                    GAUSS_ORDER)
+    kappa, kappa_error = estimate(kappa_at, GAUSS_ORDER)
     error = np.concatenate((symbol_error,
                             kappa_error / np.maximum(1.0, np.abs(kappa))))
     worst = float(error.max())
-    if not worst <= assembly_tol:  # a NaN estimate fails the gate too
+    if not worst <= ASSEMBLY_TOL:  # a NaN estimate fails the gate too
         i = int(np.argmax(error))
         raise AssemblyAccuracyError((0, i) if i < size else ("kappa", i - size),
-                                    worst, assembly_tol)
+                                    worst, ASSEMBLY_TOL)
     return AssembledOperator(mesh=mesh, symbol=symbol, tail=kappa,
-                             quad_order=quad_order, quad_error_estimate=worst)
+                             quad_error_estimate=worst)
 
 
 # ---------------------------------------------------------------------------

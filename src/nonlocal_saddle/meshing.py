@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,10 @@ class Mesh:
     a: float
     b: float
     n_elements: int
-    nodes: np.ndarray = field(repr=False)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(self.a, self.b, self.n_elements + 1)
 
     @property
     def h(self) -> float:
@@ -39,8 +43,7 @@ def build_uniform_mesh(a: float, b: float, n_elements: int) -> Mesh:
     a = check_real("a", a)
     b = check_real("b", b, a)
     check_count("n_elements", n_elements, 2)
-    nodes = np.linspace(a, b, n_elements + 1)
-    return Mesh(a=a, b=b, n_elements=int(n_elements), nodes=nodes)
+    return Mesh(a=a, b=b, n_elements=int(n_elements))
 
 
 def interpolate(mesh: Mesh, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -70,6 +70,8 @@ def nodal_profile(x, values) -> SourceProfile:
     if not np.all(np.diff(x) > 0.0):  # np.interp misreads any other x
         raise InvalidParameterError(
             f"nodal profile x must be strictly increasing, got {x.tolist()}")
+    for v in x.tolist():  # an infinite end passes the order test
+        check_real("nodal profile x", v)
     return SourceProfile(lambda xx: np.interp(xx, x, values))
 
 

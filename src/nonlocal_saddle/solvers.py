@@ -13,7 +13,12 @@ an uncertified run whose own Gauss-point slope range lies in a gap, unless
 the MINRES bound of that range exceeds N (`_gap_steps`).  An uncertified
 iterate whose slopes are one constant at an eigenvalue takes its step in
 the eigen-coordinates, where the system is diagonal (`_resonant_step`).
-Every other step is factored by LU.  A certified run backtracks on the
+Every other step is factored by LU.  Each per-iterate fact is stated
+once: the driver (`_newton`) refuses an iterate whose slopes or gradient
+are not finite before any step is solved, and `_gap_steps` places each
+iterate's slope range in the spectrum once (`_placed`), which picks the
+step's solver and, under a certificate, refuses a range outside the
+certificate's gap.  A certified run backtracks on the
 merit |g|_{Z*}^2 / 2, which every Newton step descends because the
 certificate makes the Hessian nonsingular; an uncertified one caps its
 steps' Z-norm after STALL_STEPS steps without a new residual minimum.
@@ -53,7 +58,7 @@ from .nonlinearity import (GAP_MARGIN, Case, CaseClassification,
                            NonlinearitySpec, SlopeGapReport, _clear_of,
                            _contraction, _gap_index, check_f2_gap, classify,
                            eval_F, eval_f, eval_f_t)
-from .quadrature import gauss_rule
+from .quadrature import GAUSS_ORDER, gauss_rule
 from .spectral import Spectrum
 
 #: factor by which a line search shortens a rejected step
@@ -149,7 +154,7 @@ class SolveReport:
 
 def _element_data(op: AssembledOperator):
     mesh = op.mesh
-    xi, wref = gauss_rule(op.quad_order)
+    xi, wref = gauss_rule(GAUSS_ORDER)
     xg = mesh.nodes[:-1, None] + mesh.h * xi[None, :]
     wg = mesh.h * wref[None, :] * np.ones((mesh.n_elements, 1))
     return xg, wg, xi
@@ -280,11 +285,11 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
                              m_profile, g) -> np.ndarray:
     """Solve (A - M_w) u = M g with the slope weight certified nonresonant.
 
-    `_gap_index` must place the weight's range in a gap k between two
+    `_placed` must place the weight's range in a gap k between two
     eigenvalues, as `classify_slopes` places a slope range.  The system is
-    then invertible, so the solve is one Newton step solved by MINRES in
-    gap k (`_minres_step`): a step that fails its checks signals an
-    assembly or spectrum bug, not a user error.
+    then invertible, so the solve is one Newton step solved by MINRES with
+    the contraction of that placement (`_minres_step`): a step that fails
+    its checks signals an assembly or spectrum bug, not a user error.
     """
     _check_pair(op, spectrum)
     xg, wg, xi = _element_data(op)
@@ -299,7 +304,7 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
         raise ResonanceError(f"slope profile touches an eigenvalue within "
                              f"{GAP_MARGIN:g}")
     rhs = _p1_load(op, wg * _profile_values("source", g, xg), xi)
-    return _minres_step(op, spectrum, m_vals, -rhs, *placed)
+    return _minres_step(op, spectrum, m_vals, -rhs, placed[1])
 
 
 def _placed(lo: float, hi: float, eigenvalues: np.ndarray):
@@ -324,14 +329,12 @@ def _newton_step(op: AssembledOperator, slopes: np.ndarray,
     """The step (A - W)^-1 (-grad) for the slope values `slopes` (see
     `_system`) by LU.  The system is exactly symmetric, so its C-ordered
     copy, transposed, is the same matrix F-contiguous, which LAPACK
-    factors in place; a failed LAPACK call raises NumericError."""
+    factors in place.  `_newton` has refused non-finite slopes and
+    gradients, so the system is finite."""
     import scipy.linalg  # here, so only a process that factors pays for it
     system = _system(op, slopes).T
-    try:  # scipy refuses a non-finite system with a bare ValueError
-        return scipy.linalg.lu_solve(
-            scipy.linalg.lu_factor(system, overwrite_a=True), -grad)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise NumericError(f"Newton step failed: {exc}") from exc
+    return scipy.linalg.lu_solve(
+        scipy.linalg.lu_factor(system, overwrite_a=True), -grad)
 
 
 def _resonant_step(spectrum: Spectrum, m: float,
@@ -344,9 +347,7 @@ def _resonant_step(spectrum: Spectrum, m: float,
     the null eigenvectors.  Of the steps that minimize the residual in the
     M^-1 norm this is the one of least Euclidean norm, so for a consistent
     system (a gradient in the range of A - m M) it is the minimum-norm
-    least-squares step.  A non-finite gradient raises NumericError."""
-    if not np.isfinite(grad).all():
-        raise NumericError("Newton step failed: the gradient is not finite")
+    least-squares step."""
     lam = spectrum.eigenvalues
     clear = np.logical_or(*_clear_of(m, m, lam))
     y = np.divide(-spectrum.to_eigen(grad), lam - m, out=np.zeros_like(lam),
@@ -417,14 +418,14 @@ def _minres_bound(contraction: float) -> int:
 
 
 def _minres_step(op: AssembledOperator, spectrum: Spectrum,
-                 slopes: np.ndarray, grad: np.ndarray, k: int,
+                 slopes: np.ndarray, grad: np.ndarray,
                  contraction: float) -> np.ndarray:
     """The step d = (A - W)^-1 (-grad) for the slope values `slopes` (see
-    `_system`) of an iterate whose slope range lies in gap k, without
-    forming A - W.  `contraction` rho is that of a range containing the
-    slopes: a slope-gap certificate's (`SlopeGapReport.contraction`), or
-    the iterate's own (`_placed`).  By Courant-Fischer A - W is then
-    nonsingular with Morse index k.
+    `_system`) of an iterate whose slope range its caller has placed in a
+    gap k (`_placed`), without forming A - W.  `contraction` rho is that
+    of a range containing the slopes: a slope-gap certificate's
+    (`SlopeGapReport.contraction`), or the iterate's own (`_placed`).  By
+    Courant-Fischer A - W is then nonsingular with Morse index k.
 
     In the eigen-coordinates of `Spectrum.to_eigen` the system is
     (Lambda - E^T W E) y = -E^T grad, d = E y.  With c the midpoint of the
@@ -432,20 +433,11 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
     by |Lambda - c|^-1, whose spectrum the certificate puts in
     +-[1 - rho, 1 + rho] (`_contraction`), so `_minres_bound(rho)`
     iterations suffice whatever the mesh; each costs one E, one W and one
-    E^T.  The step raises NonResonanceContradictionError when the
-    iterate's slope range is not in gap k (`_gap_index`), when MINRES does
+    E^T.  The step raises NonResonanceContradictionError when MINRES does
     not reach MINRES_TOL within the bound, or when d misses the nodal
     system by a normwise backward error above STEP_BACKWARD_ERROR, which
-    a spectrum that does not belong to A gives; non-finite slopes or a
-    non-finite gradient raise NumericError."""
-    if not (np.isfinite(slopes).all() and np.isfinite(grad).all()):
-        raise NumericError(
-            "Newton step failed: the system or the gradient is not finite")
+    a spectrum that does not belong to A gives."""
     lo, hi = float(slopes.min()), float(slopes.max())
-    if _gap_index(lo, hi, spectrum.eigenvalues) != k:
-        raise NonResonanceContradictionError(
-            f"slopes [{lo:.6g}, {hi:.6g}] at the iterate leave gap k={k}, "
-            f"in which its step was to be solved")
     bands = _weight_bands(op, slopes)
     lam = spectrum.eigenvalues
     scale = 1.0 / np.sqrt(np.abs(lam - 0.5 * (lo + hi)))
@@ -461,7 +453,7 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
     if found is None:
         raise NonResonanceContradictionError(
             f"MINRES missed {MINRES_TOL:g} within {bound} iterations "
-            f"although the slopes lie in gap k={k} (rho = {contraction:.6g})")
+            f"although the slopes lie in a gap (rho = {contraction:.6g})")
     step = spectrum.from_eigen(scale * found[0])
     a_step, w_step = _stiffness_times(op, step), _tridiagonal(bands, step)
     scale_inf = (np.abs(a_step).max() + np.abs(w_step).max()
@@ -470,32 +462,38 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
     if not backward <= STEP_BACKWARD_ERROR:
         raise NonResonanceContradictionError(
             f"Newton step misses its system by a backward error of "
-            f"{backward:.3e} although the slopes lie in gap k={k}")
+            f"{backward:.3e} although the slopes lie in a gap")
     return step
 
 
 def _gap_steps(op, spectrum, certificate):
-    """step(slopes, grad), the Newton step of a gap run.  Under the
-    slope-gap report `certificate` every step is `_minres_step` in its
-    gap k with its contraction.  Without one each iterate is placed by its
-    own slope range (`_placed`): in a gap j with contraction rho and
-    `_minres_bound(rho)` <= N the step is `_minres_step` in gap j; slopes
-    that are one constant m placed in no gap, so that an eigenvalue lies
-    within GAP_MARGIN of m, take `_resonant_step`; any other step is
-    factored (`_newton_step`), among them straddling slopes, whose
-    system is singular only by accident.  At that bound the worst-case
-    MINRES cost, O(N^2) per iteration, is itself that of the LU."""
+    """step(slopes, grad), the Newton step of a gap run.  Each iterate is
+    placed once, by its own slope range (`_placed`).  Under the slope-gap
+    report `certificate` the range must lie in the certificate's gap k,
+    or the step raises NonResonanceContradictionError; the step is then
+    `_minres_step` with the certificate's contraction.  Without one, a
+    range in a gap j with contraction rho and `_minres_bound(rho)` <= N
+    takes `_minres_step` with rho; slopes that are one constant m placed
+    in no gap, so that an eigenvalue lies within GAP_MARGIN of m, take
+    `_resonant_step`; any other step is factored (`_newton_step`), among
+    them straddling slopes, whose system is singular only by accident.
+    At that bound the worst-case MINRES cost, O(N^2) per iteration, is
+    itself that of the LU."""
 
     def step(slopes, grad):
-        if certificate is not None:
-            return _minres_step(op, spectrum, slopes, grad, certificate.k,
-                                certificate.contraction)
         lo, hi = float(slopes.min()), float(slopes.max())
         placed = _placed(lo, hi, spectrum.eigenvalues)
+        if certificate is not None:
+            if placed is None or placed[0] != certificate.k:
+                raise NonResonanceContradictionError(
+                    f"slopes [{lo:.6g}, {hi:.6g}] at the iterate leave gap "
+                    f"k={certificate.k}, in which its step was to be solved")
+            return _minres_step(op, spectrum, slopes, grad,
+                                certificate.contraction)
         if placed is None and lo == hi:
             return _resonant_step(spectrum, lo, grad)
         if placed is not None and _minres_bound(placed[1]) <= op.size:
-            return _minres_step(op, spectrum, slopes, grad, *placed)
+            return _minres_step(op, spectrum, slopes, grad, placed[1])
         return _newton_step(op, slopes, grad)
 
     return step
@@ -508,7 +506,10 @@ def _newton(op, spec, u0, tol, max_iter, globalize, step):
     (`_slopes`) and gradient grad (`_newton_step`, `_gap_steps`);
     globalize(u, step, grad, res) turns that step into the next iterate
     and returns it with its gradient and residual (`_gradient`), or
-    returns None when it finds no acceptable one."""
+    returns None when it finds no acceptable one.  An iterate whose
+    slopes or gradient are not finite raises NumericError before any
+    step is solved: this is the one finiteness test of an iterate, so no
+    step solver repeats it."""
     u = np.array(u0, dtype=float)
     grad, res = _gradient(op, spec, u)
     trace = []
@@ -518,7 +519,12 @@ def _newton(op, spec, u0, tol, max_iter, globalize, step):
             return u, grad, trace
         if it == max_iter:
             break
-        moved = globalize(u, step(_slopes(op, spec, u), grad), grad, res)
+        slopes = _slopes(op, spec, u)
+        if not (np.isfinite(slopes).all() and np.isfinite(grad).all()):
+            raise NumericError(
+                f"Newton step failed: the slopes or the gradient at "
+                f"iteration {it} are not finite")
+        moved = globalize(u, step(slopes, grad), grad, res)
         if moved is None:
             raise NonConvergenceError(
                 f"line search stalled at iteration {it} "
@@ -677,8 +683,8 @@ def _gap_newton(op, spectrum, spec, u0, opts, certificate):
 def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
                  spec: NonlinearitySpec,
                  opts: SolverOptions = SolverOptions(),
-                 classification: CaseClassification | None = None,
-                 u0: np.ndarray | None = None) -> SolveReport:
+                 classification: CaseClassification | None = None
+                 ) -> SolveReport:
     """Newton on the gradient in the spectral-gap case (`_gap_newton`),
     certified when the slope-gap check of the classified gap passes
     (`_f2_passed`)."""
@@ -688,8 +694,8 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
     if classification.case is not Case.GAP:
         raise UnsupportedCaseError(classification)
     certificate = _f2_passed(spec, spectrum, classification.k)
-    start = np.zeros(op.size) if u0 is None else np.asarray(u0, dtype=float)
-    u, _, trace = _gap_newton(op, spectrum, spec, start, opts, certificate)
+    u, _, trace = _gap_newton(op, spectrum, spec, np.zeros(op.size), opts,
+                              certificate)
     return _report(op, spec, u, trace)
 
 

@@ -317,6 +317,7 @@ def test_source_profiles():
     lambda: nl.constant_profile(math.nan),
     lambda: nl.polynomial_profile([1.0, math.nan]),
     lambda: nl.nodal_profile([0.0, 1.0], [0.0, math.nan]),
+    lambda: nl.nodal_profile([0.0, math.inf], [1.0, 2.0]),
     lambda: nl.affine(math.nan, nl.constant_profile(1.0)),
     lambda: nl.saturating(math.nan, 1.0, nl.constant_profile(1.0)),
     lambda: nl.saturating(1.0, math.nan, nl.constant_profile(1.0)),
@@ -325,7 +326,7 @@ def test_source_profiles():
     lambda: nl.custom(f=lambda x, t: t, a_profile=np.abs, b=math.nan,
                       alpha_lower=nl.constant_profile(1.0),
                       alpha_upper=nl.constant_profile(1.0)),
-], ids=["constant", "polynomial", "nodal", "affine-m", "saturating-m",
+], ids=["constant", "polynomial", "nodal", "nodal-x", "affine-m", "saturating-m",
         "saturating-delta-nan", "saturating-delta-inf", "bounded-c",
         "custom-b"])
 def test_constructors_refuse_non_finite_parameters(build):

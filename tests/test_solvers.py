@@ -188,7 +188,7 @@ def _count_steps(monkeypatch):
     eigen-coordinates of a resonant iterate from now on:
     {"minres": .., "lu": .., "resonant": ..}"""
     counts = {"minres": 0, "lu": 0, "resonant": 0}
-    for key, name in (("minres", "_minres"), ("lu", "_newton_step"),
+    for key, name in (("minres", "_minres_step"), ("lu", "_newton_step"),
                       ("resonant", "_resonant_step")):
         def spy(*args, key=key, solve=getattr(solvers, name)):
             counts[key] += 1
@@ -216,7 +216,7 @@ def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
         spec = _fixed_gap_spec(lam, k)
         certificate = solvers._f2_passed(spec, sp, k)
         slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
-        step = solvers._minres_step(op, sp, slopes, grad, k,
+        step = solvers._minres_step(op, sp, slopes, grad,
                                     certificate.contraction)
         lu = np.linalg.solve(solvers._system(op, slopes), -grad)
         assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu), (k,)
@@ -244,8 +244,7 @@ def test_newton_step_takes_least_squares_at_resonance(fractional_op,
     (A - lambda_2 M) u is in the range of the system, so u + d is the
     Euclidean projection of u onto span(e_2), to 1e-12 relative to u.
     At N = 512 the LU pivot ratio of A - lambda_2 M is 2.4e-12, and a
-    factored step misses that projection by 8.6e-2.  A NaN gradient
-    raises NumericError."""
+    factored step misses that projection by 8.6e-2."""
     op = fractional_op(0.5, n)
     sp = ns.solve_eigenproblem(op)
     spec = nl.affine(float(sp.eigenvalues[1]), nl.constant_profile(0.0))
@@ -255,8 +254,6 @@ def test_newton_step_takes_least_squares_at_resonance(fractional_op,
     step = solvers._gap_steps(op, sp, None)
     d = step(slopes, eval_gradient(op, spec, u))
     assert counts == {"minres": 0, "lu": 0, "resonant": 1}
-    with pytest.raises(NumericError, match="not finite"):
-        step(slopes, np.full(op.size, np.nan))
     coeffs = np.zeros(sp.size)
     coeffs[1] = 1.0
     e2 = sp.from_eigen(coeffs)
@@ -326,7 +323,8 @@ def test_forged_spectrum_in_a_certified_solve_raises(fractional_op):
 def test_slopes_leaving_the_declared_range_raise(fractional_op):
     """a custom f whose f_t = m + 5 gap t^2 reaches past lambda_3 at the
     iterate, although its declared slope range lies in gap 2: the certified
-    step refuses it instead of solving a system outside the certificate"""
+    run refuses the step instead of solving a system outside the
+    certificate"""
     op = fractional_op(0.5, 64)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
@@ -337,9 +335,11 @@ def test_slopes_leaving_the_declared_range_raise(fractional_op):
                      nl.constant_profile(m), slope_range=(m, m + 0.1 * gap),
                      f_t=lambda x, t: m + 5.0 * gap * t * t)
     assert nl.classify(spec, sp).k == 2
-    assert solvers._f2_passed(spec, sp, 2) is not None
+    certificate = solvers._f2_passed(spec, sp, 2)
+    assert certificate is not None
     with pytest.raises(NonResonanceContradictionError, match="leave"):
-        ns.solve_case_b(op, sp, spec, OPTS, u0=np.full(op.size, 3.0))
+        solvers._gap_newton(op, sp, spec, np.full(op.size, 3.0), OPTS,
+                            certificate)
 
 
 def test_uncertified_step_takes_lu_above_the_minres_bound(fractional_op,
@@ -682,7 +682,7 @@ def test_merit_slope_is_minus_twice_the_merit(fractional_op):
     u = 2.0 * np.cos(3.0 * x) + x
     assert ns.morse_index(op, spec, u) == 2
     grad = eval_gradient(op, spec, u)
-    step = solvers._minres_step(op, sp, solvers._slopes(op, spec, u), grad, 2,
+    step = solvers._minres_step(op, sp, solvers._slopes(op, spec, u), grad,
                                 certificate.contraction)
 
     def phi(t):
@@ -713,7 +713,8 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
                           * gap, g)
             if family == "saturating"
             else nl.bounded_perturbation(lam[1] + 0.5 * gap, 0.3 * gap, g))
-    assert (solvers._f2_passed(spec, sp, 2) is not None) == certified
+    certificate = solvers._f2_passed(spec, sp, 2)
+    assert (certificate is not None) == certified
     x = op.mesh.interior_nodes
     u = 2.0 * np.cos(3.0 * x) + x
     systems = []
@@ -740,7 +741,8 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
 
         monkeypatch.setattr(solvers, "_system", spy)
     with pytest.raises(NonConvergenceError):
-        ns.solve_case_b(op, sp, spec, ns.SolverOptions(max_iter=1), u0=u)
+        solvers._gap_newton(op, sp, spec, u, ns.SolverOptions(max_iter=1),
+                            certificate)
     assert len(systems) == 1
     eps = 1e-5
     fd = np.empty((op.size, op.size))
@@ -879,25 +881,6 @@ def test_uniqueness_probe_inconclusive_when_a_start_fails(op128,
     assert math.isnan(verdict.max_pairwise_z)
 
 
-@pytest.mark.parametrize("slope_range", [None, (20.0, 20.0)],
-                         ids=["uncertified", "certified"])
-def test_case_b_non_finite_system_raises_numeric_error(op128, spectrum128,
-                                                       slope_range):
-    """a NaN f_t makes the Newton system non-finite: NumericError,
-    certified or not.  The certified step refuses it before MINRES; the
-    factored one maps scipy's bare ValueError."""
-    spec = nl.custom(lambda x, t: 20.0 * t + 1.0, lambda x: np.ones_like(x),
-                     20.0, nl.constant_profile(20.0),
-                     nl.constant_profile(20.0), slope_range=slope_range,
-                     f_t=lambda x, t: np.full(np.broadcast(x, t).shape,
-                                              np.nan),
-                     F=lambda x, t: 10.0 * t * t + t)
-    with pytest.raises(NumericError) as err:
-        ns.solve_case_b(op128, spectrum128, spec, OPTS)
-    if slope_range is None:
-        assert isinstance(err.value.__cause__, ValueError)
-
-
 def _first_lu_of_a_process(code: str, *args) -> str:
     """Run code in a fresh interpreter after building op and sp as op128
     and spectrum128 are built, with scipy.linalg not yet loaded; return
@@ -916,27 +899,80 @@ def _first_lu_of_a_process(code: str, *args) -> str:
     return out.stdout.strip()
 
 
-@pytest.mark.parametrize("slope_range", [None, (20.0, 20.0)],
-                         ids=["uncertified", "certified"])
-def test_first_lu_of_a_process_maps_a_non_finite_system(slope_range):
-    """the NaN-slope step above as the first Newton step of a process:
-    NumericError either way.  Uncertified, it is the call that loads
-    scipy.linalg and maps its ValueError; certified, it leaves scipy.linalg
-    unloaded."""
-    code = ("nan_t = lambda x, t: np.full(np.broadcast(x, t).shape, np.nan)\n"
-            "spec = nl.custom(lambda x, t: 20.0 * t + 1.0,\n"
-            "                 lambda x: np.ones_like(x), 20.0,\n"
-            "                 nl.constant_profile(20.0),\n"
-            "                 nl.constant_profile(20.0),\n"
-            f"                 slope_range={slope_range!r}, f_t=nan_t,\n"
-            "                 F=lambda x, t: 10.0 * t * t + t)\n"
+def _nan(x, t):
+    return np.full(np.broadcast(x, t).shape, np.nan)
+
+
+def _step_owner_run(owner, op, sp):
+    """(spec, run, key) of a Newton run on op whose first step the step
+    solver `owner` takes; run(spec, opts) drives it (`solve_case_a`, or
+    `_gap_newton` from a fixed start under the certificate of spec, if
+    any), and key names that solver in `_count_steps`"""
+    lam = sp.eigenvalues
+    gap = lam[2] - lam[1]
+    x = op.mesh.interior_nodes
+    if owner == "coercive-lu":
+        spec = nl.affine(0.0, nl.constant_profile(1.0))
+        return spec, lambda spec, opts: ns.solve_case_a(op, spec, opts), "lu"
+    spec, start, key = {
+        "certified-minres": (
+            nl.saturating(20.0, 0.5, nl.constant_profile(1.0)),
+            np.zeros(op.size), "minres"),
+        "uncertified-minres": (
+            nl.saturating(lam[1] + 0.3 * gap, 1.5 * gap,
+                          nl.constant_profile(5.0)),
+            np.zeros(op.size), "minres"),
+        "resonant": (nl.affine(float(lam[1]), nl.constant_profile(0.0)),
+                     np.cos(3.0 * x), "resonant"),
+        # slopes (lambda_2 + gap/2, lambda_3 + gap/2]: |u| up to 3 puts them
+        # on both sides of lambda_3
+        "straddling-lu": (nl.saturating(lam[1] + 0.5 * gap, gap,
+                                        nl.constant_profile(5.0)),
+                          3.0 * np.cos(3.0 * x), "lu"),
+    }[owner]
+    certificate = solvers._f2_passed(spec, sp, 2)
+    assert (certificate is not None) == (owner == "certified-minres")
+    return spec, (lambda spec, opts: solvers._gap_newton(
+        op, sp, spec, start, opts, certificate)), key
+
+
+@pytest.mark.parametrize("which", ["f", "f_t"])
+@pytest.mark.parametrize("owner", ["coercive-lu", "certified-minres",
+                                   "uncertified-minres", "resonant",
+                                   "straddling-lu"])
+def test_non_finite_iterate_raises_before_any_step(op128, spectrum128,
+                                                   monkeypatch, owner,
+                                                   which):
+    """a NaN f (so a NaN gradient) or a NaN f_t (NaN slopes) is refused by
+    the Newton driver with NumericError before any step solver is called,
+    whichever solver would take the step: the iterate's finite twin takes
+    its first step with exactly that solver.  In a fresh interpreter the
+    uncertified in-gap run loads no scipy.linalg on the way."""
+    spec, run, key = _step_owner_run(owner, op128, spectrum128)
+    counts = _count_steps(monkeypatch)
+    try:
+        run(spec, ns.SolverOptions(max_iter=1))
+    except NonConvergenceError:
+        pass
+    assert counts == {"minres": 0, "lu": 0, "resonant": 0, key: 1}
+    counts.update(minres=0, lu=0, resonant=0)
+    with pytest.raises(NumericError, match="not finite"):
+        run(dataclasses.replace(spec, **{which: _nan}), OPTS)
+    assert counts == {"minres": 0, "lu": 0, "resonant": 0}
+    if owner != "uncertified-minres":
+        return
+    code = ("import dataclasses\n"
+            "lam = sp.eigenvalues\n"
+            "gap = lam[2] - lam[1]\n"
+            "spec = nl.saturating(lam[1] + 0.3 * gap, 1.5 * gap,\n"
+            "                     nl.constant_profile(5.0))\n"
+            "nan = lambda x, t: np.full(np.broadcast(x, t).shape, np.nan)\n"
+            f"spec = dataclasses.replace(spec, {which}=nan)\n"
             "try:\n"
             "    ns.solve_case_b(op, sp, spec, ns.SolverOptions())\n"
-            "except ns.NumericError as exc:\n"
-            "    print(type(exc.__cause__).__name__,\n"
-            "          'scipy.linalg' in sys.modules)\n")
-    expected = "ValueError True" if slope_range is None else "NoneType False"
-    assert _first_lu_of_a_process(code) == expected
+            "except ns.NumericError:\n"
+            "    print('NumericError', 'scipy.linalg' in sys.modules)\n")
+    assert _first_lu_of_a_process(code) == "NumericError False"
 
 
 def test_first_lu_of_a_process_solves_as_in_process(op128, spectrum128,
