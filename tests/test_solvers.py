@@ -881,6 +881,24 @@ def test_uniqueness_probe_inconclusive_when_a_start_fails(op128,
     assert math.isnan(verdict.max_pairwise_z)
 
 
+@pytest.mark.parametrize("slope_range", [None, (20.0, 20.0)],
+                         ids=["uncertified", "certified"])
+def test_case_b_non_finite_system_raises_numeric_error(op128, spectrum128,
+                                                       slope_range):
+    """a NaN f_t makes the Newton system non-finite: NumericError,
+    certified or not, raised by the Newton driver itself rather than
+    mapped from an error of a step solver"""
+    spec = nl.custom(lambda x, t: 20.0 * t + 1.0, lambda x: np.ones_like(x),
+                     20.0, nl.constant_profile(20.0),
+                     nl.constant_profile(20.0), slope_range=slope_range,
+                     f_t=lambda x, t: np.full(np.broadcast(x, t).shape,
+                                              np.nan),
+                     F=lambda x, t: 10.0 * t * t + t)
+    with pytest.raises(NumericError, match="not finite") as err:
+        ns.solve_case_b(op128, spectrum128, spec, OPTS)
+    assert err.value.__cause__ is None
+
+
 def _first_lu_of_a_process(code: str, *args) -> str:
     """Run code in a fresh interpreter after building op and sp as op128
     and spectrum128 are built, with scipy.linalg not yet loaded; return
@@ -897,6 +915,27 @@ def _first_lu_of_a_process(code: str, *args) -> str:
                          env=child_env(), check=True, capture_output=True,
                          text=True, timeout=300)
     return out.stdout.strip()
+
+
+@pytest.mark.parametrize("slope_range", [None, (20.0, 20.0)],
+                         ids=["uncertified", "certified"])
+def test_first_lu_of_a_process_maps_a_non_finite_system(slope_range):
+    """the NaN-slope system above as the first Newton step of a process:
+    NumericError either way, with no cause, and scipy.linalg left
+    unloaded, since the iterate is refused before any step solver runs"""
+    code = ("nan_t = lambda x, t: np.full(np.broadcast(x, t).shape, np.nan)\n"
+            "spec = nl.custom(lambda x, t: 20.0 * t + 1.0,\n"
+            "                 lambda x: np.ones_like(x), 20.0,\n"
+            "                 nl.constant_profile(20.0),\n"
+            "                 nl.constant_profile(20.0),\n"
+            f"                 slope_range={slope_range!r}, f_t=nan_t,\n"
+            "                 F=lambda x, t: 10.0 * t * t + t)\n"
+            "try:\n"
+            "    ns.solve_case_b(op, sp, spec, ns.SolverOptions())\n"
+            "except ns.NumericError as exc:\n"
+            "    print(type(exc.__cause__).__name__,\n"
+            "          'scipy.linalg' in sys.modules)\n")
+    assert _first_lu_of_a_process(code) == "NoneType False"
 
 
 def _nan(x, t):
