@@ -11,8 +11,10 @@ delta*arctan(t) + g(x), bounded_perturbation m*t + c*sin(t) + g(x), and
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,6 +65,12 @@ def polynomial_profile(coeffs) -> SourceProfile:
 
 
 def nodal_profile(x, values) -> SourceProfile:
+    x = list(x)
+    for v in x:  # float() would take a bool or a numeric string
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InvalidParameterError(
+                f"nodal profile x must be real numbers, got {clipped_repr(v)}",
+                "nodal profile x")
     x = np.array([float(v) for v in x])
     values = np.array([check_real("nodal profile value", v) for v in values])
     if len(x) != len(values):
@@ -225,11 +233,20 @@ class Case(enum.Enum):
 
 @dataclass(frozen=True)
 class CaseClassification:
+    """The case of a problem, its gap index k and the slope bounds placed.
+
+    `spectrum` is the spectrum the slopes were placed in, set by `classify`
+    only and None from `classify_slopes`; the solvers solve against it.  It
+    is left out of `to_dict`, repr and equality, so a classification reads
+    and compares by its verdict alone."""
+
     case: Case
     k: int | None = None
     reason: str | None = None
     alpha_inf: float = math.nan
     alpha_sup: float = math.nan
+    spectrum: Spectrum | None = field(default=None, repr=False,
+                                      compare=False)
 
     def to_dict(self) -> dict:
         return {"case": self.case.value, "k": self.k, "reason": self.reason,
@@ -296,8 +313,11 @@ def classify_slopes(alpha_inf: float, alpha_sup: float,
 
 
 def classify(spec: NonlinearitySpec, spectrum: Spectrum) -> CaseClassification:
+    """`classify_slopes` of the spec's slope bounds against `spectrum`, which
+    the classification holds."""
     lo, hi = _alpha_bounds(spec, spectrum.op.mesh)
-    return classify_slopes(lo, hi, spectrum.eigenvalues)
+    return dataclasses.replace(classify_slopes(lo, hi, spectrum.eigenvalues),
+                               spectrum=spectrum)
 
 
 @dataclass(frozen=True)

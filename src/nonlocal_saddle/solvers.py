@@ -2,17 +2,18 @@
 
 The energy is J(u) = 1/2 u'Au - int F(x, u_h) dx; a zero gradient
 A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
-find that zero with one Newton driver on the Hessian A - D(u) and differ
-only in how a step is solved and made safe.  The coercive case factors
-each step and backtracks on J.  A gap-case step is solved by
-preconditioned MINRES in the eigen-coordinates (`_minres_step`)
+find that zero with one Newton driver on the Hessian A - D(u), with one
+step policy (`_gap_steps`), and differ only in how a step is made safe.
+The coercive case is gap 0, the head of the saddle splitting empty: its
+slopes lie below lambda_1 and it backtracks on J (`_armijo`).  A step is
+solved by preconditioned MINRES in the eigen-coordinates (`_minres_step`)
 wherever the slopes are known to lie in a spectral gap, which by
-Courant-Fischer makes the Hessian nonsingular: at every iterate of a run
-certified by the slope-gap check (`_f2_passed`), and at each iterate of
-an uncertified run whose own Gauss-point slope range lies in a gap, unless
-the MINRES bound of that range exceeds N (`_gap_steps`).  An uncertified
-iterate whose slopes are one constant at an eigenvalue takes its step in
-the eigen-coordinates, where the system is diagonal (`_resonant_step`).
+Courant-Fischer makes the Hessian nonsingular: at every iterate of a gap
+run certified by the slope-gap check (`_f2_passed`), and at each iterate
+of any other run whose own Gauss-point slope range lies in a gap, unless
+the MINRES bound of that range exceeds N.  An uncertified iterate whose
+slopes are one constant at an eigenvalue takes its step in the
+eigen-coordinates, where the system is diagonal (`_resonant_step`).
 Every other step is factored by LU.  Each per-iterate fact is stated
 once: the driver (`_newton`) refuses an iterate whose slopes or gradient
 are not finite before any step is solved, and `_gap_steps` places each
@@ -20,24 +21,26 @@ iterate's slope range in the spectrum once (`_placed`), which picks the
 step's solver and, under a certificate, refuses a range outside the
 certificate's gap.  A certified run backtracks on the
 merit |g|_{Z*}^2 / 2, which every Newton step descends because the
-certificate makes the Hessian nonsingular; an uncertified one caps its
+certificate makes the Hessian nonsingular; an uncertified gap run caps its
 steps' Z-norm after STALL_STEPS steps without a new residual minimum.
+Both solvers solve against the spectrum their classification was made in
+(`CaseClassification.spectrum`).
 The geometry probe samples the saddle structure that underpins the
 gap-case existence argument, and the uniqueness probe multi-starts the gap
 driver to test the slope-gap uniqueness prediction; under the certificate
 it tells limits apart by the certificate's error bound C |g|_{Z*}.
 
-A u is always the product of the Toeplitz symbol (`_stiffness_times`).
-The dense A, the read-only `op.stiffness` view, is read only where a
-matrix is factored: copied into a factored step's system (`_system`,
-also the Hessian of `morse_index`) and solved by the steepest-descent
-fallback of the coercive line search (`_armijo`).
+A u is always the product of the Toeplitz symbol (`_stiffness_times`),
+and A^-1 g the diagonal solve in the eigen-coordinates.  The dense A, the
+read-only `op.stiffness` view, is read only where a matrix is factored:
+copied into a factored step's system (`_system`, also the Hessian of
+`morse_index`).
 
 scipy is the package's last dependency beyond numpy, and only for the LU
 of a factored Newton step: `_newton_step` imports `scipy.linalg` at its
 first call, so importing the package, and every run whose Newton steps
-are all solved by MINRES or in the eigen-coordinates, certified or not
-(the resonant probe included), never loads it.
+are all solved by MINRES or in the eigen-coordinates, coercive, certified
+or not (the resonant probe included), never loads it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .nonlinearity import (GAP_MARGIN, Case, CaseClassification,
                            _contraction, _gap_index, check_f2_gap, classify,
                            eval_F, eval_f, eval_f_t)
 from .quadrature import GAUSS_ORDER, gauss_rule
-from .spectral import Spectrum
+from .spectral import Spectrum, solve_eigenproblem
 
 #: factor by which a line search shortens a rejected step
 LINE_SEARCH_CONTRACTION = 0.5
@@ -274,11 +277,18 @@ def _profile_values(name: str, profile, xg: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_pair(op: AssembledOperator, spectrum: Spectrum) -> None:
-    """Refuse a spectrum computed for another operator."""
+def _check_pair(op: AssembledOperator, spectrum: Spectrum | None) -> None:
+    """Refuse a spectrum computed for another operator, and a missing one:
+    a classification holds its spectrum only when `classify` made it, not
+    `classify_slopes`."""
+    if spectrum is None:
+        raise InvalidParameterError(
+            "classification holds no spectrum to solve against: make it "
+            "with classify(spec, spectrum), not classify_slopes")
     if spectrum.op is not op:
         raise InvalidParameterError(
-            "spectrum was solved for another operator than the one given")
+            "spectrum, given or held by the classification, was solved for "
+            "another operator than the one given")
 
 
 def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
@@ -467,7 +477,8 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
 
 
 def _gap_steps(op, spectrum, certificate):
-    """step(slopes, grad), the Newton step of a gap run.  Each iterate is
+    """step(slopes, grad), the Newton step of every run, the coercive one
+    (gap 0, no certificate) included.  Each iterate is
     placed once, by its own slope range (`_placed`).  Under the slope-gap
     report `certificate` the range must lie in the certificate's gap k,
     or the step raises NonResonanceContradictionError; the step is then
@@ -503,7 +514,7 @@ def _newton(op, spec, u0, tol, max_iter, globalize, step):
     """Newton on A u - b(u) from u0; returns u, its gradient and the
     residual of every iterate.  step(slopes, grad) solves the Newton
     system A - W at an iterate with Gauss-point slopes `slopes`
-    (`_slopes`) and gradient grad (`_newton_step`, `_gap_steps`);
+    (`_slopes`) and gradient grad (`_gap_steps`);
     globalize(u, step, grad, res) turns that step into the next iterate
     and returns it with its gradient and residual (`_gradient`), or
     returns None when it finds no acceptable one.  An iterate whose
@@ -535,24 +546,21 @@ def _newton(op, spec, u0, tol, max_iter, globalize, step):
         f"(last residual {trace[-1]:.3e})", trace=trace)
 
 
-def _armijo(op, spec, u0):
+def _armijo(op, spec, spectrum, u0):
     """Backtrack along the Newton step until J drops by 1e-4 of the
     predicted decrease, up to a few roundings of J, below which no decrease
     can be seen.  A Newton step that does not descend is replaced by
-    steepest descent in the Z inner product, -A^-1 grad, which descends
-    because A is SPD; the Euclidean -grad is badly scaled for an H^s
-    energy."""
+    steepest descent in the Z inner product, -A^-1 grad = -E Lambda^-1 E^T
+    grad in the eigen-coordinates of `spectrum`, which descends because A
+    is SPD; the Euclidean -grad is badly scaled for an H^s energy."""
     j_val = eval_J(op, spec, u0)
 
     def globalize(u, step, grad, res):
         nonlocal j_val
         slope = float(grad @ step)
         if slope >= 0.0:
-            try:
-                step = -np.linalg.solve(op.stiffness, grad)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(
-                    f"steepest-descent step failed: {exc}") from exc
+            step = -spectrum.from_eigen(spectrum.to_eigen(grad)
+                                        / spectrum.eigenvalues)
             slope = float(grad @ step)
         slack = 4.0 * np.finfo(float).eps * abs(j_val)
         t = 1.0
@@ -644,13 +652,21 @@ def _report(op, spec, u, trace) -> SolveReport:
 def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
                  opts: SolverOptions = SolverOptions(),
                  classification: CaseClassification | None = None) -> SolveReport:
-    """Direct minimization of J by Newton with an Armijo line search."""
-    if classification is not None and classification.case is not Case.COERCIVE:
+    """Direct minimization of J in the coercive case, gap 0: Newton from 0
+    with the steps of `_gap_steps` in the spectrum of the classification
+    and an Armijo line search on J (`_armijo`).  Without a classification
+    the spec is classified on `solve_eigenproblem(op)`; a case other than
+    coercive raises UnsupportedCaseError."""
+    if classification is None:
+        classification = classify(spec, solve_eigenproblem(op))
+    spectrum = classification.spectrum
+    _check_pair(op, spectrum)
+    if classification.case is not Case.COERCIVE:
         raise UnsupportedCaseError(classification)
     u0 = np.zeros(op.size)
     u, _, trace = _newton(op, spec, u0, opts.tol, opts.max_iter,
-                          _armijo(op, spec, u0),
-                          lambda slopes, grad: _newton_step(op, slopes, grad))
+                          _armijo(op, spec, spectrum, u0),
+                          _gap_steps(op, spectrum, None))
     return _report(op, spec, u, trace)
 
 
@@ -685,12 +701,15 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
                  opts: SolverOptions = SolverOptions(),
                  classification: CaseClassification | None = None
                  ) -> SolveReport:
-    """Newton on the gradient in the spectral-gap case (`_gap_newton`),
-    certified when the slope-gap check of the classified gap passes
-    (`_f2_passed`)."""
+    """Newton on the gradient in the spectral-gap case (`_gap_newton`) in
+    the spectrum of the classification (by default `classify(spec,
+    spectrum)`), certified when the slope-gap check of the classified gap
+    passes (`_f2_passed`)."""
     _check_pair(op, spectrum)
     if classification is None:
         classification = classify(spec, spectrum)
+    spectrum = classification.spectrum
+    _check_pair(op, spectrum)
     if classification.case is not Case.GAP:
         raise UnsupportedCaseError(classification)
     certificate = _f2_passed(spec, spectrum, classification.k)

@@ -267,6 +267,24 @@ def test_classify_x_dependent_slopes(spectrum128):
     assert "straddles" in c.reason
 
 
+def test_classify_holds_its_spectrum_outside_the_verdict(spectrum128):
+    """classify keeps the spectrum it placed the slopes in, and
+    classify_slopes none; the field is left out of to_dict, repr and
+    equality, so the verdict reads and compares as before"""
+    spec = nl.saturating(20.0, 0.5, nl.constant_profile(1.0))
+    c = nl.classify(spec, spectrum128)
+    bare = nl.classify_slopes(c.alpha_inf, c.alpha_sup,
+                              spectrum128.eigenvalues)
+    assert c.spectrum is spectrum128 and bare.spectrum is None
+    assert c == bare and hash(c) == hash(bare)
+    assert repr(c) == repr(bare) == (
+        "CaseClassification(case=<Case.GAP: 'gap'>, k=2, reason=None, "
+        "alpha_inf=20.0, alpha_sup=20.0)")
+    assert c.to_dict() == bare.to_dict() == {
+        "case": "gap", "k": 2, "reason": None, "alpha_inf": 20.0,
+        "alpha_sup": 20.0}
+
+
 # ---------------------------------------------------------------------------
 # (f2) slope-gap check
 # ---------------------------------------------------------------------------
@@ -318,6 +336,9 @@ def test_source_profiles():
     lambda: nl.polynomial_profile([1.0, math.nan]),
     lambda: nl.nodal_profile([0.0, 1.0], [0.0, math.nan]),
     lambda: nl.nodal_profile([0.0, math.inf], [1.0, 2.0]),
+    lambda: nl.nodal_profile([False, True], [1.0, 2.0]),
+    lambda: nl.nodal_profile(["0", "1"], [1.0, 2.0]),
+    lambda: nl.nodal_profile(["a", "1"], [1.0, 2.0]),
     lambda: nl.affine(math.nan, nl.constant_profile(1.0)),
     lambda: nl.saturating(math.nan, 1.0, nl.constant_profile(1.0)),
     lambda: nl.saturating(1.0, math.nan, nl.constant_profile(1.0)),
@@ -326,12 +347,15 @@ def test_source_profiles():
     lambda: nl.custom(f=lambda x, t: t, a_profile=np.abs, b=math.nan,
                       alpha_lower=nl.constant_profile(1.0),
                       alpha_upper=nl.constant_profile(1.0)),
-], ids=["constant", "polynomial", "nodal", "nodal-x", "affine-m", "saturating-m",
+], ids=["constant", "polynomial", "nodal", "nodal-x", "nodal-x-bool",
+        "nodal-x-numeric-str", "nodal-x-str", "affine-m", "saturating-m",
         "saturating-delta-nan", "saturating-delta-inf", "bounded-c",
         "custom-b"])
 def test_constructors_refuse_non_finite_parameters(build):
-    """a NaN or inf parameter is bad input when the spec is built, not a
-    numeric failure inside a later Newton step"""
+    """a NaN or inf parameter, or a nodal x that is not a real number (a
+    bool or a string, which float() would take or fail on), is bad input
+    when the spec is built, not a numeric failure inside a later Newton
+    step"""
     with pytest.raises(InvalidParameterError):
         build()
 

@@ -414,15 +414,16 @@ def test_case_a_falls_back_to_steepest_descent(op128, spectrum128,
     """saturating(0, 1.5 lambda_1, g = 1) is coercive by its asymptotic
     slopes, but f_t = 1.5 lambda_1 at t = 0 makes the Hessian indefinite
     near 0, so Newton steps there need not descend; Armijo then searches
-    along the Z-gradient -A^-1 grad and still reaches the minimizer."""
+    along the Z-gradient -A^-1 grad, taken in the eigen-coordinates, and
+    still reaches the minimizer."""
     lam1 = float(spectrum128.eigenvalues[0])
     spec = nl.saturating(0.0, 1.5 * lam1, nl.constant_profile(1.0))
     assert nl.classify(spec, spectrum128).case is nl.Case.COERCIVE
     ascent = []
     armijo = solvers._armijo
 
-    def spy(op, spec, u0):
-        globalize = armijo(op, spec, u0)
+    def spy(op, spec, spectrum, u0):
+        globalize = armijo(op, spec, spectrum, u0)
 
         def wrapped(u, step, grad, res):
             ascent.append(float(grad @ step) >= 0.0)
@@ -457,14 +458,14 @@ def test_case_a_fallback_converges_at_n512(ops_refinement, lo, hi):
 
 
 #: J at the solution of saturating(0, lambda_j, g = 1) from u = 0, by N and
-#: j, as reached when the singular first step was taken by least squares
-#: (N = 32 and 128, j = 1 and 3) or by LU (the others).  None where the
-#: critical point reached depends on the rounding of the singular LU step:
-#: at N = 512, j = 3, J is -0.0478 with one BLAS thread and -97.85 with two
+#: j: the minimizer, which every case reaches with one and with two BLAS
+#: threads since the singular first step is taken in the eigen-coordinates
+#: (`_resonant_step`).  A factored first step reached a saddle of Morse
+#: index 2 at N = 512, j = 3 with one thread
 SINGULAR_START_J = {
     32: (-1.0281535580183645, -25.930149492387613, -97.61101730143466),
     128: (-1.0358510343627199, -25.991318425473445, -97.82123048177303),
-    512: (-1.0377789066829495, -26.000728429374163, None),
+    512: (-1.0377789066829495, -26.000728429374163, -97.8478710697663),
 }
 
 
@@ -472,9 +473,10 @@ SINGULAR_START_J = {
 def test_case_a_converges_from_a_singular_start(ops_refinement, n):
     """f_t = lambda_j at u = 0 for saturating(0, lambda_j, g = 1), so the
     Hessian A - lambda_j M of the first Newton step is singular (the
-    slopes touch lambda_j); its LU step still leads the Armijo search to
-    a critical point below J(0) = 0, for j = 1, 2, 3, with J as recorded
-    to 1e-12"""
+    slopes touch lambda_j); its step, taken in the eigen-coordinates,
+    still leads the Armijo search to the minimizer, a critical point of
+    Morse index 0 below J(0) = 0, for j = 1, 2, 3, with J as recorded to
+    1e-12"""
     op = ops_refinement[n]
     sp = ns.solve_eigenproblem(op)
     for j, expected in enumerate(SINGULAR_START_J[n], start=1):
@@ -486,18 +488,19 @@ def test_case_a_converges_from_a_singular_start(ops_refinement, n):
         rep = ns.solve_case_a(op, spec, OPTS)
         assert rep.residual_inf <= OPTS.tol, j
         assert rep.j_value < 0.0, j
-        if expected is not None:
-            assert rep.j_value == pytest.approx(expected, rel=1e-12,
-                                                abs=0), j
+        assert rep.j_value == pytest.approx(expected, rel=1e-12, abs=0), j
+        assert ns.morse_index(op, spec, rep.solution) == 0, j
 
 
-def test_case_a_singular_fallback_is_a_numeric_error(op128, spectrum128):
-    """a zero stiffness makes the Newton step ascend and the Z-gradient
-    solve singular: LAPACK's error becomes NumericError"""
+def test_case_a_refuses_a_zero_stiffness(op128, spectrum128):
+    """a zero stiffness has every eigenvalue 0, so the slopes of a spec
+    coercive on op128 touch all of them: the classification that
+    solve_case_a makes on the operator's own spectrum refuses it before any
+    step"""
     lam1 = float(spectrum128.eigenvalues[0])
     spec = nl.saturating(0.0, 1.5 * lam1, nl.constant_profile(1.0))
     bad = dataclasses.replace(op128, symbol=np.zeros_like(op128.symbol))
-    with pytest.raises(NumericError, match="steepest-descent step failed"):
+    with pytest.raises(UnsupportedCaseError, match="straddles lambda_1"):
         ns.solve_case_a(bad, spec, OPTS)
 
 
@@ -505,6 +508,45 @@ def test_case_a_refuses_gap_problem(op128, spectrum128, gap_spec):
     cls = nl.classify(gap_spec, spectrum128)
     with pytest.raises(UnsupportedCaseError):
         ns.solve_case_a(op128, gap_spec, OPTS, classification=cls)
+
+
+def test_case_a_without_classification_refuses_gap_problem(op128, gap_spec):
+    """without a classification solve_case_a classifies on the operator's
+    own spectrum and refuses a gap spec, as solve_case_b refuses a
+    coercive one, instead of running Newton ungated until it runs out of
+    iterations"""
+    with pytest.raises(UnsupportedCaseError, match="gap"):
+        ns.solve_case_a(op128, gap_spec, OPTS)
+
+
+def test_solvers_refuse_a_classification_of_another_operator(op128,
+                                                             spectrum128):
+    """both solvers solve against the spectrum their classification holds:
+    one made on the same mesh over (-2, 2), where saturating(lambda_2 +
+    0.2, 0.6 gap, g = 5) lies in gap 3 instead of gap 2, and one from
+    classify_slopes, which holds no spectrum, are refused"""
+    lam = spectrum128.eigenvalues
+    gap = lam[2] - lam[1]
+    gap_spec = nl.saturating(lam[1] + 0.2, 0.6 * gap,
+                             nl.constant_profile(5.0))
+    coercive = nl.saturating(0.0, 0.5, nl.constant_profile(1.0))
+    wide = ns.solve_eigenproblem(ns.assemble(
+        ns.build_uniform_mesh(-2.0, 2.0, 128), ns.make_fractional_kernel(0.5)))
+    assert nl.classify(gap_spec, spectrum128).k == 2
+    assert nl.classify(gap_spec, wide).k == 3
+    for spec, solve in (
+            (coercive, lambda cls: ns.solve_case_a(op128, coercive, OPTS,
+                                                   classification=cls)),
+            (gap_spec, lambda cls: ns.solve_case_b(op128, spectrum128,
+                                                   gap_spec, OPTS,
+                                                   classification=cls))):
+        with pytest.raises(InvalidParameterError, match="another operator"):
+            solve(nl.classify(spec, wide))
+        bare = nl.classify_slopes(*nl._alpha_bounds(spec, op128.mesh),
+                                  lam)
+        assert bare == nl.classify(spec, spectrum128)
+        with pytest.raises(InvalidParameterError, match="no spectrum"):
+            solve(bare)
 
 
 def test_case_a_minimizes(op128, rng):
@@ -944,15 +986,19 @@ def _nan(x, t):
 
 def _step_owner_run(owner, op, sp):
     """(spec, run, key) of a Newton run on op whose first step the step
-    solver `owner` takes; run(spec, opts) drives it (`solve_case_a`, or
-    `_gap_newton` from a fixed start under the certificate of spec, if
-    any), and key names that solver in `_count_steps`"""
+    solver `owner` takes; run(spec, opts) drives it (`solve_case_a` in the
+    classification on sp, or `_gap_newton` from a fixed start under the
+    certificate of spec, if any), and key names that solver in
+    `_count_steps`.  The coercive run starts from 0, where the slopes of
+    its spec are the constant 0, below lambda_1: its first step is a MINRES
+    step in gap 0"""
     lam = sp.eigenvalues
     gap = lam[2] - lam[1]
     x = op.mesh.interior_nodes
-    if owner == "coercive-lu":
+    if owner == "coercive-minres":
         spec = nl.affine(0.0, nl.constant_profile(1.0))
-        return spec, lambda spec, opts: ns.solve_case_a(op, spec, opts), "lu"
+        return spec, (lambda spec, opts: ns.solve_case_a(
+            op, spec, opts, classification=nl.classify(spec, sp))), "minres"
     spec, start, key = {
         "certified-minres": (
             nl.saturating(20.0, 0.5, nl.constant_profile(1.0)),
@@ -976,7 +1022,7 @@ def _step_owner_run(owner, op, sp):
 
 
 @pytest.mark.parametrize("which", ["f", "f_t"])
-@pytest.mark.parametrize("owner", ["coercive-lu", "certified-minres",
+@pytest.mark.parametrize("owner", ["coercive-minres", "certified-minres",
                                    "uncertified-minres", "resonant",
                                    "straddling-lu"])
 def test_non_finite_iterate_raises_before_any_step(op128, spectrum128,
