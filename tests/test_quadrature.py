@@ -22,11 +22,11 @@ def test_package_import_leaves_out_scipy_integrate():
 
 
 def test_only_a_factored_newton_system_loads_scipy_linalg(tmp_path):
-    """scipy.linalg is imported at the first LU of a Newton system: the
-    package, the four subcommands that solve none and `solve` on the
-    certified GAP_CONFIG, whose steps are all MINRES steps, leave it out;
-    `solve` on a config whose slope range reaches past lambda_3 (f2 fails)
-    factors its steps and loads it."""
+    """scipy.linalg is imported at the first LU of a Newton system or a
+    Morse count: the package, the four subcommands that solve none and
+    `solve` on the certified GAP_CONFIG, whose steps are all MINRES steps,
+    leave it out; `solve` on a config whose slope range reaches past
+    lambda_3 (f2 fails) factors its steps and loads it."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(GAP_CONFIG))
     uncertified = tmp_path / "uncertified.json"

@@ -858,6 +858,54 @@ def test_morse_index_equals_gap_index(op128, spectrum128):
         assert ns.morse_index(op128, spec, rep.solution) == k
 
 
+@pytest.mark.parametrize("n, exponents", [
+    (32, (0.25, 0.5, 0.75)), (128, (0.25, 0.5, 0.75)),
+    (512, (0.25, 0.5, 0.75)), (1024, (0.75,))],
+    ids=["32", "128", "512", "1024-s0.75"])
+def test_morse_index_equals_the_eigvalsh_count(fractional_op, n, exponents):
+    """at random iterates of both bounded families, with slope ranges that
+    straddle several eigenvalues from gap 1, 2, 3 or the middle of the
+    spectrum on, the Bunch-Kaufman count equals the number of negative
+    eigenvalues of the Hessian, computed here by eigvalsh; at least one of
+    the Hessians factors with a 2 x 2 pivot block, so the count of the
+    blocks is exercised too"""
+    from scipy.linalg import lapack
+    rng = np.random.default_rng(n)
+    blocks = 0
+    for s in exponents:
+        op = fractional_op(s, n)
+        lam = ns.solve_eigenproblem(op).eigenvalues
+        for family in (nl.saturating, nl.bounded_perturbation):
+            for k in (1, 2, 3, op.size // 2):
+                spec = family(lam[k - 1] + 0.3 * (lam[k] - lam[k - 1]),
+                              2.0 * (lam[k + 1] - lam[k - 1]),
+                              nl.constant_profile(1.0))
+                u = rng.uniform(-3.0, 3.0, op.size)
+                hessian = solvers._system(op, solvers._slopes(op, spec, u))
+                want = int(np.sum(np.linalg.eigvalsh(hessian) < 0.0))
+                assert ns.morse_index(op, spec, u) == want, (s, k, family)
+                # a 2 x 2 block marks both its rows with a negative ipiv
+                blocks += np.count_nonzero(lapack.dsytrf(hessian)[1] < 0) // 2
+    assert blocks > 0
+
+
+@pytest.mark.parametrize("u, nan_slopes, error", [
+    pytest.param(np.nan, False, InvalidParameterError, id="nan-u"),
+    pytest.param(np.inf, False, InvalidParameterError, id="inf-u"),
+    pytest.param(0.0, True, NumericError, id="nan-f_t"),
+])
+def test_morse_index_refuses_a_non_finite_iterate(op128, gap_spec, u,
+                                                  nan_slopes, error):
+    """a u that is not finite is refused as a parameter, and slopes that are
+    not finite as a numeric failure, before the Hessian is factored: an
+    infinite u has finite saturating slopes, so nothing else would refuse
+    it, and a NaN Hessian factors without a complaint"""
+    if nan_slopes:
+        gap_spec = dataclasses.replace(gap_spec, f_t=_nan)
+    with pytest.raises(error, match="not finite"):
+        ns.morse_index(op128, gap_spec, np.full(op128.size, u))
+
+
 def test_residual_weakform_zero_at_linear_solution(op128, spectrum128):
     spec = nl.affine(10.0, nl.constant_profile(1.0))
     u = linear_nonresonant_solve(op128, spectrum128, 10.0,
@@ -1319,6 +1367,26 @@ def test_geometry_probe_coercive_positive(op128, spectrum128):
     assert [s.radius for s in probe.tail] == [10.0, 100.0, 1000.0]
     for sample in probe.tail:
         assert sample.extreme_ratio_l2 > 0.0
+
+
+def test_geometry_probe_loads_no_numpy_ma():
+    """the probe takes its sorted distinct Z-norms without np.unique, which
+    imports numpy.ma: a fresh interpreter that builds an operator and runs
+    the gap and the coercive probe leaves it out"""
+    code = ("import sys\n"
+            "import nonlocal_saddle as ns\n"
+            "from nonlocal_saddle import nonlinearity as nl\n"
+            "op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 32),\n"
+            "                 ns.make_fractional_kernel(0.5))\n"
+            "sp = ns.solve_eigenproblem(op)\n"
+            "spec = nl.saturating(20.0, 0.5, nl.constant_profile(1.0))\n"
+            "for k in (2, 0):\n"
+            "    ns.geometry_probe(op, sp, spec, k)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("kwargs", [
