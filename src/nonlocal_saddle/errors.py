@@ -109,7 +109,10 @@ class AssemblyCorruptionError(NonlocalSaddleError):
 
 
 class NumericError(NonlocalSaddleError):
-    """Numerical failure: unresolved quadrature or a failed LAPACK call."""
+    """Numerical failure: unresolved quadrature, a failed LAPACK call, a
+    non-finite Newton iterate, or a Newton step whose slopes lie in no gap
+    and whose MINRES misses its tolerance or its system, as a singular
+    Hessian makes it."""
 
 
 class ResonanceError(NonlocalSaddleError, ValueError):
@@ -121,7 +124,7 @@ class NonResonanceContradictionError(NonlocalSaddleError):
 
     The gap was placed by a slope-gap certificate, by the weight of a
     linear solve or by the iterate's own slopes.  A step whose slopes leave
-    it, whose MINRES misses its tolerance within the gap's bound, or that
+    it, whose MINRES misses its tolerance within its budget, or that
     misses its system signals a slope range that f_t does not keep or an
     assembly or spectrum bug rather than a user error.
     """

@@ -5,21 +5,22 @@ A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
 find that zero with one Newton driver on the Hessian A - D(u), with one
 step policy (`_gap_steps`), and differ only in how a step is made safe.
 The coercive case is gap 0, the head of the saddle splitting empty: its
-slopes lie below lambda_1 and it backtracks on J (`_armijo`).  A step is
-solved by preconditioned MINRES in the eigen-coordinates (`_minres_step`)
-wherever the slopes are known to lie in a spectral gap, which by
-Courant-Fischer makes the Hessian nonsingular: at every iterate of a gap
-run certified by the slope-gap check (`_f2_passed`), and at each iterate
-of any other run whose own Gauss-point slope range lies in a gap, unless
-the MINRES bound of that range exceeds N.  An uncertified iterate whose
-slopes are one constant at an eigenvalue takes its step in the
-eigen-coordinates, where the system is diagonal (`_resonant_step`).
-Every other step is factored by LU.  Each per-iterate fact is stated
+slopes lie below lambda_1 and it backtracks on J (`_armijo`).  Every
+step is solved in the eigen-coordinates.  An uncertified iterate whose
+slopes are one constant at an eigenvalue takes its step there, where the
+system is diagonal (`_resonant_step`); every other step is solved by
+preconditioned MINRES (`_minres_step`), within a budget that a slope
+range in a spectral gap (Courant-Fischer then makes the Hessian
+nonsingular) bounds by the gap's contraction, whatever the mesh: the
+range of a slope-gap certificate (`_f2_passed`) at every iterate of a
+certified gap run, and otherwise the iterate's own Gauss-point range.  A
+range that straddles an eigenvalue claims no gap, and its step gets the
+budget of a general symmetric system.  Each per-iterate fact is stated
 once: the driver (`_newton`) refuses an iterate whose slopes or gradient
 are not finite before any step is solved, and `_gap_steps` places each
 iterate's slope range in the spectrum once (`_placed`), which picks the
-step's solver and, under a certificate, refuses a range outside the
-certificate's gap.  A certified run backtracks on the
+step's solver and budget and, under a certificate, refuses a range
+outside the certificate's gap.  A certified run backtracks on the
 merit |g|_{Z*}^2 / 2, which every Newton step descends because the
 certificate makes the Hessian nonsingular; an uncertified gap run caps its
 steps' Z-norm after STALL_STEPS steps without a new residual minimum.
@@ -33,16 +34,13 @@ it tells limits apart by the certificate's error bound C |g|_{Z*}.
 A u is always the product of the Toeplitz symbol (`_stiffness_times`),
 and A^-1 g the diagonal solve in the eigen-coordinates.  The dense A, the
 read-only `op.stiffness` view, is read only where a matrix is factored:
-copied into a factored step's system (`_system`, also the Hessian of
-`morse_index`).
+copied into the Hessian of `morse_index` (`_system`).
 
-scipy is the package's last dependency beyond numpy, and only for two
-factorizations: the LU of a factored Newton step and the Bunch-Kaufman
-LDL^T whose inertia `morse_index` counts.  `_newton_step` and
-`morse_index` import `scipy.linalg` at their first call, so importing the
-package, and every run that counts no Morse index and whose Newton steps
-are all solved by MINRES or in the eigen-coordinates, coercive, certified
-or not (the resonant probe included), never loads it.
+scipy is the package's last dependency beyond numpy, and only for one
+factorization: the Bunch-Kaufman LDL^T whose inertia `morse_index`
+counts.  `morse_index` imports `scipy.linalg` at its first call, so
+importing the package and every Newton run, coercive, gap, certified or
+not (the resonant probe included), never loads it.
 """
 
 from __future__ import annotations
@@ -91,15 +89,15 @@ DISTINCT_SOLUTION_Z = 1.0e-8
 DISTINCT_ROUNDING_Z = 1.0e-12
 
 #: relative preconditioned residual at which the MINRES of a Newton step
-#: in a gap (`_minres_step`) stops.  The steps it gives differ from the
-#: LU steps by at most 3e-13 in relative Z-norm on the benchmark sweep
-#: (N = 512); the uncertified in-gap steps of its f2-failing case, 283 of
-#: them over seeds 1-10, by at most 1.4e-13.
+#: (`_minres_step`) stops.  The steps it gives differ from the dense
+#: solves by at most 3e-13 in relative Z-norm on the benchmark sweep
+#: (N = 512); the uncertified steps of its f2-failing case over seeds
+#: 1-10, in a gap or straddling an eigenvalue, by at most 1.4e-13.
 MINRES_TOL = 1.0e-14
 
 #: MINRES iterations allowed beyond the bound 2 ceil(log(MINRES_TOL / 2) /
-#: log rho) of a step in a gap, for rounding: a constant weight (rho = 0)
-#: takes two
+#: log rho) of a step in a gap, and beyond twice the size of any step's
+#: system, for rounding: a constant weight (rho = 0) takes two
 MINRES_SLACK = 4
 
 #: largest normwise backward error |(A - W) d + g|_inf / (|A d|_inf +
@@ -336,19 +334,6 @@ def _placed(lo: float, hi: float, eigenvalues: np.ndarray):
 # Newton iterations
 # ---------------------------------------------------------------------------
 
-def _newton_step(op: AssembledOperator, slopes: np.ndarray,
-                 grad: np.ndarray) -> np.ndarray:
-    """The step (A - W)^-1 (-grad) for the slope values `slopes` (see
-    `_system`) by LU.  The system is exactly symmetric, so its C-ordered
-    copy, transposed, is the same matrix F-contiguous, which LAPACK
-    factors in place.  `_newton` has refused non-finite slopes and
-    gradients, so the system is finite."""
-    import scipy.linalg  # here, so only a process that factors pays for it
-    system = _system(op, slopes).T
-    return scipy.linalg.lu_solve(
-        scipy.linalg.lu_factor(system, overwrite_a=True), -grad)
-
-
 def _resonant_step(spectrum: Spectrum, m: float,
                    grad: np.ndarray) -> np.ndarray:
     """The step of an iterate whose slopes are the one constant m at an
@@ -374,11 +359,11 @@ def _resonant_step(spectrum: Spectrum, m: float,
 
 def _minres(apply, rhs: np.ndarray, tol: float, max_iter: int):
     """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for
-    apply(x) = rhs, `apply` a symmetric nonsingular operator, in the
-    recurrences of Choi, Paige & Saunders (SIAM J. Sci. Comput. 33,
-    2011).  Returns x and its iteration count once the residual that
-    the recurrence tracks is at most tol |rhs|, or None after max_iter
-    iterations without."""
+    apply(x) = rhs, `apply` a symmetric operator, in the recurrences of
+    Choi, Paige & Saunders (SIAM J. Sci. Comput. 33, 2011).  Returns x
+    and its iteration count once the residual that the recurrence tracks
+    is at most tol |rhs|, or None after max_iter iterations without, or
+    when a rotation vanishes, as it can on a singular operator."""
     beta = float(np.linalg.norm(rhs))
     x = np.zeros_like(rhs)
     if beta == 0.0:
@@ -415,13 +400,14 @@ def _minres(apply, rhs: np.ndarray, tol: float, max_iter: int):
 
 
 def _minres_bound(contraction: float) -> int:
-    """The MINRES iterations a step in a gap may take: on a spectrum in
-    +-[1 - rho, 1 + rho] the residual after j iterations is at most
-    2 rho^floor(j/2) times the first (the two-interval bound; Elman,
-    Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*, 2nd
-    ed., 2014), so 2 ceil(log(MINRES_TOL / 2) / log rho) iterations reach
-    MINRES_TOL in exact arithmetic; MINRES_SLACK more allow for
-    rounding."""
+    """The MINRES iterations a step in a gap may take by its contraction:
+    on a spectrum in +-[1 - rho, 1 + rho] the residual after j iterations
+    is at most 2 rho^floor(j/2) times the first (the two-interval bound;
+    Elman, Silvester & Wathen, *Finite Elements and Fast Iterative
+    Solvers*, 2nd ed., 2014), so 2 ceil(log(MINRES_TOL / 2) / log rho)
+    iterations reach MINRES_TOL in exact arithmetic; MINRES_SLACK more
+    allow for rounding.  `_minres_step` caps it by the size of the
+    system."""
     if not contraction > 0.0:
         return MINRES_SLACK
     rho = min(contraction, math.nextafter(1.0, 0.0))
@@ -431,24 +417,32 @@ def _minres_bound(contraction: float) -> int:
 
 def _minres_step(op: AssembledOperator, spectrum: Spectrum,
                  slopes: np.ndarray, grad: np.ndarray,
-                 contraction: float) -> np.ndarray:
+                 contraction: float | None) -> np.ndarray:
     """The step d = (A - W)^-1 (-grad) for the slope values `slopes` (see
-    `_system`) of an iterate whose slope range its caller has placed in a
-    gap k (`_placed`), without forming A - W.  `contraction` rho is that
-    of a range containing the slopes: a slope-gap certificate's
-    (`SlopeGapReport.contraction`), or the iterate's own (`_placed`).  By
-    Courant-Fischer A - W is then nonsingular with Morse index k.
+    `_system`), without forming A - W: the one solver of every Newton step
+    but a resonant one.  `contraction` rho is that of a gap k (`_placed`)
+    holding the slopes: a slope-gap certificate's
+    (`SlopeGapReport.contraction`), or the iterate's own.  By
+    Courant-Fischer A - W is then nonsingular with Morse index k.  It is
+    None where the slope range lies in no gap, straddling an eigenvalue
+    or within GAP_MARGIN of one, so that A - W is singular only by
+    accident.
 
     In the eigen-coordinates of `Spectrum.to_eigen` the system is
     (Lambda - E^T W E) y = -E^T grad, d = E y.  With c the midpoint of the
     iterate's slope range, MINRES solves it preconditioned symmetrically
-    by |Lambda - c|^-1, whose spectrum the certificate puts in
-    +-[1 - rho, 1 + rho] (`_contraction`), so `_minres_bound(rho)`
-    iterations suffice whatever the mesh; each costs one E, one W and one
-    E^T.  The step raises NonResonanceContradictionError when MINRES does
-    not reach MINRES_TOL within the bound, or when d misses the nodal
-    system by a normwise backward error above STEP_BACKWARD_ERROR, which
-    a spectrum that does not belong to A gives."""
+    by |Lambda - c|^-1; each iteration costs one E, one W and one E^T.
+    In a gap the preconditioned spectrum lies in +-[1 - rho, 1 + rho]
+    (`_contraction`), so `_minres_bound(rho)` iterations suffice whatever
+    the mesh.  On any system of size n MINRES terminates within n
+    iterations in exact arithmetic; 2 n + MINRES_SLACK allows for rounding
+    (the most a straddling step was seen to take is 2 n + 1), and caps
+    every budget.  The step raises when MINRES misses MINRES_TOL
+    within its budget, or when d misses the nodal system by a normwise
+    backward error above STEP_BACKWARD_ERROR: in a gap this is
+    NonResonanceContradictionError, which a spectrum that does not belong
+    to A gives, and in no gap NumericError, which a singular A - W
+    gives."""
     lo, hi = float(slopes.min()), float(slopes.max())
     bands = _weight_bands(op, slopes)
     lam = spectrum.eigenvalues
@@ -459,39 +453,41 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
         return scale * (lam * y - spectrum.to_eigen(
             _tridiagonal(bands, spectrum.from_eigen(y))))
 
-    bound = _minres_bound(contraction)
+    bound = 2 * op.size + MINRES_SLACK
+    if contraction is None:
+        error = NumericError
+        claim = f"at slopes [{lo:.6g}, {hi:.6g}] in no gap"
+    else:
+        bound = min(bound, _minres_bound(contraction))
+        error = NonResonanceContradictionError
+        claim = f"although the slopes lie in a gap (rho = {contraction:.6g})"
     found = _minres(apply, -scale * spectrum.to_eigen(grad), MINRES_TOL,
                     bound)
     if found is None:
-        raise NonResonanceContradictionError(
-            f"MINRES missed {MINRES_TOL:g} within {bound} iterations "
-            f"although the slopes lie in a gap (rho = {contraction:.6g})")
+        raise error(f"MINRES missed {MINRES_TOL:g} within {bound} "
+                    f"iterations {claim}")
     step = spectrum.from_eigen(scale * found[0])
     a_step, w_step = _stiffness_times(op, step), _tridiagonal(bands, step)
     scale_inf = (np.abs(a_step).max() + np.abs(w_step).max()
                  + np.abs(grad).max())
     backward = float(np.abs(a_step - w_step + grad).max() / scale_inf)
     if not backward <= STEP_BACKWARD_ERROR:
-        raise NonResonanceContradictionError(
-            f"Newton step misses its system by a backward error of "
-            f"{backward:.3e} although the slopes lie in a gap")
+        raise error(f"Newton step misses its system by a backward error of "
+                    f"{backward:.3e} {claim}")
     return step
 
 
 def _gap_steps(op, spectrum, certificate):
     """step(slopes, grad), the Newton step of every run, the coercive one
-    (gap 0, no certificate) included.  Each iterate is
-    placed once, by its own slope range (`_placed`).  Under the slope-gap
-    report `certificate` the range must lie in the certificate's gap k,
-    or the step raises NonResonanceContradictionError; the step is then
-    `_minres_step` with the certificate's contraction.  Without one, a
-    range in a gap j with contraction rho and `_minres_bound(rho)` <= N
-    takes `_minres_step` with rho; slopes that are one constant m placed
-    in no gap, so that an eigenvalue lies within GAP_MARGIN of m, take
-    `_resonant_step`; any other step is factored (`_newton_step`), among
-    them straddling slopes, whose system is singular only by accident.
-    At that bound the worst-case MINRES cost, O(N^2) per iteration, is
-    itself that of the LU."""
+    (gap 0, no certificate) included.  Each iterate is placed once, by its
+    own slope range (`_placed`).  Under the slope-gap report `certificate`
+    the range must lie in the certificate's gap k, or the step raises
+    NonResonanceContradictionError; the step is then `_minres_step` with
+    the certificate's contraction.  Without one, slopes that are one
+    constant m placed in no gap, so that an eigenvalue lies within
+    GAP_MARGIN of m, take `_resonant_step`; every other step is
+    `_minres_step`, with the contraction rho of the gap j that holds the
+    range, or with none where it straddles an eigenvalue."""
 
     def step(slopes, grad):
         lo, hi = float(slopes.min()), float(slopes.max())
@@ -505,9 +501,8 @@ def _gap_steps(op, spectrum, certificate):
                                 certificate.contraction)
         if placed is None and lo == hi:
             return _resonant_step(spectrum, lo, grad)
-        if placed is not None and _minres_bound(placed[1]) <= op.size:
-            return _minres_step(op, spectrum, slopes, grad, placed[1])
-        return _newton_step(op, slopes, grad)
+        return _minres_step(op, spectrum, slopes, grad,
+                            None if placed is None else placed[1])
 
     return step
 
@@ -686,12 +681,13 @@ def _f2_passed(spec: NonlinearitySpec, spectrum: Spectrum,
 
 def _gap_newton(op, spectrum, spec, u0, opts, certificate):
     """Gap-case Newton from u0 (`_newton`) with the steps of `_gap_steps`.
-    Under a certificate every step is solved by MINRES, raising
-    NonResonanceContradictionError where the certificate fails, and
-    backtracks on the merit (`_merit_backtracking`).  Without one a step
-    is solved by MINRES where the iterate's own slopes lie in a gap, in
-    the eigen-coordinates where they are one constant at an eigenvalue,
-    and by LU elsewhere, and the steps follow `_z_capped`."""
+    Under a certificate every step is solved by MINRES in the certificate's
+    gap, raising NonResonanceContradictionError where the certificate
+    fails, and backtracks on the merit (`_merit_backtracking`).  Without
+    one a step is taken in the eigen-coordinates where the iterate's
+    slopes are one constant at an eigenvalue and solved by MINRES
+    elsewhere, in the gap that holds its slopes or across an eigenvalue,
+    and the steps follow `_z_capped`."""
     rule = (_z_capped(op, spec) if certificate is None
             else _merit_backtracking(op, spec, spectrum))
     return _newton(op, spec, u0, opts.tol, opts.max_iter, rule,
@@ -972,7 +968,7 @@ def morse_index(op: AssembledOperator, spec: NonlinearitySpec, u) -> int:
     if not np.isfinite(slopes).all():
         raise NumericError("Morse index failed: the slopes at u are not "
                            "finite")
-    from scipy.linalg import lapack  # here, as in `_newton_step`
+    from scipy.linalg import lapack  # here, so only a Morse count pays
     system = _system(op, slopes).T
     lwork = int(lapack.dsytrf_lwork(op.size)[0])
     ldu, ipiv, _ = lapack.dsytrf(system, lwork=lwork, overwrite_a=True)

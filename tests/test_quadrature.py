@@ -22,11 +22,12 @@ def test_package_import_leaves_out_scipy_integrate():
 
 
 def test_only_a_factored_newton_system_loads_scipy_linalg(tmp_path):
-    """scipy.linalg is imported at the first LU of a Newton system or a
-    Morse count: the package, the four subcommands that solve none and
-    `solve` on the certified GAP_CONFIG, whose steps are all MINRES steps,
-    leave it out; `solve` on a config whose slope range reaches past
-    lambda_3 (f2 fails) factors its steps and loads it."""
+    """scipy.linalg is imported at the first Morse count, the one
+    factored system: the package, the five subcommands on the certified
+    GAP_CONFIG and `solve` on a config whose slope range reaches past
+    lambda_3 (f2 fails), whose iterates straddle lambda_3 and whose steps
+    are all solved in the eigen-coordinates, leave it out; a
+    `morse_index` call then loads it."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(GAP_CONFIG))
     uncertified = tmp_path / "uncertified.json"
@@ -43,13 +44,21 @@ def test_only_a_factored_newton_system_loads_scipy_linalg(tmp_path):
             "assert cli.main(['verify', '--config', uncertified,\n"
             "                 '--out', out]) == 0\n"
             "code = cli.main(['solve', '--config', uncertified, '--out', out])\n"
-            "print('#', code, 'scipy.linalg' in sys.modules)\n")
+            "print('#', code, 'scipy.linalg' in sys.modules)\n"
+            "import numpy as np\n"
+            "import nonlocal_saddle as ns\n"
+            "from nonlocal_saddle import nonlinearity as nl\n"
+            "op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 16),\n"
+            "                 ns.make_fractional_kernel(0.5))\n"
+            "spec = nl.affine(0.0, nl.constant_profile(1.0))\n"
+            "assert ns.morse_index(op, spec, np.zeros(op.size)) == 0\n"
+            "print('#', 'scipy.linalg' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code, str(cfg),
                           str(uncertified), str(tmp_path / "art")],
                          env=child_env(), check=True, capture_output=True,
                          text=True, timeout=300)
     marks = [ln for ln in out.stdout.splitlines() if ln.startswith("#")]
-    assert marks == ["# False", "# 0 True"]
+    assert marks == ["# False", "# 0 False", "# True"]
     verdict = json.loads((tmp_path / "art" / "verdict.json").read_text())
     assert verdict["classification"]["k"] == 2
     assert verdict["f2"]["pass"] is False

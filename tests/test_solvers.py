@@ -160,10 +160,10 @@ def test_resonance_refusals_agree_at_the_margin(spectrum128, monkeypatch):
                 refused = True
             assert refused == (cls.case is nl.Case.UNSUPPORTED), (k, w)
             spec = nl.affine(w, nl.constant_profile(1.0))
-            counts.update(minres=0, lu=0, resonant=0)
+            counts.update(minres=0, resonant=0)
             step(solvers._slopes(op, spec, u), eval_gradient(op, spec, u))
-            assert counts["lu"] == 0, (k, w)
-            assert (counts["resonant"] == 1) == refused, (k, w)
+            assert counts == {"minres": 1 - refused, "resonant": refused}, \
+                (k, w)
             for j in (k - 1, k) if k > 1 else (k,):
                 passed = nl.check_f2_gap(spec, spectrum128, j).passed
                 assert passed == (cls.case is nl.Case.GAP and cls.k == j), \
@@ -184,11 +184,11 @@ def test_certified_singular_system_raises():
 
 
 def _count_steps(monkeypatch):
-    """Count the Newton steps solved by MINRES, by LU and in the
+    """Count the Newton steps solved by MINRES and in the
     eigen-coordinates of a resonant iterate from now on:
-    {"minres": .., "lu": .., "resonant": ..}"""
-    counts = {"minres": 0, "lu": 0, "resonant": 0}
-    for key, name in (("minres", "_minres_step"), ("lu", "_newton_step"),
+    {"minres": .., "resonant": ..}"""
+    counts = {"minres": 0, "resonant": 0}
+    for key, name in (("minres", "_minres_step"),
                       ("resonant", "_resonant_step")):
         def spy(*args, key=key, solve=getattr(solvers, name)):
             counts[key] += 1
@@ -196,6 +196,21 @@ def _count_steps(monkeypatch):
 
         monkeypatch.setattr(solvers, name, spy)
     return counts
+
+
+def _minres_calls(monkeypatch):
+    """Record (iterations, max_iter) of every MINRES call from now on,
+    iterations None where MINRES missed its tolerance"""
+    calls = []
+    minres = solvers._minres
+
+    def spy(apply, rhs, tol, max_iter):
+        found = minres(apply, rhs, tol, max_iter)
+        calls.append((found[1] if found else None, max_iter))
+        return found
+
+    monkeypatch.setattr(solvers, "_minres", spy)
+    return calls
 
 
 @pytest.mark.parametrize("n", [64, 512])
@@ -230,7 +245,7 @@ def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
     assert solvers._placed(slopes.min(), slopes.max(), lam)[0] == 3
     counts = _count_steps(monkeypatch)
     step = solvers._gap_steps(op, sp, None)(slopes, grad)
-    assert counts == {"minres": 1, "lu": 0, "resonant": 0}
+    assert counts == {"minres": 1, "resonant": 0}
     lu = np.linalg.solve(solvers._system(op, slopes), -grad)
     assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu)
 
@@ -253,7 +268,7 @@ def test_newton_step_takes_least_squares_at_resonance(fractional_op,
     counts = _count_steps(monkeypatch)
     step = solvers._gap_steps(op, sp, None)
     d = step(slopes, eval_gradient(op, spec, u))
-    assert counts == {"minres": 0, "lu": 0, "resonant": 1}
+    assert counts == {"minres": 0, "resonant": 1}
     coeffs = np.zeros(sp.size)
     coeffs[1] = 1.0
     e2 = sp.from_eigen(coeffs)
@@ -262,35 +277,11 @@ def test_newton_step_takes_least_squares_at_resonance(fractional_op,
                                atol=1e-12 * np.abs(u).max())
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 128])
-def test_newton_step_factors_a_nonsingular_system(fractional_op, n):
-    """with slopes at the midpoint of (lambda_2, lambda_3) the factored
-    step is the dense solve of A - W"""
-    op = fractional_op(0.5, n)
-    sp = ns.solve_eigenproblem(op)
-    lam = sp.eigenvalues
-    spec = nl.affine(0.5 * float(lam[1] + lam[2]), nl.constant_profile(1.0))
-    u = np.random.default_rng(n).standard_normal(op.size)
-    slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
-    expected = np.linalg.solve(solvers._system(op, slopes), -grad)
-    np.testing.assert_allclose(solvers._newton_step(op, slopes, grad),
-                               expected, rtol=0,
-                               atol=1e-12 * np.abs(expected).max())
-
-
 def test_certified_iterations_do_not_grow_with_n(fractional_op, monkeypatch):
     """the MINRES iterations of a certified solve stay within the bound
     that the certificate's contraction gives, and at N = 2048 within twice
     those at N = 512"""
-    calls = []  # (iterations, bound) of every MINRES call
-    minres = solvers._minres
-
-    def spy(apply, rhs, tol, max_iter):
-        found = minres(apply, rhs, tol, max_iter)
-        calls.append((found[1] if found else None, max_iter))
-        return found
-
-    monkeypatch.setattr(solvers, "_minres", spy)
+    calls = _minres_calls(monkeypatch)
     most = {}
     for n in (512, 2048):
         op = fractional_op(0.5, n)
@@ -342,13 +333,14 @@ def test_slopes_leaving_the_declared_range_raise(fractional_op):
                             certificate)
 
 
-def test_uncertified_step_takes_lu_above_the_minres_bound(fractional_op,
-                                                          monkeypatch):
-    """an uncertified iterate whose slopes lie in gap 2 takes MINRES only
-    while `_minres_bound` of its contraction is at most N: a slope profile
-    spanning 90% of the gap (rho = 0.9, bound 626) is factored at N = 64,
-    one spanning 20% (rho = 0.2, bound 46) is not; the bound N itself
-    still takes MINRES"""
+def test_uncertified_step_in_a_gap_takes_minres_within_its_budget(
+        fractional_op, monkeypatch):
+    """an uncertified iterate whose slopes lie in gap 2 takes MINRES
+    whatever its contraction, within the budget min(`_minres_bound`(rho),
+    2 n + MINRES_SLACK) at system size n: a slope profile spanning 90% of
+    the gap (rho = 0.9, bound 626) gets the size cap 130 at N = 64, one
+    spanning 20% (rho = 0.2) its bound 46; both steps equal the dense
+    solve"""
     op = fractional_op(0.5, 64)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
@@ -356,24 +348,78 @@ def test_uncertified_step_takes_lu_above_the_minres_bound(fractional_op,
     grad = eval_gradient(op, _fixed_gap_spec(lam, 2), np.ones(op.size))
     step = solvers._gap_steps(op, sp, None)
     counts = _count_steps(monkeypatch)
-    for width, lu_steps in ((0.9, 1), (0.2, 0)):
+    calls = _minres_calls(monkeypatch)
+    for width, bound, budget in ((0.9, 626, 130), (0.2, 46, 46)):
         # slope profile over [lambda_2, lambda_3] centred in the gap
         slopes = lam[1] + (0.5 + 0.5 * width * xg) * (lam[2] - lam[1])
         rho = solvers._placed(slopes.min(), slopes.max(), lam)[1]
         assert rho == pytest.approx(width, abs=0.01)
-        counts.update(minres=0, lu=0, resonant=0)
+        assert solvers._minres_bound(rho) == bound
+        counts.update(minres=0, resonant=0)
+        calls.clear()
         d = step(slopes, grad)
-        assert counts == {"minres": 1 - lu_steps, "lu": lu_steps,
-                          "resonant": 0}, width
-        assert (solvers._minres_bound(rho) > op.size) == bool(lu_steps)
+        assert counts == {"minres": 1, "resonant": 0}, width
+        [(iterations, cap)] = calls
+        assert cap == budget and iterations <= budget, (width, calls)
         lu = np.linalg.solve(solvers._system(op, slopes), -grad)
         assert norm_Z(op, d - lu) <= 1e-10 * norm_Z(op, lu)
-    for bound, lu_steps in ((op.size, 0), (op.size + 1, 1)):
-        monkeypatch.setattr(solvers, "_minres_bound", lambda rho: bound)
-        counts.update(minres=0, lu=0, resonant=0)
-        step(slopes, grad)
-        assert counts == {"minres": 1 - lu_steps, "lu": lu_steps,
-                          "resonant": 0}, bound
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_straddling_steps_stay_within_twice_the_system_size(fractional_op,
+                                                             monkeypatch, n):
+    """saturating(lambda_3 + 0.02 gap, 2 gap, g = 1) at s = 1/4, gap =
+    lambda_4 - lambda_3, probed from 4 starts: iterates whose slopes
+    straddle an eigenvalue take MINRES with the budget 2 n +
+    MINRES_SLACK, n the system size, and every such call reaches
+    MINRES_TOL within it; at least one needs more than n + MINRES_SLACK,
+    so that a budget without the factor 2 raises NumericError here"""
+    op = fractional_op(0.25, n)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    gap = lam[3] - lam[2]
+    spec = nl.saturating(lam[2] + 0.02 * gap, 2.0 * gap,
+                         nl.constant_profile(1.0))
+    calls = _minres_calls(monkeypatch)
+    straddling = []
+    minres_step = solvers._minres_step
+
+    def spy(op, spectrum, slopes, grad, contraction):
+        before = len(calls)
+        step = minres_step(op, spectrum, slopes, grad, contraction)
+        if contraction is None:
+            straddling.extend(calls[before:])
+        return step
+
+    monkeypatch.setattr(solvers, "_minres_step", spy)
+    ns.uniqueness_probe(op, sp, spec, 3, n_starts=4)
+    budget = 2 * op.size + solvers.MINRES_SLACK
+    assert straddling
+    assert all(it is not None and it <= cap == budget
+               for it, cap in straddling), straddling
+    assert max(it for it, _ in straddling) > op.size + solvers.MINRES_SLACK
+
+
+def test_singular_straddling_system_raises(fractional_op):
+    """slopes that straddle lambda_3, shifted by the eigenvalue of the
+    pencil (A - W, M) nearest 0, make A - W singular up to rounding (W is
+    linear in the slopes, and a constant slope mu weights M by mu): an
+    uncertified step against a random gradient, which no step solves,
+    raises NumericError instead of returning a step of rounding size
+    times the inverse of a vanishing pivot"""
+    import scipy.linalg
+    op = fractional_op(0.5, 64)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    xg, _, _ = solvers._element_data(op)
+    slopes = lam[2] + 0.3 * (lam[3] - lam[2]) * xg
+    shifts = scipy.linalg.eigh(solvers._system(op, slopes), op.mass,
+                               eigvals_only=True)
+    slopes = slopes + shifts[np.argmin(np.abs(shifts))]
+    assert solvers._placed(slopes.min(), slopes.max(), lam) is None
+    grad = np.random.default_rng(64).standard_normal(op.size)
+    with pytest.raises(NumericError, match="in no gap"):
+        solvers._gap_steps(op, sp, None)(slopes, grad)
 
 
 def test_uncertified_solve_in_a_gap_loads_no_scipy(op128, spectrum128,
@@ -389,7 +435,8 @@ def test_uncertified_solve_in_a_gap_loads_no_scipy(op128, spectrum128,
     counts = _count_steps(monkeypatch)
     rep = ns.solve_case_b(op128, spectrum128, spec, OPTS)
     assert rep.residual_inf <= OPTS.tol
-    assert counts["lu"] == 0 and counts["minres"] == rep.iterations > 0
+    assert counts == {"minres": rep.iterations, "resonant": 0}
+    assert rep.iterations > 0
     code = ("lam = sp.eigenvalues\n"
             "gap = lam[2] - lam[1]\n"
             "spec = nl.saturating(lam[1] + 0.3 * gap, 1.5 * gap,\n"
@@ -744,8 +791,7 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
                                                 family, certified):
     """the system the Newton driver solves at u equals central differences
     of the gradient at u, column by column: A minus the W whose bands the
-    certified MINRES step applies, or the system that an uncertified step
-    factors."""
+    MINRES step applies, certified or not."""
     op = fractional_op(0.5, 64)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
@@ -760,28 +806,16 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
     x = op.mesh.interior_nodes
     u = 2.0 * np.cos(3.0 * x) + x
     systems = []
-    if certified:
-        weight_bands = solvers._weight_bands
+    weight_bands = solvers._weight_bands
 
-        def spy(op, slopes):
-            bands = weight_bands(op, slopes)
-            diag, off = bands
-            systems.append(op.stiffness - np.diag(diag) - np.diag(off, 1)
-                           - np.diag(off, -1))
-            return bands
+    def spy(op, slopes):
+        bands = weight_bands(op, slopes)
+        diag, off = bands
+        systems.append(op.stiffness - np.diag(diag) - np.diag(off, 1)
+                       - np.diag(off, -1))
+        return bands
 
-        monkeypatch.setattr(solvers, "_weight_bands", spy)
-    else:
-        system = solvers._system
-
-        def spy(op, slopes):
-            # the driver factors its system in place, so copy it before
-            # the LU overwrites it
-            result = system(op, slopes)
-            systems.append(result.copy())
-            return result
-
-        monkeypatch.setattr(solvers, "_system", spy)
+    monkeypatch.setattr(solvers, "_weight_bands", spy)
     with pytest.raises(NonConvergenceError):
         solvers._gap_newton(op, sp, spec, u, ns.SolverOptions(max_iter=1),
                             certificate)
@@ -813,13 +847,23 @@ def test_case_b_converges_without_slope_gap_certificate(op128,
                                                        monkeypatch):
     """slope ranges that reach past lambda_3 (no slope-gap certificate)
     still converge with the gap policy: f2-failing points of the grid
-    saturating(lambda_2 + a gap, b gap, g = 5).  Their steps are solved
-    both ways: by MINRES at iterates whose slopes lie in a gap, by LU at
-    those whose slopes straddle an eigenvalue."""
+    saturating(lambda_2 + a gap, b gap, g = 5).  Every step is a MINRES
+    step, at iterates whose slopes lie in a gap and at those, at least
+    one, whose slopes straddle an eigenvalue."""
     lam = spectrum128.eigenvalues
     gap = lam[2] - lam[1]
     uncertified = 0
     counts = _count_steps(monkeypatch)
+    straddling = 0
+    placed = solvers._placed
+
+    def spy(lo, hi, eigenvalues):
+        nonlocal straddling
+        found = placed(lo, hi, eigenvalues)
+        straddling += found is None and lo < hi
+        return found
+
+    monkeypatch.setattr(solvers, "_placed", spy)
     for a in (0.02, 0.1, 0.3, 0.5):
         for b in (0.8, 1.0, 1.2, 1.5):
             spec = nl.saturating(lam[1] + a * gap, b * gap,
@@ -833,7 +877,8 @@ def test_case_b_converges_without_slope_gap_certificate(op128,
                                   classification=cls)
             assert residual_weakform(op128, spec, rep.solution) <= OPTS.tol
     assert uncertified == 14
-    assert counts["minres"] > 0 and counts["lu"] > 0, counts
+    assert counts["resonant"] == 0 and counts["minres"] > 0, counts
+    assert straddling > 0
 
 
 def test_case_b_saddle_signature(op128, spectrum128, gap_spec):
@@ -1059,10 +1104,13 @@ def _step_owner_run(owner, op, sp):
                      np.cos(3.0 * x), "resonant"),
         # slopes (lambda_2 + gap/2, lambda_3 + gap/2]: |u| up to 3 puts them
         # on both sides of lambda_3
-        "straddling-lu": (nl.saturating(lam[1] + 0.5 * gap, gap,
-                                        nl.constant_profile(5.0)),
-                          3.0 * np.cos(3.0 * x), "lu"),
+        "straddling-minres": (nl.saturating(lam[1] + 0.5 * gap, gap,
+                                            nl.constant_profile(5.0)),
+                              3.0 * np.cos(3.0 * x), "minres"),
     }[owner]
+    if owner == "straddling-minres":
+        slopes = solvers._slopes(op, spec, start)
+        assert solvers._placed(slopes.min(), slopes.max(), lam) is None
     certificate = solvers._f2_passed(spec, sp, 2)
     assert (certificate is not None) == (owner == "certified-minres")
     return spec, (lambda spec, opts: solvers._gap_newton(
@@ -1072,7 +1120,7 @@ def _step_owner_run(owner, op, sp):
 @pytest.mark.parametrize("which", ["f", "f_t"])
 @pytest.mark.parametrize("owner", ["coercive-minres", "certified-minres",
                                    "uncertified-minres", "resonant",
-                                   "straddling-lu"])
+                                   "straddling-minres"])
 def test_non_finite_iterate_raises_before_any_step(op128, spectrum128,
                                                    monkeypatch, owner,
                                                    which):
@@ -1087,11 +1135,11 @@ def test_non_finite_iterate_raises_before_any_step(op128, spectrum128,
         run(spec, ns.SolverOptions(max_iter=1))
     except NonConvergenceError:
         pass
-    assert counts == {"minres": 0, "lu": 0, "resonant": 0, key: 1}
-    counts.update(minres=0, lu=0, resonant=0)
+    assert counts == {"minres": 0, "resonant": 0, key: 1}
+    counts.update(minres=0, resonant=0)
     with pytest.raises(NumericError, match="not finite"):
         run(dataclasses.replace(spec, **{which: _nan}), OPTS)
-    assert counts == {"minres": 0, "lu": 0, "resonant": 0}
+    assert counts == {"minres": 0, "resonant": 0}
     if owner != "uncertified-minres":
         return
     code = ("import dataclasses\n"
