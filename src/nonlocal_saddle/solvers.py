@@ -2,13 +2,15 @@
 
 The energy is J(u) = 1/2 u'Au - int F(x, u_h) dx; a zero gradient
 A u - b(u) = 0 is exactly the discrete weak form.  Both existence cases
-find that zero with one Newton driver on the Hessian A - D(u), with one
-step policy (`_gap_steps`), and differ only in how a step is made safe.
-The coercive case is gap 0, the head of the saddle splitting empty: its
-slopes lie below lambda_1 and it backtracks on J (`_armijo`).  Every
-step is solved in the eigen-coordinates.  An uncertified iterate whose
-slopes are one constant at an eigenvalue takes its step there, where the
-system is diagonal (`_resonant_step`); every other step is solved by
+find that zero with one Newton driver on the Hessian A - D(u)
+(`_newton`), behind one gate (`_solve`), with one step policy
+(`_gap_steps`).  The driver alone picks how a step is made safe, from
+the gap k and the slope-gap certificate: the coercive case is gap 0, the
+head of the saddle splitting empty, whose slopes lie below lambda_1, and
+it backtracks on J (`_armijo`).  Every step is solved in the
+eigen-coordinates.  An uncertified iterate whose slopes are one constant
+at an eigenvalue takes its step there, where the system is diagonal
+(`_resonant_step`); every other step is solved by
 preconditioned MINRES (`_minres_step`), within a budget that a slope
 range in a spectral gap (Courant-Fischer then makes the Hessian
 nonsingular) bounds by the gap's contraction, whatever the mesh: the
@@ -25,11 +27,12 @@ merit |g|_{Z*}^2 / 2, which every Newton step descends because the
 certificate makes the Hessian nonsingular; an uncertified gap run caps its
 steps' Z-norm after STALL_STEPS steps without a new residual minimum.
 Both solvers solve against the spectrum their classification was made in
-(`CaseClassification.spectrum`).
+(`CaseClassification.spectrum`), and differ only in the case they accept.
 The geometry probe samples the saddle structure that underpins the
-gap-case existence argument, and the uniqueness probe multi-starts the gap
-driver to test the slope-gap uniqueness prediction; under the certificate
-it tells limits apart by the certificate's error bound C |g|_{Z*}.
+gap-case existence argument, and the uniqueness probe multi-starts the
+driver in gap k to test the slope-gap uniqueness prediction; under the
+certificate it tells limits apart by the certificate's error bound
+C |g|_{Z*}.
 
 A u is always the product of the Toeplitz symbol (`_stiffness_times`),
 and A^-1 g the diagonal solve in the eigen-coordinates.  The dense A, the
@@ -470,7 +473,9 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
     a_step, w_step = _stiffness_times(op, step), _tridiagonal(bands, step)
     scale_inf = (np.abs(a_step).max() + np.abs(w_step).max()
                  + np.abs(grad).max())
-    backward = float(np.abs(a_step - w_step + grad).max() / scale_inf)
+    # a zero gradient has the exact zero step: backward error 0, not 0/0
+    miss = float(np.abs(a_step - w_step + grad).max())
+    backward = miss / scale_inf if miss else 0.0
     if not backward <= STEP_BACKWARD_ERROR:
         raise error(f"Newton step misses its system by a backward error of "
                     f"{backward:.3e} {claim}")
@@ -507,25 +512,36 @@ def _gap_steps(op, spectrum, certificate):
     return step
 
 
-def _newton(op, spec, u0, tol, max_iter, globalize, step):
-    """Newton on A u - b(u) from u0; returns u, its gradient and the
-    residual of every iterate.  step(slopes, grad) solves the Newton
-    system A - W at an iterate with Gauss-point slopes `slopes`
-    (`_slopes`) and gradient grad (`_gap_steps`);
-    globalize(u, step, grad, res) turns that step into the next iterate
-    and returns it with its gradient and residual (`_gradient`), or
-    returns None when it finds no acceptable one.  An iterate whose
-    slopes or gradient are not finite raises NumericError before any
-    step is solved: this is the one finiteness test of an iterate, so no
-    step solver repeats it."""
+def _newton(op, spec, spectrum, k, certificate, u0, opts):
+    """Newton on A u - b(u) from u0 for a critical point in gap k of
+    `spectrum`; returns u, its gradient and the residual of every iterate.
+    This is the one place that decides how a run steps.  Every step is
+    that of `_gap_steps` under the slope-gap report `certificate` (None
+    without one), and the globalization follows from k and the
+    certificate: gap 0, the coercive case, backtracks on J (`_armijo`); a
+    certified gap k >= 1 backtracks on the merit (`_merit_backtracking`);
+    an uncertified one caps its steps' Z-norm after a stall (`_z_capped`).
+    A globalization turns a step into the next iterate, with its gradient
+    and residual (`_gradient`), or returns None when it finds no
+    acceptable one.  The run stops at opts.tol within opts.max_iter
+    steps.  An iterate whose slopes or gradient are not finite raises
+    NumericError before any step is solved: this is the one finiteness
+    test of an iterate, so no step solver repeats it."""
+    if k == 0:
+        globalize = _armijo(op, spec, spectrum, u0)
+    elif certificate is None:
+        globalize = _z_capped(op, spec)
+    else:
+        globalize = _merit_backtracking(op, spec, spectrum)
+    step = _gap_steps(op, spectrum, certificate)
     u = np.array(u0, dtype=float)
     grad, res = _gradient(op, spec, u)
     trace = []
-    for it in range(max_iter + 1):
+    for it in range(opts.max_iter + 1):
         trace.append(res)
-        if res <= tol:
+        if res <= opts.tol:
             return u, grad, trace
-        if it == max_iter:
+        if it == opts.max_iter:
             break
         slopes = _slopes(op, spec, u)
         if not (np.isfinite(slopes).all() and np.isfinite(grad).all()):
@@ -539,7 +555,7 @@ def _newton(op, spec, u0, tol, max_iter, globalize, step):
                 f"(residual {res:.3e})", trace=trace)
         u, grad, res = moved
     raise NonConvergenceError(
-        f"Newton did not reach tol={tol} in {max_iter} iterations "
+        f"Newton did not reach tol={opts.tol} in {opts.max_iter} iterations "
         f"(last residual {trace[-1]:.3e})", trace=trace)
 
 
@@ -641,32 +657,6 @@ def _merit_backtracking(op, spec, spectrum):
     return globalize
 
 
-def _report(op, spec, u, trace) -> SolveReport:
-    return SolveReport(solution=u, j_value=eval_J(op, spec, u),
-                       residual_inf=trace[-1], iterations=len(trace) - 1)
-
-
-def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
-                 opts: SolverOptions = SolverOptions(),
-                 classification: CaseClassification | None = None) -> SolveReport:
-    """Direct minimization of J in the coercive case, gap 0: Newton from 0
-    with the steps of `_gap_steps` in the spectrum of the classification
-    and an Armijo line search on J (`_armijo`).  Without a classification
-    the spec is classified on `solve_eigenproblem(op)`; a case other than
-    coercive raises UnsupportedCaseError."""
-    if classification is None:
-        classification = classify(spec, solve_eigenproblem(op))
-    spectrum = classification.spectrum
-    _check_pair(op, spectrum)
-    if classification.case is not Case.COERCIVE:
-        raise UnsupportedCaseError(classification)
-    u0 = np.zeros(op.size)
-    u, _, trace = _newton(op, spec, u0, opts.tol, opts.max_iter,
-                          _armijo(op, spec, spectrum, u0),
-                          _gap_steps(op, spectrum, None))
-    return _report(op, spec, u, trace)
-
-
 def _f2_passed(spec: NonlinearitySpec, spectrum: Spectrum,
                k: int) -> SlopeGapReport | None:
     """The slope-gap certificate for gap k: `check_f2_gap`'s report if it
@@ -679,19 +669,36 @@ def _f2_passed(spec: NonlinearitySpec, spectrum: Spectrum,
     return report if report.passed else None
 
 
-def _gap_newton(op, spectrum, spec, u0, opts, certificate):
-    """Gap-case Newton from u0 (`_newton`) with the steps of `_gap_steps`.
-    Under a certificate every step is solved by MINRES in the certificate's
-    gap, raising NonResonanceContradictionError where the certificate
-    fails, and backtracks on the merit (`_merit_backtracking`).  Without
-    one a step is taken in the eigen-coordinates where the iterate's
-    slopes are one constant at an eigenvalue and solved by MINRES
-    elsewhere, in the gap that holds its slopes or across an eigenvalue,
-    and the steps follow `_z_capped`."""
-    rule = (_z_capped(op, spec) if certificate is None
-            else _merit_backtracking(op, spec, spectrum))
-    return _newton(op, spec, u0, opts.tol, opts.max_iter, rule,
-                   _gap_steps(op, spectrum, certificate))
+def _solve(op, spec, opts, classification, case) -> SolveReport:
+    """The gate and the run of both existence cases: refuse a
+    classification that holds no spectrum of op (`_check_pair`) or whose
+    case is not `case` (UnsupportedCaseError), then run `_newton` from 0
+    in the classified gap k (0 when coercive, whose classification holds
+    no k), certified by `_f2_passed` when k >= 1 and the slope-gap check
+    passes."""
+    spectrum = classification.spectrum
+    _check_pair(op, spectrum)
+    if classification.case is not case:
+        raise UnsupportedCaseError(classification)
+    k = classification.k or 0
+    certificate = _f2_passed(spec, spectrum, k) if k else None
+    u, _, trace = _newton(op, spec, spectrum, k, certificate,
+                          np.zeros(op.size), opts)
+    return SolveReport(solution=u, j_value=eval_J(op, spec, u),
+                       residual_inf=trace[-1], iterations=len(trace) - 1)
+
+
+def solve_case_a(op: AssembledOperator, spec: NonlinearitySpec,
+                 opts: SolverOptions = SolverOptions(),
+                 classification: CaseClassification | None = None) -> SolveReport:
+    """Direct minimization of J in the coercive case, gap 0 (`_solve`):
+    Newton from 0 in the spectrum of the classification, backtracking on
+    J.  Without a classification the spec is classified on
+    `solve_eigenproblem(op)`; a case other than coercive raises
+    UnsupportedCaseError."""
+    if classification is None:
+        classification = classify(spec, solve_eigenproblem(op))
+    return _solve(op, spec, opts, classification, Case.COERCIVE)
 
 
 def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
@@ -699,21 +706,15 @@ def solve_case_b(op: AssembledOperator, spectrum: Spectrum,
                  opts: SolverOptions = SolverOptions(),
                  classification: CaseClassification | None = None
                  ) -> SolveReport:
-    """Newton on the gradient in the spectral-gap case (`_gap_newton`) in
-    the spectrum of the classification (by default `classify(spec,
+    """Newton on the gradient in the spectral-gap case (`_solve`) in the
+    spectrum of the classification (by default `classify(spec,
     spectrum)`), certified when the slope-gap check of the classified gap
-    passes (`_f2_passed`)."""
+    passes (`_f2_passed`).  A spectrum of another operator than op is
+    refused, and a case other than gap raises UnsupportedCaseError."""
     _check_pair(op, spectrum)
     if classification is None:
         classification = classify(spec, spectrum)
-    spectrum = classification.spectrum
-    _check_pair(op, spectrum)
-    if classification.case is not Case.GAP:
-        raise UnsupportedCaseError(classification)
-    certificate = _f2_passed(spec, spectrum, classification.k)
-    u, _, trace = _gap_newton(op, spectrum, spec, np.zeros(op.size), opts,
-                              certificate)
-    return _report(op, spec, u, trace)
+    return _solve(op, spec, opts, classification, Case.GAP)
 
 
 def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
@@ -723,7 +724,7 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
 
     Initial iterates have eigenbasis components uniform in [-10, 10].  The
     classification gate is deliberately bypassed so resonant
-    counterexamples can be probed; every start runs `_gap_newton`, as
+    counterexamples can be probed; every start runs `_newton` in gap k, as
     solve_case_b does, certified when `_f2_passed` passes for gap k.
 
     Two limits u_i, u_j count as distinct when |u_i - u_j|_Z over their
@@ -745,8 +746,8 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     for _ in range(n_starts):
         u0 = spectrum.from_eigen(rng.uniform(-10.0, 10.0, size=spectrum.size))
         try:
-            u, grad, _ = _gap_newton(op, spectrum, spec, u0, opts,
-                                     certificate)
+            u, grad, _ = _newton(op, spec, spectrum, k, certificate, u0,
+                                 opts)
         except NonConvergenceError:
             return UniquenessVerdict(kind="Inconclusive", n_starts=n_starts,
                                      seed=opts.seed,

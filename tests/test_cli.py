@@ -140,6 +140,47 @@ def test_refusal_exit_code_writes_verdict(tmp_path):
     assert "straddles" in verdict["classification"]["reason"]
 
 
+def test_solve_coercive_config(tmp_path):
+    """the coercive branch of `solve`, on the N = 32 coercive config of
+    CI: exit 0, case coercive with its residual within tol and no
+    uniqueness probe (the starts serve a gap case only), and a rerun in a
+    fresh process writes the same bytes"""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "mesh": {"n_elements": 32},
+        "nonlinearity": {"family": "saturating", "m": 0.0, "delta": 5.0},
+        "solver": {"starts": 4}}))
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        r = run_cli("solve", "--config", str(cfg), "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        runs.append((r.stdout, {p.name: p.read_bytes()
+                                for p in sorted(out.iterdir())}))
+    report = json.loads(runs[0][1]["report.json"])
+    assert report["case"]["case"] == "coercive"
+    assert report["residual_inf"] <= report["tol"]
+    assert report["uniqueness"] is None
+    assert runs[0] == runs[1]
+
+
+def test_probe_geometry_refuses_an_unsupported_config(tmp_path, capsys):
+    """affine m = 1000 lies above the spectrum at N = 32: probe-geometry
+    exits 1, writes the verdict and no probe"""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mesh": {"n_elements": 32},
+                               "nonlinearity": {"family": "affine",
+                                                "m": 1000.0}}))
+    out = tmp_path / "art"
+    code = cli.main(["probe-geometry", "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 1
+    assert "refusing to probe" in capsys.readouterr().err
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["supported"] is False
+    assert not (out / "probe.json").exists()
+
+
 def test_pipeline_builds_stages_on_demand():
     pipe = cli.Pipeline(parse_config(json.dumps(GAP_CONFIG)))
     assert pipe.op.size == 31

@@ -88,6 +88,23 @@ def test_linear_nonresonant_solve_1x1():
                                  nl.constant_profile(1.0))
 
 
+@pytest.mark.parametrize("source", ["scalar", "callable"])
+@pytest.mark.parametrize("gap", [0, 2])
+def test_linear_solve_of_a_zero_source_is_zero(fractional_op, gap, source):
+    """a zero source has the unique solution u = 0, in gap 0 (m = 0) as in
+    gap 2 (m midway between lambda_2 and lambda_3): MINRES returns the zero
+    step at once, and its backward error is 0, not 0/0"""
+    op = fractional_op(0.5, 32)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    m = 0.0 if gap == 0 else 0.5 * (lam[1] + lam[2])
+    assert solvers._placed(m, m, lam)[0] == gap
+    g = 0.0 if source == "scalar" else (lambda x: 0.0 * x)
+    u = linear_nonresonant_solve(op, sp, m, g)
+    assert u.shape == (op.size,)
+    assert not u.any()
+
+
 def test_linear_solve_matches_direct_inverse(op128, spectrum128, rng):
     for m in (0.0, 10.0, 20.0):
         g_val = float(rng.uniform(-2.0, 2.0))
@@ -329,8 +346,8 @@ def test_slopes_leaving_the_declared_range_raise(fractional_op):
     certificate = solvers._f2_passed(spec, sp, 2)
     assert certificate is not None
     with pytest.raises(NonResonanceContradictionError, match="leave"):
-        solvers._gap_newton(op, sp, spec, np.full(op.size, 3.0), OPTS,
-                            certificate)
+        solvers._newton(op, spec, sp, 2, certificate,
+                        np.full(op.size, 3.0), OPTS)
 
 
 def test_uncertified_step_in_a_gap_takes_minres_within_its_budget(
@@ -557,6 +574,18 @@ def test_case_a_refuses_gap_problem(op128, spectrum128, gap_spec):
         ns.solve_case_a(op128, gap_spec, OPTS, classification=cls)
 
 
+def test_case_b_refuses_coercive_problem(op128, spectrum128):
+    """solve_case_b refuses a coercive classification, given or made on
+    the spectrum, before any step"""
+    spec = nl.saturating(0.0, 5.0, nl.constant_profile(1.0))
+    cls = nl.classify(spec, spectrum128)
+    assert cls.case is nl.Case.COERCIVE
+    for given in (cls, None):
+        with pytest.raises(UnsupportedCaseError, match="classified coercive"):
+            ns.solve_case_b(op128, spectrum128, spec, OPTS,
+                            classification=given)
+
+
 def test_case_a_without_classification_refuses_gap_problem(op128, gap_spec):
     """without a classification solve_case_a classifies on the operator's
     own spectrum and refuses a gap spec, as solve_case_b refuses a
@@ -701,6 +730,41 @@ def test_z_capped_switches_after_a_stall(fractional_op):
     assert _capped_steps(op, rising) == [False] * (n + 1) + [True] * 3
 
 
+def test_merit_rule_falls_back_to_the_full_step(fractional_op,
+                                                 monkeypatch):
+    """along the reversed Newton step -d of a certified iterate the merit
+    |g|_{Z*}^2 / 2 rises at rate +2 phi, so none of the MERIT_HALVINGS + 1
+    trials passes the ARMIJO_FRACTION test and the rule takes the full
+    step: exactly u - d with its gradient and residual, neither None nor
+    the last, shortest trial"""
+    op = fractional_op(0.5, 64)
+    sp = ns.solve_eigenproblem(op)
+    spec = _fixed_gap_spec(sp.eigenvalues, 2)
+    certificate = solvers._f2_passed(spec, sp, 2)
+    assert certificate is not None
+    u = np.cos(3.0 * op.mesh.interior_nodes)
+    grad, res = solvers._gradient(op, spec, u)
+    d = solvers._gap_steps(op, sp, certificate)(solvers._slopes(op, spec, u),
+                                               grad)
+    globalize = solvers._merit_backtracking(op, spec, sp)
+    trials = []
+    gradient = solvers._gradient
+
+    def spy(op, spec, trial):
+        trials.append(trial)
+        return gradient(op, spec, trial)
+
+    monkeypatch.setattr(solvers, "_gradient", spy)
+    moved = globalize(u, -d, grad, res)
+    monkeypatch.undo()
+    assert len(trials) == solvers.MERIT_HALVINGS + 1
+    assert moved is not None
+    full = u - d
+    assert np.array_equal(moved[0], full)
+    grad_full, res_full = solvers._gradient(op, spec, full)
+    assert np.array_equal(moved[1], grad_full) and moved[2] == res_full
+
+
 def _fixed_gap_spec(lam, k):
     """saturating(lambda_k + 0.2, 0.6 gap, g = 5), certified unique by the
     slope gap k"""
@@ -736,14 +800,14 @@ def test_certified_error_bound_holds_and_decides(fractional_op, monkeypatch):
     spec = _fixed_gap_spec(sp.eigenvalues, 1)
     certificate = solvers._f2_passed(spec, sp, 1)
     limits = []
-    gap_newton = solvers._gap_newton
+    newton = solvers._newton
 
     def spy(*args):
-        out = gap_newton(*args)
+        out = newton(*args)
         limits.append(out[:2])
         return out
 
-    monkeypatch.setattr(solvers, "_gap_newton", spy)
+    monkeypatch.setattr(solvers, "_newton", spy)
     verdict = ns.uniqueness_probe(op, sp, spec, 1, n_starts=8,
                                   opts=ns.SolverOptions(seed=42))
     monkeypatch.undo()
@@ -817,8 +881,8 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
 
     monkeypatch.setattr(solvers, "_weight_bands", spy)
     with pytest.raises(NonConvergenceError):
-        solvers._gap_newton(op, sp, spec, u, ns.SolverOptions(max_iter=1),
-                            certificate)
+        solvers._newton(op, spec, sp, 2, certificate, u,
+                        ns.SolverOptions(max_iter=1))
     assert len(systems) == 1
     eps = 1e-5
     fd = np.empty((op.size, op.size))
@@ -1080,8 +1144,8 @@ def _nan(x, t):
 def _step_owner_run(owner, op, sp):
     """(spec, run, key) of a Newton run on op whose first step the step
     solver `owner` takes; run(spec, opts) drives it (`solve_case_a` in the
-    classification on sp, or `_gap_newton` from a fixed start under the
-    certificate of spec, if any), and key names that solver in
+    classification on sp, or `_newton` in gap 2 from a fixed start under
+    the certificate of spec, if any), and key names that solver in
     `_count_steps`.  The coercive run starts from 0, where the slopes of
     its spec are the constant 0, below lambda_1: its first step is a MINRES
     step in gap 0"""
@@ -1113,8 +1177,8 @@ def _step_owner_run(owner, op, sp):
         assert solvers._placed(slopes.min(), slopes.max(), lam) is None
     certificate = solvers._f2_passed(spec, sp, 2)
     assert (certificate is not None) == (owner == "certified-minres")
-    return spec, (lambda spec, opts: solvers._gap_newton(
-        op, sp, spec, start, opts, certificate)), key
+    return spec, (lambda spec, opts: solvers._newton(
+        op, spec, sp, 2, certificate, start, opts)), key
 
 
 @pytest.mark.parametrize("which", ["f", "f_t"])
@@ -1223,14 +1287,14 @@ def test_uniqueness_probe_pair_distances_match_the_double_loop(
             else nl.saturating(lam[1] + 0.2, (0.6 if certified else 1.2)
                                * gap, nl.constant_profile(5.0)))
     limits = []
-    gap_newton = solvers._gap_newton
+    newton = solvers._newton
 
     def spy(*args):
-        out = gap_newton(*args)
+        out = newton(*args)
         limits.append(out[:2])
         return out
 
-    monkeypatch.setattr(solvers, "_gap_newton", spy)
+    monkeypatch.setattr(solvers, "_newton", spy)
     verdict = ns.uniqueness_probe(op128, spectrum128, spec, 2, n_starts=8,
                                   opts=OPTS)
     assert verdict.f2_passed == certified
