@@ -119,14 +119,12 @@ def _source_profile(g: dict, path: str) -> nl.SourceProfile:
         _require_keys(g, {"type", "x", "values"}, path)
         xs = g.get("x")
         vs = g.get("values")
-        if not isinstance(xs, list) or not isinstance(vs, list) \
-                or len(xs) != len(vs) or len(xs) < 2:
-            raise ConfigError(path, "nodal profile needs matching x/values "
-                                    "lists of length >= 2")
+        if not isinstance(xs, list) or not isinstance(vs, list):
+            raise ConfigError(path, "nodal profile needs x and values lists")
         xs = [_require_number(v, f"{path}/x/{i}") for i, v in enumerate(xs)]
         vs = [_require_number(v, f"{path}/values/{i}")
               for i, v in enumerate(vs)]
-        with _at(f"{path}/x"):
+        with _at(f"{path}/x", values=f"{path}/values"):
             return nl.nodal_profile(xs, vs)
     raise ConfigError(f"{path}/type",
                       f"expected constant|polynomial|nodal, "

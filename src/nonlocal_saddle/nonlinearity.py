@@ -25,8 +25,13 @@ from .errors import (InvalidParameterError, NumericError, UnauditableError,
 from .quadrature import ESTIMATE_STEP, estimate, gauss_rule, panel_sum
 from .spectral import Spectrum
 
-#: margin used for strict spectral-gap comparisons
+#: margin of the strict comparison of a slope range with the spectrum
+#: (`_place`)
 GAP_MARGIN = 1.0e-9
+
+#: slack by which a sampled |f| may exceed the growth bound a(x) + b|t|
+#: and still pass the growth audit
+GROWTH_SLACK = 1.0e-9
 
 #: points per sign of t in the log grid of the growth audit
 GROWTH_T_POINTS = 81
@@ -74,10 +79,13 @@ def nodal_profile(x, values) -> SourceProfile:
     x = np.array([float(v) for v in x])
     values = np.array([check_real("nodal profile value", v) for v in values])
     if len(x) != len(values):
-        raise InvalidParameterError("nodal profile needs matching x/value lists")
-    if not np.all(np.diff(x) > 0.0):  # np.interp misreads any other x
         raise InvalidParameterError(
-            f"nodal profile x must be strictly increasing, got {x.tolist()}")
+            "nodal profile needs matching x/value lists", "values")
+    # np.interp misreads any other x, and fails at first use on no point
+    if len(x) < 2 or not np.all(np.diff(x) > 0.0):
+        raise InvalidParameterError(
+            f"nodal profile x must be 2 or more strictly increasing numbers, "
+            f"got {x.tolist()}")
     for v in x.tolist():  # an infinite end passes the order test
         check_real("nodal profile x", v)
     return SourceProfile(lambda xx: np.interp(xx, x, values))
@@ -221,7 +229,7 @@ def audit_growth(spec: NonlinearitySpec, x_points) -> GrowthReport:
     slack = spec.a_profile(xx) + spec.b * np.abs(tt) - np.abs(eval_f(spec, xx, tt))
     idx = np.unravel_index(int(np.argmin(slack)), slack.shape)
     worst = float(slack[idx])
-    return GrowthReport(passed=worst >= -GAP_MARGIN, worst_slack=worst,
+    return GrowthReport(passed=worst >= -GROWTH_SLACK, worst_slack=worst,
                         worst_x=float(x[idx[0]]), worst_t=float(t[idx[1]]))
 
 
@@ -263,29 +271,30 @@ def _alpha_bounds(spec: NonlinearitySpec, mesh) -> tuple[float, float]:
             float(np.max(spec.alpha_upper(x))))
 
 
-def _clear_of(lo: float, hi: float, eigenvalues) -> tuple:
-    """Masks of the eigenvalues more than GAP_MARGIN below / above [lo, hi]."""
+def _place(lo: float, hi: float, eigenvalues) -> tuple:
+    """The one comparison of a slope range [lo, hi] with an ascending
+    spectrum: (k, gap, near), `near` the indices of the eigenvalues within
+    GAP_MARGIN of the range.  Where none is, k is the gap that holds the
+    range, lambda_k + GAP_MARGIN < lo and hi < lambda_{k+1} - GAP_MARGIN,
+    and gap its ends (lambda_k, lambda_{k+1}), taking lambda_0 = -inf and
+    lambda_{N+1} = +inf (k = 0 is below lambda_1, k = N above the
+    spectrum); otherwise k and gap are None."""
     vals = np.asarray(eigenvalues, dtype=float)
-    return vals + GAP_MARGIN < lo, hi < vals - GAP_MARGIN
-
-
-def _gap_index(lo: float, hi: float, eigenvalues) -> int | None:
-    """The one nonresonance rule: the k with lambda_k + GAP_MARGIN < lo and
-    hi < lambda_{k+1} - GAP_MARGIN in an ascending spectrum, taking
-    lambda_0 = -inf and lambda_{N+1} = +inf (k = 0 is below lambda_1, k = N
-    above the spectrum); None when an eigenvalue lies within GAP_MARGIN of
-    [lo, hi]."""
-    below, above = _clear_of(lo, hi, eigenvalues)
-    if np.all(below | above):
-        return int(np.count_nonzero(below))
-    return None
+    below = vals + GAP_MARGIN < lo
+    near = np.flatnonzero(~(below | (hi < vals - GAP_MARGIN)))
+    if near.size:
+        return None, None, near
+    k = int(np.count_nonzero(below))
+    return k, (float(vals[k - 1]) if k else -math.inf,
+               float(vals[k]) if k < vals.size else math.inf), near
 
 
 def classify_slopes(alpha_inf: float, alpha_sup: float,
                     eigenvalues: np.ndarray) -> CaseClassification:
-    """Pure classification from slope bounds against an ascending spectrum:
-    `_gap_index` 0 is coercive, 1 .. N-1 the gap case; a range near an
-    eigenvalue or above the spectrum is unsupported."""
+    """Pure classification from slope bounds against an ascending spectrum,
+    read from their one placement (`_place`): gap 0 is coercive, 1 .. N-1
+    the gap case; a range above the spectrum is unsupported, and so is one
+    near an eigenvalue, whose reason names the first three it is near."""
     bounds = {"alpha_inf": alpha_inf, "alpha_sup": alpha_sup}
     if math.isnan(alpha_inf) or math.isnan(alpha_sup):
         return CaseClassification(Case.UNSUPPORTED,
@@ -295,11 +304,9 @@ def classify_slopes(alpha_inf: float, alpha_sup: float,
         return CaseClassification(Case.UNSUPPORTED,
                                   reason="upper slope below lower slope",
                                   **bounds)
-    k = _gap_index(alpha_inf, alpha_sup, eigenvalues)
+    k, _, near = _place(alpha_inf, alpha_sup, eigenvalues)
     if k is None:
-        below, above = _clear_of(alpha_inf, alpha_sup, eigenvalues)
-        straddled = np.flatnonzero(~(below | above))[:3] + 1
-        names = ", ".join(f"lambda_{j}" for j in straddled)
+        names = ", ".join(f"lambda_{j}" for j in near[:3] + 1)
         return CaseClassification(Case.UNSUPPORTED,
                                   reason=f"slope range straddles {names}",
                                   **bounds)
@@ -367,14 +374,16 @@ def _contraction(lo: float, hi: float, gap_lo: float, gap_hi: float) -> float:
 def check_f2_gap(spec: NonlinearitySpec, spectrum: Spectrum,
                  k: int) -> SlopeGapReport:
     """Check that all difference quotients of f sit strictly inside the
-    k-th spectral gap (the uniqueness condition): `_gap_index` places the
-    declared slope range in gap k, as `classify` would place it."""
+    k-th spectral gap (the uniqueness condition): it passes when `_place`
+    puts the declared slope range in gap k, as `classify` would place it.
+    Its two margins are the range's distances to the gap's ends, less
+    GAP_MARGIN."""
     if spec.slope_range is None:
         raise UnauditableError(
             "custom nonlinearity with no declared slope range")
     lo, hi = spec.slope_range
     gap_lo, gap_hi = spectrum.gap(k)
-    return SlopeGapReport(passed=_gap_index(lo, hi, spectrum.eigenvalues) == k,
+    return SlopeGapReport(passed=_place(lo, hi, spectrum.eigenvalues)[0] == k,
                           k=k, slope_range=(lo, hi), gap=(gap_lo, gap_hi),
                           lower_margin=lo - (gap_lo + GAP_MARGIN),
                           upper_margin=(gap_hi - GAP_MARGIN) - hi)

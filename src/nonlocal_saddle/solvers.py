@@ -20,12 +20,14 @@ range that straddles an eigenvalue claims no gap, and its step gets the
 budget of a general symmetric system.  Each per-iterate fact is stated
 once: the driver (`_newton`) refuses an iterate whose slopes or gradient
 are not finite before any step is solved, and `_gap_steps` places each
-iterate's slope range in the spectrum once (`_placed`), which picks the
-step's solver and budget and, under a certificate, refuses a range
-outside the certificate's gap.  A certified run backtracks on the
-merit |g|_{Z*}^2 / 2, which every Newton step descends because the
-certificate makes the Hessian nonsingular; an uncertified gap run caps its
-steps' Z-norm after STALL_STEPS steps without a new residual minimum.
+iterate's slope range in the spectrum once (`_place`, the one comparison
+of a slope with an eigenvalue, which classification and the slope-gap
+check share), which picks the step's solver, its budget and a resonant
+step's null set and, under a certificate, refuses a range outside the
+certificate's gap.  A certified run backtracks on the merit
+|g|_{Z*}^2 / 2, which every Newton step descends because the certificate
+makes the Hessian nonsingular; an uncertified gap run caps its steps'
+Z-norm after STALL_STEPS steps without a new residual minimum.
 Both solvers solve against the spectrum their classification was made in
 (`CaseClassification.spectrum`), and differ only in the case they accept.
 The geometry probe samples the saddle structure that underpins the
@@ -61,9 +63,9 @@ from .errors import (InvalidParameterError, NonConvergenceError,
                      ResonanceError, UnsupportedCaseError, check_count,
                      check_real)
 from .nonlinearity import (GAP_MARGIN, Case, CaseClassification,
-                           NonlinearitySpec, SlopeGapReport, _clear_of,
-                           _contraction, _gap_index, check_f2_gap, classify,
-                           eval_F, eval_f, eval_f_t)
+                           NonlinearitySpec, SlopeGapReport, _contraction,
+                           _place, check_f2_gap, classify, eval_F, eval_f,
+                           eval_f_t)
 from .quadrature import GAUSS_ORDER, gauss_rule
 from .spectral import Spectrum, solve_eigenproblem
 
@@ -298,61 +300,51 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
                              m_profile, g) -> np.ndarray:
     """Solve (A - M_w) u = M g with the slope weight certified nonresonant.
 
-    `_placed` must place the weight's range in a gap k between two
+    `_place` must place the weight's range in a gap k between two
     eigenvalues, as `classify_slopes` places a slope range.  The system is
     then invertible, so the solve is one Newton step solved by MINRES with
-    the contraction of that placement (`_minres_step`): a step that fails
-    its checks signals an assembly or spectrum bug, not a user error.
+    the contraction of that gap (`_minres_step`): a step that fails its
+    checks signals an assembly or spectrum bug, not a user error.  A
+    refusal says "straddles" when one of the eigenvalues near the range
+    lies strictly inside it, and "touches" otherwise.
     """
     _check_pair(op, spectrum)
     xg, wg, xi = _element_data(op)
     m_vals = _profile_values("slope", m_profile, xg)
-    vals = spectrum.eigenvalues
     lo, hi = float(m_vals.min()), float(m_vals.max())
-    placed = _placed(lo, hi, vals)
-    if placed is None:
-        if np.any((lo < vals) & (vals < hi)):
+    k, gap, near = _place(lo, hi, spectrum.eigenvalues)
+    if k is None:
+        near = spectrum.eigenvalues[near]
+        if np.any((lo < near) & (near < hi)):
             raise ResonanceError(f"slope profile range [{lo:.6g}, {hi:.6g}] "
                                  f"straddles an eigenvalue")
         raise ResonanceError(f"slope profile touches an eigenvalue within "
                              f"{GAP_MARGIN:g}")
     rhs = _p1_load(op, wg * _profile_values("source", g, xg), xi)
-    return _minres_step(op, spectrum, m_vals, -rhs, placed[1])
-
-
-def _placed(lo: float, hi: float, eigenvalues: np.ndarray):
-    """(k, rho) for a slope range [lo, hi] that `_gap_index` places in gap
-    k, rho its `_contraction` against (lambda_k, lambda_{k+1}) with
-    lambda_0 = -inf and lambda_{N+1} = +inf; None where an eigenvalue lies
-    within GAP_MARGIN of the range."""
-    k = _gap_index(lo, hi, eigenvalues)
-    if k is None:
-        return None
-    gap_lo = float(eigenvalues[k - 1]) if k > 0 else -math.inf
-    gap_hi = float(eigenvalues[k]) if k < eigenvalues.size else math.inf
-    return k, _contraction(lo, hi, gap_lo, gap_hi)
+    return _minres_step(op, spectrum, m_vals, -rhs,
+                        _contraction(lo, hi, *gap))
 
 
 # ---------------------------------------------------------------------------
 # Newton iterations
 # ---------------------------------------------------------------------------
 
-def _resonant_step(spectrum: Spectrum, m: float,
+def _resonant_step(spectrum: Spectrum, m: float, null: np.ndarray,
                    grad: np.ndarray) -> np.ndarray:
     """The step of an iterate whose slopes are the one constant m at an
     eigenvalue: W = m M, so the system A - m M is diagonal in the
     eigen-coordinates, Lambda - m.  y_j = -(E^T grad)_j / (lambda_j - m)
-    off the null set, the eigenvalues that `_clear_of` [m, m] leaves, and
-    y_j = 0 on it; the step E y then loses its Euclidean component along
-    the null eigenvectors.  Of the steps that minimize the residual in the
-    M^-1 norm this is the one of least Euclidean norm, so for a consistent
-    system (a gradient in the range of A - m M) it is the minimum-norm
-    least-squares step."""
+    off the null set `null`, the indices of the eigenvalues near [m, m]
+    that `_gap_steps` got from `_place`, and y_j = 0 on it; the step E y
+    then loses its Euclidean component along the null eigenvectors.  Of
+    the steps that minimize the residual in the M^-1 norm this is the one
+    of least Euclidean norm, so for a consistent system (a gradient in the
+    range of A - m M) it is the minimum-norm least-squares step."""
     lam = spectrum.eigenvalues
-    clear = np.logical_or(*_clear_of(m, m, lam))
+    clear = np.ones(lam.size, dtype=bool)
+    clear[null] = False
     y = np.divide(-spectrum.to_eigen(grad), lam - m, out=np.zeros_like(lam),
                   where=clear)
-    null = np.flatnonzero(~clear)
     unit = np.zeros((spectrum.size, null.size))
     unit[null, np.arange(null.size)] = 1.0
     basis = np.linalg.qr(spectrum.from_eigen(unit))[0]
@@ -423,7 +415,7 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
                  contraction: float | None) -> np.ndarray:
     """The step d = (A - W)^-1 (-grad) for the slope values `slopes` (see
     `_system`), without forming A - W: the one solver of every Newton step
-    but a resonant one.  `contraction` rho is that of a gap k (`_placed`)
+    but a resonant one.  `contraction` rho is that of a gap k (`_place`)
     holding the slopes: a slope-gap certificate's
     (`SlopeGapReport.contraction`), or the iterate's own.  By
     Courant-Fischer A - W is then nonsingular with Morse index k.  It is
@@ -484,30 +476,32 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
 
 def _gap_steps(op, spectrum, certificate):
     """step(slopes, grad), the Newton step of every run, the coercive one
-    (gap 0, no certificate) included.  Each iterate is placed once, by its
-    own slope range (`_placed`).  Under the slope-gap report `certificate`
-    the range must lie in the certificate's gap k, or the step raises
-    NonResonanceContradictionError; the step is then `_minres_step` with
-    the certificate's contraction.  Without one, slopes that are one
-    constant m placed in no gap, so that an eigenvalue lies within
-    GAP_MARGIN of m, take `_resonant_step`; every other step is
-    `_minres_step`, with the contraction rho of the gap j that holds the
-    range, or with none where it straddles an eigenvalue."""
+    (gap 0, no certificate) included.  Each iterate's slope range is
+    placed once (`_place`), and the step reads its gap k, the gap's ends
+    and the eigenvalues near the range from that one placement.  Under the
+    slope-gap report `certificate` the range must lie in the certificate's
+    gap k, or the step raises NonResonanceContradictionError; the step is
+    then `_minres_step` with the certificate's contraction.  Without one,
+    slopes that are one constant m placed in no gap, so that an eigenvalue
+    lies within GAP_MARGIN of m, take `_resonant_step` with those
+    eigenvalues as its null set; every other step is `_minres_step`, with
+    the contraction rho of the gap j that holds the range, or with none
+    where it straddles an eigenvalue."""
 
     def step(slopes, grad):
         lo, hi = float(slopes.min()), float(slopes.max())
-        placed = _placed(lo, hi, spectrum.eigenvalues)
+        k, gap, near = _place(lo, hi, spectrum.eigenvalues)
         if certificate is not None:
-            if placed is None or placed[0] != certificate.k:
+            if k != certificate.k:
                 raise NonResonanceContradictionError(
                     f"slopes [{lo:.6g}, {hi:.6g}] at the iterate leave gap "
                     f"k={certificate.k}, in which its step was to be solved")
             return _minres_step(op, spectrum, slopes, grad,
                                 certificate.contraction)
-        if placed is None and lo == hi:
-            return _resonant_step(spectrum, lo, grad)
-        return _minres_step(op, spectrum, slopes, grad,
-                            None if placed is None else placed[1])
+        if k is None and lo == hi:
+            return _resonant_step(spectrum, lo, near, grad)
+        rho = None if k is None else _contraction(lo, hi, *gap)
+        return _minres_step(op, spectrum, slopes, grad, rho)
 
     return step
 
@@ -735,7 +729,9 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     limit lies within C |g_i|_{Z*} of it, so only rounding beyond the
     allowance or a false certificate can make that verdict MultipleFound.
     Without a certificate the bound is the heuristic DISTINCT_SOLUTION_Z
-    times max(1, max_i |u_i|_Z).
+    times max(1, max_i |u_i|_Z).  The verdict is Inconclusive when a start
+    does not converge, and with a single start, which leaves no pair to
+    compare.
     """
     _check_pair(op, spectrum)
     spectrum.gap(k)
@@ -749,11 +745,13 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
             u, grad, _ = _newton(op, spec, spectrum, k, certificate, u0,
                                  opts)
         except NonConvergenceError:
-            return UniquenessVerdict(kind="Inconclusive", n_starts=n_starts,
-                                     seed=opts.seed,
-                                     f2_passed=certificate is not None)
+            break
         solutions.append(u)
         grads.append(grad)
+    if len(solutions) < max(n_starts, 2):
+        return UniquenessVerdict(kind="Inconclusive", n_starts=n_starts,
+                                 seed=opts.seed,
+                                 f2_passed=certificate is not None)
     # u_j - u_i = -(u_i - u_j) exactly, so one Z-norm per pair
     dist = np.zeros((n_starts, n_starts))
     for i, j in zip(*np.triu_indices(n_starts, 1)):
@@ -779,7 +777,7 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
         max_pairwise_z=float(dist.max()),
         representatives=tuple(solutions[i] for i in rep),
         n_starts=n_starts, seed=opts.seed, f2_passed=certificate is not None,
-        cut=cut, max_pair_ratio=float(pairs.max()) if pairs.size else math.nan)
+        cut=cut, max_pair_ratio=float(pairs.max()))
 
 
 # ---------------------------------------------------------------------------

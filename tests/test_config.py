@@ -127,7 +127,10 @@ def _small_pencil():
      lambda: ns.uniqueness_probe(*_small_pencil(), nl.affine(
          0.0, nl.constant_profile(1.0)), 1, n_starts=0)),
     ({"solver": {"seed": -1}}, lambda: ns.SolverOptions(seed=-1)),
-], ids=["s", "n_elements", "delta", "tol", "max_iter", "starts", "seed"])
+    ({"nonlinearity": {"g": {"type": "nodal", "x": [0.0], "values": [1.0]}}},
+     lambda: nl.nodal_profile([0.0], [1.0])),
+], ids=["s", "n_elements", "delta", "tol", "max_iter", "starts", "seed",
+        "nodal"])
 def test_config_reports_the_library_refusal(raw, library_call):
     """each range rule is stated once, by the library: the config refuses
     a value with the message of the library's refusal of the same value"""
@@ -181,6 +184,22 @@ def test_nodal_profile_validation():
         validate_config({"nonlinearity": {"g": {"type": "nodal",
                                                 "x": [0.0, 1.0],
                                                 "values": [1.0]}}})
+
+
+@pytest.mark.parametrize("xs,vs,path", [
+    ([], [], "/nonlinearity/g/x"),
+    ([0.0], [1.0], "/nonlinearity/g/x"),
+    ([0.0, 1.0], [1.0], "/nonlinearity/g/values"),
+    ([0.0, 1.0], "1", "/nonlinearity/g"),
+], ids=["no-point", "one-point", "unmatched", "not-a-list"])
+def test_nodal_refusals_are_reported_at_their_path(xs, vs, path):
+    """the point count and the matching lengths are the library's rules
+    (`nodal_profile`), reported at the list they refuse; only a value that
+    is not a list is the config's own refusal"""
+    with pytest.raises(ConfigError) as info:
+        validate_config({"nonlinearity": {"g": {
+            "type": "nodal", "x": xs, "values": vs}}})
+    assert info.value.path == path
 
 
 @pytest.mark.parametrize("xs", [[1.0, -1.0], [-1.0, 0.0, 0.0, 1.0]])

@@ -367,6 +367,15 @@ def test_polynomial_profile_refuses_no_coefficients():
         nl.polynomial_profile([])
 
 
+@pytest.mark.parametrize("x", [[], [0.0]], ids=["no-point", "one-point"])
+def test_nodal_profile_refuses_fewer_than_two_points(x):
+    """no point was accepted and failed at first use with numpy's bare
+    ValueError; one point was accepted by the library but refused by the
+    config"""
+    with pytest.raises(InvalidParameterError, match="2 or more"):
+        nl.nodal_profile(x, np.zeros(len(x)))
+
+
 @pytest.mark.parametrize("x", [[1.0, -1.0], [-1.0, 0.0, 0.0, 1.0],
                                [-1.0, math.nan, 1.0]])
 def test_nodal_profile_refuses_x_not_strictly_increasing(x):

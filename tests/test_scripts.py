@@ -18,3 +18,36 @@ def test_script_runs(script, args, expect):
                        capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr
     assert expect in r.stdout
+
+
+SYNTHETIC = '''"""Module docstring
+over two lines."""
+
+import math  # a comment after code
+
+
+# a comment line
+def f(x):
+    """Function docstring."""
+    text = """a string
+    over two lines"""
+    return math.sqrt(x), text
+
+
+class C:
+    "Class docstring."
+    value = 1
+'''
+
+
+def test_count_code_lines_skips_comments_blanks_and_docstrings(tmp_path):
+    """of the synthetic file's 17 lines 7 are code: the import, the def,
+    the two lines of its multi-line string, the return, the class line and
+    its one statement"""
+    path = tmp_path / "synthetic.py"
+    path.write_text(SYNTHETIC)
+    r = subprocess.run([sys.executable, str(SCRIPTS / "count_code_lines.py"),
+                        str(tmp_path)], capture_output=True, text=True,
+                       env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [f"     7  {path}", "     7  total"]

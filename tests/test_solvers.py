@@ -98,7 +98,7 @@ def test_linear_solve_of_a_zero_source_is_zero(fractional_op, gap, source):
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
     m = 0.0 if gap == 0 else 0.5 * (lam[1] + lam[2])
-    assert solvers._placed(m, m, lam)[0] == gap
+    assert solvers._place(m, m, lam)[0] == gap
     g = 0.0 if source == "scalar" else (lambda x: 0.0 * x)
     u = linear_nonresonant_solve(op, sp, m, g)
     assert u.shape == (op.size,)
@@ -259,7 +259,7 @@ def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
     assert solvers._f2_passed(spec, sp, 2) is None
     u = 0.1 * u  # small, so the slopes lie near m + delta
     slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
-    assert solvers._placed(slopes.min(), slopes.max(), lam)[0] == 3
+    assert solvers._place(slopes.min(), slopes.max(), lam)[0] == 3
     counts = _count_steps(monkeypatch)
     step = solvers._gap_steps(op, sp, None)(slopes, grad)
     assert counts == {"minres": 1, "resonant": 0}
@@ -369,7 +369,8 @@ def test_uncertified_step_in_a_gap_takes_minres_within_its_budget(
     for width, bound, budget in ((0.9, 626, 130), (0.2, 46, 46)):
         # slope profile over [lambda_2, lambda_3] centred in the gap
         slopes = lam[1] + (0.5 + 0.5 * width * xg) * (lam[2] - lam[1])
-        rho = solvers._placed(slopes.min(), slopes.max(), lam)[1]
+        lo, hi = slopes.min(), slopes.max()
+        rho = solvers._contraction(lo, hi, *solvers._place(lo, hi, lam)[1])
         assert rho == pytest.approx(width, abs=0.01)
         assert solvers._minres_bound(rho) == bound
         counts.update(minres=0, resonant=0)
@@ -433,7 +434,7 @@ def test_singular_straddling_system_raises(fractional_op):
     shifts = scipy.linalg.eigh(solvers._system(op, slopes), op.mass,
                                eigvals_only=True)
     slopes = slopes + shifts[np.argmin(np.abs(shifts))]
-    assert solvers._placed(slopes.min(), slopes.max(), lam) is None
+    assert solvers._place(slopes.min(), slopes.max(), lam)[0] is None
     grad = np.random.default_rng(64).standard_normal(op.size)
     with pytest.raises(NumericError, match="in no gap"):
         solvers._gap_steps(op, sp, None)(slopes, grad)
@@ -547,8 +548,8 @@ def test_case_a_converges_from_a_singular_start(ops_refinement, n):
         lam = float(sp.eigenvalues[j - 1])
         spec = nl.saturating(0.0, lam, nl.constant_profile(1.0))
         slopes = solvers._slopes(op, spec, np.zeros(op.size))
-        assert solvers._placed(slopes.min(), slopes.max(),
-                               sp.eigenvalues) is None, j
+        assert solvers._place(slopes.min(), slopes.max(),
+                              sp.eigenvalues)[0] is None, j
         rep = ns.solve_case_a(op, spec, OPTS)
         assert rep.residual_inf <= OPTS.tol, j
         assert rep.j_value < 0.0, j
@@ -919,15 +920,15 @@ def test_case_b_converges_without_slope_gap_certificate(op128,
     uncertified = 0
     counts = _count_steps(monkeypatch)
     straddling = 0
-    placed = solvers._placed
+    place = solvers._place
 
     def spy(lo, hi, eigenvalues):
         nonlocal straddling
-        found = placed(lo, hi, eigenvalues)
-        straddling += found is None and lo < hi
+        found = place(lo, hi, eigenvalues)
+        straddling += found[0] is None and lo < hi
         return found
 
-    monkeypatch.setattr(solvers, "_placed", spy)
+    monkeypatch.setattr(solvers, "_place", spy)
     for a in (0.02, 0.1, 0.3, 0.5):
         for b in (0.8, 1.0, 1.2, 1.5):
             spec = nl.saturating(lam[1] + a * gap, b * gap,
@@ -1080,6 +1081,56 @@ def test_uniqueness_probe_inconclusive_when_a_start_fails(op128,
     assert math.isnan(verdict.max_pairwise_z)
 
 
+@pytest.mark.parametrize("resonant", [False, True],
+                         ids=["certified", "resonant"])
+def test_single_start_probe_is_inconclusive(fractional_op, resonant):
+    """one start leaves no pair to compare: Inconclusive, with no cut and
+    a NaN ratio, also for affine(lambda_2, g = 0), whose solutions form a
+    line, which a single start once reported as Unique"""
+    op = fractional_op(0.5, 32)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    spec = (nl.affine(float(lam[1]), nl.constant_profile(0.0)) if resonant
+            else nl.saturating(lam[1] + 0.2, 0.6 * (lam[2] - lam[1]),
+                               nl.constant_profile(5.0)))
+    verdict = ns.uniqueness_probe(op, sp, spec, 2, n_starts=1, opts=OPTS)
+    assert verdict.kind == "Inconclusive"
+    assert verdict.f2_passed == (not resonant)
+    assert verdict.cut is None and math.isnan(verdict.max_pair_ratio)
+    assert verdict.n_starts == 1
+
+
+@pytest.mark.parametrize("case", ["certified", "uncertified", "resonant"])
+def test_each_newton_step_places_its_iterate_once(fractional_op, monkeypatch,
+                                                  case):
+    """every Newton step of the probe, resonant steps included, compares
+    its slope range with the spectrum exactly once (`_place`): the
+    resonant step takes its null set from that placement"""
+    op = fractional_op(0.5, 32)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    gap = lam[2] - lam[1]
+    spec = {"certified": nl.saturating(lam[1] + 0.2, 0.6 * gap,
+                                       nl.constant_profile(5.0)),
+            "uncertified": nl.saturating(lam[1] + 0.2 * gap, 0.8 * gap,
+                                         nl.constant_profile(1.0)),
+            "resonant": nl.affine(float(lam[1]),
+                                  nl.constant_profile(0.0))}[case]
+    counts = _count_steps(monkeypatch)
+    places = 0
+    place = solvers._place
+
+    def spy(lo, hi, eigenvalues):
+        nonlocal places
+        places += 1
+        return place(lo, hi, eigenvalues)
+
+    monkeypatch.setattr(solvers, "_place", spy)
+    ns.uniqueness_probe(op, sp, spec, 2, n_starts=4, opts=OPTS)
+    assert places == counts["minres"] + counts["resonant"] > 0, counts
+    assert (counts["resonant"] > 0) == (case == "resonant"), counts
+
+
 @pytest.mark.parametrize("slope_range", [None, (20.0, 20.0)],
                          ids=["uncertified", "certified"])
 def test_case_b_non_finite_system_raises_numeric_error(op128, spectrum128,
@@ -1174,7 +1225,7 @@ def _step_owner_run(owner, op, sp):
     }[owner]
     if owner == "straddling-minres":
         slopes = solvers._slopes(op, spec, start)
-        assert solvers._placed(slopes.min(), slopes.max(), lam) is None
+        assert solvers._place(slopes.min(), slopes.max(), lam)[0] is None
     certificate = solvers._f2_passed(spec, sp, 2)
     assert (certificate is not None) == (owner == "certified-minres")
     return spec, (lambda spec, opts: solvers._newton(
