@@ -122,11 +122,11 @@ class ResonanceError(NonlocalSaddleError, ValueError):
 class NonResonanceContradictionError(NonlocalSaddleError):
     """A Newton step solved by MINRES in a spectral gap failed its checks.
 
-    The gap was placed by a slope-gap certificate, by the weight of a
-    linear solve or by the iterate's own slopes.  A step whose slopes leave
-    it, whose MINRES misses its tolerance within its budget, or that
-    misses its system signals a slope range that f_t does not keep or an
-    assembly or spectrum bug rather than a user error.
+    The gap was placed by the iterate's own slopes or by the weight of a
+    linear solve.  A certified step whose slopes leave the certificate's
+    gap, a step whose MINRES misses its tolerance within its budget, or
+    one that misses its system signals a slope range that f_t does not
+    keep or an assembly or spectrum bug rather than a user error.
     """
 
 

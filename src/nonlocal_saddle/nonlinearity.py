@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -70,13 +69,7 @@ def polynomial_profile(coeffs) -> SourceProfile:
 
 
 def nodal_profile(x, values) -> SourceProfile:
-    x = list(x)
-    for v in x:  # float() would take a bool or a numeric string
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise InvalidParameterError(
-                f"nodal profile x must be real numbers, got {clipped_repr(v)}",
-                "nodal profile x")
-    x = np.array([float(v) for v in x])
+    x = np.array([check_real("nodal profile x", v) for v in x])
     values = np.array([check_real("nodal profile value", v) for v in values])
     if len(x) != len(values):
         raise InvalidParameterError(
@@ -86,8 +79,6 @@ def nodal_profile(x, values) -> SourceProfile:
         raise InvalidParameterError(
             f"nodal profile x must be 2 or more strictly increasing numbers, "
             f"got {x.tolist()}")
-    for v in x.tolist():  # an infinite end passes the order test
-        check_real("nodal profile x", v)
     return SourceProfile(lambda xx: np.interp(xx, x, values))
 
 
@@ -289,6 +280,16 @@ def _place(lo: float, hi: float, eigenvalues) -> tuple:
                float(vals[k]) if k < vals.size else math.inf), near
 
 
+def _near_words(lo: float, hi: float, eigenvalues, near) -> str:
+    """How a range [lo, hi] sits at the eigenvalues `near` (indices) that
+    `_place` found within GAP_MARGIN of it: "straddles" when one of them
+    lies strictly inside the range, else "touches", followed by the names
+    of the first three."""
+    vals = np.asarray(eigenvalues, dtype=float)[near]
+    verb = "straddles" if np.any((lo < vals) & (vals < hi)) else "touches"
+    return f"{verb} " + ", ".join(f"lambda_{j}" for j in near[:3] + 1)
+
+
 def classify_slopes(alpha_inf: float, alpha_sup: float,
                     eigenvalues: np.ndarray) -> CaseClassification:
     """Pure classification from slope bounds against an ascending spectrum,
@@ -306,10 +307,9 @@ def classify_slopes(alpha_inf: float, alpha_sup: float,
                                   **bounds)
     k, _, near = _place(alpha_inf, alpha_sup, eigenvalues)
     if k is None:
-        names = ", ".join(f"lambda_{j}" for j in near[:3] + 1)
+        words = _near_words(alpha_inf, alpha_sup, eigenvalues, near)
         return CaseClassification(Case.UNSUPPORTED,
-                                  reason=f"slope range straddles {names}",
-                                  **bounds)
+                                  reason=f"slope range {words}", **bounds)
     if k == 0:
         return CaseClassification(Case.COERCIVE, **bounds)
     if k == len(eigenvalues):
@@ -353,7 +353,9 @@ class SlopeGapReport:
     def contraction(self) -> float | None:
         """rho = (hi - lo) / (2 min(c - lambda_k, lambda_{k+1} - c)) for a
         passed check, c = (lo + hi) / 2 the midpoint of the slope range,
-        else None (`_contraction`)."""
+        else None (`_contraction`).  `verify` reports it; no step reads it,
+        since each certified step takes the contraction of its own range,
+        which is at most this one on a sub-range of the slope range."""
         if not self.passed:
             return None
         return _contraction(*self.slope_range, *self.gap)

@@ -11,18 +11,20 @@ it backtracks on J (`_armijo`).  Every step is solved in the
 eigen-coordinates.  An uncertified iterate whose slopes are one constant
 at an eigenvalue takes its step there, where the system is diagonal
 (`_resonant_step`); every other step is solved by
-preconditioned MINRES (`_minres_step`), within a budget that a slope
-range in a spectral gap (Courant-Fischer then makes the Hessian
-nonsingular) bounds by the gap's contraction, whatever the mesh: the
-range of a slope-gap certificate (`_f2_passed`) at every iterate of a
-certified gap run, and otherwise the iterate's own Gauss-point range.  A
-range that straddles an eigenvalue claims no gap, and its step gets the
-budget of a general symmetric system.  Each per-iterate fact is stated
-once: the driver (`_newton`) refuses an iterate whose slopes or gradient
-are not finite before any step is solved, and `_gap_steps` places each
-iterate's slope range in the spectrum once (`_place`, the one comparison
-of a slope with an eigenvalue, which classification and the slope-gap
-check share), which picks the step's solver, its budget and a resonant
+preconditioned MINRES (`_minres_step`), within a budget that the
+iterate's own Gauss-point slope range, placed in a spectral gap
+(Courant-Fischer then makes the Hessian nonsingular), bounds by its
+contraction in that gap, whatever the mesh.  In a certified gap run
+(`_f2_passed`) that range lies in the certificate's gap, and on a
+sub-range of the certificate's range the budget is at most the one the
+certificate's range would give.  A range that straddles an eigenvalue
+claims no gap, and its step gets the budget of a general symmetric
+system.  Each per-iterate fact is stated once: the driver (`_newton`)
+refuses an iterate whose slopes or gradient are not finite before any
+step is solved, and `_gap_steps` places each iterate's slope range in
+the spectrum once (`_place`, the one comparison of a slope with an
+eigenvalue, which classification and the slope-gap check share), which
+picks the step's solver, its budget and a resonant
 step's null set and, under a certificate, refuses a range outside the
 certificate's gap.  A certified run backtracks on the merit
 |g|_{Z*}^2 / 2, which every Newton step descends because the certificate
@@ -62,10 +64,9 @@ from .errors import (InvalidParameterError, NonConvergenceError,
                      NonResonanceContradictionError, NumericError,
                      ResonanceError, UnsupportedCaseError, check_count,
                      check_real)
-from .nonlinearity import (GAP_MARGIN, Case, CaseClassification,
-                           NonlinearitySpec, SlopeGapReport, _contraction,
-                           _place, check_f2_gap, classify, eval_F, eval_f,
-                           eval_f_t)
+from .nonlinearity import (Case, CaseClassification, NonlinearitySpec,
+                           SlopeGapReport, _contraction, _near_words, _place,
+                           check_f2_gap, classify, eval_F, eval_f, eval_f_t)
 from .quadrature import GAUSS_ORDER, gauss_rule
 from .spectral import Spectrum, solve_eigenproblem
 
@@ -302,11 +303,11 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
 
     `_place` must place the weight's range in a gap k between two
     eigenvalues, as `classify_slopes` places a slope range.  The system is
-    then invertible, so the solve is one Newton step solved by MINRES with
-    the contraction of that gap (`_minres_step`): a step that fails its
+    then invertible, so the solve is one Newton step solved by MINRES in
+    that gap (`_minres_step`), like any other: a step that fails its
     checks signals an assembly or spectrum bug, not a user error.  A
-    refusal says "straddles" when one of the eigenvalues near the range
-    lies strictly inside it, and "touches" otherwise.
+    refusal words the placement as classification does (`_near_words`):
+    the range "straddles" or "touches" the eigenvalues it is near.
     """
     _check_pair(op, spectrum)
     xg, wg, xi = _element_data(op)
@@ -314,15 +315,11 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
     lo, hi = float(m_vals.min()), float(m_vals.max())
     k, gap, near = _place(lo, hi, spectrum.eigenvalues)
     if k is None:
-        near = spectrum.eigenvalues[near]
-        if np.any((lo < near) & (near < hi)):
-            raise ResonanceError(f"slope profile range [{lo:.6g}, {hi:.6g}] "
-                                 f"straddles an eigenvalue")
-        raise ResonanceError(f"slope profile touches an eigenvalue within "
-                             f"{GAP_MARGIN:g}")
+        words = _near_words(lo, hi, spectrum.eigenvalues, near)
+        raise ResonanceError(
+            f"slope profile range [{lo:.6g}, {hi:.6g}] {words}")
     rhs = _p1_load(op, wg * _profile_values("source", g, xg), xi)
-    return _minres_step(op, spectrum, m_vals, -rhs,
-                        _contraction(lo, hi, *gap))
+    return _minres_step(op, spectrum, m_vals, -rhs, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +398,9 @@ def _minres_bound(contraction: float) -> int:
     Elman, Silvester & Wathen, *Finite Elements and Fast Iterative
     Solvers*, 2nd ed., 2014), so 2 ceil(log(MINRES_TOL / 2) / log rho)
     iterations reach MINRES_TOL in exact arithmetic; MINRES_SLACK more
-    allow for rounding.  `_minres_step` caps it by the size of the
-    system."""
+    allow for rounding.  `_minres_step` applies it to the contraction of
+    the preconditioner it applies, that of the iterate's own slope range,
+    and caps it by the size of the system."""
     if not contraction > 0.0:
         return MINRES_SLACK
     rho = min(contraction, math.nextafter(1.0, 0.0))
@@ -412,27 +410,28 @@ def _minres_bound(contraction: float) -> int:
 
 def _minres_step(op: AssembledOperator, spectrum: Spectrum,
                  slopes: np.ndarray, grad: np.ndarray,
-                 contraction: float | None) -> np.ndarray:
+                 gap: tuple | None) -> np.ndarray:
     """The step d = (A - W)^-1 (-grad) for the slope values `slopes` (see
     `_system`), without forming A - W: the one solver of every Newton step
-    but a resonant one.  `contraction` rho is that of a gap k (`_place`)
-    holding the slopes: a slope-gap certificate's
-    (`SlopeGapReport.contraction`), or the iterate's own.  By
-    Courant-Fischer A - W is then nonsingular with Morse index k.  It is
-    None where the slope range lies in no gap, straddling an eigenvalue
-    or within GAP_MARGIN of one, so that A - W is singular only by
-    accident.
+    but a resonant one.  `gap` holds the ends of the gap k in which
+    `_place` put the range [lo, hi] of the slopes; by Courant-Fischer
+    A - W is then nonsingular with Morse index k.  It is None where the
+    range lies in no gap, straddling an eigenvalue or within GAP_MARGIN of
+    one, so that A - W is singular only by accident.
 
     In the eigen-coordinates of `Spectrum.to_eigen` the system is
-    (Lambda - E^T W E) y = -E^T grad, d = E y.  With c the midpoint of the
-    iterate's slope range, MINRES solves it preconditioned symmetrically
-    by |Lambda - c|^-1; each iteration costs one E, one W and one E^T.
-    In a gap the preconditioned spectrum lies in +-[1 - rho, 1 + rho]
-    (`_contraction`), so `_minres_bound(rho)` iterations suffice whatever
-    the mesh.  On any system of size n MINRES terminates within n
-    iterations in exact arithmetic; 2 n + MINRES_SLACK allows for rounding
-    (the most a straddling step was seen to take is 2 n + 1), and caps
-    every budget.  The step raises when MINRES misses MINRES_TOL
+    (Lambda - E^T W E) y = -E^T grad, d = E y.  With c the midpoint of
+    [lo, hi], MINRES solves it preconditioned symmetrically by
+    |Lambda - c|^-1; each iteration costs one E, one W and one E^T.  In a
+    gap the preconditioned spectrum lies in +-[1 - rho, 1 + rho], rho =
+    `_contraction`(lo, hi, *gap), so `_minres_bound(rho)` iterations
+    suffice whatever the mesh: on a range inside a slope-gap certificate's
+    this rho is at most the certificate's, since rho = w / (w +
+    2 min(d_lo, d_hi)) for the range's width w and its distances d_lo,
+    d_hi to the gap's ends.  On any system of size n MINRES terminates
+    within n iterations in exact arithmetic; 2 n + MINRES_SLACK allows for
+    rounding (the most a straddling step was seen to take is 2 n + 1),
+    and caps every budget.  The step raises when MINRES misses MINRES_TOL
     within its budget, or when d misses the nodal system by a normwise
     backward error above STEP_BACKWARD_ERROR: in a gap this is
     NonResonanceContradictionError, which a spectrum that does not belong
@@ -449,13 +448,14 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
             _tridiagonal(bands, spectrum.from_eigen(y))))
 
     bound = 2 * op.size + MINRES_SLACK
-    if contraction is None:
+    if gap is None:
         error = NumericError
         claim = f"at slopes [{lo:.6g}, {hi:.6g}] in no gap"
     else:
-        bound = min(bound, _minres_bound(contraction))
+        rho = _contraction(lo, hi, *gap)
+        bound = min(bound, _minres_bound(rho))
         error = NonResonanceContradictionError
-        claim = f"although the slopes lie in a gap (rho = {contraction:.6g})"
+        claim = f"although the slopes lie in a gap (rho = {rho:.6g})"
     found = _minres(apply, -scale * spectrum.to_eigen(grad), MINRES_TOL,
                     bound)
     if found is None:
@@ -478,30 +478,25 @@ def _gap_steps(op, spectrum, certificate):
     """step(slopes, grad), the Newton step of every run, the coercive one
     (gap 0, no certificate) included.  Each iterate's slope range is
     placed once (`_place`), and the step reads its gap k, the gap's ends
-    and the eigenvalues near the range from that one placement.  Under the
-    slope-gap report `certificate` the range must lie in the certificate's
-    gap k, or the step raises NonResonanceContradictionError; the step is
-    then `_minres_step` with the certificate's contraction.  Without one,
-    slopes that are one constant m placed in no gap, so that an eigenvalue
+    and the eigenvalues near the range from that one placement.  The
+    slope-gap report `certificate` only refuses an iterate whose range
+    leaves the certificate's gap k (NonResonanceContradictionError).
+    Slopes that are one constant m placed in no gap, so that an eigenvalue
     lies within GAP_MARGIN of m, take `_resonant_step` with those
-    eigenvalues as its null set; every other step is `_minres_step`, with
-    the contraction rho of the gap j that holds the range, or with none
-    where it straddles an eigenvalue."""
+    eigenvalues as its null set, which a certified iterate never does;
+    every other step is `_minres_step` in the gap that holds the range,
+    or in none where it straddles an eigenvalue."""
 
     def step(slopes, grad):
         lo, hi = float(slopes.min()), float(slopes.max())
         k, gap, near = _place(lo, hi, spectrum.eigenvalues)
-        if certificate is not None:
-            if k != certificate.k:
-                raise NonResonanceContradictionError(
-                    f"slopes [{lo:.6g}, {hi:.6g}] at the iterate leave gap "
-                    f"k={certificate.k}, in which its step was to be solved")
-            return _minres_step(op, spectrum, slopes, grad,
-                                certificate.contraction)
+        if certificate is not None and k != certificate.k:
+            raise NonResonanceContradictionError(
+                f"slopes [{lo:.6g}, {hi:.6g}] at the iterate leave gap "
+                f"k={certificate.k}, in which its step was to be solved")
         if k is None and lo == hi:
             return _resonant_step(spectrum, lo, near, grad)
-        rho = None if k is None else _contraction(lo, hi, *gap)
-        return _minres_step(op, spectrum, slopes, grad, rho)
+        return _minres_step(op, spectrum, slopes, grad, gap)
 
     return step
 

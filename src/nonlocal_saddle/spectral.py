@@ -202,19 +202,11 @@ def _bidiagonal_cholesky(bands, name: str):
 
 
 def _forward(x: np.ndarray, diag: list, sub: list) -> None:
-    """x <- L^-1 x in place, row by row."""
+    """x <- L^-1 x in place, row by row.  On the rows of x reversed, with
+    both bands reversed, it is x <- L^-T x."""
     rows = list(x)
     rows[0] /= diag[0]
     for prev, row, s, d in zip(rows, rows[1:], sub, diag[1:]):
-        row -= s * prev
-        row /= d
-
-
-def _backward(x: np.ndarray, diag: list, sub: list) -> None:
-    """x <- L^-T x in place, row by row from the last."""
-    rows = list(x)[::-1]
-    rows[0] /= diag[-1]
-    for prev, row, s, d in zip(rows, rows[1:], sub[::-1], diag[-2::-1]):
         row -= s * prev
         row /= d
 
@@ -233,7 +225,7 @@ def _solve_half(op: AssembledOperator, sign: float, name: str):
         vals, vecs = np.linalg.eigh(reduced)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolve of the {name} half: {exc}") from exc
-    _backward(vecs, diag, sub)
+    _forward(vecs[::-1], diag[::-1], sub[::-1])
     return vals, vecs
 
 
@@ -249,11 +241,8 @@ def solve_eigenproblem(op: AssembledOperator) -> Spectrum:
         raise AssemblyCorruptionError("stiffness matrix is not finite")
     even_vals, even = _solve_half(op, 1.0, "even")
     odd_vals, odd = _solve_half(op, -1.0, "odd")
-    # 1^T M, column sums of tridiagonal Toeplitz M (a zero c_1 for n = 1)
-    c = np.append(op.mass_symbol, 0.0)
-    ones_mass = np.full(op.size, c[0] + c[1] + c[1])
-    ones_mass[[0, -1]] = c[0] + c[1]
-    for half, weight in zip((even, odd), _fold(ones_mass)):
+    for half, weight in zip((even, odd),
+                            _fold(_mass_times(op, np.ones(op.size)))):
         if half.size:
             _fix_signs(half, weight / math.sqrt(2.0))
     vals = np.concatenate((even_vals, odd_vals))

@@ -129,6 +129,30 @@ def test_verify_verdict(gap_config, tmp_path):
     assert verdict["all_hypotheses_pass"]
 
 
+def test_verify_verdict_of_a_failed_f2_check(tmp_path, capsys):
+    """saturating(22, 10, g = 5) at N = 32 is classified gap 2, but its
+    slope range [22, 32] reaches past lambda_3: `verify` exits 0 with an f2
+    block that fails and carries neither the inverse bound nor the
+    contraction, and not all hypotheses pass"""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "mesh": {"n_elements": 32},
+        "nonlinearity": {"family": "saturating", "m": 22.0, "delta": 10.0,
+                         "g": {"type": "constant", "value": 5.0}}}))
+    out = tmp_path / "art"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert capsys.readouterr().out == (out / "verdict.json").read_text()
+    assert verdict["classification"]["case"] == "gap"
+    f2 = verdict["f2"]
+    assert (f2["pass"], f2["k"]) == (False, 2)
+    assert f2["slope_range"] == [22.0, 32.0]
+    assert f2["upper_margin"] < 0.0
+    assert f2["inverse_bound"] is None and f2["contraction"] is None
+    assert verdict["supported"] is True
+    assert verdict["all_hypotheses_pass"] is False
+
+
 def test_refusal_exit_code_writes_verdict(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(RESONANT_CONFIG))
@@ -137,7 +161,8 @@ def test_refusal_exit_code_writes_verdict(tmp_path):
     assert r.returncode == 1
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["supported"] is False
-    assert "straddles" in verdict["classification"]["reason"]
+    assert verdict["classification"]["reason"] == \
+        "slope range touches lambda_2"
 
 
 def test_solve_coercive_config(tmp_path):

@@ -183,6 +183,34 @@ def test_classify_slopes_refuses_nan_bounds():
         assert c.reason == "slope bound is not a number"
 
 
+def test_classify_slopes_refuses_reversed_bounds():
+    """an upper slope bound below the lower one is unsupported, also where
+    the reversed pair would place in a gap or below the spectrum"""
+    for lo, hi in ((20.5, 20.0), (9.0, 8.0), (1.0, 0.0)):
+        c = nl.classify_slopes(lo, hi, LAM)
+        assert c.case is nl.Case.UNSUPPORTED and c.k is None
+        assert c.reason == "upper slope below lower slope"
+
+
+@pytest.mark.parametrize("lo,hi,reason", [
+    (17.34, 17.34, "touches lambda_2"),
+    (17.34 + 5e-10, 17.34 + 5e-10, "touches lambda_2"),
+    (10.0, 17.34, "touches lambda_2"),
+    (17.0, 18.0, "straddles lambda_2"),
+    (17.34, 27.17, "touches lambda_2, lambda_3"),
+    (17.34, 28.0, "straddles lambda_2, lambda_3"),
+    (0.0, 60.0, "straddles lambda_1, lambda_2, lambda_3"),
+], ids=["single", "single-within-margin", "upper-end", "across",
+        "both-ends", "end-and-across", "five-across"])
+def test_classify_slopes_words_a_touch_and_a_straddle(lo, hi, reason):
+    """a range near an eigenvalue touches it unless one of the eigenvalues
+    it is near lies strictly inside it, and the reason names the first
+    three"""
+    c = nl.classify_slopes(lo, hi, LAM)
+    assert c.case is nl.Case.UNSUPPORTED and c.k is None
+    assert c.reason == f"slope range {reason}"
+
+
 def test_classify_nan_lower_slope_on_part_of_omega(spectrum128):
     def lower(x):
         x = np.asarray(x, float)
@@ -336,6 +364,7 @@ def test_source_profiles():
     lambda: nl.polynomial_profile([1.0, math.nan]),
     lambda: nl.nodal_profile([0.0, 1.0], [0.0, math.nan]),
     lambda: nl.nodal_profile([0.0, math.inf], [1.0, 2.0]),
+    lambda: nl.nodal_profile([-1.0, math.nan, 1.0], [0.0, 0.0, 0.0]),
     lambda: nl.nodal_profile([False, True], [1.0, 2.0]),
     lambda: nl.nodal_profile(["0", "1"], [1.0, 2.0]),
     lambda: nl.nodal_profile(["a", "1"], [1.0, 2.0]),
@@ -347,7 +376,8 @@ def test_source_profiles():
     lambda: nl.custom(f=lambda x, t: t, a_profile=np.abs, b=math.nan,
                       alpha_lower=nl.constant_profile(1.0),
                       alpha_upper=nl.constant_profile(1.0)),
-], ids=["constant", "polynomial", "nodal", "nodal-x", "nodal-x-bool",
+], ids=["constant", "polynomial", "nodal", "nodal-x", "nodal-x-nan",
+        "nodal-x-bool",
         "nodal-x-numeric-str", "nodal-x-str", "affine-m", "saturating-m",
         "saturating-delta-nan", "saturating-delta-inf", "bounded-c",
         "custom-b"])
@@ -355,8 +385,8 @@ def test_constructors_refuse_non_finite_parameters(build):
     """a NaN or inf parameter, or a nodal x that is not a real number (a
     bool or a string, which float() would take or fail on), is bad input
     when the spec is built, not a numeric failure inside a later Newton
-    step"""
-    with pytest.raises(InvalidParameterError):
+    step: `check_real` refuses each, a NaN nodal x before the order test"""
+    with pytest.raises(InvalidParameterError, match="must be a finite number"):
         build()
 
 
@@ -376,8 +406,7 @@ def test_nodal_profile_refuses_fewer_than_two_points(x):
         nl.nodal_profile(x, np.zeros(len(x)))
 
 
-@pytest.mark.parametrize("x", [[1.0, -1.0], [-1.0, 0.0, 0.0, 1.0],
-                               [-1.0, math.nan, 1.0]])
+@pytest.mark.parametrize("x", [[1.0, -1.0], [-1.0, 0.0, 0.0, 1.0]])
 def test_nodal_profile_refuses_x_not_strictly_increasing(x):
     """np.interp misreads it: x = [1, -1] with values [0, 2] would give
     g(-1, 0, 1) = [0, 2, 2] instead of [2, 1, 0]"""

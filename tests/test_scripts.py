@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts on small meshes."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +52,20 @@ def test_count_code_lines_skips_comments_blanks_and_docstrings(tmp_path):
                        env=child_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == [f"     7  {path}", "     7  total"]
+
+
+def test_output_fingerprint_quick_is_reproducible():
+    """two runs of `output_fingerprint.py --quick` (N = 32, seed 1, three
+    exponents of 12 cases each) print the same lines, the last of which
+    hashes the others"""
+    runs = [subprocess.run([sys.executable,
+                            str(SCRIPTS / "output_fingerprint.py"), "--quick"],
+                           capture_output=True, text=True, env=child_env())
+            for _ in range(2)]
+    for r in runs:
+        assert r.returncode == 0, r.stderr
+    assert runs[0].stdout == runs[1].stdout
+    *cases, last = runs[0].stdout.splitlines()
+    assert len(cases) == 36
+    digest = hashlib.sha256("".join(f"{c}\n" for c in cases).encode())
+    assert last == f"all: {digest.hexdigest()}"

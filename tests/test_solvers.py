@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -248,8 +249,7 @@ def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
         spec = _fixed_gap_spec(lam, k)
         certificate = solvers._f2_passed(spec, sp, k)
         slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
-        step = solvers._minres_step(op, sp, slopes, grad,
-                                    certificate.contraction)
+        step = solvers._minres_step(op, sp, slopes, grad, certificate.gap)
         lu = np.linalg.solve(solvers._system(op, slopes), -grad)
         assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu), (k,)
     # slopes (m, m + delta] run from gap 2 into gap 3: no certificate
@@ -295,10 +295,20 @@ def test_newton_step_takes_least_squares_at_resonance(fractional_op,
 
 
 def test_certified_iterations_do_not_grow_with_n(fractional_op, monkeypatch):
-    """the MINRES iterations of a certified solve stay within the bound
-    that the certificate's contraction gives, and at N = 2048 within twice
-    those at N = 512"""
+    """the MINRES iterations of a certified solve stay within the budget
+    that each iterate's own slope range gives in its gap, which is at most
+    the bound of the certificate's wider range, and at N = 2048 within
+    twice those at N = 512"""
     calls = _minres_calls(monkeypatch)
+    own = []
+    minres_step = solvers._minres_step
+
+    def spy(op, spectrum, slopes, grad, gap):
+        rho = solvers._contraction(slopes.min(), slopes.max(), *gap)
+        own.append(solvers._minres_bound(rho))
+        return minres_step(op, spectrum, slopes, grad, gap)
+
+    monkeypatch.setattr(solvers, "_minres_step", spy)
     most = {}
     for n in (512, 2048):
         op = fractional_op(0.5, n)
@@ -306,11 +316,13 @@ def test_certified_iterations_do_not_grow_with_n(fractional_op, monkeypatch):
         spec = _fixed_gap_spec(sp.eigenvalues, 2)
         certificate = solvers._f2_passed(spec, sp, 2)
         calls.clear()
+        own.clear()
         ns.solve_case_b(op, sp, spec, OPTS)
-        assert calls
+        assert calls and len(calls) == len(own)
         bound = solvers._minres_bound(certificate.contraction)
-        assert all(it is not None and it <= bound and cap == bound
-                   for it, cap in calls), (n, calls, bound)
+        assert all(it is not None and it <= cap == mine <= bound
+                   for (it, cap), mine in zip(calls, own)), \
+            (n, calls, own, bound)
         most[n] = max(it for it, _ in calls)
     assert most[2048] <= 2 * most[512], most
 
@@ -402,10 +414,10 @@ def test_straddling_steps_stay_within_twice_the_system_size(fractional_op,
     straddling = []
     minres_step = solvers._minres_step
 
-    def spy(op, spectrum, slopes, grad, contraction):
+    def spy(op, spectrum, slopes, grad, gap):
         before = len(calls)
-        step = minres_step(op, spectrum, slopes, grad, contraction)
-        if contraction is None:
+        step = minres_step(op, spectrum, slopes, grad, gap)
+        if gap is None:
             straddling.extend(calls[before:])
         return step
 
@@ -565,8 +577,28 @@ def test_case_a_refuses_a_zero_stiffness(op128, spectrum128):
     lam1 = float(spectrum128.eigenvalues[0])
     spec = nl.saturating(0.0, 1.5 * lam1, nl.constant_profile(1.0))
     bad = dataclasses.replace(op128, symbol=np.zeros_like(op128.symbol))
-    with pytest.raises(UnsupportedCaseError, match="straddles lambda_1"):
+    with pytest.raises(UnsupportedCaseError, match="touches lambda_1"):
         ns.solve_case_a(bad, spec, OPTS)
+
+
+def test_coercive_line_search_stall_raises_with_its_trace(op128,
+                                                          spectrum128,
+                                                          monkeypatch):
+    """a J that rises at every evaluation leaves the Armijo search of a
+    coercive run no step to accept in its 60 shortenings: the run raises
+    NonConvergenceError at its first step, carrying the residual of the
+    start"""
+    spec = nl.saturating(0.0, 5.0, nl.constant_profile(1.0))
+    cls = nl.classify(spec, spectrum128)
+    assert cls.case is nl.Case.COERCIVE
+    rising = itertools.count()
+    monkeypatch.setattr(solvers, "eval_J", lambda *_: float(next(rising)))
+    with pytest.raises(NonConvergenceError,
+                       match="line search stalled at iteration 0") as info:
+        ns.solve_case_a(op128, spec, OPTS, classification=cls)
+    assert info.value.trace == [
+        residual_weakform(op128, spec, np.zeros(op128.size))]
+    assert info.value.trace[0] > OPTS.tol
 
 
 def test_case_a_refuses_gap_problem(op128, spectrum128, gap_spec):
@@ -837,7 +869,7 @@ def test_merit_slope_is_minus_twice_the_merit(fractional_op):
     assert ns.morse_index(op, spec, u) == 2
     grad = eval_gradient(op, spec, u)
     step = solvers._minres_step(op, sp, solvers._slopes(op, spec, u), grad,
-                                certificate.contraction)
+                                certificate.gap)
 
     def phi(t):
         g = eval_gradient(op, spec, u + t * step)
