@@ -9,12 +9,16 @@ seeds 1-10 (--quick: N = 32 and seed 1 only).  For each (s, N): the
 resonant affine(lambda_2, g = 0) probe and linear solves with weights at,
 near and across lambda_2; for each seed: two coercive draws, certified
 gap draws for k = 1, 2, 3 and an f2-failing draw whose slope range
-straddles lambda_3.  A case line holds the iteration count, the repr of J,
-of the weak-form residual and of the probe's `max_pair_ratio`, the
-probe's verdict, a sha256 prefix of the solution and of the
-representatives, and the message of a refusal; "-" marks a field the case
-does not have.  Rounding depends on the BLAS thread count, so compare
-runs made with the same.
+straddles lambda_3.  Without --quick a last case is the benchmark
+sweep's fixed one: N = 512, s = 1/2, saturating(lambda_2 + 0.2,
+0.6 (lambda_3 - lambda_2), g = 5), solved and probed from 8 starts with
+seed 42.  A case line holds the iteration count, the repr of J, of the
+weak-form residual and of the probe's `max_pair_ratio`, the probe's
+verdict and each start's Newton count ("None" where a start did not
+converge), a sha256 prefix of the solution and of the representatives,
+and the message of a refusal; "-" marks a field the case does not have.
+Rounding depends on the BLAS thread count, so compare runs made with the
+same.
 """
 
 import argparse
@@ -53,6 +57,8 @@ def _fields(report=None, verdict=None, solution=None, refusal=None) -> str:
         "u": "-" if solution is None else _digest([solution]),
         "verdict": "-" if verdict is None else verdict.kind,
         "ratio": "-" if verdict is None else repr(verdict.max_pair_ratio),
+        "iters": "-" if verdict is None else ",".join(
+            str(count) for count in verdict.iterations),
         "reps": "-" if verdict is None else _digest(verdict.representatives),
     }
     text = " ".join(f"{key}={value}" for key, value in out.items())
@@ -67,11 +73,24 @@ def _run(case):
         return _fields(refusal=f"{type(exc).__name__}: {exc}")
 
 
-def _solve_and_probe(op, sp, spec, k, opts):
+def _solve_and_probe(op, sp, spec, k, opts, n_starts=N_STARTS):
     rep = ns.solve_case_b(op, sp, spec, opts)
-    verdict = ns.uniqueness_probe(op, sp, spec, k, n_starts=N_STARTS,
+    verdict = ns.uniqueness_probe(op, sp, spec, k, n_starts=n_starts,
                                   opts=opts)
     return {"report": rep, "verdict": verdict}
+
+
+def _sweep_fixed_case():
+    """(line prefix, case) of the benchmark sweep's fixed certified case."""
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 512),
+                     ns.make_fractional_kernel(0.5))
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    spec = nl.saturating(lam[1] + 0.2, 0.6 * (lam[2] - lam[1]),
+                         nl.constant_profile(5.0))
+    return "s=0.5 N=512 seed=42 sweep-fixed-f2-certified", \
+        lambda: _solve_and_probe(op, sp, spec, 2, ns.SolverOptions(seed=42),
+                                 n_starts=8)
 
 
 def _operator_cases(op, sp):
@@ -138,6 +157,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     n_values, seeds = ((32,), (1,)) if args.quick else (N_VALUES, SEEDS)
     total = hashlib.sha256()
+
+    def emit(line):
+        total.update(line.encode() + b"\n")
+        print(line, flush=True)
+
     for s in S_VALUES:
         kernel = ns.make_fractional_kernel(s)
         for n in n_values:
@@ -148,9 +172,10 @@ def main(argv=None) -> int:
             cases += [(seed, name, case) for seed in seeds
                       for name, case in _seed_cases(op, sp, seed)]
             for seed, name, case in cases:
-                line = f"s={s} N={n} seed={seed} {name}: {_run(case)}"
-                total.update(line.encode() + b"\n")
-                print(line, flush=True)
+                emit(f"s={s} N={n} seed={seed} {name}: {_run(case)}")
+    if not args.quick:
+        prefix, case = _sweep_fixed_case()
+        emit(f"{prefix}: {_run(case)}")
     print(f"all: {total.hexdigest()}")
     return 0
 

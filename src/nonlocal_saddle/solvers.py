@@ -38,6 +38,14 @@ driver in gap k to test the slope-gap uniqueness prediction; under the
 certificate it tells limits apart by the certificate's error bound
 C |g|_{Z*}.
 
+A Newton run is a generator (`_newton`), so that many run in lockstep
+(`_lockstep`): each round, the MINRES systems of all runs still going are
+solved as one block (`_minres_steps`), whose products with E and E^T are
+matrix products over the block's rows, while each run keeps its own
+iterate, placement, globalization, budget and error.  The uniqueness
+probe runs its starts so; the two solvers and the linear solve run one
+(`_drive`), whose products are those of a single vector.
+
 A u is always the product of the Toeplitz symbol (`_stiffness_times`),
 and A^-1 g the diagonal solve in the eigen-coordinates.  The dense A, the
 read-only `op.stiffness` view, is read only where a matrix is factored:
@@ -103,7 +111,9 @@ MINRES_TOL = 1.0e-14
 
 #: MINRES iterations allowed beyond the bound 2 ceil(log(MINRES_TOL / 2) /
 #: log rho) of a step in a gap, and beyond twice the size of any step's
-#: system, for rounding: a constant weight (rho = 0) takes two
+#: system, for rounding.  A constant weight (rho = 0), preconditioned to
+#: +-I, takes two in exact arithmetic; rounding has made it take three,
+#: and up to all four where the weight lies near an end of its gap
 MINRES_SLACK = 4
 
 #: largest normwise backward error |(A - W) d + g|_inf / (|A d|_inf +
@@ -141,12 +151,16 @@ class UniquenessVerdict:
     #: below which the two limits count as one solution: MultipleFound
     #: exactly when it exceeds 1 (NaN without a pair)
     max_pair_ratio: float = math.nan
+    #: each start's Newton count, in start order: None for a start that did
+    #: not converge, or that comes after the first start that did not
+    iterations: tuple = ()
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "max_pairwise_z": self.max_pairwise_z,
                 "n_starts": self.n_starts, "seed": self.seed,
                 "f2_passed": self.f2_passed, "cut": self.cut,
-                "max_pair_ratio": self.max_pair_ratio}
+                "max_pair_ratio": self.max_pair_ratio,
+                "iterations": list(self.iterations)}
 
 
 @dataclass(frozen=True)
@@ -304,10 +318,11 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
     `_place` must place the weight's range in a gap k between two
     eigenvalues, as `classify_slopes` places a slope range.  The system is
     then invertible, so the solve is one Newton step solved by MINRES in
-    that gap (`_minres_step`), like any other: a step that fails its
-    checks signals an assembly or spectrum bug, not a user error.  A
-    refusal words the placement as classification does (`_near_words`):
-    the range "straddles" or "touches" the eigenvalues it is near.
+    that gap (`_minres_step`, run alone by `_drive`), like any other: a
+    step that fails its checks signals an assembly or spectrum bug, not a
+    user error.  A refusal words the placement as classification does
+    (`_near_words`): the range "straddles" or "touches" the eigenvalues it
+    is near.
     """
     _check_pair(op, spectrum)
     xg, wg, xi = _element_data(op)
@@ -319,7 +334,7 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
         raise ResonanceError(
             f"slope profile range [{lo:.6g}, {hi:.6g}] {words}")
     rhs = _p1_load(op, wg * _profile_values("source", g, xg), xi)
-    return _minres_step(op, spectrum, m_vals, -rhs, gap)
+    return _drive(spectrum, _minres_step(op, spectrum, m_vals, -rhs, gap))
 
 
 # ---------------------------------------------------------------------------
@@ -349,46 +364,66 @@ def _resonant_step(spectrum: Spectrum, m: float, null: np.ndarray,
     return step - basis @ (basis.T @ step)
 
 
-def _minres(apply, rhs: np.ndarray, tol: float, max_iter: int):
+def _minres(apply, rhs: np.ndarray, tol: float, budgets):
     """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for
-    apply(x) = rhs, `apply` a symmetric operator, in the recurrences of
-    Choi, Paige & Saunders (SIAM J. Sci. Comput. 33, 2011).  Returns x
-    and its iteration count once the residual that the recurrence tracks
-    is at most tol |rhs|, or None after max_iter iterations without, or
-    when a rotation vanishes, as it can on a singular operator."""
-    beta = float(np.linalg.norm(rhs))
-    x = np.zeros_like(rhs)
-    if beta == 0.0:
-        return x, 0
-    v_old, v = np.zeros_like(rhs), rhs / beta
-    d_old = d = np.zeros_like(rhs)
-    cos, sin = -1.0, 0.0
-    delta, eps = 0.0, 0.0
-    phi, target = beta, tol * beta
-    for it in range(1, max_iter + 1):
-        p = apply(v)
-        alpha = float(v @ p)
-        p -= alpha * v
-        p -= beta * v_old
-        beta_next = float(np.linalg.norm(p))
-        # rotate the new column of the Lanczos tridiagonal
-        delta2 = cos * delta + sin * alpha
-        gamma = sin * delta - cos * alpha
-        eps_next = sin * beta_next
-        delta = -cos * beta_next
-        gamma2 = math.hypot(gamma, beta_next)
-        if not gamma2 > 0.0:
-            return None
-        cos, sin = gamma / gamma2, beta_next / gamma2
+    apply(rows, x) = rhs on each row of the block rhs (c x n), in the
+    recurrences of Choi, Paige & Saunders (SIAM J. Sci. Comput. 33, 2011).
+    `apply` is a symmetric operator on each row of x, a block of the rows
+    `rows` of rhs; it is applied once per iteration to every row still
+    running.  Each row keeps its own scalars, dot products and norms, so
+    its iterates are those of MINRES on that row alone, and a row leaves
+    the block once it stops.  Returns, per row, x and its iteration count
+    once the residual that its recurrence tracks is at most tol times its
+    |rhs|, or None after its budget of iterations without, or when a
+    rotation vanishes, as it can on a singular operator."""
+    beta = [float(np.linalg.norm(r)) for r in rhs]
+    found = [None if b else (np.zeros_like(r), 0) for r, b in zip(rhs, beta)]
+    rows = [i for i, b in enumerate(beta) if b]
+    # each running row's cos, sin, delta, eps and phi, and phi's target
+    scalars = [(-1.0, 0.0, 0.0, 0.0, beta[i], tol * beta[i]) for i in rows]
+    beta = np.array([beta[i] for i in rows])
+    v = rhs[rows] / beta[:, None]
+    v_old = d_old = d = np.zeros_like(v)
+    x = np.zeros_like(v)
+    it = 0
+    while rows:
+        it += 1
+        p = apply(rows, v)
+        alpha = [float(vj @ pj) for vj, pj in zip(v, p)]
+        p -= np.array(alpha)[:, None] * v
+        p -= beta[:, None] * v_old
+        beta = np.array([np.linalg.norm(pj) for pj in p])
+        coeffs, solved, keep = [], [], []
+        for j, (a, b) in enumerate(zip(alpha, beta.tolist())):
+            cos, sin, delta, eps, phi, target = scalars[j]
+            # rotate the new column of the row's Lanczos tridiagonal
+            delta2 = cos * delta + sin * a
+            gamma = sin * delta - cos * a
+            gamma2 = math.hypot(gamma, b)
+            if not gamma2 > 0.0:  # the row stops without a solution
+                coeffs.append((0.0, 0.0, 1.0, 0.0))
+                continue
+            delta, eps_next = -cos * b, sin * b
+            cos, sin = gamma / gamma2, b / gamma2
+            coeffs.append((delta2, eps, gamma2, cos * phi))
+            phi *= sin
+            scalars[j] = cos, sin, delta, eps_next, phi, target
+            if phi <= target:
+                solved.append(j)
+            elif it < budgets[rows[j]]:
+                keep.append(j)
+        delta2, eps, gamma2, move = np.array(coeffs).T[:, :, None]
         d_old, d = d, (v - delta2 * d - eps * d_old) / gamma2
-        eps = eps_next
-        x += (cos * phi) * d
-        phi *= sin
-        if phi <= target:
-            return x, it
-        v_old, v = v, p / beta_next
-        beta = beta_next
-    return None
+        x += move * d
+        for j in solved:
+            found[rows[j]] = x[j], it
+        if len(keep) < len(rows):
+            rows = [rows[j] for j in keep]
+            scalars = [scalars[j] for j in keep]
+            v, p, d, d_old, x, beta = (a[keep] for a in (v, p, d, d_old, x,
+                                                         beta))
+        v_old, v = v, p / beta[:, None]
+    return found
 
 
 def _minres_bound(contraction: float) -> int:
@@ -409,8 +444,7 @@ def _minres_bound(contraction: float) -> int:
 
 
 def _minres_step(op: AssembledOperator, spectrum: Spectrum,
-                 slopes: np.ndarray, grad: np.ndarray,
-                 gap: tuple | None) -> np.ndarray:
+                 slopes: np.ndarray, grad: np.ndarray, gap: tuple | None):
     """The step d = (A - W)^-1 (-grad) for the slope values `slopes` (see
     `_system`), without forming A - W: the one solver of every Newton step
     but a resonant one.  `gap` holds the ends of the gap k in which
@@ -419,6 +453,10 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
     range lies in no gap, straddling an eigenvalue or within GAP_MARGIN of
     one, so that A - W is singular only by accident.
 
+    A generator run by `_lockstep`: it yields the system (grad, its
+    preconditioner, W's bands, its MINRES budget), which `_minres_steps`
+    solves in a block with the systems of the other runs, is sent the
+    step found, or None, and returns the step once it passes its checks.
     In the eigen-coordinates of `Spectrum.to_eigen` the system is
     (Lambda - E^T W E) y = -E^T grad, d = E y.  With c the midpoint of
     [lo, hi], MINRES solves it preconditioned symmetrically by
@@ -439,29 +477,20 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
     gives."""
     lo, hi = float(slopes.min()), float(slopes.max())
     bands = _weight_bands(op, slopes)
-    lam = spectrum.eigenvalues
-    scale = 1.0 / np.sqrt(np.abs(lam - 0.5 * (lo + hi)))
-
-    def apply(z):
-        y = scale * z
-        return scale * (lam * y - spectrum.to_eigen(
-            _tridiagonal(bands, spectrum.from_eigen(y))))
-
-    bound = 2 * op.size + MINRES_SLACK
+    scale = 1.0 / np.sqrt(np.abs(spectrum.eigenvalues - 0.5 * (lo + hi)))
+    budget = 2 * op.size + MINRES_SLACK
     if gap is None:
         error = NumericError
         claim = f"at slopes [{lo:.6g}, {hi:.6g}] in no gap"
     else:
         rho = _contraction(lo, hi, *gap)
-        bound = min(bound, _minres_bound(rho))
+        budget = min(budget, _minres_bound(rho))
         error = NonResonanceContradictionError
         claim = f"although the slopes lie in a gap (rho = {rho:.6g})"
-    found = _minres(apply, -scale * spectrum.to_eigen(grad), MINRES_TOL,
-                    bound)
-    if found is None:
-        raise error(f"MINRES missed {MINRES_TOL:g} within {bound} "
+    step = yield grad, scale, bands, budget
+    if step is None:
+        raise error(f"MINRES missed {MINRES_TOL:g} within {budget} "
                     f"iterations {claim}")
-    step = spectrum.from_eigen(scale * found[0])
     a_step, w_step = _stiffness_times(op, step), _tridiagonal(bands, step)
     scale_inf = (np.abs(a_step).max() + np.abs(w_step).max()
                  + np.abs(grad).max())
@@ -474,18 +503,82 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
     return step
 
 
+def _minres_steps(spectrum: Spectrum, systems) -> list:
+    """The steps of the systems that `_minres_step` yields, solved as one
+    block, a row each: one E^T takes the gradients to the
+    eigen-coordinates, each MINRES iteration applies E, the rows' own W
+    and E^T to the rows still running (`_minres`), and one E maps the
+    solutions back.  A block of one row makes the products of a single
+    vector.  Returns each system's step, None where MINRES missed its
+    tolerance within the system's budget."""
+    grads, scales, bands, budgets = zip(*systems)
+    scale = np.array(scales)
+    diag = np.column_stack([b[0] for b in bands])
+    off = np.column_stack([b[1] for b in bands])
+    lam = spectrum.eigenvalues
+
+    def apply(rows, z):
+        y = scale[rows] * z
+        nodal = spectrum.from_eigen(y.T)
+        return scale[rows] * (lam * y - spectrum.to_eigen(
+            _tridiagonal((diag[:, rows], off[:, rows]), nodal)).T)
+
+    found = _minres(apply, -scale * spectrum.to_eigen(np.column_stack(
+        grads)).T, MINRES_TOL, budgets)
+    x = np.array([f[0] if f else np.zeros_like(lam) for f in found])
+    nodal = np.ascontiguousarray(spectrum.from_eigen((scale * x).T).T)
+    return [step if f else None for step, f in zip(nodal, found)]
+
+
+def _lockstep(spectrum: Spectrum, runs) -> list:
+    """Run the generators `runs` (`_newton`, `_minres_step`) in lockstep.
+    Each round advances every run still going to its next MINRES system,
+    solves all those systems as one block (`_minres_steps`) and sends each
+    run its own step.  Returns what each run returned, in the order of
+    `runs`, or the exception it raised; the caller decides, in that order,
+    which outcome counts, so that a run's error does not depend on how far
+    the others got."""
+    outcomes = [None] * len(runs)
+    sent = dict.fromkeys(range(len(runs)))
+    while sent:
+        systems = {}
+        for i, step in sent.items():
+            try:
+                systems[i] = runs[i].send(step)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except Exception as exc:  # kept, and raised by the caller
+                outcomes[i] = exc
+        if not systems:
+            break
+        sent = dict(zip(systems, _minres_steps(spectrum,
+                                               list(systems.values()))))
+    return outcomes
+
+
+def _drive(spectrum: Spectrum, run):
+    """What the one generator `run` returns, run alone by `_lockstep`, or
+    the exception it raised, raised."""
+    [outcome] = _lockstep(spectrum, [run])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _gap_steps(op, spectrum, certificate):
     """step(slopes, grad), the Newton step of every run, the coercive one
-    (gap 0, no certificate) included.  Each iterate's slope range is
-    placed once (`_place`), and the step reads its gap k, the gap's ends
-    and the eigenvalues near the range from that one placement.  The
-    slope-gap report `certificate` only refuses an iterate whose range
-    leaves the certificate's gap k (NonResonanceContradictionError).
-    Slopes that are one constant m placed in no gap, so that an eigenvalue
-    lies within GAP_MARGIN of m, take `_resonant_step` with those
-    eigenvalues as its null set, which a certified iterate never does;
-    every other step is `_minres_step` in the gap that holds the range,
-    or in none where it straddles an eigenvalue."""
+    (gap 0, no certificate) included: a generator that yields the system
+    of a MINRES step (`_minres_step`) and returns the step.  Each
+    iterate's slope range is placed once (`_place`), and the step reads
+    its gap k, the gap's ends and the eigenvalues near the range from that
+    one placement.  The slope-gap report `certificate` only refuses an
+    iterate whose range leaves the certificate's gap k
+    (NonResonanceContradictionError).  Slopes that are one constant m
+    placed in no gap, so that an eigenvalue lies within GAP_MARGIN of m,
+    take `_resonant_step` with those eigenvalues as its null set, which a
+    certified iterate never does; every other step is `_minres_step` in
+    the gap that holds the range, or in none where it straddles an
+    eigenvalue."""
 
     def step(slopes, grad):
         lo, hi = float(slopes.min()), float(slopes.max())
@@ -496,7 +589,7 @@ def _gap_steps(op, spectrum, certificate):
                 f"k={certificate.k}, in which its step was to be solved")
         if k is None and lo == hi:
             return _resonant_step(spectrum, lo, near, grad)
-        return _minres_step(op, spectrum, slopes, grad, gap)
+        return (yield from _minres_step(op, spectrum, slopes, grad, gap))
 
     return step
 
@@ -504,8 +597,11 @@ def _gap_steps(op, spectrum, certificate):
 def _newton(op, spec, spectrum, k, certificate, u0, opts):
     """Newton on A u - b(u) from u0 for a critical point in gap k of
     `spectrum`; returns u, its gradient and the residual of every iterate.
-    This is the one place that decides how a run steps.  Every step is
-    that of `_gap_steps` under the slope-gap report `certificate` (None
+    This is the one place that decides how a run steps, and a generator
+    run by `_lockstep`, one of a block of runs: it yields the
+    system of each MINRES step, so that the steps of all runs in a round
+    are solved together, and `_drive` runs it alone.  Every step is that
+    of `_gap_steps` under the slope-gap report `certificate` (None
     without one), and the globalization follows from k and the
     certificate: gap 0, the coercive case, backtracks on J (`_armijo`); a
     certified gap k >= 1 backtracks on the merit (`_merit_backtracking`);
@@ -537,7 +633,7 @@ def _newton(op, spec, spectrum, k, certificate, u0, opts):
             raise NumericError(
                 f"Newton step failed: the slopes or the gradient at "
                 f"iteration {it} are not finite")
-        moved = globalize(u, step(slopes, grad), grad, res)
+        moved = globalize(u, (yield from step(slopes, grad)), grad, res)
         if moved is None:
             raise NonConvergenceError(
                 f"line search stalled at iteration {it} "
@@ -671,8 +767,9 @@ def _solve(op, spec, opts, classification, case) -> SolveReport:
         raise UnsupportedCaseError(classification)
     k = classification.k or 0
     certificate = _f2_passed(spec, spectrum, k) if k else None
-    u, _, trace = _newton(op, spec, spectrum, k, certificate,
-                          np.zeros(op.size), opts)
+    u, _, trace = _drive(spectrum, _newton(op, spec, spectrum, k,
+                                           certificate, np.zeros(op.size),
+                                           opts))
     return SolveReport(solution=u, j_value=eval_J(op, spec, u),
                        residual_inf=trace[-1], iterations=len(trace) - 1)
 
@@ -727,26 +824,40 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     times max(1, max_i |u_i|_Z).  The verdict is Inconclusive when a start
     does not converge, and with a single start, which leaves no pair to
     compare.
+
+    The starts run in lockstep (`_lockstep`), their MINRES steps solved
+    as one block each round, but their outcomes count in start order, as
+    if each ran after the one before: the first start that fails decides,
+    Inconclusive for NonConvergenceError and raised for any other error,
+    whatever a later start did.  `iterations` holds each start's Newton
+    count up to that start.
     """
     _check_pair(op, spectrum)
     spectrum.gap(k)
     check_count("n_starts", n_starts, 1)
     certificate = _f2_passed(spec, spectrum, k)
     rng = np.random.default_rng(opts.seed)
-    solutions, grads = [], []
-    for _ in range(n_starts):
-        u0 = spectrum.from_eigen(rng.uniform(-10.0, 10.0, size=spectrum.size))
-        try:
-            u, grad, _ = _newton(op, spec, spectrum, k, certificate, u0,
-                                 opts)
-        except NonConvergenceError:
+    # row i holds the coefficients of the i-th of n_starts successive draws
+    starts = spectrum.from_eigen(rng.uniform(
+        -10.0, 10.0, size=(n_starts, spectrum.size)).T).T
+    outcomes = _lockstep(spectrum, [
+        _newton(op, spec, spectrum, k, certificate, u0, opts)
+        for u0 in starts])
+    solutions, grads, iterations = [], [], [None] * n_starts
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, NonConvergenceError):
             break
+        if isinstance(outcome, Exception):
+            raise outcome
+        u, grad, trace = outcome
         solutions.append(u)
         grads.append(grad)
+        iterations[i] = len(trace) - 1
     if len(solutions) < max(n_starts, 2):
         return UniquenessVerdict(kind="Inconclusive", n_starts=n_starts,
                                  seed=opts.seed,
-                                 f2_passed=certificate is not None)
+                                 f2_passed=certificate is not None,
+                                 iterations=tuple(iterations))
     # u_j - u_i = -(u_i - u_j) exactly, so one Z-norm per pair
     dist = np.zeros((n_starts, n_starts))
     for i, j in zip(*np.triu_indices(n_starts, 1)):
@@ -772,7 +883,8 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
         max_pairwise_z=float(dist.max()),
         representatives=tuple(solutions[i] for i in rep),
         n_starts=n_starts, seed=opts.seed, f2_passed=certificate is not None,
-        cut=cut, max_pair_ratio=float(pairs.max()))
+        cut=cut, max_pair_ratio=float(pairs.max()),
+        iterations=tuple(iterations))
 
 
 # ---------------------------------------------------------------------------

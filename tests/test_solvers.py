@@ -179,7 +179,8 @@ def test_resonance_refusals_agree_at_the_margin(spectrum128, monkeypatch):
             assert refused == (cls.case is nl.Case.UNSUPPORTED), (k, w)
             spec = nl.affine(w, nl.constant_profile(1.0))
             counts.update(minres=0, resonant=0)
-            step(solvers._slopes(op, spec, u), eval_gradient(op, spec, u))
+            solvers._drive(spectrum128, step(solvers._slopes(op, spec, u),
+                                             eval_gradient(op, spec, u)))
             assert counts == {"minres": 1 - refused, "resonant": refused}, \
                 (k, w)
             for j in (k - 1, k) if k > 1 else (k,):
@@ -217,14 +218,17 @@ def _count_steps(monkeypatch):
 
 
 def _minres_calls(monkeypatch):
-    """Record (iterations, max_iter) of every MINRES call from now on,
-    iterations None where MINRES missed its tolerance"""
+    """Record (iterations, budget) of every row of every block MINRES
+    from now on, iterations None where the row missed its tolerance.  The
+    rows come in the order in which the runs yield their systems, which is
+    the order of the `_minres_step` calls."""
     calls = []
     minres = solvers._minres
 
-    def spy(apply, rhs, tol, max_iter):
-        found = minres(apply, rhs, tol, max_iter)
-        calls.append((found[1] if found else None, max_iter))
+    def spy(apply, rhs, tol, budgets):
+        found = minres(apply, rhs, tol, budgets)
+        calls.extend((f[1] if f else None, int(budget))
+                     for f, budget in zip(found, budgets))
         return found
 
     monkeypatch.setattr(solvers, "_minres", spy)
@@ -249,7 +253,8 @@ def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
         spec = _fixed_gap_spec(lam, k)
         certificate = solvers._f2_passed(spec, sp, k)
         slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
-        step = solvers._minres_step(op, sp, slopes, grad, certificate.gap)
+        step = solvers._drive(sp, solvers._minres_step(op, sp, slopes, grad,
+                                                       certificate.gap))
         lu = np.linalg.solve(solvers._system(op, slopes), -grad)
         assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu), (k,)
     # slopes (m, m + delta] run from gap 2 into gap 3: no certificate
@@ -261,7 +266,7 @@ def test_certified_step_matches_the_lu_step(fractional_op, monkeypatch, s,
     slopes, grad = solvers._slopes(op, spec, u), eval_gradient(op, spec, u)
     assert solvers._place(slopes.min(), slopes.max(), lam)[0] == 3
     counts = _count_steps(monkeypatch)
-    step = solvers._gap_steps(op, sp, None)(slopes, grad)
+    step = solvers._drive(sp, solvers._gap_steps(op, sp, None)(slopes, grad))
     assert counts == {"minres": 1, "resonant": 0}
     lu = np.linalg.solve(solvers._system(op, slopes), -grad)
     assert norm_Z(op, step - lu) <= 1e-10 * norm_Z(op, lu)
@@ -284,7 +289,7 @@ def test_newton_step_takes_least_squares_at_resonance(fractional_op,
     slopes = solvers._slopes(op, spec, u)
     counts = _count_steps(monkeypatch)
     step = solvers._gap_steps(op, sp, None)
-    d = step(slopes, eval_gradient(op, spec, u))
+    d = solvers._drive(sp, step(slopes, eval_gradient(op, spec, u)))
     assert counts == {"minres": 0, "resonant": 1}
     coeffs = np.zeros(sp.size)
     coeffs[1] = 1.0
@@ -358,8 +363,8 @@ def test_slopes_leaving_the_declared_range_raise(fractional_op):
     certificate = solvers._f2_passed(spec, sp, 2)
     assert certificate is not None
     with pytest.raises(NonResonanceContradictionError, match="leave"):
-        solvers._newton(op, spec, sp, 2, certificate,
-                        np.full(op.size, 3.0), OPTS)
+        solvers._drive(sp, solvers._newton(op, spec, sp, 2, certificate,
+                                           np.full(op.size, 3.0), OPTS))
 
 
 def test_uncertified_step_in_a_gap_takes_minres_within_its_budget(
@@ -387,7 +392,7 @@ def test_uncertified_step_in_a_gap_takes_minres_within_its_budget(
         assert solvers._minres_bound(rho) == bound
         counts.update(minres=0, resonant=0)
         calls.clear()
-        d = step(slopes, grad)
+        d = solvers._drive(sp, step(slopes, grad))
         assert counts == {"minres": 1, "resonant": 0}, width
         [(iterations, cap)] = calls
         assert cap == budget and iterations <= budget, (width, calls)
@@ -411,18 +416,17 @@ def test_straddling_steps_stay_within_twice_the_system_size(fractional_op,
     spec = nl.saturating(lam[2] + 0.02 * gap, 2.0 * gap,
                          nl.constant_profile(1.0))
     calls = _minres_calls(monkeypatch)
-    straddling = []
+    gaps = []
     minres_step = solvers._minres_step
 
     def spy(op, spectrum, slopes, grad, gap):
-        before = len(calls)
-        step = minres_step(op, spectrum, slopes, grad, gap)
-        if gap is None:
-            straddling.extend(calls[before:])
-        return step
+        gaps.append(gap)
+        return minres_step(op, spectrum, slopes, grad, gap)
 
     monkeypatch.setattr(solvers, "_minres_step", spy)
     ns.uniqueness_probe(op, sp, spec, 3, n_starts=4)
+    assert len(gaps) == len(calls)
+    straddling = [call for gap, call in zip(gaps, calls) if gap is None]
     budget = 2 * op.size + solvers.MINRES_SLACK
     assert straddling
     assert all(it is not None and it <= cap == budget
@@ -449,7 +453,128 @@ def test_singular_straddling_system_raises(fractional_op):
     assert solvers._place(slopes.min(), slopes.max(), lam)[0] is None
     grad = np.random.default_rng(64).standard_normal(op.size)
     with pytest.raises(NumericError, match="in no gap"):
-        solvers._gap_steps(op, sp, None)(slopes, grad)
+        solvers._drive(sp, solvers._gap_steps(op, sp, None)(slopes, grad))
+
+
+def _block_rows(op, sp, weight=0.5):
+    """(slopes, gap) of three MINRES rows at op: the constant `weight` of
+    the way through gap 2 (rho = 0), a profile over 80% of gap 2 and one
+    straddling lambda_3 (gap None), each placed by `_place`"""
+    lam = sp.eigenvalues
+    xg, _, _ = solvers._element_data(op)
+    gap = lam[2] - lam[1]
+    rows = []
+    for slopes in (np.full_like(xg, lam[1] + weight * gap),
+                   lam[1] + (0.5 + 0.4 * xg) * gap,
+                   lam[2] + 0.3 * (lam[3] - lam[2]) * (xg + 0.5)):
+        rows.append((slopes, solvers._place(slopes.min(), slopes.max(),
+                                            lam)[1]))
+    assert [gap is None for _, gap in rows] == [False, False, True]
+    return rows
+
+
+def _block_spy(monkeypatch):
+    """Record, for every block MINRES from now on, the number of rows
+    applied by each of its iterations and each row's count (None where
+    the row missed): a list of (applied, counts)"""
+    blocks = []
+    minres = solvers._minres
+
+    def spy(apply, rhs, tol, budgets):
+        applied = []
+
+        def counted(rows, z):
+            applied.append(len(rows))
+            return apply(rows, z)
+
+        found = minres(counted, rhs, tol, budgets)
+        blocks.append((applied, [f[1] if f else None for f in found]))
+        return found
+
+    monkeypatch.setattr(solvers, "_minres", spy)
+    return blocks
+
+
+def test_a_row_leaves_the_block_once_it_stops(fractional_op, monkeypatch):
+    """one block MINRES of three rows that stop after different counts
+    applies the operator once per iteration, to the rows still running:
+    as many applies as the largest count, not the sum of the counts, and
+    as many rows applied as the counts add up to.  Each row's step equals
+    its step solved alone to 1e-12 in relative Z-norm."""
+    op = fractional_op(0.5, 64)
+    sp = ns.solve_eigenproblem(op)
+    grad = np.cos(3.0 * op.mesh.interior_nodes) + 0.5
+    rows = _block_rows(op, sp)
+    blocks = _block_spy(monkeypatch)
+    steps = solvers._lockstep(sp, [
+        solvers._minres_step(op, sp, slopes, grad, gap)
+        for slopes, gap in rows])
+    [(applied, counts)] = blocks
+    assert None not in counts and len(set(counts)) == 3, counts
+    assert len(applied) == max(counts) < sum(counts)
+    assert sum(applied) == sum(counts), (applied, counts)
+    for (slopes, gap), step in zip(rows, steps):
+        alone = solvers._drive(sp, solvers._minres_step(op, sp, slopes,
+                                                        grad, gap))
+        assert norm_Z(op, step - alone) <= 1e-12 * norm_Z(op, alone)
+
+
+def test_each_row_of_a_block_raises_its_own_error(fractional_op,
+                                                  monkeypatch):
+    """in one block MINRES, a row in gap 2 whose budget (cut to 3 here)
+    is missed raises NonResonanceContradictionError, and a row whose
+    slopes straddle lambda_3 and make A - W singular raises NumericError,
+    while a straddling row beside them returns its step: each row keeps
+    its own budget, stopping test and error type"""
+    import scipy.linalg
+    op = fractional_op(0.5, 64)
+    sp = ns.solve_eigenproblem(op)
+    (_, _), (in_gap, gap), (straddling, _) = _block_rows(op, sp)
+    singular = straddling.copy()
+    shifts = scipy.linalg.eigh(solvers._system(op, singular), op.mass,
+                               eigvals_only=True)
+    singular += shifts[np.argmin(np.abs(shifts))]
+    assert solvers._place(singular.min(), singular.max(),
+                          sp.eigenvalues)[0] is None
+    grad = np.random.default_rng(64).standard_normal(op.size)
+    monkeypatch.setattr(solvers, "_minres_bound", lambda rho: 3)
+    blocks = _block_spy(monkeypatch)
+    outcomes = solvers._lockstep(sp, [
+        solvers._minres_step(op, sp, slopes, grad, which)
+        for slopes, which in ((in_gap, gap), (straddling, None),
+                              (singular, None))])
+    [(_, counts)] = blocks
+    assert counts[0] is None and counts[1] is not None, counts
+    assert type(outcomes[0]) is NonResonanceContradictionError
+    assert "within 3 iterations" in str(outcomes[0])
+    assert isinstance(outcomes[1], np.ndarray)
+    assert type(outcomes[2]) is NumericError
+    assert "in no gap" in str(outcomes[2])
+
+
+@pytest.mark.parametrize("n", [32, 128, 512])
+def test_constant_weight_takes_the_same_count_alone_and_in_a_block(
+        fractional_op, monkeypatch, n):
+    """a constant weight in gap 2 has rho = 0 and the budget MINRES_SLACK
+    alone: preconditioned, its system is +-I up to rounding, which MINRES
+    solves in two iterations in exact arithmetic.  A quarter, half and
+    three quarters of the way through the gap it takes the same count
+    alone as in the middle of a block beside an in-gap profile and a
+    straddling one, within that budget"""
+    op = fractional_op(0.5, n)
+    sp = ns.solve_eigenproblem(op)
+    grad = np.cos(3.0 * op.mesh.interior_nodes) + 0.5
+    calls = _minres_calls(monkeypatch)
+    for weight in (0.25, 0.5, 0.75):
+        (constant, gap), varying, straddling = _block_rows(op, sp, weight)
+        calls.clear()
+        solvers._drive(sp, solvers._minres_step(op, sp, constant, grad, gap))
+        solvers._lockstep(sp, [
+            solvers._minres_step(op, sp, slopes, grad, which)
+            for slopes, which in (varying, (constant, gap), straddling)])
+        alone, in_block = calls[0], calls[2]
+        assert alone == in_block, (weight, calls)
+        assert alone[0] <= alone[1] == solvers.MINRES_SLACK, (weight, calls)
 
 
 def test_uncertified_solve_in_a_gap_loads_no_scipy(op128, spectrum128,
@@ -777,8 +902,8 @@ def test_merit_rule_falls_back_to_the_full_step(fractional_op,
     assert certificate is not None
     u = np.cos(3.0 * op.mesh.interior_nodes)
     grad, res = solvers._gradient(op, spec, u)
-    d = solvers._gap_steps(op, sp, certificate)(solvers._slopes(op, spec, u),
-                                               grad)
+    d = solvers._drive(sp, solvers._gap_steps(op, sp, certificate)(
+        solvers._slopes(op, spec, u), grad))
     globalize = solvers._merit_backtracking(op, spec, sp)
     trials = []
     gradient = solvers._gradient
@@ -833,14 +958,14 @@ def test_certified_error_bound_holds_and_decides(fractional_op, monkeypatch):
     spec = _fixed_gap_spec(sp.eigenvalues, 1)
     certificate = solvers._f2_passed(spec, sp, 1)
     limits = []
-    newton = solvers._newton
+    lockstep = solvers._lockstep
 
-    def spy(*args):
-        out = newton(*args)
-        limits.append(out[:2])
-        return out
+    def spy(spectrum, runs):
+        outcomes = lockstep(spectrum, runs)
+        limits.extend(out[:2] for out in outcomes)
+        return outcomes
 
-    monkeypatch.setattr(solvers, "_newton", spy)
+    monkeypatch.setattr(solvers, "_lockstep", spy)
     verdict = ns.uniqueness_probe(op, sp, spec, 1, n_starts=8,
                                   opts=ns.SolverOptions(seed=42))
     monkeypatch.undo()
@@ -868,8 +993,8 @@ def test_merit_slope_is_minus_twice_the_merit(fractional_op):
     u = 2.0 * np.cos(3.0 * x) + x
     assert ns.morse_index(op, spec, u) == 2
     grad = eval_gradient(op, spec, u)
-    step = solvers._minres_step(op, sp, solvers._slopes(op, spec, u), grad,
-                                certificate.gap)
+    step = solvers._drive(sp, solvers._minres_step(
+        op, sp, solvers._slopes(op, spec, u), grad, certificate.gap))
 
     def phi(t):
         g = eval_gradient(op, spec, u + t * step)
@@ -914,8 +1039,8 @@ def test_newton_system_is_the_gradient_jacobian(fractional_op, monkeypatch,
 
     monkeypatch.setattr(solvers, "_weight_bands", spy)
     with pytest.raises(NonConvergenceError):
-        solvers._newton(op, spec, sp, 2, certificate, u,
-                        ns.SolverOptions(max_iter=1))
+        solvers._drive(sp, solvers._newton(op, spec, sp, 2, certificate, u,
+                                           ns.SolverOptions(max_iter=1)))
     assert len(systems) == 1
     eps = 1e-5
     fd = np.empty((op.size, op.size))
@@ -1111,6 +1236,92 @@ def test_uniqueness_probe_inconclusive_when_a_start_fails(op128,
     assert verdict.kind == "Inconclusive"
     assert verdict.f2_passed
     assert math.isnan(verdict.max_pairwise_z)
+    assert verdict.iterations == (None, None)
+
+
+@pytest.mark.parametrize("late, early, raised", [
+    (NonConvergenceError, NumericError, None),
+    (NumericError, NonConvergenceError, NumericError)],
+    ids=["nonconvergence-first", "numeric-first"])
+def test_probe_failures_count_in_start_order(op128, spectrum128, gap_spec,
+                                             monkeypatch, late, early,
+                                             raised):
+    """the starts run in lockstep, but the first start to fail decides, as
+    in a loop over the starts one at a time, however far the others got:
+    start 2 fails after a round of Newton steps, start 3 before any.  A
+    NonConvergenceError at start 2 gives Inconclusive with the counts of
+    starts 0 and 1 although start 3 raised NumericError first; a
+    NumericError at start 2 is raised although start 3 stopped first"""
+    newton = solvers._newton
+    starts = itertools.count()
+
+    def spy(op, spec, spectrum, k, certificate, u0, opts):
+        i = next(starts)
+        if i == 3:
+            raise early("start 3 fails before any step")
+        if i == 2:
+            try:
+                yield from newton(op, spec, spectrum, k, certificate, u0,
+                                  ns.SolverOptions(max_iter=1))
+            except NonConvergenceError:
+                raise late("start 2 fails after one step") from None
+        return (yield from newton(op, spec, spectrum, k, certificate, u0,
+                                  opts))
+
+    monkeypatch.setattr(solvers, "_newton", spy)
+    probe = lambda: ns.uniqueness_probe(op128, spectrum128, gap_spec, 2,
+                                        n_starts=4, opts=OPTS)
+    if raised is not None:
+        with pytest.raises(raised, match="start 2"):
+            probe()
+        return
+    verdict = probe()
+    assert verdict.kind == "Inconclusive"
+    assert all(it > 0 for it in verdict.iterations[:2])
+    assert verdict.iterations[2:] == (None, None)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("case", ["certified", "straddling", "resonant"])
+def test_lockstep_probe_matches_each_start_alone(fractional_op, monkeypatch,
+                                                 case, n):
+    """the 8-start probe in lockstep gives the verdict, the cut and the
+    per-start Newton counts of the same starts each run alone by the
+    one-column driver, and representatives within 1e-12 of theirs in
+    relative Z-norm: certified, f2-failing with steps whose slopes
+    straddle lambda_3, and resonant (affine lambda_2, g = 0)"""
+    op = fractional_op(0.5, n)
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    gap = lam[2] - lam[1]
+    spec = {"certified": _fixed_gap_spec(lam, 2),
+            "straddling": nl.saturating(lam[1] + 0.3 * gap, 1.5 * gap,
+                                        nl.constant_profile(5.0)),
+            "resonant": nl.affine(float(lam[1]),
+                                  nl.constant_profile(0.0))}[case]
+    straddled = 0
+    place = solvers._place
+
+    def spy(lo, hi, eigenvalues):
+        nonlocal straddled
+        found = place(lo, hi, eigenvalues)
+        straddled += found[0] is None and lo < hi
+        return found
+
+    monkeypatch.setattr(solvers, "_place", spy)
+    opts = ns.SolverOptions(seed=42)
+    block = ns.uniqueness_probe(op, sp, spec, 2, n_starts=8, opts=opts)
+    assert (straddled > 0) == (case == "straddling")
+    lockstep = solvers._lockstep
+    monkeypatch.setattr(solvers, "_lockstep", lambda spectrum, runs: [
+        lockstep(spectrum, [run])[0] for run in runs])
+    alone = ns.uniqueness_probe(op, sp, spec, 2, n_starts=8, opts=opts)
+    assert block.kind != "Inconclusive"
+    assert (block.kind, block.cut, block.iterations) == \
+        (alone.kind, alone.cut, alone.iterations)
+    assert len(block.representatives) == len(alone.representatives)
+    for u, w in zip(block.representatives, alone.representatives):
+        assert norm_Z(op, u - w) <= 1e-12 * norm_Z(op, w)
 
 
 @pytest.mark.parametrize("resonant", [False, True],
@@ -1260,8 +1471,8 @@ def _step_owner_run(owner, op, sp):
         assert solvers._place(slopes.min(), slopes.max(), lam)[0] is None
     certificate = solvers._f2_passed(spec, sp, 2)
     assert (certificate is not None) == (owner == "certified-minres")
-    return spec, (lambda spec, opts: solvers._newton(
-        op, spec, sp, 2, certificate, start, opts)), key
+    return spec, (lambda spec, opts: solvers._drive(sp, solvers._newton(
+        op, spec, sp, 2, certificate, start, opts))), key
 
 
 @pytest.mark.parametrize("which", ["f", "f_t"])
@@ -1370,14 +1581,14 @@ def test_uniqueness_probe_pair_distances_match_the_double_loop(
             else nl.saturating(lam[1] + 0.2, (0.6 if certified else 1.2)
                                * gap, nl.constant_profile(5.0)))
     limits = []
-    newton = solvers._newton
+    lockstep = solvers._lockstep
 
-    def spy(*args):
-        out = newton(*args)
-        limits.append(out[:2])
-        return out
+    def spy(spectrum, runs):
+        outcomes = lockstep(spectrum, runs)
+        limits.extend(out[:2] for out in outcomes)
+        return outcomes
 
-    monkeypatch.setattr(solvers, "_newton", spy)
+    monkeypatch.setattr(solvers, "_lockstep", spy)
     verdict = ns.uniqueness_probe(op128, spectrum128, spec, 2, n_starts=8,
                                   opts=OPTS)
     assert verdict.f2_passed == certified
