@@ -15,7 +15,9 @@ sweep's fixed one: N = 512, s = 1/2, saturating(lambda_2 + 0.2,
 seed 42.  A case line holds the iteration count, the repr of J, of the
 weak-form residual and of the probe's `max_pair_ratio`, the probe's
 verdict and each start's Newton count ("None" where a start did not
-converge), a sha256 prefix of the solution and of the representatives,
+converge), the probe's number of block MINRES solves (`rounds`, counted
+by wrapping `solvers._minres_steps` here: one per round of its longest
+start when MINRES is a round's only barrier), a sha256 prefix of the solution and of the representatives,
 and the message of a refusal; "-" marks a field the case does not have.
 Rounding depends on the BLAS thread count, so compare runs made with the
 same.
@@ -29,6 +31,7 @@ import numpy as np
 
 import nonlocal_saddle as ns
 from nonlocal_saddle import nonlinearity as nl
+from nonlocal_saddle import solvers
 from nonlocal_saddle.errors import NonlocalSaddleError
 
 S_VALUES = (0.25, 0.5, 0.75)
@@ -36,6 +39,23 @@ N_VALUES = (32, 128, 512)
 SEEDS = tuple(range(1, 11))
 #: starts of every uniqueness probe
 N_STARTS = 4
+
+#: block MINRES solves (`solvers._minres_steps` calls) since the last reset
+_ROUNDS = [0]
+
+
+def _count_rounds(minres_steps):
+    def counted(*args):
+        _ROUNDS[0] += 1
+        return minres_steps(*args)
+    return counted
+
+
+def _probe(*args, **kwargs):
+    """uniqueness_probe(*args, **kwargs) and its block MINRES solves."""
+    _ROUNDS[0] = 0
+    verdict = ns.uniqueness_probe(*args, **kwargs)
+    return verdict, _ROUNDS[0]
 
 
 def _digest(arrays) -> str:
@@ -45,9 +65,11 @@ def _digest(arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _fields(report=None, verdict=None, solution=None, refusal=None) -> str:
-    """The case line's fields: of a SolveReport, a UniquenessVerdict, a
-    bare solution array and a refusal, each "-" when absent."""
+def _fields(report=None, verdict=None, rounds=None, solution=None,
+            refusal=None) -> str:
+    """The case line's fields: of a SolveReport, a UniquenessVerdict and
+    its block MINRES solves, a bare solution array and a refusal, each "-"
+    when absent."""
     if report is not None:
         solution = report.solution
     out = {
@@ -59,6 +81,7 @@ def _fields(report=None, verdict=None, solution=None, refusal=None) -> str:
         "ratio": "-" if verdict is None else repr(verdict.max_pair_ratio),
         "iters": "-" if verdict is None else ",".join(
             str(count) for count in verdict.iterations),
+        "rounds": "-" if rounds is None else rounds,
         "reps": "-" if verdict is None else _digest(verdict.representatives),
     }
     text = " ".join(f"{key}={value}" for key, value in out.items())
@@ -75,9 +98,8 @@ def _run(case):
 
 def _solve_and_probe(op, sp, spec, k, opts, n_starts=N_STARTS):
     rep = ns.solve_case_b(op, sp, spec, opts)
-    verdict = ns.uniqueness_probe(op, sp, spec, k, n_starts=n_starts,
-                                  opts=opts)
-    return {"report": rep, "verdict": verdict}
+    verdict, rounds = _probe(op, sp, spec, k, n_starts=n_starts, opts=opts)
+    return {"report": rep, "verdict": verdict, "rounds": rounds}
 
 
 def _sweep_fixed_case():
@@ -102,9 +124,9 @@ def _operator_cases(op, sp):
 
     def resonant():
         spec = nl.affine(float(lam[1]), nl.constant_profile(0.0))
-        verdict = ns.uniqueness_probe(op, sp, spec, 2, n_starts=N_STARTS,
-                                      opts=opts)
-        return {"verdict": verdict,
+        verdict, rounds = _probe(op, sp, spec, 2, n_starts=N_STARTS,
+                                 opts=opts)
+        return {"verdict": verdict, "rounds": rounds,
                 "refusal": nl.classify(spec, sp).reason}
 
     yield "resonant-affine-lambda2", resonant
@@ -156,6 +178,7 @@ def main(argv=None) -> int:
                         help="N = 32 and seed 1 only")
     args = parser.parse_args(argv)
     n_values, seeds = ((32,), (1,)) if args.quick else (N_VALUES, SEEDS)
+    solvers._minres_steps = _count_rounds(solvers._minres_steps)
     total = hashlib.sha256()
 
     def emit(line):

@@ -40,6 +40,8 @@ A u is a correlation with the symbol (`_stiffness_times`), M u a
 tridiagonal product (`_mass_times`).  `stiffness` and `mass` are read-only
 Toeplitz views of the two columns, O(N) memory however large N is, for a
 caller that needs the dense matrix: a factorization copies its view.
+`gauss` holds the Gauss tables of every integral of f, f_t and F, built
+once per operator.
 """
 from __future__ import annotations
 
@@ -91,6 +93,18 @@ class AssembledOperator:
     def mass(self) -> np.ndarray:
         """M as a read-only Toeplitz view of `mass_symbol` (`_toeplitz`)."""
         return _toeplitz(self.mass_symbol)
+
+    @cached_property
+    def gauss(self) -> tuple:
+        """The Gauss tables of the nonlinear terms, read-only: the points xg
+        and weights wg of the GAUSS_ORDER-point rule on each element, shape
+        (n_elements, GAUSS_ORDER), and its nodes xi on [0, 1]."""
+        mesh = self.mesh
+        xi, wref = gauss_rule(GAUSS_ORDER)
+        xg = mesh.nodes[:-1, None] + mesh.h * xi[None, :]
+        wg = mesh.h * wref[None, :] * np.ones((mesh.n_elements, 1))
+        xg.flags.writeable = wg.flags.writeable = False
+        return xg, wg, xi
 
 
 def _palindrome(column: np.ndarray) -> np.ndarray:

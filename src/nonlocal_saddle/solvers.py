@@ -39,12 +39,18 @@ certificate it tells limits apart by the certificate's error bound
 C |g|_{Z*}.
 
 A Newton run is a generator (`_newton`), so that many run in lockstep
-(`_lockstep`): each round, the MINRES systems of all runs still going are
+(`_lockstep`).  A run asks for each evaluation it needs, the gradient and
+residual at a point (`_gradient`), the slopes at an iterate (`_slopes`)
+and W's bands of a step's slopes (`_weight_bands`), and yields the MINRES
+system of each step.  Each round answers the evaluations of all runs as
+blocks, one interpolation and one call of f or f_t for all of their rows,
+until every run still going waits on its system; then those systems are
 solved as one block (`_minres_steps`), whose products with E and E^T are
-matrix products over the block's rows, while each run keeps its own
-iterate, placement, globalization, budget and error.  The uniqueness
-probe runs its starts so; the two solvers and the linear solve run one
-(`_drive`), whose products are those of a single vector.
+matrix products over the block's rows.  Each row of a block evaluation
+has the bits it has alone, and each run keeps its own iterate,
+placement, globalization, budget and error.  The uniqueness probe runs
+its starts so; the two solvers and the linear solve run one (`_drive`),
+whose evaluations and products are those of a single vector.
 
 A u is always the product of the Toeplitz symbol (`_stiffness_times`),
 and A^-1 g the diagonal solve in the eigen-coordinates.  The dense A, the
@@ -75,7 +81,6 @@ from .errors import (InvalidParameterError, NonConvergenceError,
 from .nonlinearity import (Case, CaseClassification, NonlinearitySpec,
                            SlopeGapReport, _contraction, _near_words, _place,
                            check_f2_gap, classify, eval_F, eval_f, eval_f_t)
-from .quadrature import GAUSS_ORDER, gauss_rule
 from .spectral import Spectrum, solve_eigenproblem
 
 #: factor by which a line search shortens a rejected step
@@ -175,26 +180,17 @@ class SolveReport:
 # element-level quadrature of the nonlinear terms
 # ---------------------------------------------------------------------------
 
-def _element_data(op: AssembledOperator):
-    mesh = op.mesh
-    xi, wref = gauss_rule(GAUSS_ORDER)
-    xg = mesh.nodes[:-1, None] + mesh.h * xi[None, :]
-    wg = mesh.h * wref[None, :] * np.ones((mesh.n_elements, 1))
-    return xg, wg, xi
-
-
 def _interp_elements(u: np.ndarray, xi: np.ndarray):
-    """u_h at the Gauss points, shape (n_elem, q) + u.shape[1:]; the columns
-    of a 2-D u are interpolated side by side."""
-    full = np.zeros((u.shape[0] + 2,) + u.shape[1:])
-    full[1:-1] = u
-    xi = xi.reshape((1, -1) + (1,) * (u.ndim - 1))
-    return full[:-1, None] * (1.0 - xi) + full[1:, None] * xi
+    """u_h at the Gauss points of u, or of each row of a 2-D u, shape
+    u.shape[:-1] + (n_elem, q): the Gauss axis is the contiguous one."""
+    full = np.zeros(u.shape[:-1] + (u.shape[-1] + 2,))
+    full[..., 1:-1] = u
+    return full[..., :-1, None] * (1.0 - xi) + full[..., 1:, None] * xi
 
 
 def eval_J(op: AssembledOperator, spec: NonlinearitySpec, u) -> float:
     u = _check_dim(op, u)
-    xg, wg, xi = _element_data(op)
+    xg, wg, xi = op.gauss
     uh = _interp_elements(u, xi)
     f_int = float(np.sum(wg * eval_F(spec, xg, uh)))
     return 0.5 * float(u @ _stiffness_times(op, u)) - f_int
@@ -203,26 +199,39 @@ def eval_J(op: AssembledOperator, spec: NonlinearitySpec, u) -> float:
 def load_vector(op: AssembledOperator, spec: NonlinearitySpec,
                 u) -> np.ndarray:
     """b(u)_i = int f(x, u_h(x)) phi_i(x) dx over interior hats."""
-    u = _check_dim(op, u)
-    xg, wg, xi = _element_data(op)
-    return _p1_load(op, wg * eval_f(spec, xg, _interp_elements(u, xi)),
-                    xi)
+    return _load(op, spec, _check_dim(op, u))
+
+
+def _load(op: AssembledOperator, spec: NonlinearitySpec, u) -> np.ndarray:
+    """b(u) of u, or of each row of a 2-D u (`load_vector`)."""
+    xg, wg, xi = op.gauss
+    return _p1_load(op, wg * eval_f(spec, xg, _interp_elements(u, xi)), xi)
 
 
 def _p1_load(op: AssembledOperator, wvals, xi) -> np.ndarray:
-    """Interior hat loads of weighted Gauss-point values wvals (n_elem, q)."""
-    full = np.zeros(op.mesh.n_elements + 1)
-    full[:-1] += np.sum(wvals * (1.0 - xi[None, :]), axis=1)
-    full[1:] += np.sum(wvals * xi[None, :], axis=1)
-    return full[1:-1]
+    """Interior hat loads of weighted Gauss-point values wvals (n_elem, q),
+    or of each leading index of wvals, summed over the Gauss axis."""
+    full = np.zeros(wvals.shape[:-2] + (op.mesh.n_elements + 1,))
+    full[..., :-1] += np.sum(wvals * (1.0 - xi), axis=-1)
+    full[..., 1:] += np.sum(wvals * xi, axis=-1)
+    return full[..., 1:-1]
 
+
+# The three evaluations of a Newton run (`_lockstep`) take an iterate u, or
+# a block of iterates as the rows of a 2-D u, and give each row the bits it
+# gets alone: the block is interpolated at once, f or f_t is called once,
+# and each sum runs over the contiguous Gauss axis or row by row, in the
+# order of a single vector.
 
 def _gradient(op: AssembledOperator, spec: NonlinearitySpec, u):
     """The gradient A u - b(u) of J and the residual of the weak form, its
-    sup-norm relative to 1 + |A u|_inf."""
-    au = _stiffness_times(op, u)
-    grad = au - load_vector(op, spec, u)
-    return grad, float(np.abs(grad).max() / (1.0 + np.abs(au).max()))
+    sup-norm relative to 1 + |A u|_inf (a float, or a list of floats for
+    the rows of u).  A u is one correlation per row (`_stiffness_times`)."""
+    au = np.array([_stiffness_times(op, row)
+                   for row in u.reshape(-1, u.shape[-1])]).reshape(u.shape)
+    grad = au - _load(op, spec, u)
+    res = np.abs(grad).max(axis=-1) / (1.0 + np.abs(au).max(axis=-1))
+    return grad, res.tolist()
 
 
 def eval_gradient(op: AssembledOperator, spec: NonlinearitySpec,
@@ -231,27 +240,27 @@ def eval_gradient(op: AssembledOperator, spec: NonlinearitySpec,
 
 
 def _slopes(op: AssembledOperator, spec: NonlinearitySpec, u) -> np.ndarray:
-    """f_t(x, u_h) at the Gauss points, shape (n_elem, q)."""
-    xg, _, xi = _element_data(op)
+    """f_t(x, u_h) at the Gauss points, shape u.shape[:-1] + (n_elem, q)."""
+    xg, _, xi = op.gauss
     return eval_f_t(spec, xg, _interp_elements(u, xi))
 
 
 def _weight_bands(op: AssembledOperator, slopes: np.ndarray):
     """The diagonal and the off-diagonal of the tridiagonal W,
     W_ij = int m phi_i phi_j dx for slope values m at the Gauss points
-    (n_elem, q)."""
-    _, wg, xi = _element_data(op)
+    (n_elem, q), or of each leading index of the slopes."""
+    _, wg, xi = op.gauss
     phi = np.stack([1.0 - xi, xi])
     # phi_0^2, phi_1^2 and phi_0 phi_1 at each Gauss point, shape (q, 3)
     products = np.stack([phi[0] * phi[0], phi[1] * phi[1], phi[0] * phi[1]],
                         axis=1)
-    weighted = (wg * slopes).T
+    weighted = wg * slopes
     # element integrals summed over the Gauss points in order, without BLAS,
     # so that the bands do not depend on a GEMM's blocking or FMA
-    loc = products[0][:, None] * weighted[0]
+    loc = np.multiply.outer(products[0], weighted[..., 0])
     for g in range(1, xi.size):
-        loc += products[g][:, None] * weighted[g]
-    return loc[0, 1:] + loc[1, :-1], loc[2, 1:-1]
+        loc += np.multiply.outer(products[g], weighted[..., g])
+    return loc[0, ..., 1:] + loc[1, ..., :-1], loc[2, ..., 1:-1]
 
 
 def _system(op: AssembledOperator, slopes: np.ndarray) -> np.ndarray:
@@ -325,7 +334,7 @@ def linear_nonresonant_solve(op: AssembledOperator, spectrum: Spectrum,
     is near.
     """
     _check_pair(op, spectrum)
-    xg, wg, xi = _element_data(op)
+    xg, wg, xi = op.gauss
     m_vals = _profile_values("slope", m_profile, xg)
     lo, hi = float(m_vals.min()), float(m_vals.max())
     k, gap, near = _place(lo, hi, spectrum.eigenvalues)
@@ -453,10 +462,11 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
     range lies in no gap, straddling an eigenvalue or within GAP_MARGIN of
     one, so that A - W is singular only by accident.
 
-    A generator run by `_lockstep`: it yields the system (grad, its
-    preconditioner, W's bands, its MINRES budget), which `_minres_steps`
-    solves in a block with the systems of the other runs, is sent the
-    step found, or None, and returns the step once it passes its checks.
+    A generator run by `_lockstep`: it asks for W's bands of its slopes
+    (`_weight_bands`), then yields the system (grad, its preconditioner,
+    W's bands, its MINRES budget), which `_minres_steps` solves in a block
+    with the systems of the other runs, is sent the step found, or None,
+    and returns the step once it passes its checks.
     In the eigen-coordinates of `Spectrum.to_eigen` the system is
     (Lambda - E^T W E) y = -E^T grad, d = E y.  With c the midpoint of
     [lo, hi], MINRES solves it preconditioned symmetrically by
@@ -476,7 +486,7 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
     to A gives, and in no gap NumericError, which a singular A - W
     gives."""
     lo, hi = float(slopes.min()), float(slopes.max())
-    bands = _weight_bands(op, slopes)
+    bands = yield _weight_bands, (op,), slopes
     scale = 1.0 / np.sqrt(np.abs(spectrum.eigenvalues - 0.5 * (lo + hi)))
     budget = 2 * op.size + MINRES_SLACK
     if gap is None:
@@ -487,7 +497,7 @@ def _minres_step(op: AssembledOperator, spectrum: Spectrum,
         budget = min(budget, _minres_bound(rho))
         error = NonResonanceContradictionError
         claim = f"although the slopes lie in a gap (rho = {rho:.6g})"
-    step = yield grad, scale, bands, budget
+    step = yield None, (), (grad, scale, bands, budget)
     if step is None:
         raise error(f"MINRES missed {MINRES_TOL:g} within {budget} "
                     f"iterations {claim}")
@@ -532,33 +542,59 @@ def _minres_steps(spectrum: Spectrum, systems) -> list:
 
 def _lockstep(spectrum: Spectrum, runs) -> list:
     """Run the generators `runs` (`_newton`, `_minres_step`) in lockstep.
-    Each round advances every run still going to its next MINRES system,
-    solves all those systems as one block (`_minres_steps`) and sends each
-    run its own step.  Returns what each run returned, in the order of
-    `runs`, or the exception it raised; the caller decides, in that order,
-    which outcome counts, so that a run's error does not depend on how far
-    the others got."""
+    A run yields requests (evaluate, args, x): evaluate(*args, x) is one
+    of its evaluations, `_gradient`, `_slopes` or `_weight_bands`, and
+    evaluate None marks a MINRES system x.  Each pass answers the pending
+    evaluations that share evaluate and args as one block, the rows of a
+    2-D x (a lone one on its own x), and the runs go on asking until every
+    run still going waits on its system.  Only then are those systems
+    solved as one block (`_minres_steps`), in the order of `runs`, and
+    each run is sent its own step: the block MINRES is a round's one
+    barrier, so a run that takes more evaluations in a round (a line
+    search's rejected trials, a resonant step) still joins the round's
+    block.  Returns what each run returned, in the order of `runs`, or the
+    exception it raised; the caller decides, in that order, which outcome
+    counts, so that a run's error does not depend on how far the others
+    got."""
     outcomes = [None] * len(runs)
-    sent = dict.fromkeys(range(len(runs)))
-    while sent:
-        systems = {}
-        for i, step in sent.items():
+    answers = dict.fromkeys(range(len(runs)))
+    systems = {}
+    while answers:
+        blocks = {}
+        for i, answer in answers.items():
             try:
-                systems[i] = runs[i].send(step)
+                evaluate, args, x = runs[i].send(answer)
             except StopIteration as done:
                 outcomes[i] = done.value
+                continue
             except Exception as exc:  # kept, and raised by the caller
                 outcomes[i] = exc
-        if not systems:
-            break
-        sent = dict(zip(systems, _minres_steps(spectrum,
-                                               list(systems.values()))))
+                continue
+            if evaluate is None:
+                systems[i] = x
+            else:
+                key = (evaluate, *map(id, args))
+                blocks.setdefault(key, (evaluate, args, {}))[2][i] = x
+        answers = {}
+        for evaluate, args, asked in blocks.values():
+            if len(asked) == 1:
+                [(i, x)] = asked.items()
+                answers[i] = evaluate(*args, x)
+                continue
+            found = evaluate(*args, np.array(list(asked.values())))
+            answers.update(zip(asked, zip(*found)
+                               if isinstance(found, tuple) else found))
+        if not answers and systems:
+            order = sorted(systems)
+            answers = dict(zip(order, _minres_steps(
+                spectrum, [systems[i] for i in order])))
+            systems = {}
     return outcomes
 
 
 def _drive(spectrum: Spectrum, run):
-    """What the one generator `run` returns, run alone by `_lockstep`, or
-    the exception it raised, raised."""
+    """What the one generator `run` returns, run alone by `_lockstep`, each
+    evaluation on its own vector, or the exception it raised, raised."""
     [outcome] = _lockstep(spectrum, [run])
     if isinstance(outcome, Exception):
         raise outcome
@@ -567,8 +603,8 @@ def _drive(spectrum: Spectrum, run):
 
 def _gap_steps(op, spectrum, certificate):
     """step(slopes, grad), the Newton step of every run, the coercive one
-    (gap 0, no certificate) included: a generator that yields the system
-    of a MINRES step (`_minres_step`) and returns the step.  Each
+    (gap 0, no certificate) included: a generator that yields the
+    requests of a MINRES step (`_minres_step`) and returns the step.  Each
     iterate's slope range is placed once (`_place`), and the step reads
     its gap k, the gap's ends and the eigenvalues near the range from that
     one placement.  The slope-gap report `certificate` only refuses an
@@ -598,17 +634,19 @@ def _newton(op, spec, spectrum, k, certificate, u0, opts):
     """Newton on A u - b(u) from u0 for a critical point in gap k of
     `spectrum`; returns u, its gradient and the residual of every iterate.
     This is the one place that decides how a run steps, and a generator
-    run by `_lockstep`, one of a block of runs: it yields the
-    system of each MINRES step, so that the steps of all runs in a round
-    are solved together, and `_drive` runs it alone.  Every step is that
-    of `_gap_steps` under the slope-gap report `certificate` (None
-    without one), and the globalization follows from k and the
-    certificate: gap 0, the coercive case, backtracks on J (`_armijo`); a
-    certified gap k >= 1 backtracks on the merit (`_merit_backtracking`);
-    an uncertified one caps its steps' Z-norm after a stall (`_z_capped`).
-    A globalization turns a step into the next iterate, with its gradient
-    and residual (`_gradient`), or returns None when it finds no
-    acceptable one.  The run stops at opts.tol within opts.max_iter
+    run by `_lockstep`, one of a block of runs: it asks for the gradient
+    at u0 and the slopes at each iterate (`_gradient`, `_slopes`) and
+    yields the system of each MINRES step, so that the evaluations and
+    the steps of all runs in a round are made together; `_drive` runs it
+    alone.  Every step is that of `_gap_steps` under the slope-gap report
+    `certificate` (None without one), and the globalization follows from
+    k and the certificate: gap 0, the coercive case, backtracks on J
+    (`_armijo`); a certified gap k >= 1 backtracks on the merit
+    (`_merit_backtracking`); an uncertified one caps its steps' Z-norm
+    after a stall (`_z_capped`).  A globalization is a generator as well:
+    it asks for the gradient and residual (`_gradient`) of each point it
+    tries, and returns the next iterate with them, or None when it finds
+    no acceptable one.  The run stops at opts.tol within opts.max_iter
     steps.  An iterate whose slopes or gradient are not finite raises
     NumericError before any step is solved: this is the one finiteness
     test of an iterate, so no step solver repeats it."""
@@ -620,7 +658,7 @@ def _newton(op, spec, spectrum, k, certificate, u0, opts):
         globalize = _merit_backtracking(op, spec, spectrum)
     step = _gap_steps(op, spectrum, certificate)
     u = np.array(u0, dtype=float)
-    grad, res = _gradient(op, spec, u)
+    grad, res = yield _gradient, (op, spec), u
     trace = []
     for it in range(opts.max_iter + 1):
         trace.append(res)
@@ -628,12 +666,13 @@ def _newton(op, spec, spectrum, k, certificate, u0, opts):
             return u, grad, trace
         if it == opts.max_iter:
             break
-        slopes = _slopes(op, spec, u)
+        slopes = yield _slopes, (op, spec), u
         if not (np.isfinite(slopes).all() and np.isfinite(grad).all()):
             raise NumericError(
                 f"Newton step failed: the slopes or the gradient at "
                 f"iteration {it} are not finite")
-        moved = globalize(u, (yield from step(slopes, grad)), grad, res)
+        moved = yield from globalize(u, (yield from step(slopes, grad)), grad,
+                                     res)
         if moved is None:
             raise NonConvergenceError(
                 f"line search stalled at iteration {it} "
@@ -650,7 +689,9 @@ def _armijo(op, spec, spectrum, u0):
     can be seen.  A Newton step that does not descend is replaced by
     steepest descent in the Z inner product, -A^-1 grad = -E Lambda^-1 E^T
     grad in the eigen-coordinates of `spectrum`, which descends because A
-    is SPD; the Euclidean -grad is badly scaled for an H^s energy."""
+    is SPD; the Euclidean -grad is badly scaled for an H^s energy.  The
+    rule evaluates J itself and asks for the gradient of the trial it
+    accepts."""
     j_val = eval_J(op, spec, u0)
 
     def globalize(u, step, grad, res):
@@ -667,7 +708,7 @@ def _armijo(op, spec, spectrum, u0):
             j_trial = eval_J(op, spec, trial)
             if j_trial <= j_val + ARMIJO_FRACTION * t * slope + slack:
                 j_val = j_trial
-                return trial, *_gradient(op, spec, trial)
+                return (trial, *(yield _gradient, (op, spec), trial))
             t *= LINE_SEARCH_CONTRACTION
         return None
 
@@ -679,7 +720,7 @@ def _z_capped(op, spec):
     has gone STALL_STEPS steps without a new minimum, whether it diverges
     or cycles (a Newton 2-cycle rises only on every other step); from then
     on the step's Z-norm is capped at |u|_Z + 1, u the iterate at the
-    switch."""
+    switch.  It asks for the gradient of the new iterate."""
     radius = None
     best_res = math.inf
     stall = 0
@@ -695,7 +736,7 @@ def _z_capped(op, spec):
         if radius is None and stall >= STALL_STEPS:
             radius = norm_Z(op, u) + 1.0
         best_res = min(best_res, res)
-        return u, *_gradient(op, spec, u)
+        return (u, *(yield _gradient, (op, spec), u))
 
     return globalize
 
@@ -712,9 +753,9 @@ def _merit_backtracking(op, spec, spectrum):
     STEP_BACKWARD_ERROR, far inside the ARMIJO_FRACTION test.  The test
     accepts some t unless rounding hides the decrease, as it does with phi
     at rounding level near a solution; then the full step is taken.  A
-    trial costs one
-    gradient and one `Spectrum.dual_norms`, and the merit of the iterate it
-    returns is kept for the next call."""
+    trial asks for one gradient and costs one `Spectrum.dual_norms` of it
+    alone, and the merit of the iterate it returns is kept for the next
+    call."""
     kept = (None, math.nan)  # the gradient last returned and its merit
 
     def merit(grad):
@@ -727,7 +768,7 @@ def _merit_backtracking(op, spec, spectrum):
         full = None
         for _ in range(MERIT_HALVINGS + 1):
             trial = u + t * step
-            moved = (trial, *_gradient(op, spec, trial))
+            moved = (trial, *(yield _gradient, (op, spec), trial))
             phi_trial = merit(moved[1])
             if full is None:
                 full = moved, phi_trial
@@ -940,7 +981,7 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
     each block mapped by `Spectrum.from_eigen`.
     """
     lam = spectrum.eigenvalues[modes]
-    xg, wg, xi = _element_data(op)
+    xg, wg, xi = op.gauss
     x, w = xg[:, :, None], wg.ravel()
 
     def energies(coeffs, scale, z_norms):
@@ -956,7 +997,9 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
             c = np.zeros((spectrum.size, i1 - i0))
             c[modes] = coeffs(i0, i1)
             nodal = spectrum.from_eigen(c) * scale[i0:i1]
-            uh = _interp_elements(nodal, xi)
+            # u_h of the columns, shape (n_elem, q, i1 - i0)
+            uh = np.ascontiguousarray(np.moveaxis(
+                _interp_elements(nodal.T, xi), 0, -1))
             for iz, z in enumerate(z_norms):
                 f_int = w @ eval_F(spec, x, z * uh).reshape(w.size, -1)
                 out[iz, i0:i1] = half_z_sq[iz] - f_int

@@ -378,7 +378,7 @@ def test_uncertified_step_in_a_gap_takes_minres_within_its_budget(
     op = fractional_op(0.5, 64)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
-    xg, _, _ = solvers._element_data(op)
+    xg, _, _ = op.gauss
     grad = eval_gradient(op, _fixed_gap_spec(lam, 2), np.ones(op.size))
     step = solvers._gap_steps(op, sp, None)
     counts = _count_steps(monkeypatch)
@@ -445,7 +445,7 @@ def test_singular_straddling_system_raises(fractional_op):
     op = fractional_op(0.5, 64)
     sp = ns.solve_eigenproblem(op)
     lam = sp.eigenvalues
-    xg, _, _ = solvers._element_data(op)
+    xg, _, _ = op.gauss
     slopes = lam[2] + 0.3 * (lam[3] - lam[2]) * xg
     shifts = scipy.linalg.eigh(solvers._system(op, slopes), op.mass,
                                eigvals_only=True)
@@ -461,7 +461,7 @@ def _block_rows(op, sp, weight=0.5):
     the way through gap 2 (rho = 0), a profile over 80% of gap 2 and one
     straddling lambda_3 (gap None), each placed by `_place`"""
     lam = sp.eigenvalues
-    xg, _, _ = solvers._element_data(op)
+    xg, _, _ = op.gauss
     gap = lam[2] - lam[1]
     rows = []
     for slopes in (np.full_like(xg, lam[1] + weight * gap),
@@ -837,7 +837,7 @@ def test_uniqueness_probe_damping_switch(monkeypatch):
         globalize = z_capped(op, spec)
 
         def wrapped(u, step, grad, res):
-            new = globalize(u, step, grad, res)
+            new = yield from globalize(u, step, grad, res)
             capped.append(not np.array_equal(new[0], u + step))
             return new
         return wrapped
@@ -859,7 +859,9 @@ def test_uniqueness_probe_damping_switch(monkeypatch):
 
 def _capped_steps(op, residuals):
     """which steps of `_z_capped` were shortened for a residual sequence;
-    the steps grow so that any cap taken earlier bites"""
+    the steps grow so that any cap taken earlier bites.  Each step is run
+    by `_drive`, which answers the rule's gradient request"""
+    sp = ns.solve_eigenproblem(op)
     globalize = solvers._z_capped(op,
                                   nl.affine(0.0, nl.constant_profile(0.0)))
     u = np.zeros(op.size)
@@ -867,8 +869,8 @@ def _capped_steps(op, residuals):
     capped = []
     for it, res in enumerate(residuals):
         step = (it + 1.0) * base
-        capped.append(not np.array_equal(globalize(u, step, None, res)[0],
-                                         u + step))
+        moved = solvers._drive(sp, globalize(u, step, None, res))
+        capped.append(not np.array_equal(moved[0], u + step))
     return capped
 
 
@@ -913,7 +915,7 @@ def test_merit_rule_falls_back_to_the_full_step(fractional_op,
         return gradient(op, spec, trial)
 
     monkeypatch.setattr(solvers, "_gradient", spy)
-    moved = globalize(u, -d, grad, res)
+    moved = solvers._drive(sp, globalize(u, -d, grad, res))
     monkeypatch.undo()
     assert len(trials) == solvers.MERIT_HALVINGS + 1
     assert moved is not None
@@ -1322,6 +1324,64 @@ def test_lockstep_probe_matches_each_start_alone(fractional_op, monkeypatch,
     assert len(block.representatives) == len(alone.representatives)
     for u, w in zip(block.representatives, alone.representatives):
         assert norm_Z(op, u - w) <= 1e-12 * norm_Z(op, w)
+
+
+@pytest.mark.parametrize("n", [32, 33])
+@pytest.mark.parametrize("family", ["affine", "saturating",
+                                    "bounded_perturbation", "custom"])
+def test_block_evaluations_match_each_column_alone(fractional_op, family,
+                                                   n):
+    """a block of 5 iterates, held as rows, gets row by row the bits of
+    that row evaluated alone: its gradient, residual, slopes and W bands,
+    at both parities of the interior size, for the three families and a
+    custom f whose f_t is the central difference"""
+    op = fractional_op(0.5, n)
+    g = nl.polynomial_profile([1.0, 2.0])
+    spec = {"affine": nl.affine(3.0, g),
+            "saturating": nl.saturating(3.0, 7.0, g),
+            "bounded_perturbation": nl.bounded_perturbation(3.0, 2.0, g),
+            "custom": nl.custom(lambda x, t: 3.0 * t + 2.0 * np.sin(t) + x,
+                                lambda x: 2.0 + np.abs(x), 3.0,
+                                nl.constant_profile(3.0),
+                                nl.constant_profile(3.0))}[family]
+    u = np.random.default_rng(n).uniform(-10.0, 10.0, (5, op.size))
+    grad, res = solvers._gradient(op, spec, u)
+    slopes = solvers._slopes(op, spec, u)
+    diag, off = solvers._weight_bands(op, slopes)
+    assert grad.shape == u.shape and len(res) == 5
+    for j, row in enumerate(u):
+        grad_j, res_j = solvers._gradient(op, spec, row)
+        slopes_j = solvers._slopes(op, spec, row)
+        diag_j, off_j = solvers._weight_bands(op, slopes_j)
+        assert np.array_equal(grad[j], grad_j) and res[j] == res_j, j
+        assert np.array_equal(slopes[j], slopes_j), j
+        assert np.array_equal(diag[j], diag_j), j
+        assert np.array_equal(off[j], off_j), j
+
+
+def test_minres_is_the_only_barrier_of_a_lockstep_round(fractional_op,
+                                                        monkeypatch):
+    """the benchmark sweep's fixed certified probe (N = 512, s = 1/2,
+    `_fixed_gap_spec` in gap 2, seed 42, 8 starts) takes 5, 5, 4, 5, 6,
+    5, 6, 4 Newton steps and solves its MINRES systems in 6 blocks, one
+    per step of its longest start, each holding every start still
+    running: a start whose merit test rejects a trial asks for more
+    gradients in that round, and still joins the round's block"""
+    op = fractional_op(0.5, 512)
+    sp = ns.solve_eigenproblem(op)
+    spec = _fixed_gap_spec(sp.eigenvalues, 2)
+    blocks = []
+    minres_steps = solvers._minres_steps
+
+    def spy(spectrum, systems):
+        blocks.append(len(systems))
+        return minres_steps(spectrum, systems)
+
+    monkeypatch.setattr(solvers, "_minres_steps", spy)
+    verdict = ns.uniqueness_probe(op, sp, spec, 2, n_starts=8,
+                                  opts=ns.SolverOptions(seed=42))
+    assert verdict.iterations == (5, 5, 4, 5, 6, 5, 6, 4)
+    assert blocks == [8, 8, 8, 8, 6, 2]
 
 
 @pytest.mark.parametrize("resonant", [False, True],

@@ -318,7 +318,7 @@ def test_non_spd_mass_is_rejected(op128):
 
 
 @pytest.mark.parametrize("n", [2, 3, 128])
-def test_eigenvectors_built_on_first_access(monkeypatch, n):
+def test_solve_builds_the_eigenvectors_once(monkeypatch, n):
     """solving makes one eigh and one sign pass per non-empty half (N = 2
     leaves the odd half empty); applying the eigenbasis makes no further
     sign pass, and every Spectrum of one operator gets the same bits.  A
