@@ -996,10 +996,12 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
             i1 = min(i0 + PROBE_CHUNK, scale.size)
             c = np.zeros((spectrum.size, i1 - i0))
             c[modes] = coeffs(i0, i1)
-            nodal = spectrum.from_eigen(c) * scale[i0:i1]
-            # u_h of the columns, shape (n_elem, q, i1 - i0)
-            uh = np.ascontiguousarray(np.moveaxis(
-                _interp_elements(nodal.T, xi), 0, -1))
+            full = np.zeros((spectrum.size + 2, i1 - i0))
+            full[1:-1] = spectrum.from_eigen(c) * scale[i0:i1]
+            # u_h of the columns, shape (n_elem, q, i1 - i0), for one GEMV
+            # with the weights per Z-norm
+            uh = (full[:-1, None] * (1.0 - xi[:, None])
+                  + full[1:, None] * xi[:, None])
             for iz, z in enumerate(z_norms):
                 f_int = w @ eval_F(spec, x, z * uh).reshape(w.size, -1)
                 out[iz, i0:i1] = half_z_sq[iz] - f_int
