@@ -866,12 +866,12 @@ def uniqueness_probe(op: AssembledOperator, spectrum: Spectrum,
     does not converge, and with a single start, which leaves no pair to
     compare.
 
-    The starts run in lockstep (`_lockstep`), their MINRES steps solved
-    as one block each round, but their outcomes count in start order, as
-    if each ran after the one before: the first start that fails decides,
-    Inconclusive for NonConvergenceError and raised for any other error,
-    whatever a later start did.  `iterations` holds each start's Newton
-    count up to that start.
+    The starts run in lockstep (`_lockstep`), their evaluations and their
+    MINRES steps made as blocks each round, but their outcomes count in
+    start order, as if each ran after the one before: the first start
+    that fails decides, Inconclusive for NonConvergenceError and raised
+    for any other error, whatever a later start did.  `iterations` holds
+    each start's Newton count up to that start.
     """
     _check_pair(op, spectrum)
     spectrum.gap(k)
