@@ -16,9 +16,9 @@ seed 42.  A case line holds the iteration count, the repr of J, of the
 weak-form residual and of the probe's `max_pair_ratio`, the probe's
 verdict and each start's Newton count ("None" where a start did not
 converge), the probe's number of block MINRES solves (`rounds`, counted
-by wrapping `solvers._minres_steps` here: one per round of its longest
-start when MINRES is a round's only barrier), a sha256 prefix of the solution and of the representatives,
-and the message of a refusal; "-" marks a field the case does not have.
+by wrapping `solvers._minres_steps` for the probe: one per round of its
+longest start when MINRES is a round's only barrier), a sha256 prefix of
+the solution and of the representatives, and the message of a refusal; "-" marks a field the case does not have.
 Rounding depends on the BLAS thread count, so compare runs made with the
 same.
 """
@@ -40,22 +40,22 @@ SEEDS = tuple(range(1, 11))
 #: starts of every uniqueness probe
 N_STARTS = 4
 
-#: block MINRES solves (`solvers._minres_steps` calls) since the last reset
-_ROUNDS = [0]
-
-
-def _count_rounds(minres_steps):
-    def counted(*args):
-        _ROUNDS[0] += 1
-        return minres_steps(*args)
-    return counted
-
 
 def _probe(*args, **kwargs):
-    """uniqueness_probe(*args, **kwargs) and its block MINRES solves."""
-    _ROUNDS[0] = 0
-    verdict = ns.uniqueness_probe(*args, **kwargs)
-    return verdict, _ROUNDS[0]
+    """uniqueness_probe(*args, **kwargs) and its number of block MINRES
+    solves, counted by wrapping `solvers._minres_steps` for the call."""
+    minres_steps, rounds = solvers._minres_steps, []
+
+    def counted(*steps_args):
+        rounds.append(None)
+        return minres_steps(*steps_args)
+
+    solvers._minres_steps = counted
+    try:
+        verdict = ns.uniqueness_probe(*args, **kwargs)
+    finally:
+        solvers._minres_steps = minres_steps
+    return verdict, len(rounds)
 
 
 def _digest(arrays) -> str:
@@ -178,7 +178,6 @@ def main(argv=None) -> int:
                         help="N = 32 and seed 1 only")
     args = parser.parse_args(argv)
     n_values, seeds = ((32,), (1,)) if args.quick else (N_VALUES, SEEDS)
-    solvers._minres_steps = _count_rounds(solvers._minres_steps)
     total = hashlib.sha256()
 
     def emit(line):
