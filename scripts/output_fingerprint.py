@@ -9,7 +9,7 @@ seeds 1-10 (--quick: N = 32 and seed 1 only).  For each (s, N): the
 resonant affine(lambda_2, g = 0) probe and linear solves with weights at,
 near and across lambda_2; for each seed: two coercive draws, certified
 gap draws for k = 1, 2, 3 and an f2-failing draw whose slope range
-straddles lambda_3.  Without --quick a last case is the benchmark
+straddles lambda_3.  Without --quick a further case is the benchmark
 sweep's fixed one: N = 512, s = 1/2, saturating(lambda_2 + 0.2,
 0.6 (lambda_3 - lambda_2), g = 5), solved and probed from 8 starts with
 seed 42.  A case line holds the iteration count, the repr of J, of the
@@ -19,8 +19,15 @@ converge), the probe's number of block MINRES solves (`rounds`, counted
 by wrapping `solvers._minres_steps` for the probe: one per round of its
 longest start when MINRES is a round's only barrier), a sha256 prefix of
 the solution and of the representatives, and the message of a refusal; "-" marks a field the case does not have.
-Rounding depends on the BLAS thread count, so compare runs made with the
-same.
+For each (s, N) there is also one line per geometry probe of the built-in
+families, affine, saturating(delta = 0.5) and bounded_perturbation(c =
+0.3), with g = 1 + 2x and slope m in gap k = 0-3 (k = 0: m = lambda_1/2),
+and, last before the hash, one line for each of the saddle_geometry
+benchmark's two probes (N = 384, s = 1/2: affine(20, g = 0) in gap 2 and
+affine(0, g = 1) coercive).  A geometry line holds the repr of every
+`RadiusSample`, head then tail, `floor_estimate` and `separated`, or the
+refusal.  Rounding depends on the BLAS thread count, so compare runs made
+with the same.
 """
 
 import argparse
@@ -172,6 +179,44 @@ def _seed_cases(op, sp, seed):
                                                             opts)
 
 
+def _geometry_line(probe) -> str:
+    """A geometry probe's line: every RadiusSample, the floor and
+    `separated`, or the refusal the probe raised."""
+    try:
+        p = probe()
+    except NonlocalSaddleError as exc:
+        return f"refusal={type(exc).__name__}: {exc}"
+    samples = " ".join(repr(sample) for sample in p.head + p.tail)
+    return f"{samples} floor={p.floor_estimate!r} separated={p.separated}"
+
+
+def _geometry_cases(op, sp):
+    """(name, probe) of the built-in families' geometry probes in gaps
+    k = 0-3."""
+    lam = sp.eigenvalues
+    g = nl.polynomial_profile((1.0, 2.0))
+    for k in range(4):
+        m = lam[0] / 2.0 if k == 0 else (lam[k - 1] + lam[k]) / 2.0
+        specs = {"affine": nl.affine(m, g),
+                 "saturating": nl.saturating(m, 0.5, g),
+                 "bounded_perturbation": nl.bounded_perturbation(m, 0.3, g)}
+        for family, spec in specs.items():
+            yield f"geometry-{family}-k{k}", \
+                lambda spec=spec, k=k: ns.geometry_probe(op, sp, spec, k)
+
+
+def _benchmark_geometry_cases():
+    """(line prefix, probe) of the saddle_geometry benchmark's probes."""
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 384),
+                     ns.make_fractional_kernel(0.5))
+    sp = ns.solve_eigenproblem(op)
+    for name, m, g, k in (("gap-k2", 20.0, 0.0, 2),
+                          ("coercive", 0.0, 1.0, 0)):
+        spec = nl.affine(m, nl.constant_profile(g))
+        yield f"s=0.5 N=384 seed=- benchmark-geometry-{name}", \
+            lambda spec=spec, k=k: ns.geometry_probe(op, sp, spec, k)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -195,9 +240,13 @@ def main(argv=None) -> int:
                       for name, case in _seed_cases(op, sp, seed)]
             for seed, name, case in cases:
                 emit(f"s={s} N={n} seed={seed} {name}: {_run(case)}")
+            for name, probe in _geometry_cases(op, sp):
+                emit(f"s={s} N={n} seed=- {name}: {_geometry_line(probe)}")
     if not args.quick:
         prefix, case = _sweep_fixed_case()
         emit(f"{prefix}: {_run(case)}")
+    for prefix, probe in _benchmark_geometry_cases():
+        emit(f"{prefix}: {_geometry_line(probe)}")
     print(f"all: {total.hexdigest()}")
     return 0
 

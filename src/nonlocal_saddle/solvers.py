@@ -951,34 +951,73 @@ class GeometryProbe:
     seed: int = 0
 
 
-#: directions evaluated per batch by the geometry probe; a larger batch
-#: is no faster and raises the probe's peak memory
+#: directions mapped per batch by the geometry probe; a larger batch is no
+#: faster and raises the probe's peak memory.  A minimum scan tests its
+#: growth bound after each batch of axes (`_scan`)
 PROBE_CHUNK = 16
+
+#: relative slack of the minimum scans' growth bound (`_growth_floor`): it
+#: allows e_j^T M e_j up to 1 + GROWTH_BOUND_SLACK and lowers the bound by
+#: this share of its terms, and of the compared ratio, for rounding
+GROWTH_BOUND_SLACK = 1.0e-8
 
 
 def _sphere_samples(rng, dim: int, n_random: int) -> np.ndarray:
     """Random unit directions in R^dim, shape (n_random, dim).
 
-    Every scan also samples the 2*dim deterministic +-axes ahead of these,
-    mapped as identity blocks of PROBE_CHUNK columns (`_scan`).
+    A scan evaluates these first, group by group, and then the 2*dim
+    deterministic +-axes, as identity blocks of PROBE_CHUNK columns, which
+    a minimum scan stops mapping once its growth bound rules out the rest
+    (`_scan`).
     """
     raw = rng.standard_normal((n_random, dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     return raw
 
 
+def _growth_floor(op: AssembledOperator, spec: NonlinearitySpec,
+                  lam: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Lower bounds, less rounding, of the ratio J / |u|_L2^2 on the axis
+    u = z e_j / sqrt(lambda_j), shape (norms.size, lam.size) for |z| in
+    `norms`.  (f1), |f| <= a(x) + b|t|, gives F <= a|t| + b t^2 / 2, so by
+    Cauchy-Schwarz in the Gauss weights the integral of F is at most
+    A S + b S^2 / 2, with A^2 the Gauss sum of a^2 and S^2 = z^2 e_j^T M e_j
+    / lambda_j, which the rule takes exactly: the ratio is at least
+    lambda_j/2 - b(1+eps)/2 - A sqrt((1+eps) lambda_j) / |z|, eps =
+    GROWTH_BOUND_SLACK.  A non-finite A or b gives -inf or NaN, which
+    bounds nothing."""
+    xg, wg, _ = op.gauss
+    eps = GROWTH_BOUND_SLACK
+    big_a = math.sqrt(float(np.sum(
+        wg * np.asarray(spec.a_profile(xg), dtype=float) ** 2)))
+    linear = big_a * np.sqrt(lam) / norms[:, None]
+    bound = (0.5 * lam - 0.5 * spec.b * (1.0 + eps)
+             - linear * math.sqrt(1.0 + eps))
+    return bound - eps * (0.5 * lam + 0.5 * spec.b + linear)
+
+
 def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
           rng, modes: slice, groups, n_samples: int, reduce_max: bool):
     """Extreme energy ratios over the eigenmodes `modes`, one per group of
     Z-norms: (J / |u|_L2^2, J / |u|_Z^2, J) of the first extreme sample in
-    (Z-norm, direction) order.
+    (Z-norm, direction) order, the directions being the +axes, the -axes
+    and then the group's own seeded random directions, all of unit Z-norm.
 
-    A group samples the +axes, the -axes, then its own seeded random
-    directions, all of unit Z-norm.  Eigenvectors are M-orthonormal and
-    A-orthogonal, so a sample of Z-norm z has quadratic energy exactly
-    z^2/2 and squared L2-norm z^2 |c|^2 in eigen-coordinates c; only the
-    integral of F needs nodal values, PROBE_CHUNK directions at a time,
-    each block mapped by `Spectrum.from_eigen`.
+    Eigenvectors are M-orthonormal and A-orthogonal, so a sample of Z-norm
+    z has quadratic energy exactly z^2/2 and squared L2-norm z^2 |c|^2 in
+    eigen-coordinates c; only the integral of F needs nodal values,
+    PROBE_CHUNK directions at a time, each block mapped by
+    `Spectrum.from_eigen`.  The random directions are evaluated first, in
+    group order, then the axes once for every group, in ascending
+    lambda_j; the -e_j sample at z is e_j at -z.  A minimum scan stops
+    evaluating a group once its growth bound (`_growth_floor`), less
+    GROWTH_BOUND_SLACK times the group's best ratio, lies strictly above
+    that best ratio for every remaining axis and Z-norm of the group, and
+    stops mapping axes when no group is left.  A skipped sample therefore
+    cannot be the extreme nor tie it, and every evaluated one keeps its
+    bits.  An evaluated axis sample below its own bound proves the growth
+    data false, and raises InvalidParameterError.  The head scan, a
+    maximum, has no such bound and maps every axis.
     """
     lam = spectrum.eigenvalues[modes]
     xg, wg, xi = op.gauss
@@ -1007,21 +1046,64 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
                 out[iz, i0:i1] = half_z_sq[iz] - f_int
         return out
 
-    # the axes once for every group; the -e_j sample at z is e_j at -z.
-    # The sorted distinct norms, without np.unique, which imports numpy.ma
+    # the sorted distinct norms, without np.unique, which imports numpy.ma
     norms = np.sort(np.concatenate(groups))
     norms = norms[np.concatenate([[True], norms[1:] != norms[:-1]])]
-    on_axes = energies(lambda i0, i1: np.eye(lam.size, i1 - i0, -i0),
-                       1.0 / np.sqrt(lam), np.concatenate([norms, -norms]))
-    out = []
+    signed = np.concatenate([norms, -norms])
+    rows = [np.searchsorted(norms, z_norms) for z_norms in groups]
+    drawn, best = [], []
     for z_norms in groups:
-        dirs = _sphere_samples(rng, lam.size, max(n_samples - 2 * lam.size, 0))
-        unit = dirs / np.sqrt(dirs ** 2 @ lam)[:, None]
-        rows = np.searchsorted(norms, z_norms)
-        sampled = np.hstack([
-            on_axes[rows], on_axes[norms.size + rows],
-            energies(lambda i0, i1: unit[i0:i1].T, np.ones(len(unit)),
-                     z_norms)])
+        unit = _sphere_samples(rng, lam.size,
+                               max(n_samples - 2 * lam.size, 0))
+        unit /= np.sqrt(unit ** 2 @ lam)[:, None]
+        sampled = energies(lambda i0, i1: unit[i0:i1].T, np.ones(len(unit)),
+                           z_norms)
+        drawn.append((unit, sampled))
+        best.append((sampled / (z_norms[:, None] ** 2 * np.sum(
+            unit ** 2, axis=1))).min(initial=np.inf))
+    # J on each signed norm and axis, +inf where not mapped, and the least
+    # axis ratio so far at each norm, of either sign
+    on_axes = np.full((signed.size, lam.size), np.inf)
+    least = np.full(norms.size, np.inf)
+    floor = None if reduce_max else _growth_floor(op, spec, lam, norms)
+    active = range(len(groups))
+    for i0 in range(0, lam.size, PROBE_CHUNK):
+        if floor is not None:
+            # a group is done once its bound exceeds its best ratio so far
+            # on every remaining axis
+            best = [np.minimum(b, least[r].min()) for b, r in zip(best, rows)]
+            active = [g for g in active if not np.min(floor[rows[g], i0:])
+                      > best[g] + GROWTH_BOUND_SLACK * abs(best[g])]
+        need = np.zeros(norms.size, dtype=bool)
+        for g in active:
+            need[rows[g]] = True
+        need = np.flatnonzero(need)
+        if need.size == 0:
+            break
+        at = np.concatenate([need, norms.size + need])
+        i1 = min(i0 + PROBE_CHUNK, lam.size)
+        on_axes[at, i0:i1] = energies(
+            lambda *_: np.eye(lam.size, i1 - i0, -i0),
+            1.0 / np.sqrt(lam[i0:i1]), signed[at])
+        if floor is None:
+            continue
+        ratio = on_axes[at, i0:i1] / (signed[at, None] ** 2
+                                      * (1.0 / lam[i0:i1]))
+        low = np.tile(floor[need, i0:i1], (2, 1))
+        bad = np.argwhere(ratio + GROWTH_BOUND_SLACK * np.abs(ratio) < low)
+        if bad.size:
+            r, j = bad[0]
+            raise InvalidParameterError(
+                f"the growth data a(x), b = {spec.b!r} are false: on "
+                f"eigenmode {modes.start + i0 + j + 1} at Z-norm "
+                f"{signed[at[r]]!r} the energy ratio {ratio[r, j]!r} lies "
+                f"below {low[r, j]!r}, the bound that |f| <= a(x) + b|t| "
+                f"implies")
+        least[need] = np.minimum(least[need], np.minimum(
+            ratio[:need.size], ratio[need.size:]).min(axis=1))
+    out = []
+    for z_norms, at, (unit, sampled) in zip(groups, rows, drawn):
+        sampled = np.hstack([on_axes[at], on_axes[norms.size + at], sampled])
         l2_sq = np.concatenate([1.0 / lam, 1.0 / lam,
                                 np.sum(unit ** 2, axis=1)])
         z_sq = z_norms[:, None] ** 2
@@ -1050,10 +1132,17 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
 
     Each eigenmode subspace is scanned once for all its Z-norms (`_scan`):
     its axes are interpolated once, the -axis sample at z being the +axis
-    sample at -z.  Every group of Z-norms samples all 2*dim +-axes, so
+    sample at -z.  Every group of Z-norms accounts for all 2*dim +-axes, so
     `n_samples` is a floor: it only adds seeded random directions beyond
-    2*dim, per group.  Each direction is mapped to nodal values once, by
-    `Spectrum.from_eigen` in O(N^2), and then costs O(N) per Z-norm; no
+    2*dim, per group.  The head scan evaluates every axis.  A minimum scan
+    (the tail, or the whole space for k = 0) evaluates the random
+    directions first and then the axes in ascending lambda_j, and stops
+    once the growth data (f1), |f| <= a(x) + b|t|, bound every remaining
+    axis strictly above each group's minimum so far (`_growth_floor`): the
+    probe is, bit for bit, the scan of every axis.  An evaluated axis
+    sample below its bound proves the growth data false, and raises
+    InvalidParameterError.  Each direction is mapped to nodal values once,
+    by `Spectrum.from_eigen` in O(N^2), and then costs O(N) per Z-norm; no
     N x N eigenvector matrix is built.  The first extreme sample in
     (Z-norm, direction) order wins.  For a purely quadratic F the ratio of
     an axis sample is the same at every Z-norm, so which norm

@@ -56,7 +56,8 @@ def test_count_code_lines_skips_comments_blanks_and_docstrings(tmp_path):
 
 def test_output_fingerprint_quick_is_reproducible():
     """two runs of `output_fingerprint.py --quick` (N = 32, seed 1, three
-    exponents of 12 cases each) print the same lines, the last of which
+    exponents of 12 cases and 12 geometry probes each, then the two
+    benchmark geometry probes) print the same lines, the last of which
     hashes the others"""
     runs = [subprocess.run([sys.executable,
                             str(SCRIPTS / "output_fingerprint.py"), "--quick"],
@@ -66,6 +67,6 @@ def test_output_fingerprint_quick_is_reproducible():
         assert r.returncode == 0, r.stderr
     assert runs[0].stdout == runs[1].stdout
     *cases, last = runs[0].stdout.splitlines()
-    assert len(cases) == 36
+    assert len(cases) == 74
     digest = hashlib.sha256("".join(f"{c}\n" for c in cases).encode())
     assert last == f"all: {digest.hexdigest()}"

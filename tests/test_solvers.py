@@ -1875,6 +1875,22 @@ def test_geometry_probe_rejects_bad_input(op128, spectrum128, kwargs):
         ns.geometry_probe(op128, spectrum128, spec, **{"k": 2, **kwargs})
 
 
+#: g profiles of the growth-bound tests: a(x) = |g| + the family's bound
+GROWTH_PROFILES = {"constant": nl.constant_profile(1.0),
+                   "polynomial": nl.polynomial_profile((1.0, 2.0, -3.0)),
+                   "large-constant": nl.constant_profile(200.0)}
+
+
+def _family_spec(family, sp, k, g):
+    """The family's spec with its slope m in gap k (k = 0: lambda_1 / 2)."""
+    lam = sp.eigenvalues
+    m = lam[0] / 2.0 if k == 0 else (lam[k - 1] + lam[k]) / 2.0
+    return {"affine": lambda: nl.affine(m, g),
+            "saturating": lambda: nl.saturating(m, 0.5, g),
+            "bounded_perturbation":
+                lambda: nl.bounded_perturbation(m, 0.3, g)}[family]()
+
+
 def _oracle_probe(op, sp, spec, k, n_samples, seed,
                   radii=(10.0, 100.0, 1000.0)):
     """The probe as a per-sample loop: one eval_J on the nodal vector of
@@ -1933,15 +1949,10 @@ def test_geometry_probe_matches_per_sample_oracle(small_ops, n, n_samples,
     n_samples = 200 at N = 64 run random directions in every scan, and the
     unsorted pair of radii checks which rows belong to which radius."""
     op, sp = small_ops[n]
-    lam = sp.eigenvalues
-    m = lam[0] / 2.0 if k == 0 else (lam[k - 1] + lam[k]) / 2.0
     # an odd part in g makes +e_j and -e_j differ for every mode
     g = (nl.constant_profile(0.0) if family == "affine"
          else nl.polynomial_profile((1.0, 2.0)))
-    spec = {"affine": lambda: nl.affine(m, g),
-            "saturating": lambda: nl.saturating(m, 0.5, g),
-            "bounded_perturbation":
-                lambda: nl.bounded_perturbation(m, 0.3, g)}[family]()
+    spec = _family_spec(family, sp, k, g)
     probe = ns.geometry_probe(op, sp, spec, k, radii=radii,
                               n_samples=n_samples, seed=7)
     head, tail, separated = _oracle_probe(op, sp, spec, k, n_samples, 7,
@@ -1957,6 +1968,116 @@ def test_geometry_probe_matches_per_sample_oracle(small_ops, n, n_samples,
     again = ns.geometry_probe(op, sp, spec, k, radii=radii,
                               n_samples=n_samples, seed=7)
     assert dataclasses.asdict(again) == dataclasses.asdict(probe)
+
+
+# The minimum scans rule out axes by the growth bound (`_growth_floor`).
+
+#: the distinct Z-norms of a probe with the default radii: its coercive
+#: spheres, its tail shells and its small norms
+PROBE_NORMS = np.unique(np.concatenate(
+    [np.geomspace(t / 10.0, t, 4) for t in (1.0, 10.0, 100.0, 1000.0)]))
+
+
+@pytest.mark.parametrize("n", [16, 64, 384])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_growth_floor_bounds_every_axis_sample(s, n):
+    """J / |u|_L2^2 of every axis sample u = z e_j / sqrt(lambda_j), at the
+    probe's Z-norms +-z, lies at or above `_growth_floor` less
+    GROWTH_BOUND_SLACK of its own size: the three families in gaps k = 0-3
+    with constant, polynomial and large constant g.  At N = 384, k is 0
+    and 2, the benchmark's, and the modes are the first 32, which its
+    probes map, and every 16th beyond."""
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, n),
+                     ns.make_fractional_kernel(s))
+    sp = ns.solve_eigenproblem(op)
+    lam = sp.eigenvalues
+    ks, modes = range(4), np.arange(sp.size)
+    if n == 384:
+        ks, modes = (0, 2), np.unique(np.r_[np.arange(32),
+                                            np.arange(0, sp.size, 16),
+                                            sp.size - 1])
+    xg, wg, xi = op.gauss
+    coeffs = np.eye(sp.size)[:, modes]
+    axes = solvers._interp_elements(
+        (sp.from_eigen(coeffs) / np.sqrt(lam[modes])).T, xi)
+    axes = axes.reshape(modes.size, -1)
+    for k, family, g in itertools.product(ks, ("affine", "saturating",
+                                               "bounded_perturbation"),
+                                          GROWTH_PROFILES.values()):
+        spec = _family_spec(family, sp, k, g)
+        floor = solvers._growth_floor(op, spec, lam[modes], PROBE_NORMS)
+        for sign in (1.0, -1.0):
+            for z, low in zip(sign * PROBE_NORMS, floor):
+                f_int = solvers.eval_F(spec, xg.ravel(), z * axes) @ wg.ravel()
+                ratio = (0.5 * z * z - f_int) * lam[modes] / (z * z)
+                slack = ratio + solvers.GROWTH_BOUND_SLACK * np.abs(ratio) - low
+                assert slack.min() >= 0.0, (k, family, z, slack.min())
+
+
+@pytest.mark.parametrize("radii, n_samples", [
+    ((10.0, 100.0, 1000.0), 64), ((0.5, 2.0), 64), ((0.5, 2.0), 200)],
+    ids=["default", "small-radii", "small-radii-random"])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_geometry_probe_equals_the_full_scan(small_ops, n, k, radii,
+                                             n_samples):
+    """the probe equals, repr for repr, the full scan of the same spec with
+    b = inf, whose growth bound is -inf and rules out no axis: the three
+    families with constant, polynomial and large constant g, and a g along
+    eigenvector 41, whose axis is the tail's minimum three chunks in.
+    n_samples = 200 > 2 dim puts random directions in every scan."""
+    op, sp = small_ops[n]
+    j = min(40, sp.size - 1)
+    along = nl.nodal_profile(
+        op.mesh.nodes, np.r_[0.0, 50.0 * sp.from_eigen(np.eye(sp.size)[j]),
+                             0.0])
+    profiles = {**GROWTH_PROFILES, "along-e41": along}
+    for family, g in itertools.product(
+            ("affine", "saturating", "bounded_perturbation"),
+            profiles.values()):
+        spec = _family_spec(family, sp, k, g)
+        full = dataclasses.replace(spec, b=math.inf)
+        got, want = (repr(dataclasses.asdict(ns.geometry_probe(
+            op, sp, f, k, radii=radii, n_samples=n_samples, seed=7)))
+            for f in (spec, full))
+        assert got == want, (family, g)
+
+
+def test_benchmark_probes_map_at_most_two_chunks_of_tail_axes(monkeypatch):
+    """the N = 384 gap (affine m = 20, g = 0, k = 2) and coercive (affine
+    m = 0, g = 1) probes of the saddle_geometry benchmark stop after at most
+    32 tail axes each, of 381 and 383: `from_eigen` maps no other tail
+    columns."""
+    op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 384),
+                     ns.make_fractional_kernel(0.5))
+    sp = ns.solve_eigenproblem(op)
+    from_eigen, mapped = type(sp).from_eigen, []
+
+    def spy(self, c):
+        mapped.append(c)
+        return from_eigen(self, c)
+
+    monkeypatch.setattr(type(sp), "from_eigen", spy)
+    for spec, k in ((nl.affine(20.0, nl.constant_profile(0.0)), 2),
+                    (nl.affine(0.0, nl.constant_profile(1.0)), 0)):
+        mapped.clear()
+        probe = ns.geometry_probe(op, sp, spec, k)
+        assert probe.separated is True
+        tail = sum(c.shape[1] for c in mapped if not c[:k].any())
+        assert 0 < tail <= 32, (k, tail)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_geometry_probe_refuses_false_growth_data(op128, spectrum128, k):
+    """f = 30 t declared with b = 1: the scanned axes below lambda = 29 lie
+    below the bound that b = 1 implies, and the probe names the data
+    instead of returning an extreme that the bound might have cut short."""
+    spec = nl.custom(f=lambda x, t: 30.0 * t, F=lambda x, t: 15.0 * t * t,
+                     a_profile=lambda x: np.zeros_like(x), b=1.0,
+                     alpha_lower=nl.constant_profile(30.0),
+                     alpha_upper=nl.constant_profile(30.0))
+    with pytest.raises(InvalidParameterError, match="growth data .* b = 1.0"):
+        ns.geometry_probe(op128, spectrum128, spec, k)
 
 
 def test_z_norm_of_eigenvector(op128, spectrum128):
