@@ -951,9 +951,11 @@ class GeometryProbe:
     seed: int = 0
 
 
-#: directions mapped per batch by the geometry probe; a larger batch is no
-#: faster and raises the probe's peak memory.  A minimum scan tests its
-#: growth bound after each batch of axes (`_scan`)
+#: directions per batch of the geometry probe, and about the most rows
+#: that F is evaluated on at once; a larger batch is no faster and raises
+#: the probe's peak memory.  A minimum scan's axis batches start at one
+#: axis and double up to it, and the scan tests its growth bound before
+#: each (`_scan`).  No sample's bits depend on it
 PROBE_CHUNK = 16
 
 #: relative slack of the minimum scans' growth bound (`_growth_floor`): it
@@ -966,9 +968,9 @@ def _sphere_samples(rng, dim: int, n_random: int) -> np.ndarray:
     """Random unit directions in R^dim, shape (n_random, dim).
 
     A scan evaluates these first, group by group, and then the 2*dim
-    deterministic +-axes, as identity blocks of PROBE_CHUNK columns, which
-    a minimum scan stops mapping once its growth bound rules out the rest
-    (`_scan`).
+    deterministic +-axes, in batches of PROBE_CHUNK axes, or, in a minimum
+    scan, of 1, 2, 4, ... axes up to PROBE_CHUNK, which it stops mapping
+    once its growth bound rules out the rest (`_scan`).
     """
     raw = rng.standard_normal((n_random, dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -1005,46 +1007,45 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
 
     Eigenvectors are M-orthonormal and A-orthogonal, so a sample of Z-norm
     z has quadratic energy exactly z^2/2 and squared L2-norm z^2 |c|^2 in
-    eigen-coordinates c; only the integral of F needs nodal values,
-    PROBE_CHUNK directions at a time, each block mapped by
-    `Spectrum.from_eigen`.  The random directions are evaluated first, in
-    group order, then the axes once for every group, in ascending
-    lambda_j; the -e_j sample at z is e_j at -z.  A minimum scan stops
-    evaluating a group once its growth bound (`_growth_floor`), less
+    eigen-coordinates c; only the integral of F needs nodal values.  Each
+    sample's integral is the sum of its own contiguous Gauss values, so it
+    has the same bits in a batch of any width.  The random directions are
+    evaluated first, in group order, PROBE_CHUNK at a time; each group's
+    are mapped by one `Spectrum.from_eigen`, a matrix product whose
+    rounding of a column depends on the number of columns, while an axis
+    maps exactly to its eigenvector in any batch.  Then come the axes,
+    once for every group, in ascending lambda_j, the -e_j sample at z
+    being e_j at -z.  The head scan, a maximum, has no bound and maps every
+    axis, PROBE_CHUNK at a time.  A minimum scan maps its axes in batches
+    of 1, 2, 4, ... up to PROBE_CHUNK, and before each batch it stops
+    evaluating a group whose growth bound (`_growth_floor`), less
     GROWTH_BOUND_SLACK times the group's best ratio, lies strictly above
-    that best ratio for every remaining axis and Z-norm of the group, and
+    that best ratio for every remaining axis and Z-norm of the group; it
     stops mapping axes when no group is left.  A skipped sample therefore
     cannot be the extreme nor tie it, and every evaluated one keeps its
     bits.  An evaluated axis sample below its own bound proves the growth
-    data false, and raises InvalidParameterError.  The head scan, a
-    maximum, has no such bound and maps every axis.
+    data false, and raises InvalidParameterError.
     """
     lam = spectrum.eigenvalues[modes]
     xg, wg, xi = op.gauss
-    x, w = xg[:, :, None], wg.ravel()
 
-    def energies(coeffs, scale, z_norms):
-        """J at z_norms along scale.size directions, shape (z_norms.size,
-        scale.size); coeffs(i0, i1) gives the coefficients on `modes` of
-        directions i0..i1-1 as columns, mapped to nodes by `from_eigen` and
-        then scaled by `scale`, so that an axis keeps its eigenvector's
-        bits."""
-        half_z_sq = 0.5 * z_norms ** 2
-        out = np.empty((z_norms.size, scale.size))
-        for i0 in range(0, scale.size, PROBE_CHUNK):
-            i1 = min(i0 + PROBE_CHUNK, scale.size)
-            c = np.zeros((spectrum.size, i1 - i0))
-            c[modes] = coeffs(i0, i1)
-            full = np.zeros((spectrum.size + 2, i1 - i0))
-            full[1:-1] = spectrum.from_eigen(c) * scale[i0:i1]
-            # u_h of the columns, shape (n_elem, q, i1 - i0), for one GEMV
-            # with the weights per Z-norm
-            uh = (full[:-1, None] * (1.0 - xi[:, None])
-                  + full[1:, None] * xi[:, None])
-            for iz, z in enumerate(z_norms):
-                f_int = w @ eval_F(spec, x, z * uh).reshape(w.size, -1)
-                out[iz, i0:i1] = half_z_sq[iz] - f_int
-        return out
+    def mapped(coeffs):
+        """Nodal values, one row per row of `coeffs`, the coefficients on
+        `modes` of a block of directions."""
+        c = np.zeros((spectrum.size, len(coeffs)))
+        c[modes] = coeffs.T
+        return spectrum.from_eigen(c).T
+
+    def energies(nodal, z_norms):
+        """J at z_norms along the rows of `nodal`, shape (z_norms.size,
+        len(nodal)).  F takes about PROBE_CHUNK rows per call: a batch
+        narrower than that is evaluated at several Z-norms at once."""
+        uh = _interp_elements(nodal, xi)
+        step = max(PROBE_CHUNK // len(nodal), 1)
+        f_int = np.concatenate([np.sum(wg * eval_F(
+            spec, xg, z_norms[i:i + step, None, None, None] * uh),
+            axis=(-2, -1)) for i in range(0, z_norms.size, step)])
+        return 0.5 * z_norms[:, None] ** 2 - f_int
 
     # the sorted distinct norms, without np.unique, which imports numpy.ma
     norms = np.sort(np.concatenate(groups))
@@ -1056,8 +1057,10 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
         unit = _sphere_samples(rng, lam.size,
                                max(n_samples - 2 * lam.size, 0))
         unit /= np.sqrt(unit ** 2 @ lam)[:, None]
-        sampled = energies(lambda i0, i1: unit[i0:i1].T, np.ones(len(unit)),
-                           z_norms)
+        nodal, sampled = mapped(unit), np.empty((z_norms.size, len(unit)))
+        for i0 in range(0, len(unit), PROBE_CHUNK):
+            sampled[:, i0:i0 + PROBE_CHUNK] = energies(
+                nodal[i0:i0 + PROBE_CHUNK], z_norms)
         drawn.append((unit, sampled))
         best.append((sampled / (z_norms[:, None] ** 2 * np.sum(
             unit ** 2, axis=1))).min(initial=np.inf))
@@ -1067,7 +1070,13 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
     least = np.full(norms.size, np.inf)
     floor = None if reduce_max else _growth_floor(op, spec, lam, norms)
     active = range(len(groups))
-    for i0 in range(0, lam.size, PROBE_CHUNK):
+    # a minimum scan's axis batches start at one axis and double, so that
+    # a bound that rules out the rest after the first axis maps no more
+    edges, width = [0], PROBE_CHUNK if reduce_max else 1
+    while edges[-1] < lam.size:
+        edges.append(min(edges[-1] + width, lam.size))
+        width = min(2 * width, PROBE_CHUNK)
+    for i0, i1 in zip(edges[:-1], edges[1:]):
         if floor is not None:
             # a group is done once its bound exceeds its best ratio so far
             # on every remaining axis
@@ -1081,10 +1090,9 @@ def _scan(op: AssembledOperator, spec: NonlinearitySpec, spectrum: Spectrum,
         if need.size == 0:
             break
         at = np.concatenate([need, norms.size + need])
-        i1 = min(i0 + PROBE_CHUNK, lam.size)
         on_axes[at, i0:i1] = energies(
-            lambda *_: np.eye(lam.size, i1 - i0, -i0),
-            1.0 / np.sqrt(lam[i0:i1]), signed[at])
+            mapped(np.eye(i1 - i0, lam.size, i0))
+            * (1.0 / np.sqrt(lam[i0:i1]))[:, None], signed[at])
         if floor is None:
             continue
         ratio = on_axes[at, i0:i1] / (signed[at, None] ** 2
@@ -1141,12 +1149,17 @@ def geometry_probe(op: AssembledOperator, spectrum: Spectrum,
     axis strictly above each group's minimum so far (`_growth_floor`): the
     probe is, bit for bit, the scan of every axis.  An evaluated axis
     sample below its bound proves the growth data false, and raises
-    InvalidParameterError.  Each direction is mapped to nodal values once,
-    by `Spectrum.from_eigen` in O(N^2), and then costs O(N) per Z-norm; no
-    N x N eigenvector matrix is built.  The first extreme sample in
-    (Z-norm, direction) order wins.  For a purely quadratic F the ratio of
-    an axis sample is the same at every Z-norm, so which norm
-    supplies `extreme_j` and `floor_estimate` is decided by rounding.
+    InvalidParameterError.  The minimum scans map their axes in batches of
+    1, 2, 4, ... up to PROBE_CHUNK and test the bound before each, so a
+    bound that rules out every axis after the first stops them there.
+    Each sample's integral of F is the sum of its own Gauss values, so the
+    probe does not depend on the batch widths.  Each direction is mapped
+    to nodal values once, by `Spectrum.from_eigen` in O(N^2), and then
+    costs O(N) per Z-norm; no N x N eigenvector matrix is built.  The
+    first extreme sample in (Z-norm, direction) order wins.  For a purely
+    quadratic F the ratio of an axis sample is the same at every Z-norm,
+    so which norm supplies `extreme_j` and `floor_estimate` is decided by
+    rounding.
     """
     _check_pair(op, spectrum)
     radii = tuple(sorted(check_real("radius", r, 0.0) for r in radii))

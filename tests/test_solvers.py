@@ -2014,40 +2014,69 @@ def test_growth_floor_bounds_every_axis_sample(s, n):
                 assert slack.min() >= 0.0, (k, family, z, slack.min())
 
 
-@pytest.mark.parametrize("radii, n_samples", [
-    ((10.0, 100.0, 1000.0), 64), ((0.5, 2.0), 64), ((0.5, 2.0), 200)],
-    ids=["default", "small-radii", "small-radii-random"])
-@pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_geometry_probe_equals_the_full_scan(small_ops, n, k, radii,
-                                             n_samples):
-    """the probe equals, repr for repr, the full scan of the same spec with
-    b = inf, whose growth bound is -inf and rules out no axis: the three
-    families with constant, polynomial and large constant g, and a g along
-    eigenvector 41, whose axis is the tail's minimum three chunks in.
-    n_samples = 200 > 2 dim puts random directions in every scan."""
-    op, sp = small_ops[n]
+def _scanned_specs(op, sp, k):
+    """The three families with constant, polynomial and large constant g,
+    and a g along eigenvector 41, whose axis is the tail's minimum three
+    chunks in."""
     j = min(40, sp.size - 1)
     along = nl.nodal_profile(
         op.mesh.nodes, np.r_[0.0, 50.0 * sp.from_eigen(np.eye(sp.size)[j]),
                              0.0])
     profiles = {**GROWTH_PROFILES, "along-e41": along}
-    for family, g in itertools.product(
-            ("affine", "saturating", "bounded_perturbation"),
-            profiles.values()):
-        spec = _family_spec(family, sp, k, g)
+    return {(family, name): _family_spec(family, sp, k, g)
+            for family, (name, g) in itertools.product(
+                ("affine", "saturating", "bounded_perturbation"),
+                profiles.items())}
+
+
+SCAN_GRID = pytest.mark.parametrize("radii, n_samples", [
+    ((10.0, 100.0, 1000.0), 64), ((0.5, 2.0), 64), ((0.5, 2.0), 200)],
+    ids=["default", "small-radii", "small-radii-random"])
+
+
+@SCAN_GRID
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_geometry_probe_equals_the_full_scan(small_ops, n, k, radii,
+                                             n_samples):
+    """the probe equals, repr for repr, the full scan of the same spec with
+    b = inf, whose growth bound is -inf and rules out no axis
+    (`_scanned_specs`).  n_samples = 200 > 2 dim puts random directions in
+    every scan."""
+    op, sp = small_ops[n]
+    for case, spec in _scanned_specs(op, sp, k).items():
         full = dataclasses.replace(spec, b=math.inf)
         got, want = (repr(dataclasses.asdict(ns.geometry_probe(
             op, sp, f, k, radii=radii, n_samples=n_samples, seed=7)))
             for f in (spec, full))
-        assert got == want, (family, g)
+        assert got == want, case
 
 
-def test_benchmark_probes_map_at_most_two_chunks_of_tail_axes(monkeypatch):
+@SCAN_GRID
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_geometry_probe_is_the_same_at_every_batch_width(
+        monkeypatch, small_ops, n, k, radii, n_samples):
+    """the probe is repr-identical with PROBE_CHUNK = 1, 3 and 16: a
+    sample's integral of F sums its own Gauss values and each group's
+    random directions are mapped at once, so no bit depends on the batch
+    that holds a direction, nor on where a minimum scan's growing axis
+    batches end."""
+    op, sp = small_ops[n]
+    for case, spec in _scanned_specs(op, sp, k).items():
+        probes = set()
+        for chunk in (1, 3, 16):
+            monkeypatch.setattr(solvers, "PROBE_CHUNK", chunk)
+            probes.add(repr(dataclasses.asdict(ns.geometry_probe(
+                op, sp, spec, k, radii=radii, n_samples=n_samples, seed=7))))
+        assert len(probes) == 1, case
+
+
+def test_benchmark_probes_map_one_tail_axis(monkeypatch):
     """the N = 384 gap (affine m = 20, g = 0, k = 2) and coercive (affine
-    m = 0, g = 1) probes of the saddle_geometry benchmark stop after at most
-    32 tail axes each, of 381 and 383: `from_eigen` maps no other tail
-    columns."""
+    m = 0, g = 1) probes of the saddle_geometry benchmark stop after their
+    first tail axis, of 381 and 383: a minimum scan's first axis batch is
+    one axis wide, and `from_eigen` maps no other tail column."""
     op = ns.assemble(ns.build_uniform_mesh(-1.0, 1.0, 384),
                      ns.make_fractional_kernel(0.5))
     sp = ns.solve_eigenproblem(op)
@@ -2064,7 +2093,7 @@ def test_benchmark_probes_map_at_most_two_chunks_of_tail_axes(monkeypatch):
         probe = ns.geometry_probe(op, sp, spec, k)
         assert probe.separated is True
         tail = sum(c.shape[1] for c in mapped if not c[:k].any())
-        assert 0 < tail <= 32, (k, tail)
+        assert tail == 1, (k, tail)
 
 
 @pytest.mark.parametrize("k", [0, 2])
